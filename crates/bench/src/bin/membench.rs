@@ -1,5 +1,5 @@
-//! Memory-layout microbenchmark: the word kernels, cache-line padding and
-//! signature arena of the layout speed pass, measured from one binary so the
+//! Memory-layout microbenchmark: the word kernels and cache-line padding of
+//! the layout speed pass, measured from one binary so the
 //! committed before/after numbers (`BENCH_5.json`) are reproducible from this
 //! tree alone.
 //!
@@ -25,11 +25,6 @@
 //!   tree uses). On a multi-core host the padded layout wins by the coherence
 //!   miss cost; on a single-core host (CI) both layouts run at the same speed
 //!   and the stage only checks padding costs nothing.
-//! * **arena vs fresh allocation** — the per-transaction signature setup
-//!   (three mirrors + a journal) served by the thread-local [`SigArena`]
-//!   against constructing fresh buffers, at the inline 2048-bit geometry and
-//!   the heap-backed 8192-bit geometry (where every fresh mirror is a
-//!   `malloc`).
 //!
 //! Usage: `membench [--smoke] [--json PATH] [--baseline FILE]`
 //!   --smoke      ~20x fewer iterations (CI sanity run)
@@ -44,7 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 use tm_bench::{baseline_number, emit_json, BenchArgs};
 use tm_sig::kernels::{scalar, unrolled};
-use tm_sig::{Sig, SigArena, SigJournal, SigSpec};
 
 /// Signature sizes swept by the kernel stage, in bits (words = bits / 64).
 /// 2048 is the paper geometry (`SigSpec::PAPER`); 8192 is heap-backed.
@@ -57,7 +51,6 @@ const SPARSE_WORDS: usize = 3;
 struct Scale {
     kernel_iters: u64,
     fs_iters: u64,
-    arena_iters: u64,
 }
 
 impl Scale {
@@ -65,14 +58,12 @@ impl Scale {
         Self {
             kernel_iters: 200_000,
             fs_iters: 2_000_000,
-            arena_iters: 200_000,
         }
     }
     fn smoke() -> Self {
         Self {
             kernel_iters: 10_000,
             fs_iters: 100_000,
-            arena_iters: 10_000,
         }
     }
 }
@@ -237,64 +228,6 @@ fn bench_false_sharing(scale: &Scale, padded: bool) -> f64 {
     (FS_THREADS as u64 * iters) as f64 * 1e9 / best_ns as f64
 }
 
-struct ArenaRow {
-    bits: usize,
-    fresh_ns: f64,
-    arena_ns: f64,
-}
-
-/// Per-transaction signature setup (three mirrors + a journal), touched and
-/// torn down, arena-served vs freshly constructed. Returns ns/transaction.
-fn bench_arena(scale: &Scale, spec: SigSpec) -> ArenaRow {
-    let iters = scale.arena_iters;
-    let touch = |r: &mut Sig, w: &mut Sig, j: &mut SigJournal| {
-        j.begin(spec);
-        for k in 0..4u32 {
-            r.add(k * 977);
-        }
-        w.add(0x5555);
-        std::hint::black_box((r.word(0), w.word(0)));
-    };
-
-    let fresh_ns = best_of(|| {
-        for _ in 0..iters {
-            let mut r = Sig::new(spec);
-            let mut w = Sig::new(spec);
-            let mut a = Sig::new(spec);
-            let mut j = SigJournal::new();
-            touch(&mut r, &mut w, &mut j);
-            std::hint::black_box(&mut a);
-        }
-    });
-
-    let arena_ns = best_of(|| {
-        for _ in 0..iters {
-            let (mut r, mut w, mut a, mut j) = SigArena::with(|ar| {
-                (
-                    ar.take_sig(spec),
-                    ar.take_sig(spec),
-                    ar.take_sig(spec),
-                    ar.take_journal(),
-                )
-            });
-            touch(&mut r, &mut w, &mut j);
-            std::hint::black_box(&mut a);
-            SigArena::with(|ar| {
-                ar.recycle_sig(r);
-                ar.recycle_sig(w);
-                ar.recycle_sig(a);
-                ar.recycle_journal(j);
-            });
-        }
-    });
-
-    ArenaRow {
-        bits: spec.bits() as usize,
-        fresh_ns: fresh_ns as f64 / iters as f64,
-        arena_ns: arena_ns as f64 / iters as f64,
-    }
-}
-
 fn main() {
     let args = BenchArgs::parse();
     let scale = if args.smoke {
@@ -313,12 +246,6 @@ fn main() {
     let padded_ops = bench_false_sharing(&scale, true);
     let fs_ratio = padded_ops / packed_ops;
 
-    eprintln!("  [arena] inline and heap-backed geometries...");
-    let arena_rows = vec![
-        bench_arena(&scale, SigSpec::PAPER),
-        bench_arena(&scale, SigSpec::new(8192)),
-    ];
-
     println!("membench results ({} run)", args.run_kind());
     println!("                                     scalar     unrolled     speedup");
     for r in &kernels {
@@ -334,16 +261,6 @@ fn main() {
     println!(
         "counters {FS_THREADS}t       {packed_ops:>12.3e} op/s {padded_ops:>12.3e} op/s   {fs_ratio:>6.2}x   (packed / padded)"
     );
-    for r in &arena_rows {
-        println!(
-            "sig setup {:>5} bits   {:>10.1} ns {:>10.1} ns   {:>6.2}x   (fresh / arena)",
-            r.bits,
-            r.fresh_ns,
-            r.arena_ns,
-            r.fresh_ns / r.arena_ns
-        );
-    }
-
     let headline = kernels
         .iter()
         .find(|r| r.kernel == "intersect_dense" && r.bits == 2048)
@@ -365,21 +282,6 @@ fn main() {
             )
         })
         .collect();
-    let arena_json: Vec<String> = arena_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"bits\": {}, \"fresh_ns_per_tx\": {:.1}, ",
-                    "\"arena_ns_per_tx\": {:.1}, \"speedup\": {:.3}}}"
-                ),
-                r.bits,
-                r.fresh_ns,
-                r.arena_ns,
-                r.fresh_ns / r.arena_ns
-            )
-        })
-        .collect();
     let json = format!(
         concat!(
             "{{\n",
@@ -389,8 +291,7 @@ fn main() {
             "  \"headline_2048\": {{\"intersect_unrolled_ns_per_word\": {:.4}, ",
             "\"intersect_speedup_2048\": {:.3}}},\n",
             "  \"false_sharing\": {{\"packed_ops_per_sec\": {:.0}, ",
-            "\"padded_ops_per_sec\": {:.0}, \"padded_over_packed\": {:.3}}},\n",
-            "  \"arena\": [\n{}\n  ]\n",
+            "\"padded_ops_per_sec\": {:.0}, \"padded_over_packed\": {:.3}}}\n",
             "}}\n"
         ),
         args.smoke,
@@ -402,7 +303,6 @@ fn main() {
         packed_ops,
         padded_ops,
         fs_ratio,
-        arena_json.join(",\n"),
     );
 
     if let Some(path) = &args.json {
@@ -421,11 +321,11 @@ fn main() {
             std::process::exit(1);
         }
         let base_fs = baseline_number(path, "padded_over_packed");
-        println!(
-            "regression gate: padded/packed counters {fs_ratio:.3} vs baseline {base_fs:.3}"
-        );
+        println!("regression gate: padded/packed counters {fs_ratio:.3} vs baseline {base_fs:.3}");
         if fs_ratio < base_fs * 0.5 {
-            eprintln!("FAIL: padded counters collapsed vs packed (false-sharing blow-up) vs {path}");
+            eprintln!(
+                "FAIL: padded counters collapsed vs packed (false-sharing blow-up) vs {path}"
+            );
             std::process::exit(1);
         }
     }

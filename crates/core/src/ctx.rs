@@ -1,5 +1,6 @@
-//! Per-path instrumentation contexts for the *base* (non-opaque) Part-HTM protocol,
-//! plus the contexts shared by every executor (slow path, software segments).
+//! Per-path instrumentation contexts of the base protocol (Fig. 1) — Part-HTM-O
+//! wraps them with encounter-time lock checks (`crate::opaque`) — plus the contexts
+//! shared by every executor (slow path, software segments).
 //!
 //! Each context implements [`TxCtx`], so the same workload code runs on any path:
 //!
@@ -35,7 +36,13 @@ pub struct SigPair<'a> {
     pub mirror: &'a mut Sig,
 }
 
-impl SigPair<'_> {
+impl<'a> SigPair<'a> {
+    /// Pair the heap copy `heap` with its software mirror.
+    #[inline]
+    pub fn new(heap: HeapSig, mirror: &'a mut Sig) -> Self {
+        Self { heap, mirror }
+    }
+
     /// Record `addr` in both copies: the mirror authoritatively, the heap copy as a
     /// private store whose only purpose is charging the signature's cache footprint
     /// against HTM capacity. New bits only — repeated accesses are free, as on real
@@ -286,8 +293,8 @@ impl TxCtx for SoftwareCtx<'_, '_> {
     }
 }
 
-/// Fast-path pre-commit validation (Fig. 1 line 7): true iff
-/// `write_locks ∩ (read_sig ∪ write_sig) != ∅`.
+/// Does `write_locks − own` intersect `read_sig ∪ write_sig`, `own(i)` being word
+/// `i` of the caller's own locks?
 ///
 /// Only the shared write-locks words are read transactionally; the transaction's own
 /// signatures are supplied as their software mirrors (exactly equal to the heap
@@ -296,9 +303,10 @@ impl TxCtx for SoftwareCtx<'_, '_> {
 /// transaction's conflict surface on the lock lines minimal. The mirrors'
 /// nonzero-word masks drive the scan, so a signature with a handful of set bits
 /// costs a popcount loop, not a full-width walk.
-pub fn fast_validation(
+fn foreign_lock_hit(
     tx: &mut HtmTx<'_, '_>,
     locks: &HeapSig,
+    own: impl Fn(u32) -> u64,
     rmir: &Sig,
     wmir: &Sig,
 ) -> TxResult<bool> {
@@ -313,7 +321,7 @@ pub fn fast_validation(
             let mine = rmir.word(i) | wmir.word(i);
             if mine != 0 {
                 let l = tx.read(locks.word_addr(i))?;
-                if kernels::conflict_word(l, 0, mine) {
+                if kernels::conflict_word(l, own(i), mine) {
                     return Ok(true);
                 }
             }
@@ -323,10 +331,20 @@ pub fn fast_validation(
     Ok(false)
 }
 
+/// Fast-path pre-commit validation (Fig. 1 line 7): true iff
+/// `write_locks ∩ (read_sig ∪ write_sig) != ∅`.
+pub fn fast_validation(
+    tx: &mut HtmTx<'_, '_>,
+    locks: &HeapSig,
+    rmir: &Sig,
+    wmir: &Sig,
+) -> TxResult<bool> {
+    foreign_lock_hit(tx, locks, |_| 0, rmir, wmir)
+}
+
 /// Sub-HTM pre-commit validation (Fig. 1 lines 26–27): true iff
 /// `(write_locks − agg) ∩ (read_sig ∪ write_sig) != ∅` — foreign locks only, thanks
-/// to the aggregate-signature mask (§5.3.5). Own signatures come from the software
-/// mirrors; only the shared lock words are read transactionally.
+/// to the aggregate-signature mask (§5.3.5).
 pub fn sub_validation(
     tx: &mut HtmTx<'_, '_>,
     locks: &HeapSig,
@@ -334,23 +352,7 @@ pub fn sub_validation(
     rmir: &Sig,
     wmir: &Sig,
 ) -> TxResult<bool> {
-    let words = rmir.spec().words();
-    let mut groups = rmir.nonzero_mask() | wmir.nonzero_mask();
-    while groups != 0 {
-        let mut i = groups.trailing_zeros();
-        groups &= groups - 1;
-        while i < words {
-            let mine = rmir.word(i) | wmir.word(i);
-            if mine != 0 {
-                let l = tx.read(locks.word_addr(i))?;
-                if kernels::conflict_word(l, amir.word(i), mine) {
-                    return Ok(true);
-                }
-            }
-            i += 64;
-        }
-    }
-    Ok(false)
+    foreign_lock_hit(tx, locks, |i| amir.word(i), rmir, wmir)
 }
 
 /// Acquire write locks inside the sub-HTM commit (Fig. 1 line 29):

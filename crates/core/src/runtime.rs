@@ -7,8 +7,8 @@ use htm_sim::{Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tm_sig::{
-    CacheAligned, HeapSig, ResetMode, Ring, RingSummary, ShardedRing, ShardedSummary, SigArena,
-    SigSpec, SummaryTuning,
+    CacheAligned, HeapSig, ResetMode, Ring, RingSummary, ShardedRing, ShardedSummary, SigSpec,
+    SummaryTuning,
 };
 
 /// Protocol configuration (paper defaults).
@@ -398,14 +398,10 @@ impl<'r> TmThread<'r> {
         self.rt.arena(self.id)
     }
 
-    /// Fold this thread's host-side counters — the signature-arena
-    /// reuse/alloc tallies and the scalar-kernel dispatch count — into
-    /// `stats`. The harness calls it once after the workload loop; executors
-    /// may call it earlier, the counters drain idempotently.
+    /// Fold this thread's host-side counter — the scalar-kernel dispatch
+    /// count — into `stats`. The harness calls it once after the workload
+    /// loop; executors may call it earlier, the counter drains idempotently.
     pub fn harvest_host_counters(&mut self) {
-        let (reuses, allocs) = SigArena::with(|a| a.take_counters());
-        self.stats.arena_reuses += reuses;
-        self.stats.arena_allocs += allocs;
         self.stats.scalar_kernel_falls += tm_sig::kernels::take_scalar_calls();
     }
 }

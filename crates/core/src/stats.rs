@@ -51,11 +51,6 @@ pub struct TmStats {
     pub epoch_pinned_stalls: u64,
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
-    /// Signature/journal buffers recycled from the per-thread arena
-    /// ([`tm_sig::SigArena`]) instead of freshly allocated.
-    pub arena_reuses: u64,
-    /// Arena requests the pool could not serve (fresh allocations).
-    pub arena_allocs: u64,
     /// Hot-loop dispatches that fell to the scalar differential oracles
     /// ([`tm_sig::kernels`]); non-zero only under `TmConfig::scalar_kernels`.
     pub scalar_kernel_falls: u64,
@@ -143,10 +138,7 @@ impl TmStats {
         self.val_fast_misses += v.walked_shards.count_ones() as u64;
         self.summary_miss_dirty += v.dirty_shards.count_ones() as u64;
         self.summary_miss_inflight += v.inflight_shards.count_ones() as u64;
-        Self::bump_shards(
-            &mut self.shard_validations,
-            v.fast_shards | v.walked_shards,
-        );
+        Self::bump_shards(&mut self.shard_validations, v.fast_shards | v.walked_shards);
     }
 
     /// Credit one summary reset sweep's outcome.
@@ -185,8 +177,6 @@ impl TmStats {
         self.epoch_retires += o.epoch_retires;
         self.epoch_pinned_stalls += o.epoch_pinned_stalls;
         self.journal_rollbacks += o.journal_rollbacks;
-        self.arena_reuses += o.arena_reuses;
-        self.arena_allocs += o.arena_allocs;
         self.scalar_kernel_falls += o.scalar_kernel_falls;
         self.site_demotions += o.site_demotions;
         self.plan_merges += o.plan_merges;

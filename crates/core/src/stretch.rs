@@ -31,8 +31,8 @@
 //! transactional accesses and the executor behaves exactly like the HTM-GL
 //! baseline — attempts, then the lock.
 
-use crate::api::{spin_work, CommitPath, TmExecutor, TxCtx, Workload, XABORT_GLOCK};
-use crate::parthtm::{run_global_lock, wait_glock_released};
+use crate::api::{spin_work, CommitPath, TmExecutor, TxCtx, Workload};
+use crate::exec::{commit_under_glock, hw_attempt, run_all, wait_glock_released};
 use crate::runtime::{TmRuntime, TmThread};
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
@@ -104,43 +104,6 @@ pub struct StretchHtm<'r> {
     can_suspend: bool,
 }
 
-impl<'r> StretchHtm<'r> {
-    fn try_htm<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = StretchCtx {
-                tx: &mut tx,
-                stretch_at: self.stretch_at,
-                suspend_work: self.can_suspend,
-            };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
-}
-
 impl<'r> TmExecutor<'r> for StretchHtm<'r> {
     const NAME: &'static str = "Stretch-HTM";
 
@@ -164,10 +127,19 @@ impl<'r> TmExecutor<'r> for StretchHtm<'r> {
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let retries = self.th.rt.config().fast_retries;
+        let (stretch_at, suspend_work) = (self.stretch_at, self.can_suspend);
         if !w.is_irrevocable() {
             for _ in 0..retries {
                 wait_glock_released(&self.th);
-                match self.try_htm(w) {
+                let attempt = hw_attempt(&mut self.th, w, false, |tx, w| {
+                    let mut ctx = StretchCtx {
+                        tx,
+                        stretch_at,
+                        suspend_work,
+                    };
+                    run_all(w, &mut ctx)
+                });
+                match attempt {
                     Ok(()) => {
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
@@ -183,10 +155,7 @@ impl<'r> TmExecutor<'r> for StretchHtm<'r> {
             }
         }
         self.th.stats.fallbacks_gl += 1;
-        run_global_lock(&self.th, w, false);
-        w.after_commit();
-        self.th.stats.record_commit(CommitPath::GlobalLock);
-        CommitPath::GlobalLock
+        commit_under_glock(&mut self.th, w, false)
     }
 
     fn thread(&self) -> &TmThread<'r> {

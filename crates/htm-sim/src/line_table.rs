@@ -64,7 +64,7 @@
 
 use crate::align::CacheAligned;
 use crate::heap::{Line, WORDS_PER_LINE};
-use crate::registry::{DoomOutcome, Requester, ThreadId, TxRegistry, MAX_THREADS};
+use crate::registry::{DoomOutcome, Requester, ThreadId, TxRegistry, TxStatus, MAX_THREADS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of attempting to register an access.
@@ -121,7 +121,9 @@ fn reader_bit(t: ThreadId) -> u64 {
 /// If the displaced writer unregistered *during* the claim (its `unregister`
 /// sees a byte that is not its own and leaves it), the restore briefly
 /// resurrects a stale byte; the next access observes `DoomOutcome::Gone` and
-/// clears it, exactly like any other stale-entry case.
+/// clears it, exactly like any other stale-entry case — including when that
+/// next access is a non-transactional one by the displaced thread itself
+/// ([`doom_writer`]).
 #[inline]
 fn release_claim(w: &AtomicU64, saved_writer: u64) {
     let mut cur = w.load(Ordering::SeqCst);
@@ -133,6 +135,30 @@ fn release_claim(w: &AtomicU64, saved_writer: u64) {
             Err(observed) => cur = observed,
         }
     }
+}
+
+/// Resolve the writer byte `owner` for a non-transactional access by `by`.
+///
+/// A foreign owner is doomed as usual. A byte naming the requester itself is
+/// *stale* when the requester has no transaction in flight: [`release_claim`]
+/// restored it after that transaction had already rolled back, so it reports
+/// [`DoomOutcome::Gone`] like any other leftover of a finished incarnation.
+/// `None` is the invalid state — a non-transactional access to a line in the
+/// caller's own *active* write set — which callers degrade to an unresolved
+/// access rather than displacing the caller's registration.
+#[inline]
+fn doom_writer(reg: &TxRegistry, owner: ThreadId, by: Requester) -> Option<DoomOutcome> {
+    if Requester::Thread(owner) != by {
+        return Some(reg.doom(owner, by));
+    }
+    if reg.status(owner) == TxStatus::Inactive {
+        return Some(DoomOutcome::Gone);
+    }
+    debug_assert!(
+        false,
+        "non-transactional access to a line in the caller's own active write set"
+    );
+    None
 }
 
 /// Direct-indexed table mapping every heap line to its packed owner word.
@@ -301,17 +327,10 @@ impl LineTable {
                 match writer_of(cur) {
                     Writer::None => break,
                     Writer::NtClaim => return Err(()),
-                    Writer::Thread(owner) if Requester::Thread(owner) == by => {
-                        debug_assert!(
-                            false,
-                            "non-transactional access to a line in the caller's own active write set"
-                        );
-                        break;
-                    }
-                    Writer::Thread(owner) => match reg.doom(owner, by) {
-                        DoomOutcome::MustWait => return Err(()),
-                        DoomOutcome::Doomed => break,
-                        DoomOutcome::Gone => {
+                    Writer::Thread(owner) => match doom_writer(reg, owner, by) {
+                        Some(DoomOutcome::MustWait) => return Err(()),
+                        None | Some(DoomOutcome::Doomed) => break,
+                        Some(DoomOutcome::Gone) => {
                             // Tidy the stale byte so later accesses skip the doom.
                             match w.compare_exchange_weak(
                                 cur,
@@ -352,19 +371,12 @@ impl LineTable {
             let saved = match writer_of(cur) {
                 Writer::None => 0,
                 Writer::NtClaim => return Err(()),
-                Writer::Thread(owner) if Requester::Thread(owner) == by => {
-                    debug_assert!(
-                        false,
-                        "non-transactional access to a line in the caller's own active write set"
-                    );
-                    // Invalid state; degrade to an unclaimed store rather than
-                    // displacing the caller's own registration.
-                    return Ok(op());
-                }
-                Writer::Thread(owner) => match reg.doom(owner, by) {
-                    DoomOutcome::MustWait => return Err(()),
-                    DoomOutcome::Doomed => cur & WRITER_MASK,
-                    DoomOutcome::Gone => 0,
+                Writer::Thread(owner) => match doom_writer(reg, owner, by) {
+                    // Invalid state; degrade to an unclaimed store.
+                    None => return Ok(op()),
+                    Some(DoomOutcome::MustWait) => return Err(()),
+                    Some(DoomOutcome::Doomed) => cur & WRITER_MASK,
+                    Some(DoomOutcome::Gone) => 0,
                 },
             };
             let new = (cur & READERS_MASK) | NT_CLAIM;
@@ -668,6 +680,31 @@ mod tests {
         });
         assert_eq!(cell.load(Ordering::SeqCst), NT_WRITES, "no lost nt writes");
         assert_eq!(tab.live_entries(), 0, "no leaked claims or registrations");
+    }
+
+    /// The displaced writer rolls back *during* a foreign claim, so the claim's
+    /// release resurrects its byte; the next access being a non-transactional
+    /// one by that very thread must treat the byte as stale (it used to trip
+    /// the own-write-set assert — under the global lock, wedging every peer —
+    /// and, in release, skip the write claim and its reader dooms).
+    #[test]
+    fn stale_own_byte_after_rollback_during_claim_is_cleared() {
+        for is_write in [false, true] {
+            let (tab, reg) = setup();
+            reg.begin(0);
+            tab.tx_write(&reg, 5, 0);
+            tab.nt_execute(&reg, 5, true, Requester::Thread(1), || {
+                tab.unregister(5, 0);
+                reg.finish(0);
+            })
+            .unwrap();
+            assert_ne!(tab.raw_word(5), 0, "release restored the displaced byte");
+            assert_eq!(
+                tab.nt_access(&reg, 5, is_write, Requester::Thread(0)),
+                AccessOutcome::Ok
+            );
+            assert_eq!(tab.raw_word(5), 0, "stale byte cleared (write={is_write})");
+        }
     }
 
     #[test]

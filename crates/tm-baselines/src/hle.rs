@@ -9,52 +9,14 @@
 //! expressible here as `TmConfig { fast_retries: 1, .. }` on [`part_htm_core::PartHtm`],
 //! which the tests below demonstrate.
 
-use htm_sim::abort::TxResult;
-use part_htm_core::api::XABORT_GLOCK;
-use part_htm_core::parthtm::{run_global_lock, wait_glock_released};
+use part_htm_core::{commit_under_glock, wait_glock_released};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, Workload};
 
-use crate::htm_gl::PureHtmCtx;
+use crate::htm_gl::try_pure_htm;
 
 /// The HLE executor: one elided hardware attempt, then the lock.
 pub struct Hle<'r> {
     th: TmThread<'r>,
-}
-
-impl<'r> Hle<'r> {
-    fn try_elide<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            // The elided lock is read (added to the read set) but not acquired —
-            // exactly HLE's semantics: the lock word stays "free" unless someone
-            // aborts and takes it for real, which then dooms all elisions.
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = PureHtmCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
 }
 
 impl<'r> TmExecutor<'r> for Hle<'r> {
@@ -67,17 +29,18 @@ impl<'r> TmExecutor<'r> for Hle<'r> {
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         if !w.is_irrevocable() {
             wait_glock_released(&self.th);
-            if self.try_elide(w).is_ok() {
+            // The elided lock is read (added to the read set) but not acquired —
+            // exactly HLE's semantics: the lock word stays "free" unless someone
+            // aborts and takes it for real, which then dooms all elisions.
+            let elided = try_pure_htm(&mut self.th, w);
+            if elided.is_ok() {
                 w.after_commit();
                 self.th.stats.record_commit(CommitPath::Htm);
                 return CommitPath::Htm;
             }
         }
         self.th.stats.fallbacks_gl += 1;
-        run_global_lock(&self.th, w, false);
-        w.after_commit();
-        self.th.stats.record_commit(CommitPath::GlobalLock);
-        CommitPath::GlobalLock
+        commit_under_glock(&mut self.th, w, false)
     }
 
     fn thread(&self) -> &TmThread<'r> {
@@ -92,6 +55,7 @@ impl<'r> TmExecutor<'r> for Hle<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htm_sim::abort::TxResult;
     use htm_sim::{Addr, HtmConfig};
     use part_htm_core::{PartHtm, TmConfig, TxCtx};
     use rand::rngs::SmallRng;

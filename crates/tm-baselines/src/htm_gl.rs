@@ -8,8 +8,8 @@
 
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
-use part_htm_core::api::{spin_work, XABORT_GLOCK};
-use part_htm_core::parthtm::{run_global_lock, wait_glock_released};
+use part_htm_core::api::spin_work;
+use part_htm_core::{commit_under_glock, hw_attempt, run_all, wait_glock_released};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 /// Completely uninstrumented hardware-transaction context: HTM-GL adds no software
@@ -38,42 +38,15 @@ impl TxCtx for PureHtmCtx<'_, '_, '_> {
     }
 }
 
+/// One uninstrumented hardware attempt of the whole transaction, subscribed to
+/// the global lock (HTM-GL's and HLE's only hardware path, SpHT's fast path).
+pub fn try_pure_htm<W: Workload>(th: &mut TmThread<'_>, w: &mut W) -> TxResult<()> {
+    hw_attempt(th, w, false, |tx, w| run_all(w, &mut PureHtmCtx { tx }))
+}
+
 /// The HTM-GL executor.
 pub struct HtmGl<'r> {
     th: TmThread<'r>,
-}
-
-impl<'r> HtmGl<'r> {
-    fn try_htm<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = PureHtmCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
 }
 
 impl<'r> TmExecutor<'r> for HtmGl<'r> {
@@ -90,7 +63,7 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
         if !w.is_irrevocable() {
             for _ in 0..retries {
                 wait_glock_released(&self.th);
-                match self.try_htm(w) {
+                match try_pure_htm(&mut self.th, w) {
                     Ok(()) => {
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
@@ -105,10 +78,7 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
             }
         }
         self.th.stats.fallbacks_gl += 1;
-        run_global_lock(&self.th, w, false);
-        w.after_commit();
-        self.th.stats.record_commit(CommitPath::GlobalLock);
-        CommitPath::GlobalLock
+        commit_under_glock(&mut self.th, w, false)
     }
 
     fn thread(&self) -> &TmThread<'r> {

@@ -25,10 +25,10 @@ use htm_sim::util::FastMap;
 use htm_sim::{AbortCode, Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
 use part_htm_core::ctx::SoftwareCtx;
-use part_htm_core::parthtm::{run_global_lock, wait_glock_released};
+use part_htm_core::{commit_under_glock, wait_glock_released};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
-use crate::htm_gl::PureHtmCtx;
+use crate::htm_gl::try_pure_htm;
 
 /// Explicit-abort payload: a logged read changed value between sub-transactions.
 const XABORT_INVALID: u8 = 0xB1;
@@ -92,37 +92,6 @@ pub struct SpHt<'r> {
 }
 
 impl<'r> SpHt<'r> {
-    fn try_htm<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let glock = self.th.rt.glock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            match tx.read(glock) {
-                Ok(0) => {}
-                Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                Err(e) => break 'b Err(e),
-            }
-            let mut ctx = PureHtmCtx { tx: &mut tx };
-            for seg in 0..w.segments() {
-                if let Err(e) = w.segment(seg, &mut ctx) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
-
     /// One attempt of the split path. `Err(())` aborts the whole transaction
     /// (memory is already pristine — writes were hidden).
     fn try_split<W: Workload>(&mut self, w: &mut W) -> Result<(), ()> {
@@ -242,16 +211,13 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
         let cfg = self.th.rt.config().clone();
         if w.is_irrevocable() {
             self.th.stats.fallbacks_gl += 1;
-            run_global_lock(&self.th, w, false);
-            w.after_commit();
-            self.th.stats.record_commit(CommitPath::GlobalLock);
-            return CommitPath::GlobalLock;
+            return commit_under_glock(&mut self.th, w, false);
         }
         if !cfg.skip_fast && w.profiled_resource_limited() != Some(true) {
             let mut fails = 0;
             loop {
                 wait_glock_released(&self.th);
-                match self.try_htm(w) {
+                match try_pure_htm(&mut self.th, w) {
                     Ok(()) => {
                         w.after_commit();
                         self.th.stats.record_commit(CommitPath::Htm);
@@ -266,10 +232,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                         fails += 1;
                         if fails >= cfg.fast_retries {
                             self.th.stats.fallbacks_gl += 1;
-                            run_global_lock(&self.th, w, false);
-                            w.after_commit();
-                            self.th.stats.record_commit(CommitPath::GlobalLock);
-                            return CommitPath::GlobalLock;
+                            return commit_under_glock(&mut self.th, w, false);
                         }
                     }
                 }
@@ -286,10 +249,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
             gfails += 1;
             if gfails >= cfg.part_retries {
                 self.th.stats.fallbacks_gl += 1;
-                run_global_lock(&self.th, w, false);
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::GlobalLock);
-                return CommitPath::GlobalLock;
+                return commit_under_glock(&mut self.th, w, false);
             }
             spin_work(cfg.backoff_units << gfails.min(6));
             htm_sim::vclock::yield_now();

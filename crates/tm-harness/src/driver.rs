@@ -81,8 +81,8 @@ where
                         exec.execute(&mut w);
                     }
                     let loop_elapsed = t0.elapsed();
-                    // Drain host-side counters (arena reuse, scalar-kernel
-                    // falls) into this thread's stats before collection.
+                    // Drain the host-side scalar-kernel counter into this
+                    // thread's stats before collection.
                     exec.thread_mut().harvest_host_counters();
                     let th = exec.thread();
                     (th.stats.clone(), th.hw.stats.clone(), loop_elapsed)

@@ -111,7 +111,11 @@ impl Table {
                 out.push_str(&r.render_row());
                 out.push('\n');
             }
-            let hot: Vec<String> = self.reports.iter().filter_map(|r| r.render_hot_path()).collect();
+            let hot: Vec<String> = self
+                .reports
+                .iter()
+                .filter_map(|r| r.render_hot_path())
+                .collect();
             if !hot.is_empty() {
                 out.push_str("\n  partitioned-path hot loop:\n");
                 for line in hot {
@@ -173,10 +177,6 @@ pub struct StatsReport {
     pub epoch_pinned_stalls: u64,
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
-    /// Signature/journal buffers recycled from the per-thread arena.
-    pub arena_reuses: u64,
-    /// Arena requests served by a fresh allocation.
-    pub arena_allocs: u64,
     /// Hot-loop dispatches that fell to the scalar differential oracles
     /// (non-zero only under `TmConfig::scalar_kernels`).
     pub scalar_kernel_falls: u64,
@@ -230,8 +230,6 @@ impl StatsReport {
             epoch_retires: r.tm.epoch_retires,
             epoch_pinned_stalls: r.tm.epoch_pinned_stalls,
             journal_rollbacks: r.tm.journal_rollbacks,
-            arena_reuses: r.tm.arena_reuses,
-            arena_allocs: r.tm.arena_allocs,
             scalar_kernel_falls: r.tm.scalar_kernel_falls,
             site_demotions: r.tm.site_demotions,
             plan_merges: r.tm.plan_merges,
@@ -276,8 +274,6 @@ impl StatsReport {
             ("epoch_retires", self.epoch_retires),
             ("epoch_pinned_stalls", self.epoch_pinned_stalls),
             ("journal_rollbacks", self.journal_rollbacks),
-            ("arena_reuses", self.arena_reuses),
-            ("arena_allocs", self.arena_allocs),
             ("scalar_kernel_falls", self.scalar_kernel_falls),
             ("site_demotions", self.site_demotions),
             ("plan_merges", self.plan_merges),
@@ -326,12 +322,6 @@ impl StatsReport {
                 self.epoch_retires, self.epoch_pinned_stalls
             ));
         }
-        if self.arena_reuses != 0 || self.arena_allocs != 0 {
-            line.push_str(&format!(
-                " | arena {} reused / {} fresh",
-                self.arena_reuses, self.arena_allocs
-            ));
-        }
         if self.scalar_kernel_falls != 0 {
             line.push_str(&format!(
                 " | scalar-kernel falls {}",
@@ -345,10 +335,7 @@ impl StatsReport {
         {
             line.push_str(&format!(
                 " | planner: {} demotions, {} merges, {} splits, {} retry saves",
-                self.site_demotions,
-                self.plan_merges,
-                self.plan_splits,
-                self.adaptive_retry_saves
+                self.site_demotions, self.plan_merges, self.plan_splits, self.adaptive_retry_saves
             ));
         }
         if self.shed_commits != 0 || self.batch_groups != 0 {
@@ -430,8 +417,6 @@ mod tests {
             epoch_retires: 0,
             epoch_pinned_stalls: 0,
             journal_rollbacks: 0,
-            arena_reuses: 0,
-            arena_allocs: 0,
             scalar_kernel_falls: 0,
             site_demotions: 0,
             plan_merges: 0,
@@ -475,8 +460,6 @@ mod tests {
             epoch_retires: 1,
             epoch_pinned_stalls: 0,
             journal_rollbacks: 0,
-            arena_reuses: 6,
-            arena_allocs: 2,
             scalar_kernel_falls: 0,
             site_demotions: 0,
             plan_merges: 1,

@@ -29,13 +29,11 @@
 //! * [`kernels`] — 4-wide-unrolled `u64` word kernels backing every signature
 //!   hot loop, with the original scalar loops compiled-in as differential
 //!   oracles; [`CacheAligned`] — the cache-line padding wrapper disciplining
-//!   the shared layouts; [`SigArena`] — the per-thread buffer-recycling arena
-//!   (see `docs/mem-layout.md`).
+//!   the shared layouts (see `docs/mem-layout.md`).
 
 #![deny(missing_docs)]
 
 pub mod align;
-pub mod arena;
 pub mod epoch;
 pub mod heap_sig;
 pub mod journal;
@@ -46,7 +44,6 @@ pub mod sig;
 pub mod spec;
 
 pub use align::{CacheAligned, CACHE_LINE};
-pub use arena::SigArena;
 pub use epoch::{EpochRegistry, MAX_EPOCH_THREADS};
 pub use heap_sig::HeapSig;
 pub use journal::{CloneSaved, SigJournal, SigSlot};

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, workspace tests, clippy -D warnings on every
-# workspace crate, rustdoc with warnings denied (broken intra-doc links
-# or malformed doc comments fail the gate), documentation hygiene
+# Tier-1 gate: release build, workspace tests (under a timeout, plus a repeat
+# loop of the concurrent root proptests on multi-CPU hosts), clippy -D
+# warnings on every workspace crate, rustdoc with warnings denied (broken
+# intra-doc links or malformed doc comments fail the gate), documentation hygiene
 # (scripts/doc-check.sh: docs/ reachable from docs/INDEX.md, intra-repo
 # links and code references resolve), and a bounded deterministic
 # schedule-exploration pass (schedx --bounded) over the virtual-clock
@@ -37,8 +38,23 @@ cd "$(dirname "$0")/.."
 echo "== tier1: cargo build --release =="
 cargo build --release
 
-echo "== tier1: cargo test -q (workspace) =="
-cargo test -q --workspace
+echo "== tier1: cargo test -q (workspace, timeout 900) =="
+# A wedged test must fail the gate, not hang it (the whole debug suite needs
+# well under a minute once built).
+timeout 900 cargo test -q --workspace
+
+if [ "$(nproc)" -ge 2 ]; then
+    echo "== tier1: root proptests x10 (timeout 60 each) =="
+    # Progress bugs in the multi-threaded protocol paths only show under real
+    # parallelism and only in some runs (ROADMAP item 0 hung one run in four):
+    # repeat the concurrent random-program suite (~0.4 s per run).
+    proptests_bin="$(cargo test -q --test proptests --no-run --message-format=json |
+        sed -n 's/.*"executable":"\([^"]*proptests-[^"]*\)".*/\1/p' | tail -n 1)"
+    for i in $(seq 1 10); do
+        timeout 60 "$proptests_bin" -q >/dev/null ||
+            { echo "root proptests run $i failed or hung" >&2; exit 1; }
+    done
+fi
 
 echo "== tier1: clippy -D warnings (workspace) =="
 cargo clippy -q --workspace --all-targets -- -D warnings
@@ -55,7 +71,9 @@ echo "== tier1: schedx --bounded (deterministic schedule exploration) =="
 # run needs a few seconds and well under 1 GiB; the limits are a backstop
 # against an exploration-loop regression, not a tuning knob). On a violation
 # the binary writes a replay artifact to target/schedx/ and prints the
-# `--replay` command line; see docs/virtual-time.md.
+# `--replay` command line; see docs/virtual-time.md. (`cargo build --release`
+# above builds only the root package, so the bin is built here.)
+cargo build -q --release -p tm-harness --bin schedx
 ( ulimit -v 4194304; timeout 120 ./target/release/schedx --bounded )
 
 case "${1:-}" in

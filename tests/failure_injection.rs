@@ -1,9 +1,10 @@
 //! Failure injection: every protocol must stay serializable when the simulated
 //! hardware fires random asynchronous interrupts, shrinks its caches, or both.
 //! These runs push every fallback path hard (retries, partitioned-path aborts,
-//! undo-log restores, global-lock rescues).
+//! undo-log restores, global-lock rescues). A workload that panics while it
+//! holds the global lock must fail its own thread only.
 
-use part_htm::core::{TmConfig, TxCtx, Workload};
+use part_htm::core::{PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload};
 use part_htm::harness::{run_cell_with, Algo};
 use part_htm::htm::abort::TxResult;
 use part_htm::htm::{Addr, HtmConfig};
@@ -103,4 +104,69 @@ fn part_htm_survives_interrupts_with_l2_associativity() {
     for algo in [Algo::PartHtm, Algo::PartHtmO] {
         total_increments_exact(algo, htm.clone());
     }
+}
+
+/// An irrevocable transaction (global-lock path) whose segment panics after its
+/// first write.
+struct PanicsUnderLock(Addr);
+
+impl Workload for PanicsUnderLock {
+    type Snap = ();
+    fn sample(&mut self, _rng: &mut SmallRng) {}
+    fn is_irrevocable(&self) -> bool {
+        true
+    }
+    fn segment<C: TxCtx>(&mut self, _seg: usize, ctx: &mut C) -> TxResult<()> {
+        let v = ctx.read(self.0)?;
+        ctx.write(self.0, v + 1)?;
+        panic!("injected: workload segment panics under the global lock");
+    }
+}
+
+/// One thread panics inside its segment while holding the global lock; the
+/// panic must surface as that thread's join error and release the lock on the
+/// way out, so every peer still commits all its transactions and no lock,
+/// `active_tx` count or line-table entry leaks.
+fn panic_under_glock_fails_one_thread_only<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) {
+    const PEERS: usize = 2;
+    const OPS: usize = 100;
+    let mut commits = 0;
+    std::thread::scope(|s| {
+        let doomed = s.spawn(move || {
+            let mut e = E::new(rt, 0);
+            e.execute(&mut PanicsUnderLock(rt.app(0)));
+        });
+        // Joined before the peers start, so a leaked lock wedges them all
+        // deterministically instead of racing their last commit.
+        assert!(doomed.join().is_err(), "{}: the injected panic must surface", E::NAME);
+        let peers: Vec<_> = (1..=PEERS)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut e = E::new(rt, t);
+                    let mut w = Chaos { base: rt.app(8), picks: [0; 6] };
+                    for _ in 0..OPS {
+                        w.sample(&mut e.thread_mut().rng);
+                        e.execute(&mut w);
+                    }
+                    e.thread().stats.commits_total()
+                })
+            })
+            .collect();
+        for p in peers {
+            commits += p.join().expect("peers must not be affected");
+        }
+    });
+    assert_eq!(commits, (PEERS * OPS) as u64, "{}", E::NAME);
+    let total: u64 = (0..COUNTERS).map(|i| rt.verify_read(8 + i * 8)).sum();
+    assert_eq!(total, (PEERS * OPS * 6) as u64, "{}", E::NAME);
+    assert_eq!(rt.system().nt_read(rt.glock()), 0, "{}: global lock leaked", E::NAME);
+    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "{}", E::NAME);
+    assert_eq!(rt.system().live_line_entries(), 0, "{}", E::NAME);
+}
+
+#[test]
+fn panic_under_the_global_lock_does_not_wedge_peers() {
+    let rt = || TmRuntime::new(HtmConfig::default(), TmConfig::default(), 3, 8 + COUNTERS * 8);
+    panic_under_glock_fails_one_thread_only::<PartHtm>(&rt());
+    panic_under_glock_fails_one_thread_only::<PartHtmO>(&rt());
 }
