@@ -35,6 +35,7 @@
 use htm_sim::HtmConfig;
 use part_htm_core::{PartHtm, TmConfig, TmRuntime};
 use tm_bench::{baseline_number, emit_json, BenchArgs};
+use tm_harness::experiments::capacity_shape;
 use tm_harness::{run_threads, RunResult, StatsReport};
 use tm_workloads::micro;
 
@@ -62,29 +63,6 @@ impl Scale {
             cap_ops_per_thread: 100,
             opt_ops_per_thread: 200,
         }
-    }
-}
-
-/// The capacity-heavy workload: Fig. 3(b)'s shape scaled to bench time, then
-/// declared at finest granularity. The whole read set (~96 lines) overflows
-/// the 64-line budget, so the fast path is futile and the partitioned path
-/// carries every transaction; each fine segment alone is ~3 lines.
-fn capacity_params() -> micro::NrmwParams {
-    micro::NrmwParams {
-        array_len: 4_000,
-        n_reads: 768,
-        m_writes: 16,
-        work_per_iter: 0,
-        segments: 8,
-        stride: 1,
-    }
-    .fine_grained()
-}
-
-fn capacity_htm() -> HtmConfig {
-    HtmConfig {
-        read_lines_max: 64,
-        ..HtmConfig::default()
     }
 }
 
@@ -138,22 +116,27 @@ fn main() {
 
     eprintln!("partbench: {} run", args.run_kind());
 
-    let cap = capacity_params();
+    // The capacity-heavy workload: Fig. 3(b)'s shape scaled to bench time,
+    // then declared at finest granularity. The whole read set (~96 lines)
+    // overflows the 64-line budget, so the fast path is futile and the
+    // partitioned path carries every transaction; each fine segment alone is
+    // ~3 lines.
+    let (cap, cap_htm) = capacity_shape();
     eprintln!(
         "  [capacity] {} fine segments, static-1 plan...",
         cap.segments
     );
-    let cap_static1 = bench_cell(cap, capacity_htm(), false, 1, scale.cap_ops_per_thread);
+    let cap_static1 = bench_cell(cap, cap_htm.clone(), false, 1, scale.cap_ops_per_thread);
     eprintln!("  [capacity] static-tuned plan (group {TUNED_GROUP})...");
     let cap_tuned = bench_cell(
         cap,
-        capacity_htm(),
+        cap_htm.clone(),
         false,
         TUNED_GROUP,
         scale.cap_ops_per_thread,
     );
     eprintln!("  [capacity] adaptive planner...");
-    let cap_adaptive = bench_cell(cap, capacity_htm(), true, 1, scale.cap_ops_per_thread);
+    let cap_adaptive = bench_cell(cap, cap_htm, true, 1, scale.cap_ops_per_thread);
 
     let opt = optimal_params();
     eprintln!("  [optimal] {} hand-counted segments, static plan...", opt.segments);

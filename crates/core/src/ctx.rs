@@ -24,8 +24,19 @@
 use crate::api::{spin_work, TxCtx, VALUE_MASK};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
-use htm_sim::{Addr, HtmThread, HtmTx};
+use htm_sim::{vclock, Addr, HtmThread, HtmTx};
 use tm_sig::{kernels, HeapSig, Sig, SigJournal, SigSlot};
+
+/// Spend `units` outside any hardware transaction: burn them on the host and
+/// charge them to the virtual clock. Inside a hardware transaction
+/// [`HtmTx::work`] does the charging; out here nothing else would, and
+/// computation under the global lock or in a software segment — or a backoff
+/// wait — would be free in virtual time.
+#[inline]
+pub(crate) fn software_work(units: u64) {
+    spin_work(units);
+    vclock::charge(units);
+}
 
 /// A heap-resident signature paired with its software mirror; both are updated on
 /// every add.
@@ -239,13 +250,13 @@ impl TxCtx for SlowCtx<'_, '_> {
 
     #[inline]
     fn work(&mut self, units: u64) -> TxResult<()> {
-        spin_work(units);
+        software_work(units);
         Ok(())
     }
 
     #[inline]
     fn nt_work(&mut self, units: u64) -> TxResult<()> {
-        spin_work(units);
+        software_work(units);
         Ok(())
     }
 }
@@ -282,13 +293,13 @@ impl TxCtx for SoftwareCtx<'_, '_> {
 
     #[inline]
     fn work(&mut self, units: u64) -> TxResult<()> {
-        spin_work(units);
+        software_work(units);
         Ok(())
     }
 
     #[inline]
     fn nt_work(&mut self, units: u64) -> TxResult<()> {
-        spin_work(units);
+        software_work(units);
         Ok(())
     }
 }
@@ -513,6 +524,30 @@ mod tests {
         assert_eq!(masked.read(rt.app(0)).unwrap(), 5);
         masked.work(3).unwrap();
         masked.nt_work(3).unwrap();
+    }
+
+    #[test]
+    fn lock_path_and_software_work_cost_virtual_time() {
+        use htm_sim::vclock::{SchedSpec, VClock};
+        let rt = TmRuntime::with_defaults(1, 64);
+        let th = TmThread::new(&rt, 0);
+        let clock = VClock::new(1, SchedSpec::default());
+        {
+            let _core = clock.attach(0);
+            let mut slow = SlowCtx {
+                th: &th.hw,
+                mask_values: false,
+            };
+            slow.work(600).unwrap();
+            slow.nt_work(30).unwrap();
+            let mut soft = SoftwareCtx {
+                th: &th.hw,
+                mask_values: false,
+            };
+            soft.work(7).unwrap();
+            soft.nt_work(10_000).unwrap();
+        }
+        assert_eq!(clock.report().makespan, 600 + 30 + 7 + 10_000);
     }
 
     #[test]

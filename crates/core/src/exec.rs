@@ -20,13 +20,14 @@ use crate::api::{
     spin_work, CommitPath, TmExecutor, TxCtx, Workload, XABORT_GLOCK, XABORT_NOT_QUIET,
     XABORT_UNDO_FULL,
 };
-use crate::ctx::{FastCtx, RawCtx, SigPair, SlowCtx, SoftwareCtx, SubCtx};
+use crate::ctx::{software_work, FastCtx, RawCtx, SigPair, SlowCtx, SoftwareCtx, SubCtx};
 use crate::planner::{build_plan, FastExit, FastProfile, FastRoute, PlanChange, PlanStep};
 use crate::runtime::{ThreadArena, TmConfig, TmRuntime, TmThread};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
 use htm_sim::vclock::yield_now;
 use htm_sim::{AbortCode, Addr, HtmThread, HtmTx};
+use rand::Rng;
 use std::ops::Range;
 use tm_sig::{ShardTimes, ShardedValidation, Sig, SigJournal, SigSpec};
 
@@ -136,6 +137,16 @@ pub fn wait_glock_released(th: &TmThread<'_>) {
     while th.hw.nt_read(th.rt.glock()) != 0 {
         yield_now();
     }
+}
+
+/// Randomised backoff: wait a uniform draw from `0..=window` work units, on
+/// the host *and* on the virtual clock. Symmetric transactions that doomed one
+/// another retry at different instants instead of re-colliding in lockstep —
+/// real cores bring that jitter themselves, a deterministic clock does not.
+/// The draw comes from the per-thread RNG (seeded by thread id), so a
+/// virtual-time run stays a pure function of its schedule spec.
+fn backoff(th: &mut TmThread<'_>, window: u64) {
+    software_work(th.rng.gen_range(0..=window));
 }
 
 /// Is this abort the class that splitting can cure (HTM resource exhaustion
@@ -400,6 +411,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
             // Zero-clone retries: each attempt journals the mirror words it dirties
             // instead of saving full signature clones up front.
             self.journal.begin(self.rmir.spec());
+            let work_before = self.th.hw.stats.work_units;
             let res = self.th.hw.attempt(|tx| {
                 let ctx = SubCtx {
                     tx,
@@ -432,7 +444,8 @@ impl<'r, V: Variant> PartExec<'r, V> {
             // transaction (§5.3.5); a possibly stale snapshot is revalidated
             // (Fig. 2 lines 36–39); other causes retry the sub-HTM transaction a
             // limited number of times.
-            let give_up = match V::sub_verdict(code) {
+            let verdict = V::sub_verdict(code);
+            let give_up = match verdict {
                 SubVerdict::GiveUp => true,
                 SubVerdict::Revalidate => !self.validate(),
                 SubVerdict::Retry => false,
@@ -443,6 +456,15 @@ impl<'r, V: Variant> PartExec<'r, V> {
                     self.th.stats.adaptive_retry_saves += (default - budget) as u64;
                 }
                 return GroupRun::Fail { capacity };
+            }
+            // A plain retry after a data conflict backs off first, by up to
+            // what the lost attempt itself cost: self-scaling, so a 250-unit
+            // segment waits up to 250 units and a 5-unit one up to 5. A
+            // revalidated retry (Part-HTM-O's timestamp subscription fired)
+            // wants to re-run at once and does not wait.
+            if matches!(verdict, SubVerdict::Retry) && code == AbortCode::Conflict {
+                let window = self.th.hw.stats.work_units - work_before;
+                backoff(&mut self.th, window);
             }
             yield_now();
         }
@@ -657,7 +679,10 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
             if gfails >= cfg.part_retries {
                 return self.fall_back(w);
             }
-            // Exponential backoff (Fig. 1 line 59).
+            // Exponential backoff (Fig. 1 line 59). Host-only on purpose: its
+            // 64–1024 units are sized for wall-clock runs, and charged to the
+            // virtual clock they dwarf a ≈ 10-unit transaction (`server_hot`
+            // drops from 69 936 to 20 268 tx/Mwu; docs/virtual-time.md §1).
             spin_work(cfg.backoff_units << gfails.min(6));
             yield_now();
         }

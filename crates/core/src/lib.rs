@@ -44,6 +44,6 @@ pub use parthtm::PartHtm;
 pub use planner::{
     backend_group_cap, batch_site, build_plan, FastProfile, FastRoute, PlanStep, SiteTable,
 };
-pub use runtime::{TmConfig, TmRuntime, TmThread};
+pub use runtime::{Region, SigKind, TmConfig, TmRuntime, TmThread};
 pub use stats::TmStats;
 pub use stretch::{StretchCtx, StretchHtm};

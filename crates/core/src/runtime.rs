@@ -3,7 +3,7 @@
 
 use crate::planner::SiteTable;
 use crate::stats::TmStats;
-use htm_sim::{Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread};
+use htm_sim::{line_of, Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tm_sig::{
@@ -141,6 +141,66 @@ pub struct ThreadArena {
     pub undo_base: Addr,
     /// Undo-log arena capacity in words.
     pub undo_words: usize,
+}
+
+/// One of a thread's three local signatures ([`ThreadArena`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SigKind {
+    /// read-set-signature.
+    Read,
+    /// write-set-signature.
+    Write,
+    /// aggregate write-set-signature.
+    Agg,
+}
+
+/// What a heap cache line holds, in the runtime's layout: the vocabulary of
+/// "who aborted whom *on what*" ([`TmRuntime::region_of`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Region {
+    /// The slow path's global lock.
+    Glock,
+    /// The partitioned-path transaction counter.
+    ActiveTx,
+    /// NOrec's sequence lock.
+    Seqlock,
+    /// Ring shard `k`: its lock, its timestamp and its entries.
+    RingShard(usize),
+    /// Line `i` of the global write-locks signature.
+    WriteLocks(usize),
+    /// One of thread `thread`'s local signatures.
+    ThreadSig {
+        /// The owning worker.
+        thread: usize,
+        /// Which of its signatures.
+        which: SigKind,
+    },
+    /// Thread `.0`'s undo-log arena.
+    Undo(usize),
+    /// Application data.
+    App,
+}
+
+impl std::fmt::Display for Region {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Region::Glock => f.write_str("glock"),
+            Region::ActiveTx => f.write_str("active_tx"),
+            Region::Seqlock => f.write_str("seqlock"),
+            Region::RingShard(k) => write!(f, "ring_shard[{k}]"),
+            Region::WriteLocks(i) => write!(f, "write_locks[{i}]"),
+            Region::ThreadSig { thread, which } => {
+                let which = match which {
+                    SigKind::Read => "read_sig",
+                    SigKind::Write => "write_sig",
+                    SigKind::Agg => "agg_sig",
+                };
+                write!(f, "thread[{thread}].{which}")
+            }
+            Region::Undo(t) => write!(f, "thread[{t}].undo"),
+            Region::App => f.write_str("app"),
+        }
+    }
 }
 
 /// The shared state of one experiment: the simulated machine plus the global TM
@@ -342,6 +402,45 @@ impl TmRuntime {
         self.app_base + i as Addr
     }
 
+    /// The region of the runtime's heap layout that `line` belongs to — turns
+    /// the line of a [`htm_sim::registry::DoomCause`] into something a reader
+    /// can act on. Regions are allocated in ascending address order, so a line
+    /// belongs to the last region that starts at or before it.
+    pub fn region_of(&self, line: Line) -> Region {
+        if line >= line_of(self.app_base) {
+            return Region::App;
+        }
+        for (thread, a) in self.arenas.iter().enumerate().rev() {
+            if line >= line_of(a.undo_base) {
+                return Region::Undo(thread);
+            }
+            for (sig, which) in [
+                (a.agg_sig, SigKind::Agg),
+                (a.write_sig, SigKind::Write),
+                (a.read_sig, SigKind::Read),
+            ] {
+                if line >= line_of(sig.base()) {
+                    return Region::ThreadSig { thread, which };
+                }
+            }
+        }
+        if line >= line_of(self.write_locks.base()) {
+            return Region::WriteLocks((line - line_of(self.write_locks.base())) as usize);
+        }
+        for k in (0..self.ring.shard_count()).rev() {
+            if line >= line_of(self.ring.shard(k).lock_addr()) {
+                return Region::RingShard(k);
+            }
+        }
+        if line >= line_of(self.seqlock) {
+            Region::Seqlock
+        } else if line >= line_of(self.active_tx) {
+            Region::ActiveTx
+        } else {
+            Region::Glock
+        }
+    }
+
     /// Raw store for single-threaded experiment setup (no conflict detection).
     pub fn setup_write(&self, i: usize, val: u64) {
         self.sys.heap().store(self.app(i), val);
@@ -428,6 +527,39 @@ mod tests {
             assert!(a.undo_base + a.undo_words as Addr <= rt.app_base());
         }
         assert!(rt.system().heap().len() >= rt.app_base() as usize + 1000);
+    }
+
+    #[test]
+    fn region_of_names_every_part_of_the_layout() {
+        let rt = TmRuntime::with_defaults(2, 64);
+        let at = |a: Addr| rt.region_of(line_of(a));
+        assert_eq!(at(rt.glock()), Region::Glock);
+        assert_eq!(at(rt.active_tx()), Region::ActiveTx);
+        assert_eq!(at(rt.seqlock()), Region::Seqlock);
+        let ring = rt.sharded_ring();
+        let last = ring.shard_count() - 1;
+        assert_eq!(at(ring.shard(0).lock_addr()), Region::RingShard(0));
+        assert_eq!(at(ring.shard(last).timestamp_addr()), Region::RingShard(last));
+        // The line just below the write-locks signature is the last ring entry.
+        assert_eq!(at(rt.write_locks().base() - 1), Region::RingShard(last));
+        // 2048 bits = 32 words = 4 lines.
+        assert_eq!(at(rt.write_locks().word_addr(0)), Region::WriteLocks(0));
+        assert_eq!(at(rt.write_locks().word_addr(31)), Region::WriteLocks(3));
+        for thread in 0..2 {
+            let a = rt.arena(thread);
+            for (sig, which) in [
+                (a.read_sig, SigKind::Read),
+                (a.write_sig, SigKind::Write),
+                (a.agg_sig, SigKind::Agg),
+            ] {
+                assert_eq!(at(sig.word_addr(0)), Region::ThreadSig { thread, which });
+                assert_eq!(at(sig.word_addr(31)), Region::ThreadSig { thread, which });
+            }
+            assert_eq!(at(a.undo_base), Region::Undo(thread));
+            assert_eq!(at(a.undo_base + a.undo_words as Addr - 1), Region::Undo(thread));
+        }
+        assert_eq!(at(rt.app(0)), Region::App);
+        assert_eq!(at(rt.app(63)), Region::App);
     }
 
     #[test]

@@ -64,7 +64,9 @@
 
 use crate::align::CacheAligned;
 use crate::heap::{Line, WORDS_PER_LINE};
-use crate::registry::{DoomOutcome, Requester, ThreadId, TxRegistry, TxStatus, MAX_THREADS};
+use crate::registry::{
+    AccessKind, DoomCause, DoomOutcome, Requester, ThreadId, TxRegistry, TxStatus, MAX_THREADS,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of attempting to register an access.
@@ -137,7 +139,7 @@ fn release_claim(w: &AtomicU64, saved_writer: u64) {
     }
 }
 
-/// Resolve the writer byte `owner` for a non-transactional access by `by`.
+/// Resolve the writer byte `owner` for the non-transactional access `cause`.
 ///
 /// A foreign owner is doomed as usual. A byte naming the requester itself is
 /// *stale* when the requester has no transaction in flight: [`release_claim`]
@@ -147,9 +149,9 @@ fn release_claim(w: &AtomicU64, saved_writer: u64) {
 /// caller's own *active* write set — which callers degrade to an unresolved
 /// access rather than displacing the caller's registration.
 #[inline]
-fn doom_writer(reg: &TxRegistry, owner: ThreadId, by: Requester) -> Option<DoomOutcome> {
-    if Requester::Thread(owner) != by {
-        return Some(reg.doom(owner, by));
+fn doom_writer(reg: &TxRegistry, owner: ThreadId, cause: DoomCause) -> Option<DoomOutcome> {
+    if Requester::Thread(owner) != cause.by {
+        return Some(reg.doom(owner, cause));
     }
     if reg.status(owner) == TxStatus::Inactive {
         return Some(DoomOutcome::Gone);
@@ -214,12 +216,17 @@ impl LineTable {
         debug_assert!((t as usize) < MAX_THREADS);
         let w = self.word(line);
         let me = reader_bit(t);
+        let cause = DoomCause {
+            line,
+            by: Requester::Thread(t),
+            kind: AccessKind::TxRead,
+        };
         let mut cur = w.load(Ordering::SeqCst);
         loop {
             let new = match writer_of(cur) {
                 Writer::None => cur | me,
                 Writer::Thread(owner) if owner == t => cur | me,
-                Writer::Thread(owner) => match reg.doom(owner, Requester::Thread(t)) {
+                Writer::Thread(owner) => match reg.doom(owner, cause) {
                     DoomOutcome::MustWait => return AccessOutcome::Wait,
                     // The doomed victim clears its own byte during rollback.
                     DoomOutcome::Doomed => cur | me,
@@ -246,12 +253,17 @@ impl LineTable {
     pub fn tx_write(&self, reg: &TxRegistry, line: Line, t: ThreadId) -> AccessOutcome {
         debug_assert!((t as usize) < MAX_THREADS);
         let w = self.word(line);
+        let cause = DoomCause {
+            line,
+            by: Requester::Thread(t),
+            kind: AccessKind::TxWrite,
+        };
         let mut cur = w.load(Ordering::SeqCst);
         loop {
             match writer_of(cur) {
                 Writer::None => {}
                 Writer::Thread(owner) if owner == t => {}
-                Writer::Thread(owner) => match reg.doom(owner, Requester::Thread(t)) {
+                Writer::Thread(owner) => match reg.doom(owner, cause) {
                     DoomOutcome::MustWait => return AccessOutcome::Wait,
                     // Either way the byte is overwritten below; a doomed victim's
                     // cleanup tolerates its byte having been displaced.
@@ -263,7 +275,7 @@ impl LineTable {
             while readers != 0 {
                 let r = readers.trailing_zeros() as ThreadId;
                 readers &= readers - 1;
-                match reg.doom(r, Requester::Thread(t)) {
+                match reg.doom(r, cause) {
                     DoomOutcome::MustWait => return AccessOutcome::Wait,
                     DoomOutcome::Doomed | DoomOutcome::Gone => {}
                 }
@@ -320,6 +332,12 @@ impl LineTable {
         op: impl FnOnce() -> R,
     ) -> Result<R, ()> {
         let w = self.word(line);
+        let kind = if is_write {
+            AccessKind::NtWrite
+        } else {
+            AccessKind::NtRead
+        };
+        let cause = DoomCause { line, by, kind };
         if !is_write {
             // Read path: doom a conflicting writer, then load.
             let mut cur = w.load(Ordering::SeqCst);
@@ -327,7 +345,7 @@ impl LineTable {
                 match writer_of(cur) {
                     Writer::None => break,
                     Writer::NtClaim => return Err(()),
-                    Writer::Thread(owner) => match doom_writer(reg, owner, by) {
+                    Writer::Thread(owner) => match doom_writer(reg, owner, cause) {
                         Some(DoomOutcome::MustWait) => return Err(()),
                         None | Some(DoomOutcome::Doomed) => break,
                         Some(DoomOutcome::Gone) => {
@@ -371,7 +389,7 @@ impl LineTable {
             let saved = match writer_of(cur) {
                 Writer::None => 0,
                 Writer::NtClaim => return Err(()),
-                Writer::Thread(owner) => match doom_writer(reg, owner, by) {
+                Writer::Thread(owner) => match doom_writer(reg, owner, cause) {
                     // Invalid state; degrade to an unclaimed store.
                     None => return Ok(op()),
                     Some(DoomOutcome::MustWait) => return Err(()),
@@ -397,7 +415,7 @@ impl LineTable {
         while readers != 0 {
             let r = readers.trailing_zeros() as ThreadId;
             readers &= readers - 1;
-            match reg.doom(r, by) {
+            match reg.doom(r, cause) {
                 DoomOutcome::MustWait => {
                     // A reader is mid-commit: back off entirely and retry.
                     release_claim(w, saved_writer);

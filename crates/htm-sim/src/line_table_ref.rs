@@ -18,7 +18,7 @@
 
 use crate::heap::Line;
 use crate::line_table::AccessOutcome;
-use crate::registry::{DoomOutcome, Requester, ThreadId, TxRegistry};
+use crate::registry::{AccessKind, DoomCause, DoomOutcome, Requester, ThreadId, TxRegistry};
 use std::sync::Mutex;
 
 #[derive(Clone, Copy, Default)]
@@ -60,7 +60,12 @@ impl MutexLineTable {
         let mut entry = self.slot(line).lock().unwrap();
         if let Some(w) = entry.writer {
             if w != t {
-                match reg.doom(w, Requester::Thread(t)) {
+                let cause = DoomCause {
+                    line,
+                    by: Requester::Thread(t),
+                    kind: AccessKind::TxRead,
+                };
+                match reg.doom(w, cause) {
                     DoomOutcome::MustWait => return AccessOutcome::Wait,
                     DoomOutcome::Doomed => {}
                     DoomOutcome::Gone => entry.writer = None,
@@ -74,9 +79,14 @@ impl MutexLineTable {
     /// Register thread `t` as the transactional writer of `line`.
     pub fn tx_write(&self, reg: &TxRegistry, line: Line, t: ThreadId) -> AccessOutcome {
         let mut entry = self.slot(line).lock().unwrap();
+        let cause = DoomCause {
+            line,
+            by: Requester::Thread(t),
+            kind: AccessKind::TxWrite,
+        };
         if let Some(w) = entry.writer {
             if w != t {
-                match reg.doom(w, Requester::Thread(t)) {
+                match reg.doom(w, cause) {
                     DoomOutcome::MustWait => return AccessOutcome::Wait,
                     DoomOutcome::Doomed => {}
                     DoomOutcome::Gone => {}
@@ -87,7 +97,7 @@ impl MutexLineTable {
         while readers != 0 {
             let r = readers.trailing_zeros() as ThreadId;
             readers &= readers - 1;
-            match reg.doom(r, Requester::Thread(t)) {
+            match reg.doom(r, cause) {
                 DoomOutcome::MustWait => return AccessOutcome::Wait,
                 DoomOutcome::Doomed | DoomOutcome::Gone => {}
             }
@@ -122,10 +132,16 @@ impl MutexLineTable {
         op: impl FnOnce() -> R,
     ) -> Result<R, ()> {
         let mut entry = self.slot(line).lock().unwrap();
+        let kind = if is_write {
+            AccessKind::NtWrite
+        } else {
+            AccessKind::NtRead
+        };
+        let cause = DoomCause { line, by, kind };
         if !entry.is_empty() {
             if let Some(w) = entry.writer {
                 if Requester::Thread(w) != by {
-                    match reg.doom(w, by) {
+                    match reg.doom(w, cause) {
                         DoomOutcome::MustWait => return Err(()),
                         DoomOutcome::Doomed => {}
                         DoomOutcome::Gone => entry.writer = None,
@@ -145,7 +161,7 @@ impl MutexLineTable {
                 while readers != 0 {
                     let r = readers.trailing_zeros() as ThreadId;
                     readers &= readers - 1;
-                    match reg.doom(r, by) {
+                    match reg.doom(r, cause) {
                         DoomOutcome::MustWait => return Err(()),
                         DoomOutcome::Doomed | DoomOutcome::Gone => {}
                     }

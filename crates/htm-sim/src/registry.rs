@@ -6,10 +6,17 @@
 //! that has already reached `Committing` can no longer be doomed — the requester
 //! briefly waits for it to finish publishing, which models the coherence stall of
 //! racing with an instantaneous `xend`.
+//!
+//! The requester that wins that CAS also leaves its calling card: the
+//! [`DoomCause`] (which line, who, what kind of access) travels in the same
+//! word as the status, so the victim's rollback can say *who aborted whom on
+//! which line* ([`crate::trace::Event::Abort`]) at no cost beyond the CAS the
+//! doom already pays.
 
 use crate::abort::AbortCode;
 use crate::align::CacheAligned;
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::heap::Line;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hard ceiling on simulated hardware threads.
 ///
@@ -38,6 +45,85 @@ pub enum Requester {
     External,
 }
 
+/// The kind of access that doomed a transaction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
+pub enum AccessKind {
+    /// A transactional load registering the line in a peer's read set.
+    TxRead = 0,
+    /// A transactional store (request for ownership).
+    TxWrite = 1,
+    /// A strongly atomic non-transactional load.
+    NtRead = 2,
+    /// A strongly atomic non-transactional store / RMW.
+    NtWrite = 3,
+}
+
+impl std::fmt::Display for AccessKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            AccessKind::TxRead => "tx-read",
+            AccessKind::TxWrite => "tx-write",
+            AccessKind::NtRead => "nt-read",
+            AccessKind::NtWrite => "nt-write",
+        })
+    }
+}
+
+/// Why a transaction was doomed: the conflicting access that won the
+/// `Active → Doomed` transition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DoomCause {
+    /// The cache line both parties touched.
+    pub line: Line,
+    /// Who performed the conflicting access.
+    pub by: Requester,
+    /// What kind of access it was.
+    pub kind: AccessKind,
+}
+
+/// Bit layout of a status word: status in the low byte, then the doom cause
+/// (meaningful only while the status is `Doomed`).
+const STATUS_MASK: u64 = 0xFF;
+const CAUSE_KIND_SHIFT: u32 = 8;
+const CAUSE_BY_SHIFT: u32 = 16;
+const CAUSE_LINE_SHIFT: u32 = 32;
+/// `by` byte of an external requester (thread ids stay below [`MAX_THREADS`]).
+const CAUSE_BY_EXTERNAL: u64 = 0xFF;
+
+impl DoomCause {
+    /// The `Doomed` status word carrying this cause.
+    fn doomed_word(self) -> u64 {
+        let by = match self.by {
+            Requester::Thread(t) => t as u64,
+            Requester::External => CAUSE_BY_EXTERNAL,
+        };
+        TxStatus::Doomed as u64
+            | (self.kind as u64) << CAUSE_KIND_SHIFT
+            | by << CAUSE_BY_SHIFT
+            | (self.line as u64) << CAUSE_LINE_SHIFT
+    }
+
+    /// Decode the cause out of a `Doomed` status word.
+    fn of_doomed_word(word: u64) -> Self {
+        let kind = match (word >> CAUSE_KIND_SHIFT) & 0xFF {
+            0 => AccessKind::TxRead,
+            1 => AccessKind::TxWrite,
+            2 => AccessKind::NtRead,
+            _ => AccessKind::NtWrite,
+        };
+        let by = match (word >> CAUSE_BY_SHIFT) & 0xFF {
+            CAUSE_BY_EXTERNAL => Requester::External,
+            t => Requester::Thread(t as ThreadId),
+        };
+        Self {
+            line: (word >> CAUSE_LINE_SHIFT) as Line,
+            by,
+            kind,
+        }
+    }
+}
+
 /// Status of a thread's current hardware transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -54,13 +140,14 @@ pub enum TxStatus {
 }
 
 impl TxStatus {
-    fn from_u8(v: u8) -> Self {
-        match v {
+    /// The status held in the low byte of a status word.
+    fn of_word(word: u64) -> Self {
+        match word & STATUS_MASK {
             0 => TxStatus::Inactive,
             1 => TxStatus::Active,
             2 => TxStatus::Committing,
             3 => TxStatus::Doomed,
-            _ => unreachable!("invalid TxStatus {v}"),
+            v => unreachable!("invalid TxStatus {v}"),
         }
     }
 }
@@ -68,12 +155,12 @@ impl TxStatus {
 /// One cache line per thread to avoid false sharing between status words:
 /// every CAS on one thread's status would otherwise invalidate its
 /// neighbours' lines on every doom/begin/finish. [`CacheAligned`] pads the
-/// one-byte status to a full line (the `membench` false-sharing A/B measures
+/// status word to a full line (the `membench` false-sharing A/B measures
 /// what the packed layout would cost).
-type TxSlot = CacheAligned<AtomicU8>;
+type TxSlot = CacheAligned<AtomicU64>;
 
 fn new_slot() -> TxSlot {
-    CacheAligned::new(AtomicU8::new(TxStatus::Inactive as u8))
+    CacheAligned::new(AtomicU64::new(TxStatus::Inactive as u64))
 }
 
 /// Outcome of an attempt to doom a peer transaction.
@@ -120,16 +207,16 @@ impl TxRegistry {
     /// Current status of `t`'s transaction.
     #[inline]
     pub fn status(&self, t: ThreadId) -> TxStatus {
-        TxStatus::from_u8(self.slots[t as usize].load(Ordering::SeqCst))
+        TxStatus::of_word(self.slots[t as usize].load(Ordering::SeqCst))
     }
 
     /// Begin a transaction on thread `t`. Panics if one is already in flight —
     /// the simulator flattens nesting at a higher level, like TSX does.
     pub fn begin(&self, t: ThreadId) {
-        let prev = self.slots[t as usize].swap(TxStatus::Active as u8, Ordering::SeqCst);
+        let prev = self.slots[t as usize].swap(TxStatus::Active as u64, Ordering::SeqCst);
         debug_assert_eq!(
             prev,
-            TxStatus::Inactive as u8,
+            TxStatus::Inactive as u64,
             "nested hardware begin on thread {t}"
         );
     }
@@ -138,8 +225,8 @@ impl TxRegistry {
     /// cause) if the transaction was doomed first.
     pub fn start_commit(&self, t: ThreadId) -> Result<(), AbortCode> {
         match self.slots[t as usize].compare_exchange(
-            TxStatus::Active as u8,
-            TxStatus::Committing as u8,
+            TxStatus::Active as u64,
+            TxStatus::Committing as u64,
             Ordering::SeqCst,
             Ordering::SeqCst,
         ) {
@@ -150,7 +237,7 @@ impl TxRegistry {
 
     /// Finish `t`'s transaction (after commit publication or abort cleanup).
     pub fn finish(&self, t: ThreadId) {
-        self.slots[t as usize].store(TxStatus::Inactive as u8, Ordering::SeqCst);
+        self.slots[t as usize].store(TxStatus::Inactive as u64, Ordering::SeqCst);
     }
 
     /// True if `t`'s transaction has been doomed by a conflicting access.
@@ -159,7 +246,16 @@ impl TxRegistry {
         self.status(t) == TxStatus::Doomed
     }
 
-    /// Requester-wins conflict resolution: `requester` dooms thread `victim`.
+    /// Why `t`'s transaction was doomed — the access that won its
+    /// `Active → Doomed` transition — or `None` when it is not doomed.
+    pub fn doom_cause(&self, t: ThreadId) -> Option<DoomCause> {
+        let word = self.slots[t as usize].load(Ordering::SeqCst);
+        (TxStatus::of_word(word) == TxStatus::Doomed).then(|| DoomCause::of_doomed_word(word))
+    }
+
+    /// Requester-wins conflict resolution: the access `cause` dooms thread
+    /// `victim`. The first requester to doom a transaction is the one its
+    /// cause names; later dooms of the same incarnation leave it alone.
     ///
     /// Callers identify `victim` from a lock-free snapshot of a conflict-table
     /// word, so by the time the CAS below lands, `victim` may have finished that
@@ -169,21 +265,21 @@ impl TxRegistry {
     /// victim must roll back, clear its table entries, and restart inside the
     /// requester's read-doom-CAS window). Lost dooms cannot happen: the table
     /// word CAS fails if ownership changed, and the requester re-inspects.
-    pub fn doom(&self, victim: ThreadId, requester: Requester) -> DoomOutcome {
+    pub fn doom(&self, victim: ThreadId, cause: DoomCause) -> DoomOutcome {
         debug_assert_ne!(
             Requester::Thread(victim),
-            requester,
+            cause.by,
             "self-doom is a logic error"
         );
         let slot = &self.slots[victim as usize];
         loop {
             let cur = slot.load(Ordering::SeqCst);
-            match TxStatus::from_u8(cur) {
+            match TxStatus::of_word(cur) {
                 TxStatus::Active => {
                     if slot
                         .compare_exchange(
                             cur,
-                            TxStatus::Doomed as u8,
+                            cause.doomed_word(),
                             Ordering::SeqCst,
                             Ordering::SeqCst,
                         )
@@ -205,6 +301,15 @@ impl TxRegistry {
 mod tests {
     use super::*;
 
+    /// A doom of line 0 by thread `t`'s transactional write.
+    fn by(t: ThreadId) -> DoomCause {
+        DoomCause {
+            line: 0,
+            by: Requester::Thread(t),
+            kind: AccessKind::TxWrite,
+        }
+    }
+
     #[test]
     fn lifecycle() {
         let r = TxRegistry::new(4);
@@ -221,7 +326,7 @@ mod tests {
     fn doom_active_peer() {
         let r = TxRegistry::new(4);
         r.begin(1);
-        assert_eq!(r.doom(1, Requester::Thread(0)), DoomOutcome::Doomed);
+        assert_eq!(r.doom(1, by(0)), DoomOutcome::Doomed);
         assert!(r.is_doomed(1));
         // Doomed transactions cannot start committing.
         assert!(r.start_commit(1).is_err());
@@ -233,17 +338,38 @@ mod tests {
         let r = TxRegistry::new(4);
         r.begin(1);
         r.start_commit(1).unwrap();
-        assert_eq!(r.doom(1, Requester::Thread(0)), DoomOutcome::MustWait);
+        assert_eq!(r.doom(1, by(0)), DoomOutcome::MustWait);
         r.finish(1);
-        assert_eq!(r.doom(1, Requester::Thread(0)), DoomOutcome::Gone);
+        assert_eq!(r.doom(1, by(0)), DoomOutcome::Gone);
     }
 
     #[test]
     fn doom_idempotent() {
         let r = TxRegistry::new(4);
         r.begin(1);
-        assert_eq!(r.doom(1, Requester::Thread(0)), DoomOutcome::Doomed);
-        assert_eq!(r.doom(1, Requester::Thread(2)), DoomOutcome::Doomed);
+        assert_eq!(r.doom(1, by(0)), DoomOutcome::Doomed);
+        assert_eq!(r.doom(1, by(2)), DoomOutcome::Doomed);
+        r.finish(1);
+    }
+
+    #[test]
+    fn first_doomer_is_the_recorded_cause() {
+        let r = TxRegistry::new(4);
+        r.begin(1);
+        assert_eq!(r.doom_cause(1), None, "active, not doomed");
+        let first = DoomCause {
+            line: 0xDEAD_BEEF,
+            by: Requester::External,
+            kind: AccessKind::NtWrite,
+        };
+        r.doom(1, first);
+        r.doom(1, by(2));
+        assert_eq!(r.doom_cause(1), Some(first));
+        r.finish(1);
+        assert_eq!(r.doom_cause(1), None);
+        r.begin(1);
+        r.doom(1, by(3));
+        assert_eq!(r.doom_cause(1), Some(by(3)), "a new incarnation starts clean");
         r.finish(1);
     }
 

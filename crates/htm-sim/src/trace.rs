@@ -12,6 +12,7 @@
 //! enabled for whole experiments.
 
 use crate::abort::AbortCode;
+use crate::registry::{DoomCause, Requester};
 use std::collections::VecDeque;
 
 /// One traced event.
@@ -34,6 +35,13 @@ pub enum Event {
         code: AbortCode,
         /// Work units consumed before the abort.
         work: u64,
+        /// For a conflict abort: the access that doomed the transaction (the
+        /// line, the requester, the kind of access). `None` for every other
+        /// abort code.
+        cause: Option<DoomCause>,
+        /// The aborting core's virtual time, when it runs under a
+        /// [`crate::vclock`] — a cell's abort table is then byte-reproducible.
+        at: Option<u64>,
     },
 }
 
@@ -103,8 +111,19 @@ impl Trace {
                 Event::Commit { read_lines, write_lines, work } => out.push_str(&format!(
                     "commit  r={read_lines} w={write_lines} work={work}\n"
                 )),
-                Event::Abort { code, work } => {
-                    out.push_str(&format!("abort   {code} work={work}\n"))
+                Event::Abort { code, work, cause, at } => {
+                    out.push_str(&format!("abort   {code} work={work}"));
+                    if let Some(t) = at {
+                        out.push_str(&format!(" t={t}"));
+                    }
+                    if let Some(c) = cause {
+                        let by = match c.by {
+                            Requester::Thread(t) => format!("thread {t}"),
+                            Requester::External => "external".to_string(),
+                        };
+                        out.push_str(&format!(" line={} by={by} {}", c.line, c.kind));
+                    }
+                    out.push('\n');
                 }
             }
         }
@@ -115,17 +134,22 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::AccessKind;
+
+    fn abort(code: AbortCode, work: u64) -> Event {
+        Event::Abort { code, work, cause: None, at: None }
+    }
 
     #[test]
     fn bounded_ring_overwrites_oldest() {
         let mut t = Trace::new(2);
         t.record(Event::Begin);
-        t.record(Event::Abort { code: AbortCode::Conflict, work: 1 });
+        t.record(abort(AbortCode::Conflict, 1));
         t.record(Event::Begin);
         assert_eq!(t.len(), 2);
         assert_eq!(t.recorded(), 3);
         let evs: Vec<_> = t.events().cloned().collect();
-        assert_eq!(evs[0], Event::Abort { code: AbortCode::Conflict, work: 1 });
+        assert_eq!(evs[0], abort(AbortCode::Conflict, 1));
         assert_eq!(evs[1], Event::Begin);
     }
 
@@ -143,10 +167,21 @@ mod tests {
         let mut t = Trace::new(8);
         t.record(Event::Begin);
         t.record(Event::Commit { read_lines: 2, write_lines: 1, work: 5 });
-        t.record(Event::Abort { code: AbortCode::Capacity, work: 7 });
+        t.record(abort(AbortCode::Capacity, 7));
+        t.record(Event::Abort {
+            code: AbortCode::Conflict,
+            work: 9,
+            cause: Some(DoomCause {
+                line: 40,
+                by: Requester::Thread(2),
+                kind: AccessKind::TxWrite,
+            }),
+            at: Some(6547),
+        });
         let s = t.render();
-        assert_eq!(s.lines().count(), 3);
+        assert_eq!(s.lines().count(), 4);
         assert!(s.contains("commit  r=2 w=1 work=5"));
-        assert!(s.contains("abort   capacity work=7"));
+        assert!(s.contains("abort   capacity work=7\n"));
+        assert!(s.contains("abort   conflict work=9 t=6547 line=40 by=thread 2 tx-write"));
     }
 }

@@ -101,10 +101,23 @@ impl<'a, 's> HtmTx<'a, 's> {
         }
         th.stretch.spilled_lines += th.cap.spilled_lines();
         th.cap.reset();
+        if !th.trace.is_disabled() {
+            // Who aborted whom: the doom's cause lives in the status word
+            // until `finish` clears it.
+            let cause = match code {
+                AbortCode::Conflict => th.sys.registry.doom_cause(th.id),
+                _ => None,
+            };
+            th.trace.record(crate::trace::Event::Abort {
+                code,
+                work: self.work,
+                cause,
+                at: crate::vclock::now(),
+            });
+        }
         th.sys.registry.finish(th.id);
         th.stats.record_abort(code);
         th.stats.work_units += self.work;
-        th.trace.record(crate::trace::Event::Abort { code, work: self.work });
         th.in_tx = false;
     }
 
@@ -114,13 +127,25 @@ impl<'a, 's> HtmTx<'a, 's> {
         code
     }
 
+    /// Advance the simulated core's clock under a virtual-time run (a no-op
+    /// otherwise), which may hand the floor to another core. A peer that ran
+    /// during the hand-over may have doomed this transaction: it must die
+    /// here, before it issues the access the charge pays for — a doomed
+    /// transaction sends no further coherence request, so it can never doom
+    /// its own killer back.
+    #[inline]
+    fn charge_clock(&mut self, units: u64) -> TxResult<()> {
+        if crate::vclock::charge(units) {
+            self.check_doomed()?;
+        }
+        Ok(())
+    }
+
     /// Charge work units and fire the timer / injected interrupts.
     #[inline]
     fn charge(&mut self, units: u64) -> TxResult<()> {
         self.work += units;
-        // Under a virtual-time run this also advances the simulated core's
-        // clock (and may hand the floor to another core); a no-op otherwise.
-        crate::vclock::charge(units);
+        self.charge_clock(units)?;
         // The timer fires at the operation that brings cumulative work to the
         // quantum or beyond (>=: consuming *exactly* `quantum` units aborts).
         if self.work >= self.th.sys.config.quantum {
@@ -453,7 +478,7 @@ impl<'a, 's> HtmTx<'a, 's> {
             "read_stretched: backend has no suspended regions"
         );
         self.check_doomed()?;
-        crate::vclock::charge(self.suspend_cost() + 1);
+        self.charge_clock(self.suspend_cost() + 1)?;
         let line = crate::line_of(addr);
         let st = self.th.lstate[line as usize];
         if st.epoch != self.th.epoch {

@@ -403,19 +403,27 @@ pub fn is_attached() -> bool {
 
 /// Advance the calling core's virtual time by `units`. No-op when the thread
 /// is not attached. May block (hand the floor to another core).
+///
+/// Returns whether the charge re-entered the scheduler — the only point at
+/// which another core can have run, and so the only point at which state a
+/// peer may change (a transaction's doom flag) needs re-checking. Constant
+/// `false` when the thread is not attached.
 #[inline]
-pub fn charge(units: u64) {
+pub fn charge(units: u64) -> bool {
     if ATTACHED.load(Ordering::Relaxed) == 0 {
-        return;
+        return false;
     }
-    CURRENT.with(|c| {
-        if let Some(h) = c.borrow_mut().as_mut() {
+    CURRENT.with(|c| match c.borrow_mut().as_mut() {
+        Some(h) => {
             h.time = h.time.saturating_add(units);
-            if h.time >= h.run_until {
+            let handed_over = h.time >= h.run_until;
+            if handed_over {
                 sync(h);
             }
+            handed_over
         }
-    });
+        None => false,
+    })
 }
 
 /// Virtual yield: the calling core concedes the floor, advancing its clock to
@@ -513,7 +521,7 @@ mod tests {
     #[test]
     fn unattached_hooks_are_noops() {
         assert!(!is_attached());
-        charge(10);
+        assert!(!charge(10), "off the clock a charge never hands over");
         yield_now();
         note_commit();
         assert_eq!(interrupt_draw(), None);

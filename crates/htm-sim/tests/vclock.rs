@@ -176,6 +176,57 @@ fn quantum_timer_is_deterministic_under_the_clock() {
 }
 
 #[test]
+fn a_transaction_doomed_during_a_hand_off_never_dooms_its_killer() {
+    // Two cores read-modify-write one word in lockstep — the shape of a lock
+    // word acquired inside a hardware transaction. Core 0 upgrades its read to
+    // a write while core 1 is parked in the scheduler between paying for its
+    // own write and issuing it. On silicon the doomed core 1 sends no further
+    // coherence request; when it used to register that write anyway it doomed
+    // core 0 back and *both* aborted, forever (the sub-HTM lockstep livelock).
+    use htm_sim::registry::{AccessKind, DoomCause, Requester};
+    use htm_sim::trace::Event;
+    const WORD: u32 = 40; // line 5
+    let cfg = HtmConfig {
+        trace_capacity: 8,
+        ..HtmConfig::tiny()
+    };
+    let sys = HtmSystem::new(cfg, 256);
+    let aborts = std::sync::Mutex::new(Vec::new());
+    let (report, stats) = run_virtual(&sys, 2, SchedSpec::default(), |t, th| {
+        let r = th.attempt(|tx| {
+            tx.fetch_update(WORD, |v| v + 1)?;
+            tx.work(1)
+        });
+        if let Err(code) = r {
+            let last = th.trace.events().last().cloned();
+            aborts.lock().unwrap().push((t, code, last));
+        }
+    });
+    assert_eq!(stats.commits, 1, "exactly one of the two commits");
+    assert_eq!(stats.aborts_conflict, 1, "and exactly one aborts");
+    assert_eq!(sys.nt_read(WORD), 1);
+    assert_eq!(sys.live_line_entries(), 0);
+    let winner = report.commit_log[0].0;
+    let aborts = aborts.into_inner().unwrap();
+    let (loser, code, event) = aborts[0].clone();
+    assert_eq!((loser, code), (1 - winner, AbortCode::Conflict));
+    // Who aborted whom, on which line, when.
+    let Some(Event::Abort { code, cause, at, .. }) = event else {
+        panic!("the loser's last event must be its abort, got {event:?}");
+    };
+    assert_eq!(code, AbortCode::Conflict);
+    assert_eq!(
+        cause,
+        Some(DoomCause {
+            line: htm_sim::line_of(WORD),
+            by: Requester::Thread(winner as u8),
+            kind: AccessKind::TxWrite,
+        })
+    );
+    assert!(at.is_some(), "virtual-time stamped under the clock");
+}
+
+#[test]
 fn unattached_threads_coexist_with_virtual_runs() {
     // vclock hooks are per-thread: a thread that never attached must run
     // unimpeded even while a virtual-time run is in flight elsewhere.

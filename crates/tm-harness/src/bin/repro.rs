@@ -19,7 +19,9 @@
 //! plotting.
 //!
 //! Experiments: table1, fig3a, fig3b, fig3c, fig4a, fig4b, fig5a..fig5i, fig6a,
-//! fig6b. See EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+//! fig6b, vsweep (deterministic virtual-time scaling table) and explain (who
+//! aborted whom on which region, perfbench's `nrmw_capacity` shape). See
+//! EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 
 use htm_sim::BackendKind;
 use tm_harness::algo::Algo;

@@ -129,17 +129,42 @@ where
     W: Workload + Send,
     F: Fn(usize) -> W + Sync,
 {
+    let (r, report, _) =
+        run_threads_virtual_harvest::<E, _, _, _, _>(rt, threads, ops_per_thread, spec, factory, |_| ());
+    (r, report)
+}
+
+/// [`run_threads_virtual`], also returning `harvest(&executor)` of every
+/// worker, in core order, taken after its last transaction — per-thread state
+/// the merged statistics do not carry (the hardware event trace, for one).
+pub fn run_threads_virtual_harvest<'r, E, W, F, H, X>(
+    rt: &'r TmRuntime,
+    threads: usize,
+    ops_per_thread: usize,
+    spec: SchedSpec,
+    factory: F,
+    harvest: H,
+) -> (RunResult, VReport, Vec<X>)
+where
+    E: TmExecutor<'r>,
+    W: Workload + Send,
+    F: Fn(usize) -> W + Sync,
+    H: Fn(&E) -> X + Sync,
+    X: Send,
+{
     assert!(threads <= rt.threads());
     let clock = VClock::new(threads, spec);
     let mut tm = TmStats::default();
     let mut hw = HtmStats::default();
     let mut elapsed = Duration::ZERO;
+    let mut harvested = Vec::with_capacity(threads);
 
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let clock = &clock;
                 let factory = &factory;
+                let harvest = &harvest;
                 s.spawn(move || {
                     let mut exec = E::new(rt, t);
                     let mut w = factory(t);
@@ -155,15 +180,16 @@ where
                     drop(guard);
                     exec.thread_mut().harvest_host_counters();
                     let th = exec.thread();
-                    (th.stats.clone(), th.hw.stats.clone(), loop_elapsed)
+                    (th.stats.clone(), th.hw.stats.clone(), loop_elapsed, harvest(&exec))
                 })
             })
             .collect();
         for h in handles {
-            let (t_tm, t_hw, t_elapsed) = h.join().expect("worker panicked");
+            let (t_tm, t_hw, t_elapsed, x) = h.join().expect("worker panicked");
             tm.merge(&t_tm);
             hw.merge(&t_hw);
             elapsed = elapsed.max(t_elapsed);
+            harvested.push(x);
         }
     });
 
@@ -179,6 +205,7 @@ where
             hw,
         },
         report,
+        harvested,
     )
 }
 

@@ -2,10 +2,15 @@
 //! workload parameters and per-experiment HTM geometry.
 
 use crate::algo::{run_cell, run_cell_virtual, Algo};
+use crate::driver::run_threads_virtual_harvest;
 use crate::report::{StatsReport, Table, Unit};
+use htm_sim::registry::{AccessKind, DoomCause};
+use htm_sim::trace::Event;
 use htm_sim::vclock::SchedSpec;
 use htm_sim::{BackendKind, HtmConfig};
-use part_htm_core::{TmConfig, TmRuntime, Workload};
+use part_htm_core::{PartHtm, PartHtmO, Region, TmConfig, TmExecutor, TmRuntime, Workload};
+use std::collections::BTreeMap;
+use tm_baselines::HtmGl;
 use tm_workloads::stamp::{genome, intruder, kmeans, labyrinth, ssca2, vacation, yada};
 use tm_workloads::{eigen, list, micro};
 
@@ -52,7 +57,7 @@ impl Default for ExpOpts {
 /// All experiment ids, in paper order.
 pub const ALL_IDS: &[&str] = &[
     "table1", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d",
-    "fig5e", "fig5f", "fig5g", "fig5h", "fig5i", "fig6a", "fig6b", "vsweep",
+    "fig5e", "fig5f", "fig5g", "fig5h", "fig5i", "fig6a", "fig6b", "vsweep", "explain",
 ];
 
 /// The paper's micro-benchmark thread axis (up to the 18-core Xeon).
@@ -583,16 +588,140 @@ pub fn vsweep(opts: &ExpOpts) -> Table {
     table
 }
 
+/// perfbench's `nrmw_capacity` shape (`partbench`'s capacity-heavy row): 768
+/// reads + 16 writes in 32 fine-grained segments against a 64-line read
+/// budget — every transaction takes the partitioned path. Run with 64 slices
+/// per array ([`micro::Nrmw::new`]), like every figure in the tree.
+pub fn capacity_shape() -> (micro::NrmwParams, HtmConfig) {
+    let params = micro::NrmwParams {
+        array_len: 4_000,
+        n_reads: 768,
+        m_writes: 16,
+        work_per_iter: 0,
+        segments: 8,
+        stride: 1,
+    }
+    .fine_grained();
+    let htm = HtmConfig {
+        read_lines_max: 64,
+        ..HtmConfig::default()
+    };
+    (params, htm)
+}
+
+/// One `explain` cell: run the capacity shape under `E` with the hardware
+/// trace on and append its conflict aborts, tallied by the doomer's region and
+/// access kind, to `out`.
+fn explain_cell<'r, E: TmExecutor<'r>>(
+    rt: &'r TmRuntime,
+    shared: micro::NrmwShared,
+    cores: usize,
+    ops: usize,
+    out: &mut String,
+) {
+    let (r, _, traces) = run_threads_virtual_harvest::<E, _, _, _, _>(
+        rt,
+        cores,
+        ops,
+        SchedSpec::default(),
+        |t| micro::Nrmw::new(shared, t, 64),
+        |e| {
+            let trace = &e.thread().hw.trace;
+            let causes: Vec<DoomCause> = trace
+                .events()
+                .filter_map(|ev| match ev {
+                    Event::Abort { cause, .. } => *cause,
+                    _ => None,
+                })
+                .collect();
+            (causes, trace.recorded() > trace.len() as u64)
+        },
+    );
+    let mut tally: BTreeMap<(Region, AccessKind), u64> = BTreeMap::new();
+    let mut overflowed = false;
+    for (causes, lost) in traces {
+        overflowed |= lost;
+        for c in causes {
+            *tally.entry((rt.region_of(c.line), c.kind)).or_default() += 1;
+        }
+    }
+    let mut rows: Vec<_> = tally.into_iter().collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    out.push_str(&format!(
+        "## {}: {:.1} tx/Mwu, commits htm/sub-htm/gl {}/{}/{}, sub-HTM aborts {}, global aborts {}, conflict aborts {}\n",
+        r.algo,
+        r.virtual_throughput(),
+        r.tm.commits_htm,
+        r.tm.commits_subhtm,
+        r.tm.commits_gl,
+        r.tm.sub_aborts,
+        r.tm.global_aborts,
+        r.hw.aborts_conflict,
+    ));
+    if overflowed {
+        out.push_str("(trace ring overflowed: the oldest aborts are missing below)\n");
+    }
+    out.push_str(&format!("{:<24} {:<9} {:>7}\n", "doomed on", "by a", "aborts"));
+    for ((region, kind), n) in rows {
+        out.push_str(&format!("{:<24} {:<9} {:>7}\n", region.to_string(), kind.to_string(), n));
+    }
+}
+
+/// `explain`: who aborted whom, on what. The perfbench `nrmw_capacity` shape
+/// ([`capacity_shape`]) on simulated cores under the default schedule, with
+/// the hardware event trace on: every conflict abort is attributed to the
+/// access that doomed it (`htm_sim::registry::DoomCause`), the line mapped to
+/// its region of the runtime's layout ([`TmRuntime::region_of`]). Deterministic,
+/// so the table is byte-reproducible. `--threads N` sets the core count
+/// (default 4), `--scale` the 25 transactions per core, `--algos` picks among
+/// Part-HTM, Part-HTM-O and HTM-GL (default all three).
+pub fn explain(opts: &ExpOpts) -> String {
+    let (p, htm) = capacity_shape();
+    let htm = HtmConfig {
+        trace_capacity: 1 << 16,
+        backend: opts.backend,
+        ..htm
+    };
+    let mut tm = TmConfig::default();
+    if let Some(adaptive) = opts.adaptive {
+        tm.adaptive_plan = adaptive;
+    }
+    let cores = opts
+        .threads
+        .as_ref()
+        .and_then(|t| t.first().copied())
+        .unwrap_or(4);
+    let ops = ((25.0 * opts.scale) as usize).max(1);
+    let mut out = format!(
+        "# explain — conflict aborts by region: nrmw_capacity shape, {cores} simulated cores x {ops} tx\n"
+    );
+    for algo in [Algo::PartHtm, Algo::PartHtmO, Algo::HtmGl] {
+        if opts.algos.as_ref().is_some_and(|a| !a.contains(&algo)) {
+            continue;
+        }
+        let rt = TmRuntime::new(htm.clone(), tm.clone(), cores, p.app_words());
+        let shared = micro::init(&rt, &p);
+        match algo {
+            Algo::PartHtm => explain_cell::<PartHtm>(&rt, shared, cores, ops, &mut out),
+            Algo::PartHtmO => explain_cell::<PartHtmO>(&rt, shared, cores, ops, &mut out),
+            _ => explain_cell::<HtmGl>(&rt, shared, cores, ops, &mut out),
+        }
+    }
+    out
+}
+
 /// Run an experiment by id and return its rendered output.
 pub fn run_experiment(id: &str, opts: &ExpOpts) -> Option<String> {
     run_experiment_table(id, opts).map(|(out, _)| out)
 }
 
 /// Like [`run_experiment`], also returning the figure's [`Table`] (absent for
-/// Table 1, whose output is a statistics report rather than a series table).
+/// Table 1 and `explain`, whose outputs are reports rather than series tables).
 pub fn run_experiment_table(id: &str, opts: &ExpOpts) -> Option<(String, Option<Table>)> {
-    if id == "table1" {
-        return Some((table1(opts), None));
+    match id {
+        "table1" => return Some((table1(opts), None)),
+        "explain" => return Some((explain(opts), None)),
+        _ => {}
     }
     let table = match id {
         "fig3a" => fig3a(opts),

@@ -27,6 +27,6 @@ pub mod report;
 pub mod schedx;
 
 pub use algo::{run_cell, run_cell_virtual, run_cell_with, Algo};
-pub use driver::{run_threads, run_threads_virtual, RunResult};
+pub use driver::{run_threads, run_threads_virtual, run_threads_virtual_harvest, RunResult};
 pub use loadgen::{ArrivalProcess, LatencyHisto};
 pub use report::{StatsReport, Table, Unit};

@@ -16,6 +16,7 @@ use htm_sim::{BackendKind, HtmConfig, HtmSystem};
 use part_htm_core::{batch_site, PartHtm, StretchHtm, TmConfig, TmRuntime, TxCtx, Workload};
 use rand::rngs::SmallRng;
 use std::fmt::Write as _;
+use tm_sig::SigSpec;
 
 use crate::driver::run_threads_virtual;
 
@@ -97,6 +98,11 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
         "tm-server-shaped group commit: width-classed batch of per-request segments + hot line",
     ),
     (
+        "lock-sig-convoy",
+        3,
+        "3 symmetric partitioned writers locking bits on one write-locks line: no lockstep convoy",
+    ),
+    (
         "order-canary",
         2,
         "schedule-dependent canary (commit order); violated by design at depth >= 2",
@@ -111,6 +117,7 @@ pub const BOUNDED_SET: &[&str] = &[
     "ring-epoch",
     "power-stretch",
     "server-batch",
+    "lock-sig-convoy",
 ];
 
 /// Increment `addr` once per transaction (single segment).
@@ -188,6 +195,45 @@ impl Workload for BatchGroup {
         let hot = self.base + (Self::WIDTH as u32) * 8;
         let h = ctx.read(hot)?;
         ctx.write(hot, h + 1)
+    }
+}
+
+/// One of three *symmetric* partitioned-path writers over disjoint data: scan
+/// a core-private block in read-only segments, then bump the block's counters
+/// in the last one — whose sub-HTM commit validates against, and then locks
+/// bits in, the global write-locks signature. The scenario's 512-bit
+/// signature is exactly one cache line, so that line is the only thing the
+/// three cores share: identical closed loops that reach it at the same
+/// virtual instant doom one another there, and if every retry re-collides
+/// they burn their retry budgets in lockstep and convoy onto the global lock
+/// (ROADMAP item 1's `nrmw_capacity` cliff in miniature).
+struct ConvoyWriter {
+    /// This core's private block: `LINES` one-per-line counters.
+    base: htm_sim::Addr,
+}
+
+impl ConvoyWriter {
+    const LINES: u32 = 4;
+    const SEGS: usize = 3;
+    /// Words between two cores' blocks.
+    const BLOCK_WORDS: usize = Self::LINES as usize * 8;
+}
+
+impl Workload for ConvoyWriter {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {}
+    fn segments(&self) -> usize {
+        Self::SEGS
+    }
+    fn segment<C: TxCtx>(&mut self, s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+        for i in 0..Self::LINES {
+            let addr = self.base + i * 8;
+            let v = ctx.read(addr)?;
+            if s + 1 == Self::SEGS {
+                ctx.write(addr, v + 1)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -354,6 +400,49 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
                 (0..BatchGroup::WIDTH).map(|i| (i * 8, 8)).collect();
             words.push((BatchGroup::WIDTH * 8, 8 * BatchGroup::WIDTH as u64));
             check_clean(&rt, &words, &mut bad);
+            finish(name, r, rep, bad)
+        }
+        "lock-sig-convoy" => {
+            const CORES: usize = 3;
+            const OPS: usize = 6;
+            let tm = TmConfig {
+                // 512 bits = 8 words: the whole write-locks signature is one line.
+                sig_spec: SigSpec::new(512),
+                skip_fast: true,
+                ..TmConfig::default()
+            };
+            let rt = TmRuntime::new(
+                HtmConfig::default(),
+                tm,
+                CORES,
+                CORES * ConvoyWriter::BLOCK_WORDS,
+            );
+            let (r, rep) =
+                run_threads_virtual::<PartHtm, _, _>(&rt, CORES, OPS, spec.clone(), |t| {
+                    ConvoyWriter {
+                        base: rt.app(t * ConvoyWriter::BLOCK_WORDS),
+                    }
+                });
+            let mut bad = Vec::new();
+            if r.commits != (CORES * OPS) as u64 {
+                bad.push(format!("expected {} commits, got {}", CORES * OPS, r.commits));
+            }
+            // Disjoint data: contention on the lock line may cost retries, and
+            // an unlucky schedule one trip to the lock — never a convoy.
+            if r.tm.commits_gl > 1 {
+                bad.push(format!(
+                    "{} commits under the global lock (lockstep convoy on the write-locks line)",
+                    r.tm.commits_gl
+                ));
+            }
+            let words: Vec<(usize, u64)> = (0..CORES * ConvoyWriter::LINES as usize)
+                .map(|i| (i * 8, OPS as u64))
+                .collect();
+            check_clean(&rt, &words, &mut bad);
+            let locks = rt.write_locks().snapshot_nt(&rt.system().thread(0));
+            if !locks.is_empty() {
+                bad.push("write-locks signature not released".to_string());
+            }
             finish(name, r, rep, bad)
         }
         "order-canary" => {

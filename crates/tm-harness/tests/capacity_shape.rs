@@ -1,0 +1,61 @@
+//! The paper's motivating shape on four simulated cores: perfbench's
+//! `nrmw_capacity` cell (`benchmark/src/spec.rs`), which is 100 % partitioned
+//! path. Before the sub-HTM retry backoff and the doom re-check after a
+//! scheduler hand-off, the four symmetric cores re-collided in lockstep on the
+//! write-locks signature and 78 % of the commits ended under the global lock
+//! (ROADMAP item 1).
+
+use htm_sim::vclock::SchedSpec;
+use part_htm_core::{PartHtm, TmConfig, TmExecutor, TmRuntime, Workload};
+use tm_baselines::Sequential;
+use tm_harness::experiments::capacity_shape;
+use tm_harness::run_threads_virtual;
+use tm_workloads::micro::{self, Nrmw, NrmwParams};
+
+const CORES: usize = 4;
+const TXS: usize = 25;
+const SLICES: usize = 64;
+
+fn dst_array(rt: &TmRuntime, p: &NrmwParams) -> Vec<u64> {
+    let words = p.array_len * p.stride;
+    (words..2 * words).map(|i| rt.verify_read(i)).collect()
+}
+
+#[test]
+fn capacity_shape_commits_on_the_partitioned_path_at_four_cores() {
+    let (p, htm) = capacity_shape();
+
+    // The threads' destination slices are disjoint, so the final array is a
+    // pure function of the shape: replay it sequentially.
+    let want = {
+        let rt = TmRuntime::new(htm.clone(), TmConfig::default(), 1, p.app_words());
+        let shared = micro::init(&rt, &p);
+        for t in 0..CORES {
+            let mut exec = Sequential::new(&rt, 0);
+            let mut w = Nrmw::new(shared, t, SLICES);
+            for _ in 0..TXS {
+                w.sample(&mut exec.thread_mut().rng);
+                exec.execute(&mut w);
+            }
+        }
+        dst_array(&rt, &p)
+    };
+
+    let rt = TmRuntime::new(htm, TmConfig::default(), CORES, p.app_words());
+    let shared = micro::init(&rt, &p);
+    let (r, _) = run_threads_virtual::<PartHtm, _, _>(&rt, CORES, TXS, SchedSpec::default(), |t| {
+        Nrmw::new(shared, t, SLICES)
+    });
+
+    assert_eq!(r.commits, (CORES * TXS) as u64);
+    assert_eq!(dst_array(&rt, &p), want, "result equals the sequential replay");
+    assert!(
+        r.tm.commits_gl * 10 <= r.commits,
+        "at most 10 % of the commits under the global lock, got {} of {}",
+        r.tm.commits_gl,
+        r.commits
+    );
+    assert_eq!(rt.system().nt_read(rt.glock()), 0, "global lock released");
+    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "active_tx drained");
+    assert_eq!(rt.system().live_line_entries(), 0, "no leaked line entry");
+}
