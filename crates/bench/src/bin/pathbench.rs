@@ -19,8 +19,7 @@
 //!   fast path disabled (every transaction runs sub-HTM commit cycles,
 //!   validation and a global commit), on the N-Reads-M-Writes workload.
 //!
-//! Usage: `pathbench [--smoke] [--json PATH] [--baseline FILE] [--shards N]
-//!                    [--epochs on|off]`
+//! Usage: `pathbench [--smoke] [--json PATH] [--baseline FILE] [--shards N]`
 //!   --smoke      ~20x fewer iterations (CI sanity run)
 //!   --json P     write machine-readable results to P ("-" for stdout)
 //!   --baseline F compare the end-to-end 4-thread ops/sec against a previously
@@ -29,9 +28,6 @@
 //!                runtime default, 8; `--shards 1` recovers the single-ring
 //!                commit protocol, which is how the committed baseline is
 //!                re-recorded when the host machine's performance drifts)
-//!   --epochs M   summary reset protocol for the end-to-end stage: `on`
-//!                (default; epoch banks + adaptive density controller) or
-//!                `off` (PR 3's generation seqlock, the differential oracle)
 
 use htm_sim::{HeapBuilder, HtmConfig, HtmSystem};
 use part_htm_core::{PartHtm, TmConfig, TmRuntime};
@@ -315,7 +311,6 @@ fn bench_end_to_end(
     scale: &Scale,
     threads: usize,
     shards: Option<usize>,
-    epochs: Option<bool>,
 ) -> tm_harness::RunResult {
     let p = micro::NrmwParams::fig3a();
     let mut cfg = TmConfig {
@@ -324,9 +319,6 @@ fn bench_end_to_end(
     };
     if let Some(s) = shards {
         cfg.ring_shards = s;
-    }
-    if let Some(e) = epochs {
-        cfg.summary_epochs = e;
     }
     (0..3)
         .map(|_| {
@@ -344,11 +336,6 @@ fn main() {
     let args = BenchArgs::parse();
     let smoke = args.smoke;
     let shards: Option<usize> = args.parsed("--shards");
-    let epochs: Option<bool> = args.value("--epochs").map(|m| match m {
-        "on" => true,
-        "off" => false,
-        _ => panic!("--epochs requires on|off"),
-    });
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
 
     eprintln!("pathbench: {} run", args.run_kind());
@@ -373,9 +360,9 @@ fn main() {
     let publish_overhead_pct = (pub_sum_ns / pub_plain_ns - 1.0) * 100.0;
 
     eprintln!("  [e2e] partitioned path, 1 thread...");
-    let e2e_1t = bench_end_to_end(&scale, 1, shards, epochs);
+    let e2e_1t = bench_end_to_end(&scale, 1, shards);
     eprintln!("  [e2e] partitioned path, {E2E_THREADS} threads...");
-    let e2e_mt = bench_end_to_end(&scale, E2E_THREADS, shards, epochs);
+    let e2e_mt = bench_end_to_end(&scale, E2E_THREADS, shards);
 
     println!("pathbench results ({} run)", if smoke { "smoke" } else { "full" });
     println!(

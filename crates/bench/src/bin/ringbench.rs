@@ -1,7 +1,7 @@
 //! Sharded-ring microbenchmark: the global-commit publish throughput that the
 //! address-region sharding of PR 4 targets, measured against the single global
 //! ring it replaced, from one binary so the committed before/after numbers
-//! (`BENCH_3.json`) are reproducible from this tree alone.
+//! (`BENCH_4.json`) are reproducible from this tree alone.
 //!
 //! Stages:
 //!
@@ -24,23 +24,17 @@
 //!   and this stage shows ~1.0x regardless of sharding (the win needs either
 //!   real parallelism or lock-subscribing hardware committers);
 //! * **no-conflict validation** — in-flight validation of a disjoint read
-//!   signature against rings carrying a timestamp lag: the sharded validator
-//!   pays one timestamp read per shard plus a summary probe per *touched*
-//!   shard, the single ring pays one of each — the sharding tax on the
-//!   validation path, reported so regressions are visible next to the publish
-//!   win.
+//!   signature against rings carrying a timestamp lag, through the grouped
+//!   `validate_touched_nt` fast pass the partitioned path runs in production:
+//!   the sharded validator pays one group probe per *touched* shard, the
+//!   single ring pays one — the sharding tax on the validation path, reported
+//!   so regressions are visible next to the publish win.
 //!
-//! Usage: `ringbench [--smoke] [--mode seqlock|epoch] [--density N/D]
-//!                    [--interval K] [--json PATH] [--baseline FILE]`
+//! Usage: `ringbench [--smoke] [--density N/D] [--interval K] [--json PATH]
+//!                    [--baseline FILE]`
 //!   --smoke      ~20x fewer iterations (CI sanity run)
-//!   --mode M     summary reset protocol: `seqlock` (default; PR 3's
-//!                generation seqlock, reproduces BENCH_3 semantics) or
-//!                `epoch` (epoch banks + adaptive density controller; the
-//!                validation stage then measures the grouped
-//!                `validate_touched_nt` fast pass both fixtures would run in
-//!                production, writing the BENCH_4 numbers)
 //!   --density N/D  initial density threshold of the summary controller
-//!                  (default 1/3 — the legacy constant)
+//!                  (default 1/3)
 //!   --interval K initial publishes-between-density-checks (default 256)
 //!   --json P     write machine-readable results to P ("-" for stdout)
 //!   --baseline F compare the sharded 4-thread mixed publish ops/sec (and, if
@@ -53,7 +47,7 @@ use htm_sim::{HeapBuilder, HtmConfig, HtmSystem};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 use tm_bench::{emit_json, json_number, BenchArgs};
-use tm_sig::{ResetMode, ShardTimes, ShardedRing, ShardedSummary, Sig, SigSpec, SummaryTuning};
+use tm_sig::{ShardTimes, ShardedRing, ShardedSummary, Sig, SigSpec, SummaryTuning};
 
 /// Shard count of the sharded configuration (the `TmConfig::ring_shards`
 /// default).
@@ -232,18 +226,16 @@ fn bench_publish(
 }
 
 /// No-conflict validation cost (ns/validation, single validator, best of 3)
-/// after `VALIDATION_LAG` publishes landed in `ring`. With `touched`, the
-/// measured path is the non-advancing `validate_touched_nt` (the grouped
-/// epoch-mode fast pass the partitioned path runs in production: zero
-/// simulated-heap reads, window restarting from 0 every iteration so the
-/// Bloom/group probe actually decides each call); otherwise the
-/// timestamp-advancing `validate_summarized_nt` measured by BENCH_3.
+/// after `VALIDATION_LAG` publishes landed in `ring`. The measured path is
+/// the non-advancing `validate_touched_nt` (the grouped fast pass the
+/// partitioned path runs in production: zero simulated-heap reads, window
+/// restarting from 0 every iteration so the Bloom/group probe actually
+/// decides each call).
 fn bench_validation(
     f: &Fixture,
     ring: &ShardedRing,
     summaries: &ShardedSummary,
     iters: u64,
-    touched: bool,
 ) -> f64 {
     let th = f.sys.thread(0);
     // Lag publishes spread across the whole geometry so every shard of the
@@ -276,11 +268,7 @@ fn bench_validation(
     // Sanity: the summary fast path must decide this workload on every shard.
     {
         let mut times = ShardTimes::new();
-        let v = if touched {
-            ring.validate_touched_nt(&th, summaries, &rsig, &mut times)
-        } else {
-            ring.validate_summarized_nt(&th, summaries, &rsig, &mut times)
-        };
+        let v = ring.validate_touched_nt(&th, summaries, &rsig, &mut times);
         assert!(v.result.is_ok());
         assert_eq!(v.walked_shards, 0, "summary fast path missed");
     }
@@ -288,18 +276,10 @@ fn bench_validation(
     let mut best = u64::MAX;
     for _ in 0..3 {
         let t0 = Instant::now();
-        if touched {
-            for _ in 0..iters {
-                let mut times = ShardTimes::new();
-                let v = ring.validate_touched_nt(&th, summaries, &rsig, &mut times);
-                assert!(std::hint::black_box(v).result.is_ok());
-            }
-        } else {
-            for _ in 0..iters {
-                let mut times = ShardTimes::new();
-                let v = ring.validate_summarized_nt(&th, summaries, &rsig, &mut times);
-                assert!(std::hint::black_box(v).result.is_ok());
-            }
+        for _ in 0..iters {
+            let mut times = ShardTimes::new();
+            let v = ring.validate_touched_nt(&th, summaries, &rsig, &mut times);
+            assert!(std::hint::black_box(v).result.is_ok());
         }
         best = best.min(t0.elapsed().as_nanos() as u64);
     }
@@ -309,18 +289,7 @@ fn bench_validation(
 fn main() {
     let args = BenchArgs::parse();
     let smoke = args.smoke;
-    let mode = args
-        .value("--mode")
-        .map(|m| match m {
-            "seqlock" => ResetMode::Seqlock,
-            "epoch" => ResetMode::Epoch,
-            other => panic!("--mode {other}: expected seqlock or epoch"),
-        })
-        .unwrap_or(ResetMode::Seqlock);
-    let mut tuning = SummaryTuning {
-        mode,
-        ..SummaryTuning::default()
-    };
+    let mut tuning = SummaryTuning::default();
     if let Some(spec) = args.value("--density") {
         let (n, d) = spec
             .split_once('/')
@@ -331,12 +300,10 @@ fn main() {
     if let Some(interval) = args.parsed("--interval") {
         tuning.check_interval = interval;
     }
-    let epochs = mode == ResetMode::Epoch;
-    let mode_name = if epochs { "epoch" } else { "seqlock" };
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
 
     eprintln!(
-        "ringbench: {} run, {mode_name} summaries (density {}/{}, interval {})",
+        "ringbench: {} run (density {}/{}, interval {})",
         args.run_kind(),
         tuning.density_num,
         tuning.density_den,
@@ -388,10 +355,10 @@ fn main() {
     let mixed = run_sweep(true);
     let sw_only = run_sweep(false);
 
-    eprintln!("  [validate] no-conflict ({mode_name}), single vs sharded...");
+    eprintln!("  [validate] no-conflict, single vs sharded...");
     let vf = fixture(tuning);
-    let val_single = bench_validation(&vf, &vf.single, &vf.single_sum, scale.val_iters, epochs);
-    let val_sharded = bench_validation(&vf, &vf.sharded, &vf.sharded_sum, scale.val_iters, epochs);
+    let val_single = bench_validation(&vf, &vf.single, &vf.single_sum, scale.val_iters);
+    let val_sharded = bench_validation(&vf, &vf.sharded, &vf.sharded_sum, scale.val_iters);
 
     println!("ringbench results ({} run)", if smoke { "smoke" } else { "full" });
     for &(t, single, sharded) in &mixed {
@@ -438,7 +405,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"ringbench\",\n",
-            "  \"config\": {{\"smoke\": {}, \"mode\": \"{}\", \"sig_bits\": {}, \"shards\": {}, ",
+            "  \"config\": {{\"smoke\": {}, \"sig_bits\": {}, \"shards\": {}, ",
             "\"addrs_per_sig\": {}, \"sigs_per_thread\": {}, \"validation_lag\": {}}},\n",
             "  \"publish_mixed_disjoint\": [\n{}\n  ],\n",
             "  \"publish_software_disjoint\": [\n{}\n  ],\n",
@@ -448,7 +415,6 @@ fn main() {
             "}}\n"
         ),
         smoke,
-        mode_name,
         SigSpec::PAPER.bits(),
         SHARDS,
         ADDRS_PER_SIG,

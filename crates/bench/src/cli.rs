@@ -136,9 +136,9 @@ mod tests {
 
     #[test]
     fn bench_specific_flags() {
-        let a = args(&["bin", "--shards", "4", "--mode", "epoch"]);
+        let a = args(&["bin", "--shards", "4", "--density", "1/8"]);
         assert_eq!(a.parsed::<usize>("--shards"), Some(4));
-        assert_eq!(a.value("--mode"), Some("epoch"));
+        assert_eq!(a.value("--density"), Some("1/8"));
         assert_eq!(a.parsed::<usize>("--interval"), None);
     }
 

@@ -31,6 +31,13 @@ use rand::Rng;
 use std::ops::Range;
 use tm_sig::{ShardTimes, ShardedValidation, Sig, SigJournal, SigSpec};
 
+/// Global (partitioned-path) attempts before the slow path (§5.3.7: "the
+/// transaction is retried 5 times before falling back to the slow path").
+pub const PART_RETRIES: u32 = 5;
+/// Base of the exponential backoff after a global abort (Fig. 1 line 59), in
+/// spin-work units.
+pub const BACKOFF_UNITS: u64 = 64;
+
 /// Run the declared segments `segs` of `w` under one context.
 #[inline]
 pub fn run_segments<W: Workload, C: TxCtx>(
@@ -676,14 +683,14 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
                 return self.committed(w, CommitPath::SubHtm);
             }
             gfails += 1;
-            if gfails >= cfg.part_retries {
+            if gfails >= PART_RETRIES {
                 return self.fall_back(w);
             }
             // Exponential backoff (Fig. 1 line 59). Host-only on purpose: its
             // 64–1024 units are sized for wall-clock runs, and charged to the
             // virtual clock they dwarf a ≈ 10-unit transaction (`server_hot`
             // drops from 69 936 to 20 268 tx/Mwu; docs/virtual-time.md §1).
-            spin_work(cfg.backoff_units << gfails.min(6));
+            spin_work(BACKOFF_UNITS << gfails.min(6));
             yield_now();
         }
     }

@@ -38,7 +38,10 @@ pub use api::{
     spin_work, CommitPath, TmExecutor, TxCtx, Workload, LOCK_BIT, VALUE_MASK, XABORT_GLOCK,
     XABORT_LOCKED, XABORT_NOT_QUIET, XABORT_TS_CHANGED, XABORT_UNDO_FULL,
 };
-pub use exec::{commit_under_glock, hw_attempt, run_all, wait_glock_released, PartExec};
+pub use exec::{
+    commit_under_glock, hw_attempt, run_all, wait_glock_released, PartExec, BACKOFF_UNITS,
+    PART_RETRIES,
+};
 pub use opaque::PartHtmO;
 pub use parthtm::PartHtm;
 pub use planner::{

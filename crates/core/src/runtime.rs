@@ -7,9 +7,11 @@ use htm_sim::{line_of, Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line}
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tm_sig::{
-    CacheAligned, HeapSig, ResetMode, Ring, RingSummary, ShardedRing, ShardedSummary, SigSpec,
-    SummaryTuning,
+    CacheAligned, HeapSig, Ring, RingSummary, ShardedRing, ShardedSummary, SigSpec, SummaryTuning,
 };
+
+/// Per-thread undo-log arena size in words (2 words per logged write).
+const UNDO_WORDS: usize = 16 * 1024;
 
 /// Protocol configuration (paper defaults).
 #[derive(Clone, Debug)]
@@ -31,39 +33,16 @@ pub struct TmConfig {
     /// Sub-HTM attempts before aborting the enclosing global transaction (§5.3.5
     /// "retries for a limited number of times").
     pub sub_retries: u32,
-    /// Global (partitioned-path) attempts before the slow path (§5.3.7: "the
-    /// transaction is retried 5 times before falling back to the slow path").
-    pub part_retries: u32,
     /// Skip the fast path entirely — the Part-HTM-no-fast variant of Fig. 3(b).
     pub skip_fast: bool,
     /// Run the in-flight validation after every sub-HTM commit (the paper's choice,
     /// §5.3.6) instead of only once before the global commit (the serializability
     /// minimum; ablation knob).
     pub validate_every_sub: bool,
-    /// Per-thread undo-log arena size in words (2 words per logged write).
-    pub undo_words: usize,
-    /// Base of the exponential backoff after a global abort, in spin-work units.
-    pub backoff_units: u64,
-    /// Run the ring summaries under the epoch-bank reset protocol (stall-free
-    /// resets, adaptive density controller; `docs/ring-sharding.md`,
-    /// "Epoch-based resets"). `false` pins PR 3's generation-seqlock protocol
-    /// with the fixed legacy threshold — the `ring_shards: 1` differential
-    /// oracles set this to keep the pre-epoch behaviour exact.
-    pub summary_epochs: bool,
-    /// Density threshold numerator: a shard summary wants a reset once more
-    /// than `num/den` of its live bits are set. Initial value of the adaptive
-    /// controller (which only moves it when `summary_epochs` is on).
-    pub summary_density_num: u32,
-    /// Density threshold denominator.
-    pub summary_density_den: u32,
-    /// Publishes between summary density checks (controller initial value).
+    /// Publishes between summary density checks: initial value of each shard
+    /// summary's adaptive reset controller (`docs/ring-sharding.md`,
+    /// "Epoch-based resets").
     pub summary_check_interval: u64,
-    /// Route the signature hot loops through the original scalar word loops
-    /// instead of the 4-wide-unrolled kernels ([`tm_sig::kernels`]): the
-    /// differential oracle and the `membench` baseline. Process-wide (the
-    /// kernels dispatch off one flag), applied by [`TmRuntime::new`]; every
-    /// scalar dispatch is counted into [`TmStats::scalar_kernel_falls`].
-    pub scalar_kernels: bool,
     /// Drive the executors from the adaptive abort-profile controller
     /// ([`crate::planner`]): learned fast-path demotion (the static
     /// [`crate::Workload::profiled_resource_limited`] hint becomes a prior
@@ -92,35 +71,11 @@ impl Default for TmConfig {
             ring_shards: 8,
             fast_retries: 5,
             sub_retries: 5,
-            part_retries: 5,
             skip_fast: false,
             validate_every_sub: true,
-            undo_words: 16 * 1024,
-            backoff_units: 64,
-            summary_epochs: true,
-            summary_density_num: 1,
-            summary_density_den: 3,
             summary_check_interval: 256,
-            scalar_kernels: false,
             adaptive_plan: true,
             plan_group: 1,
-        }
-    }
-}
-
-impl TmConfig {
-    /// The [`SummaryTuning`] this configuration selects for every shard
-    /// summary.
-    pub fn summary_tuning(&self) -> SummaryTuning {
-        SummaryTuning {
-            mode: if self.summary_epochs {
-                ResetMode::Epoch
-            } else {
-                ResetMode::Seqlock
-            },
-            density_num: self.summary_density_num,
-            density_den: self.summary_density_den,
-            check_interval: self.summary_check_interval,
         }
     }
 }
@@ -251,7 +206,11 @@ impl TmRuntime {
     /// application data. The heap is sized to fit all metadata plus the application
     /// region.
     pub fn new(mut htm_cfg: HtmConfig, cfg: TmConfig, threads: usize, app_words: usize) -> Self {
-        assert!((1..=64).contains(&threads));
+        assert!(
+            (1..=htm_sim::registry::MAX_THREADS).contains(&threads),
+            "threads must be in 1..=htm_sim::registry::MAX_THREADS ({})",
+            htm_sim::registry::MAX_THREADS
+        );
         htm_cfg.max_threads = threads;
         let spec = cfg.sig_spec;
 
@@ -266,15 +225,18 @@ impl TmRuntime {
                 read_sig: HeapSig::alloc(&mut b, spec),
                 write_sig: HeapSig::alloc(&mut b, spec),
                 agg_sig: HeapSig::alloc(&mut b, spec),
-                undo_base: b.alloc_lines(cfg.undo_words.div_ceil(8)),
-                undo_words: cfg.undo_words,
+                undo_base: b.alloc_lines(UNDO_WORDS.div_ceil(8)),
+                undo_words: UNDO_WORDS,
             })
             .collect();
         let app_base = b.alloc_lines(app_words.div_ceil(8));
         let total = b.used();
 
         let sys = HtmSystem::new(htm_cfg, total);
-        let summaries = ring.new_summary_tuned(cfg.summary_tuning());
+        let summaries = ring.new_summary_tuned(SummaryTuning {
+            check_interval: cfg.summary_check_interval,
+            ..SummaryTuning::default()
+        });
         // With an explicit backend, the planner's merge ceiling scales with
         // the backend's write-set budget (its capacity class:
         // [`crate::planner::backend_group_cap`]). Backend-less configs keep
@@ -286,7 +248,6 @@ impl TmRuntime {
             None => crate::planner::MAX_GROUP,
         };
         let sites = SiteTable::with_group_cap(cfg.plan_group, group_cap);
-        tm_sig::kernels::set_scalar(cfg.scalar_kernels);
         Self {
             sys,
             cfg,
@@ -496,13 +457,6 @@ impl<'r> TmThread<'r> {
     pub fn arena(&self) -> ThreadArena {
         self.rt.arena(self.id)
     }
-
-    /// Fold this thread's host-side counter — the scalar-kernel dispatch
-    /// count — into `stats`. The harness calls it once after the workload
-    /// loop; executors may call it earlier, the counter drains idempotently.
-    pub fn harvest_host_counters(&mut self) {
-        self.stats.scalar_kernel_falls += tm_sig::kernels::take_scalar_calls();
-    }
 }
 
 #[cfg(test)]
@@ -560,6 +514,12 @@ mod tests {
         }
         assert_eq!(at(rt.app(0)), Region::App);
         assert_eq!(at(rt.app(63)), Region::App);
+    }
+
+    #[test]
+    #[should_panic(expected = "htm_sim::registry::MAX_THREADS")]
+    fn thread_count_is_limited_by_the_simulator() {
+        TmRuntime::with_defaults(htm_sim::registry::MAX_THREADS + 1, 8);
     }
 
     #[test]

@@ -35,25 +35,21 @@ pub struct TmStats {
     pub val_fast_hits: u64,
     /// In-flight validations that fell back to the precise per-entry ring walk.
     pub val_fast_misses: u64,
-    /// Ring-summary generation resets performed by this thread.
+    /// Ring-summary resets performed by this thread (each retires one epoch
+    /// bank).
     pub summary_resets: u64,
     /// Summary fast-pass misses caused by a dirty summary (the read signature
     /// intersected the summary words; eager resets cure these).
     pub summary_miss_dirty: u64,
     /// Summary fast-pass misses caused by transient instability (in-flight
-    /// publisher, generation/epoch movement, window predating the last reset;
+    /// publisher, epoch movement, window predating the last reset;
     /// eager resets only create more of these).
     pub summary_miss_inflight: u64,
-    /// Epoch-mode summary resets that retired a bank (`<= summary_resets`).
-    pub epoch_retires: u64,
     /// Due epoch resets deferred because a validator held an older epoch pin
     /// (the grace-period rule).
     pub epoch_pinned_stalls: u64,
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
-    /// Hot-loop dispatches that fell to the scalar differential oracles
-    /// ([`tm_sig::kernels`]); non-zero only under `TmConfig::scalar_kernels`.
-    pub scalar_kernel_falls: u64,
     /// Transactions the abort-profile controller routed straight to the
     /// partitioned path (learned futility demotion, the static hint prior, or
     /// the legacy resource streak — not the `skip_fast` config override).
@@ -145,7 +141,6 @@ impl TmStats {
     #[inline]
     pub fn record_summary_resets(&mut self, r: &SummaryResetStats) {
         self.summary_resets += r.resets;
-        self.epoch_retires += r.epoch_retires;
         self.epoch_pinned_stalls += r.pinned_stalls;
     }
 
@@ -174,10 +169,8 @@ impl TmStats {
         self.summary_resets += o.summary_resets;
         self.summary_miss_dirty += o.summary_miss_dirty;
         self.summary_miss_inflight += o.summary_miss_inflight;
-        self.epoch_retires += o.epoch_retires;
         self.epoch_pinned_stalls += o.epoch_pinned_stalls;
         self.journal_rollbacks += o.journal_rollbacks;
-        self.scalar_kernel_falls += o.scalar_kernel_falls;
         self.site_demotions += o.site_demotions;
         self.plan_merges += o.plan_merges;
         self.plan_splits += o.plan_splits;

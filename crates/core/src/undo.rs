@@ -171,18 +171,9 @@ mod tests {
 
     #[test]
     fn overflow_aborts_with_undo_full() {
-        let rt = TmRuntime::new(
-            htm_sim::HtmConfig::default(),
-            crate::runtime::TmConfig {
-                undo_words: 4,
-                ..Default::default()
-            },
-            1,
-            64,
-        );
+        let rt = setup();
         let mut th = TmThread::new(&rt, 0);
-        let a = rt.arena(0);
-        let mut log = UndoLog::new(a.undo_base, a.undo_words);
+        let mut log = UndoLog::new(rt.arena(0).undo_base, 4);
         let r = th.hw.attempt(|tx| {
             log.append_tx(tx, rt.app(0), 0)?;
             log.append_tx(tx, rt.app(1), 0)?;

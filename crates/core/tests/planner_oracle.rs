@@ -137,7 +137,6 @@ fn run_incr<'r, E: TmExecutor<'r> + Send>(
                 for _ in 0..ops {
                     e.execute(&mut w);
                 }
-                e.thread_mut().harvest_host_counters();
                 stats.lock().unwrap().merge(&e.thread().stats);
             });
         }

@@ -99,7 +99,7 @@ fn part_retries_exhaustion_lands_on_global_lock_exactly_once() {
     assert_eq!(s.commits_gl, 1);
     assert_eq!(s.fallbacks_gl, 1);
     assert!(s.sub_aborts >= rt.config().sub_retries as u64);
-    assert!(s.global_aborts >= rt.config().part_retries as u64);
+    assert!(s.global_aborts >= part_htm_core::PART_RETRIES as u64);
     for i in 0..64 {
         assert_eq!(rt.verify_read(i * 8), 1);
     }

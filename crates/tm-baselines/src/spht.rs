@@ -25,7 +25,7 @@ use htm_sim::util::FastMap;
 use htm_sim::{AbortCode, Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
 use part_htm_core::ctx::SoftwareCtx;
-use part_htm_core::{commit_under_glock, wait_glock_released};
+use part_htm_core::{commit_under_glock, wait_glock_released, BACKOFF_UNITS, PART_RETRIES};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 use crate::htm_gl::try_pure_htm;
@@ -247,11 +247,11 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                 return CommitPath::SubHtm;
             }
             gfails += 1;
-            if gfails >= cfg.part_retries {
+            if gfails >= PART_RETRIES {
                 self.th.stats.fallbacks_gl += 1;
                 return commit_under_glock(&mut self.th, w, false);
             }
-            spin_work(cfg.backoff_units << gfails.min(6));
+            spin_work(BACKOFF_UNITS << gfails.min(6));
             htm_sim::vclock::yield_now();
         }
     }

@@ -81,9 +81,6 @@ where
                         exec.execute(&mut w);
                     }
                     let loop_elapsed = t0.elapsed();
-                    // Drain the host-side scalar-kernel counter into this
-                    // thread's stats before collection.
-                    exec.thread_mut().harvest_host_counters();
                     let th = exec.thread();
                     (th.stats.clone(), th.hw.stats.clone(), loop_elapsed)
                 })
@@ -178,7 +175,6 @@ where
                     }
                     let loop_elapsed = t0.elapsed();
                     drop(guard);
-                    exec.thread_mut().harvest_host_counters();
                     let th = exec.thread();
                     (th.stats.clone(), th.hw.stats.clone(), loop_elapsed, harvest(&exec))
                 })

@@ -169,17 +169,12 @@ pub struct StatsReport {
     /// Fast-pass misses caused by transient instability (in-flight publisher,
     /// reset churn; eager resets only create more).
     pub summary_miss_inflight: u64,
-    /// Ring-summary resets performed.
+    /// Ring-summary resets performed (each retires one epoch bank).
     pub summary_resets: u64,
-    /// Epoch-mode resets that retired a summary bank.
-    pub epoch_retires: u64,
     /// Due epoch resets deferred behind a pinned validator.
     pub epoch_pinned_stalls: u64,
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
-    /// Hot-loop dispatches that fell to the scalar differential oracles
-    /// (non-zero only under `TmConfig::scalar_kernels`).
-    pub scalar_kernel_falls: u64,
     /// Fast-path attempts the adaptive planner demoted straight to the
     /// partitioned path (learned futility, `TmConfig::adaptive_plan`).
     pub site_demotions: u64,
@@ -227,10 +222,8 @@ impl StatsReport {
             summary_miss_dirty: r.tm.summary_miss_dirty,
             summary_miss_inflight: r.tm.summary_miss_inflight,
             summary_resets: r.tm.summary_resets,
-            epoch_retires: r.tm.epoch_retires,
             epoch_pinned_stalls: r.tm.epoch_pinned_stalls,
             journal_rollbacks: r.tm.journal_rollbacks,
-            scalar_kernel_falls: r.tm.scalar_kernel_falls,
             site_demotions: r.tm.site_demotions,
             plan_merges: r.tm.plan_merges,
             plan_splits: r.tm.plan_splits,
@@ -271,10 +264,8 @@ impl StatsReport {
             ("summary_miss_dirty", self.summary_miss_dirty),
             ("summary_miss_inflight", self.summary_miss_inflight),
             ("summary_resets", self.summary_resets),
-            ("epoch_retires", self.epoch_retires),
             ("epoch_pinned_stalls", self.epoch_pinned_stalls),
             ("journal_rollbacks", self.journal_rollbacks),
-            ("scalar_kernel_falls", self.scalar_kernel_falls),
             ("site_demotions", self.site_demotions),
             ("plan_merges", self.plan_merges),
             ("plan_splits", self.plan_splits),
@@ -316,16 +307,10 @@ impl StatsReport {
             self.summary_resets,
             self.journal_rollbacks,
         );
-        if self.epoch_retires != 0 || self.epoch_pinned_stalls != 0 {
+        if self.epoch_pinned_stalls != 0 {
             line.push_str(&format!(
-                " | epoch retires {} (deferred {})",
-                self.epoch_retires, self.epoch_pinned_stalls
-            ));
-        }
-        if self.scalar_kernel_falls != 0 {
-            line.push_str(&format!(
-                " | scalar-kernel falls {}",
-                self.scalar_kernel_falls
+                " | resets deferred behind a pin {}",
+                self.epoch_pinned_stalls
             ));
         }
         if self.site_demotions != 0
@@ -414,10 +399,8 @@ mod tests {
             summary_miss_dirty: 0,
             summary_miss_inflight: 0,
             summary_resets: 0,
-            epoch_retires: 0,
             epoch_pinned_stalls: 0,
             journal_rollbacks: 0,
-            scalar_kernel_falls: 0,
             site_demotions: 0,
             plan_merges: 0,
             plan_splits: 0,
@@ -457,10 +440,8 @@ mod tests {
             summary_miss_dirty: 1,
             summary_miss_inflight: 0,
             summary_resets: 2,
-            epoch_retires: 1,
             epoch_pinned_stalls: 0,
             journal_rollbacks: 0,
-            scalar_kernel_falls: 0,
             site_demotions: 0,
             plan_merges: 1,
             plan_splits: 0,

@@ -343,7 +343,6 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
             let tm = TmConfig {
                 ring_entries: 16,
                 ring_shards: 2,
-                summary_epochs: true,
                 summary_check_interval: 4,
                 ..TmConfig::default()
             };

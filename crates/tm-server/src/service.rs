@@ -638,7 +638,6 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
             clock.wait_until(stream[next].arrival);
         }
     }
-    exec.thread_mut().harvest_host_counters();
     let th = exec.thread();
     WorkerOut {
         tm: (*th.stats).clone(),

@@ -1,16 +1,15 @@
 //! Per-thread epoch pin registry: the grace-period half of the epoch-based
 //! summary reset protocol (see `docs/ring-sharding.md`, "Epoch-based resets").
 //!
-//! A [`crate::RingSummary`] running in epoch mode keeps **two** banks of summary
-//! words and flips between them on reset instead of clearing in place under a
-//! seqlock. Validators *pin* the epoch they started in by publishing it into
+//! A [`crate::RingSummary`] keeps **two** banks of summary words and flips
+//! between them on reset instead of clearing in place. Validators *pin* the epoch they started in by publishing it into
 //! their slot of this registry; a resetter retires the inactive bank only when
 //! no validator is still pinned to an older epoch ([`EpochRegistry::drained`]).
 //! Pinning is advisory for progress, not for soundness — a validator that
 //! straddles an epoch flip anyway is caught by its final epoch re-check and
 //! falls back to the precise walk — but the drain rule lets resets defer
 //! instead of invalidating every long-running reader mid-probe, which is what
-//! makes epoch-mode resets stall-free in both directions: validators never spin
+//! makes resets stall-free in both directions: validators never spin
 //! on a resetter, and a resetter never spins on validators (it simply reports
 //! [`crate::ResetAttempt::Deferred`] and lets the next committer retry).
 //!

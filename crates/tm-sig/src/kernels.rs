@@ -4,68 +4,37 @@
 //! cost *per word*. Each kernel exists twice with an identical slice-level
 //! contract:
 //!
-//! * [`unrolled`] — the production implementation, hand-unrolled four `u64`
-//!   lanes at a time (`chunks_exact(4)` + a scalar tail) so the compiler emits
-//!   straight-line SIMD-friendly code with one branch per 4 words. Sparse
-//!   inputs stay cheap two ways: the bulk kernels *chunk-skip* (a chunk whose
-//!   source words OR to zero is passed over without touching the destination
-//!   or, for the atomic kernels, issuing a single atomic access), and the
-//!   `*_masked` kernels take the signature's non-zero-word mask and cut over
-//!   between a mask-guided walk (below half-live words: index only the live
-//!   words, as the pre-pass sparse loops did) and the bulk 4-wide walk.
-//! * [`scalar`] — the one-word-at-a-time loops the unrolled forms replaced,
-//!   kept compiled-in as the differential oracle. Selected at runtime via
-//!   [`set_scalar`] (wired to `TmConfig::scalar_kernels`); every dispatch to a
-//!   scalar kernel is counted per thread and drained by [`take_scalar_calls`]
-//!   into the `scalar_kernel_falls` statistic.
+//! * [`unrolled`] — the production implementation, re-exported at this
+//!   module's root (`kernels::x` *is* `kernels::unrolled::x`; there is no
+//!   dispatch). Hand-unrolled four `u64` lanes at a time (`chunks_exact(4)` +
+//!   a scalar tail) so the compiler emits straight-line SIMD-friendly code
+//!   with one branch per 4 words. Sparse inputs stay cheap two ways: the bulk
+//!   kernels *chunk-skip* (a chunk whose source words OR to zero is passed
+//!   over without touching the destination or, for the atomic kernels,
+//!   issuing a single atomic access), and the `*_masked` kernels take the
+//!   signature's non-zero-word mask and cut over between a mask-guided walk
+//!   (below half-live words: index only the live words, as the pre-pass
+//!   sparse loops did) and the bulk 4-wide walk.
+//! * [`scalar`] — the one-word-at-a-time loops the unrolled forms replaced:
+//!   the reference the kernel tests and `membench` compare against, always
+//!   called by name.
 //!
 //! Both flavours are *pure word kernels*: they know nothing about signature
-//! masks, banks, generations or ring protocol. Callers keep every protocol
+//! masks, banks, epochs or ring protocol. Callers keep every protocol
 //! read/write order exactly as before and only route the per-word arithmetic
 //! here — zero protocol changes (the atomic kernels preserve `SeqCst` on every
 //! access). Unrolling rules and the full routing map live in
 //! `docs/mem-layout.md`.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
+
+pub use unrolled::*;
 
 /// One cache line of atomic summary-bank storage: eight `u64` words, padded
 /// and aligned to exactly one 64-byte line (const-asserted in `align`). The
 /// ring summary stores its banks as whole lines so banks never false-share,
 /// and the line kernels below walk word `i` at `lines[i / 8][i % 8]`.
 pub type BankLine = crate::align::CacheAligned<[AtomicU64; 8]>;
-
-/// When set, the dispatch functions route to the [`scalar`] oracles.
-static SCALAR: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// Per-thread count of dispatches that fell to a scalar oracle.
-    static SCALAR_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Select the scalar oracles (`true`) or the unrolled kernels (`false`,
-/// the default) for every subsequent dispatch, process-wide. Wired to
-/// `TmConfig::scalar_kernels` by the runtime constructor.
-pub fn set_scalar(on: bool) {
-    SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// True when the scalar oracles are selected.
-#[inline]
-pub fn scalar_mode() -> bool {
-    SCALAR.load(Ordering::Relaxed)
-}
-
-/// Drain this thread's scalar-dispatch counter (feeds the
-/// `scalar_kernel_falls` statistic).
-pub fn take_scalar_calls() -> u64 {
-    SCALAR_CALLS.with(|c| c.replace(0))
-}
-
-#[inline]
-fn note_scalar() {
-    SCALAR_CALLS.with(|c| c.set(c.get() + 1));
-}
 
 /// Whether word `i` participates under `word_mask` (bit `i` for the first 64
 /// words; words beyond 64 — folded-geometry siblings — always participate,
@@ -88,21 +57,14 @@ fn live_bits(mask: u64, len: usize) -> u64 {
     }
 }
 
-/// The one-word-at-a-time reference loops (differential oracles).
+/// The one-word-at-a-time reference loops.
 pub mod scalar {
     use super::in_mask;
-    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+    use std::sync::atomic::Ordering::SeqCst;
 
     /// True iff `a` and `b` share any set bit (`∃i: a[i] & b[i] != 0`).
     pub fn intersect_any(a: &[u64], b: &[u64]) -> bool {
         a.iter().zip(b).any(|(&x, &y)| x & y != 0)
-    }
-
-    /// Single-word conflict test: `lock`, less the bits in `skip`, intersects
-    /// `mine`.
-    #[inline]
-    pub fn conflict_word(lock: u64, skip: u64, mine: u64) -> bool {
-        (lock & !skip) & mine != 0
     }
 
     /// `dst[i] |= src[i]` for every word.
@@ -110,17 +72,6 @@ pub mod scalar {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d |= s;
         }
-    }
-
-    /// `dst[i] &= !src[i]` for every word; returns the OR of the resulting
-    /// words (zero iff `dst` came out empty).
-    pub fn and_not_into(dst: &mut [u64], src: &[u64]) -> u64 {
-        let mut any = 0u64;
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d &= !s;
-            any |= *d;
-        }
-        any
     }
 
     /// OR-fold of the words selected by `word_mask` (the test-under-mask
@@ -176,34 +127,6 @@ pub mod scalar {
     /// Total set bits across the slice (the summary density popcount).
     pub fn popcount(words: &[u64]) -> u64 {
         words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// True iff `sig` intersects the atomic `bank` words (`SeqCst` loads; a
-    /// bank word is only loaded when the matching `sig` word is non-zero —
-    /// the summary probe).
-    pub fn probe_intersects(bank: &[AtomicU64], sig: &[u64]) -> bool {
-        for (b, &s) in bank.iter().zip(sig) {
-            if s != 0 && b.load(SeqCst) & s != 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// OR `sig`'s non-zero words under `word_mask` into the atomic `bank`
-    /// (`SeqCst` RMWs; zero or masked-out words issue no atomic access — the
-    /// summary fold).
-    pub fn fold_or(bank: &[AtomicU64], sig: &[u64], word_mask: u64) {
-        for (i, (b, &s)) in bank.iter().zip(sig).enumerate() {
-            if s != 0 && in_mask(i, word_mask) {
-                b.fetch_or(s, SeqCst);
-            }
-        }
-    }
-
-    /// Total set bits across the atomic `bank` (`SeqCst` loads).
-    pub fn popcount_atomic(bank: &[AtomicU64]) -> u64 {
-        bank.iter().map(|w| w.load(SeqCst).count_ones() as u64).sum()
     }
 
     /// [`or_into`] guided by the source's non-zero-word mask: only the word
@@ -269,8 +192,9 @@ pub mod scalar {
         false
     }
 
-    /// [`probe_intersects`] over line-chunked bank storage (word `i` at
-    /// `lines[i / 8][i % 8]`).
+    /// True iff `sig` intersects the line-chunked atomic bank (word `i` at
+    /// `lines[i / 8][i % 8]`; `SeqCst` loads; a bank word is only loaded when
+    /// the matching `sig` word is non-zero — the summary probe).
     pub fn probe_lines(lines: &[super::BankLine], sig: &[u64]) -> bool {
         for (i, &s) in sig.iter().enumerate() {
             if s != 0 && lines[i / 8].0[i % 8].load(SeqCst) & s != 0 {
@@ -301,7 +225,9 @@ pub mod scalar {
         false
     }
 
-    /// [`fold_or`] over line-chunked bank storage.
+    /// OR `sig`'s non-zero words under `word_mask` into the line-chunked
+    /// atomic bank (`SeqCst` RMWs; zero or masked-out words issue no atomic
+    /// access — the summary fold).
     pub fn fold_or_lines(lines: &[super::BankLine], sig: &[u64], word_mask: u64) {
         for (i, &s) in sig.iter().enumerate() {
             if s != 0 && in_mask(i, word_mask) {
@@ -310,8 +236,8 @@ pub mod scalar {
         }
     }
 
-    /// [`popcount_atomic`] over the first `nwords` words of line-chunked bank
-    /// storage.
+    /// Total set bits across the first `nwords` words of line-chunked bank
+    /// storage (`SeqCst` loads).
     pub fn popcount_lines(lines: &[super::BankLine], nwords: usize) -> u64 {
         (0..nwords)
             .map(|i| lines[i / 8].0[i % 8].load(SeqCst).count_ones() as u64)
@@ -322,12 +248,12 @@ pub mod scalar {
 /// The 4-wide-unrolled production kernels. Same contracts as [`scalar`].
 pub mod unrolled {
     use super::in_mask;
-    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+    use std::sync::atomic::Ordering::SeqCst;
 
-    /// Single-word conflict test — one word has no unroll axis; kept in both
-    /// flavours so the dispatch accounting covers the transactional
-    /// validation loops (whose lock reads subscribe HTM lines, forbidding the
-    /// slice-batching the other kernels use).
+    /// Single-word conflict test: `lock`, less the bits in `skip`, intersects
+    /// `mine`. One word has no unroll axis — the transactional validation
+    /// loops' lock reads subscribe HTM lines, forbidding the slice-batching
+    /// the other kernels use.
     #[inline]
     pub fn conflict_word(lock: u64, skip: u64, mine: u64) -> bool {
         (lock & !skip) & mine != 0
@@ -364,30 +290,6 @@ pub mod unrolled {
         for (d, &s) in dt.iter_mut().zip(st) {
             *d |= s;
         }
-    }
-
-    /// `dst[i] &= !src[i]`; returns the OR of the resulting words. Chunks with
-    /// no source bits still fold `dst` into the emptiness accumulator (the
-    /// return value covers the whole slice, exactly as the scalar oracle's).
-    pub fn and_not_into(dst: &mut [u64], src: &[u64]) -> u64 {
-        let n = dst.len().min(src.len());
-        let (dc, dt) = dst[..n].split_at_mut(n & !3);
-        let (sc, st) = src[..n].split_at(n & !3);
-        let mut any = 0u64;
-        for (d, s) in dc.chunks_exact_mut(4).zip(sc.chunks_exact(4)) {
-            if s[0] | s[1] | s[2] | s[3] != 0 {
-                d[0] &= !s[0];
-                d[1] &= !s[1];
-                d[2] &= !s[2];
-                d[3] &= !s[3];
-            }
-            any |= d[0] | d[1] | d[2] | d[3];
-        }
-        for (d, &s) in dt.iter_mut().zip(st) {
-            *d &= !s;
-            any |= *d;
-        }
-        any
     }
 
     /// OR-fold of the words selected by `word_mask`, four lanes at a time.
@@ -467,71 +369,6 @@ pub mod unrolled {
                 + w[3].count_ones()) as u64;
         }
         n + t.iter().map(|w| w.count_ones() as u64).sum::<u64>()
-    }
-
-    /// True iff `sig` intersects the atomic `bank` words. A chunk whose four
-    /// `sig` words OR to zero is skipped without a single atomic load; inside
-    /// a live chunk only the non-zero lanes load their bank word, so the
-    /// atomic-access pattern is exactly the scalar oracle's.
-    pub fn probe_intersects(bank: &[AtomicU64], sig: &[u64]) -> bool {
-        let n = bank.len().min(sig.len());
-        let (sc, st) = sig[..n].split_at(n & !3);
-        let (bc, bt) = bank[..n].split_at(n & !3);
-        for (s, b) in sc.chunks_exact(4).zip(bc.chunks_exact(4)) {
-            if s[0] | s[1] | s[2] | s[3] == 0 {
-                continue;
-            }
-            for lane in 0..4 {
-                if s[lane] != 0 && b[lane].load(SeqCst) & s[lane] != 0 {
-                    return true;
-                }
-            }
-        }
-        for (b, &s) in bt.iter().zip(st) {
-            if s != 0 && b.load(SeqCst) & s != 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// OR `sig`'s non-zero words under `word_mask` into the atomic `bank`.
-    /// Chunk-skipping as in [`probe_intersects`]; the atomic-RMW pattern is
-    /// exactly the scalar oracle's.
-    pub fn fold_or(bank: &[AtomicU64], sig: &[u64], word_mask: u64) {
-        let n = bank.len().min(sig.len());
-        let (sc, st) = sig[..n].split_at(n & !3);
-        let (bc, bt) = bank[..n].split_at(n & !3);
-        for (ci, (s, b)) in sc.chunks_exact(4).zip(bc.chunks_exact(4)).enumerate() {
-            if s[0] | s[1] | s[2] | s[3] == 0 {
-                continue;
-            }
-            let base = ci * 4;
-            for lane in 0..4 {
-                if s[lane] != 0 && in_mask(base + lane, word_mask) {
-                    b[lane].fetch_or(s[lane], SeqCst);
-                }
-            }
-        }
-        let base = sc.len();
-        for (i, (b, &s)) in bt.iter().zip(st).enumerate() {
-            if s != 0 && in_mask(base + i, word_mask) {
-                b.fetch_or(s, SeqCst);
-            }
-        }
-    }
-
-    /// Total set bits across the atomic `bank`, four loads per iteration.
-    pub fn popcount_atomic(bank: &[AtomicU64]) -> u64 {
-        let (c, t) = bank.split_at(bank.len() & !3);
-        let mut n = 0u64;
-        for w in c.chunks_exact(4) {
-            n += (w[0].load(SeqCst).count_ones()
-                + w[1].load(SeqCst).count_ones()
-                + w[2].load(SeqCst).count_ones()
-                + w[3].load(SeqCst).count_ones()) as u64;
-        }
-        n + t.iter().map(|w| w.load(SeqCst).count_ones() as u64).sum::<u64>()
     }
 
     /// Density cutover for the masked kernels: at half-live words and above
@@ -674,9 +511,12 @@ pub mod unrolled {
         false
     }
 
-    /// [`probe_intersects`] over line-chunked bank storage. A 4-chunk of `sig`
-    /// never straddles a line (4 divides 8), so each live chunk touches exactly
-    /// one `BankLine`; chunks whose `sig` words OR to zero skip it entirely.
+    /// True iff `sig` intersects the line-chunked atomic bank. A 4-chunk of
+    /// `sig` never straddles a line (4 divides 8), so each live chunk touches
+    /// exactly one `BankLine`; a chunk whose four `sig` words OR to zero is
+    /// skipped without a single atomic load, and inside a live chunk only the
+    /// non-zero lanes load their bank word — the atomic-access pattern is
+    /// exactly the scalar reference's.
     pub fn probe_lines(lines: &[super::BankLine], sig: &[u64]) -> bool {
         let (sc, st) = sig.split_at(sig.len() & !3);
         for (ci, s) in sc.chunks_exact(4).enumerate() {
@@ -702,8 +542,9 @@ pub mod unrolled {
         false
     }
 
-    /// [`fold_or`] over line-chunked bank storage, with the same chunk-skip and
-    /// the scalar oracle's exact atomic-RMW set.
+    /// OR `sig`'s non-zero words under `word_mask` into the line-chunked
+    /// atomic bank, chunk-skipping as in [`probe_lines`]; the atomic-RMW set is
+    /// exactly the scalar reference's.
     pub fn fold_or_lines(lines: &[super::BankLine], sig: &[u64], word_mask: u64) {
         let (sc, st) = sig.split_at(sig.len() & !3);
         for (ci, s) in sc.chunks_exact(4).enumerate() {
@@ -728,7 +569,7 @@ pub mod unrolled {
         }
     }
 
-    /// [`popcount_atomic`] over the first `nwords` words of line-chunked bank
+    /// Total set bits across the first `nwords` words of line-chunked bank
     /// storage, one whole line (eight loads) per iteration.
     pub fn popcount_lines(lines: &[super::BankLine], nwords: usize) -> u64 {
         let mut n = 0u64;
@@ -751,138 +592,10 @@ pub mod unrolled {
     }
 }
 
-macro_rules! dispatch {
-    ($name:ident($($arg:expr),*)) => {
-        if scalar_mode() {
-            note_scalar();
-            scalar::$name($($arg),*)
-        } else {
-            unrolled::$name($($arg),*)
-        }
-    };
-}
-
-/// Dispatching [`unrolled::conflict_word`] / [`scalar::conflict_word`].
-#[inline]
-pub fn conflict_word(lock: u64, skip: u64, mine: u64) -> bool {
-    dispatch!(conflict_word(lock, skip, mine))
-}
-
-/// Dispatching [`unrolled::intersect_any`] / [`scalar::intersect_any`].
-#[inline]
-pub fn intersect_any(a: &[u64], b: &[u64]) -> bool {
-    dispatch!(intersect_any(a, b))
-}
-
-/// Dispatching [`unrolled::or_into`] / [`scalar::or_into`].
-#[inline]
-pub fn or_into(dst: &mut [u64], src: &[u64]) {
-    dispatch!(or_into(dst, src))
-}
-
-/// Dispatching [`unrolled::and_not_into`] / [`scalar::and_not_into`].
-#[inline]
-pub fn and_not_into(dst: &mut [u64], src: &[u64]) -> u64 {
-    dispatch!(and_not_into(dst, src))
-}
-
-/// Dispatching [`unrolled::or_into_masked`] / [`scalar::or_into_masked`].
-#[inline]
-pub fn or_into_masked(dst: &mut [u64], src: &[u64], src_mask: u64) {
-    dispatch!(or_into_masked(dst, src, src_mask))
-}
-
-/// Dispatching [`unrolled::and_not_masked`] / [`scalar::and_not_masked`].
-#[inline]
-pub fn and_not_masked(dst: &mut [u64], src: &[u64], shared_mask: u64) -> u64 {
-    dispatch!(and_not_masked(dst, src, shared_mask))
-}
-
-/// Dispatching [`unrolled::intersect_any_masked`] /
-/// [`scalar::intersect_any_masked`].
-#[inline]
-pub fn intersect_any_masked(a: &[u64], b: &[u64], shared_mask: u64) -> bool {
-    dispatch!(intersect_any_masked(a, b, shared_mask))
-}
-
-/// Dispatching [`unrolled::probe_lines_masked`] /
-/// [`scalar::probe_lines_masked`].
-#[inline]
-pub fn probe_lines_masked(lines: &[BankLine], sig: &[u64], sig_mask: u64) -> bool {
-    dispatch!(probe_lines_masked(lines, sig, sig_mask))
-}
-
-/// Dispatching [`unrolled::fold_masked`] / [`scalar::fold_masked`].
-#[inline]
-pub fn fold_masked(words: &[u64], word_mask: u64) -> u64 {
-    dispatch!(fold_masked(words, word_mask))
-}
-
-/// Dispatching [`unrolled::fold_live`] / [`scalar::fold_live`].
-#[inline]
-pub fn fold_live(words: &[u64], word_mask: u64, sig_mask: u64) -> u64 {
-    dispatch!(fold_live(words, word_mask, sig_mask))
-}
-
-/// Dispatching [`unrolled::mask_of`] / [`scalar::mask_of`].
-#[inline]
-pub fn mask_of(words: &[u64]) -> u64 {
-    dispatch!(mask_of(words))
-}
-
-/// Dispatching [`unrolled::popcount`] / [`scalar::popcount`].
-#[inline]
-pub fn popcount(words: &[u64]) -> u64 {
-    dispatch!(popcount(words))
-}
-
-/// Dispatching [`unrolled::probe_intersects`] / [`scalar::probe_intersects`].
-#[inline]
-pub fn probe_intersects(bank: &[AtomicU64], sig: &[u64]) -> bool {
-    dispatch!(probe_intersects(bank, sig))
-}
-
-/// Dispatching [`unrolled::fold_or`] / [`scalar::fold_or`].
-#[inline]
-pub fn fold_or(bank: &[AtomicU64], sig: &[u64], word_mask: u64) {
-    dispatch!(fold_or(bank, sig, word_mask))
-}
-
-/// Dispatching [`unrolled::popcount_atomic`] / [`scalar::popcount_atomic`].
-#[inline]
-pub fn popcount_atomic(bank: &[AtomicU64]) -> u64 {
-    dispatch!(popcount_atomic(bank))
-}
-
-/// Dispatching [`unrolled::probe_lines`] / [`scalar::probe_lines`].
-#[inline]
-pub fn probe_lines(lines: &[BankLine], sig: &[u64]) -> bool {
-    dispatch!(probe_lines(lines, sig))
-}
-
-/// Dispatching [`unrolled::fold_or_lines`] / [`scalar::fold_or_lines`].
-#[inline]
-pub fn fold_or_lines(lines: &[BankLine], sig: &[u64], word_mask: u64) {
-    dispatch!(fold_or_lines(lines, sig, word_mask))
-}
-
-/// Dispatching [`unrolled::popcount_lines`] / [`scalar::popcount_lines`].
-#[inline]
-pub fn popcount_lines(lines: &[BankLine], nwords: usize) -> u64 {
-    dispatch!(popcount_lines(lines, nwords))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn atomics(words: &[u64]) -> Vec<AtomicU64> {
-        words.iter().map(|&w| AtomicU64::new(w)).collect()
-    }
-
-    fn loads(bank: &[AtomicU64]) -> Vec<u64> {
-        bank.iter().map(|w| w.load(Ordering::SeqCst)).collect()
-    }
+    use std::sync::atomic::Ordering;
 
     /// A handful of fixed slices covering empty, sparse, dense, and every
     /// length residue mod 4 (the proptests sweep arbitrary inputs).
@@ -915,10 +628,6 @@ mod tests {
                 unrolled::or_into(&mut d1, &b);
                 scalar::or_into(&mut d2, &b);
                 assert_eq!(d1, d2);
-                let (mut d1, mut d2) = (a.clone(), a.clone());
-                let r1 = unrolled::and_not_into(&mut d1, &b);
-                let r2 = scalar::and_not_into(&mut d2, &b);
-                assert_eq!((d1, r1 == 0), (d2, r2 == 0));
 
                 // The masked tier, under the exact-mask contract.
                 let (ma, mb) = (scalar::mask_of(&a), scalar::mask_of(&b));
@@ -953,31 +662,6 @@ mod tests {
             }
             assert_eq!(unrolled::mask_of(&a), scalar::mask_of(&a));
             assert_eq!(unrolled::popcount(&a), scalar::popcount(&a));
-            assert_eq!(
-                unrolled::popcount_atomic(&atomics(&a)),
-                scalar::popcount_atomic(&atomics(&a))
-            );
-        }
-    }
-
-    #[test]
-    fn atomic_kernels_match_scalar() {
-        for bank0 in cases() {
-            for sig in cases() {
-                if bank0.len() != sig.len() {
-                    continue;
-                }
-                assert_eq!(
-                    unrolled::probe_intersects(&atomics(&bank0), &sig),
-                    scalar::probe_intersects(&atomics(&bank0), &sig)
-                );
-                for mask in [0u64, u64::MAX, 0xAAAA_5555] {
-                    let (b1, b2) = (atomics(&bank0), atomics(&bank0));
-                    unrolled::fold_or(&b1, &sig, mask);
-                    scalar::fold_or(&b2, &sig, mask);
-                    assert_eq!(loads(&b1), loads(&b2));
-                }
-            }
         }
     }
 
@@ -1032,21 +716,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn dispatch_counts_scalar_falls() {
-        let _ = take_scalar_calls();
-        set_scalar(false);
-        assert!(!intersect_any(&[1], &[2]));
-        // Another test may flip the global concurrently; only assert the
-        // scalar window's own accounting.
-        set_scalar(true);
-        let before = take_scalar_calls();
-        assert_eq!(mask_of(&[0, 1]), 1 << 1);
-        assert_eq!(popcount(&[7]), 3);
-        let counted = take_scalar_calls();
-        set_scalar(false);
-        assert!(counted >= 2, "scalar dispatches must be counted: {before} {counted}");
     }
 }

@@ -24,11 +24,11 @@
 //! * [`SigJournal`] — the word-level undo journal that makes sub-HTM segment retries
 //!   allocation- and clone-free;
 //! * [`EpochRegistry`] — the per-thread epoch pin registry behind the summary's
-//!   stall-free epoch-bank reset protocol ([`ResetMode::Epoch`], see
-//!   `docs/ring-sharding.md`, "Epoch-based resets");
+//!   stall-free epoch-bank reset protocol (see `docs/ring-sharding.md`,
+//!   "Epoch-based resets");
 //! * [`kernels`] — 4-wide-unrolled `u64` word kernels backing every signature
-//!   hot loop, with the original scalar loops compiled-in as differential
-//!   oracles; [`CacheAligned`] — the cache-line padding wrapper disciplining
+//!   hot loop, with the original scalar loops kept as the reference the
+//!   kernel tests and `membench` compare against; [`CacheAligned`] — the cache-line padding wrapper disciplining
 //!   the shared layouts (see `docs/mem-layout.md`).
 
 #![deny(missing_docs)]
@@ -48,7 +48,7 @@ pub use epoch::{EpochRegistry, MAX_EPOCH_THREADS};
 pub use heap_sig::HeapSig;
 pub use journal::{CloneSaved, SigJournal, SigSlot};
 pub use ring::{
-    FastMiss, ResetAttempt, ResetMode, Ring, RingSummary, RingValidationError, SummaryTuning,
+    FastMiss, ResetAttempt, Ring, RingSummary, RingValidationError, SummaryTuning,
 };
 pub use sharded::{
     ShardTimes, ShardedRing, ShardedSummary, ShardedValidation, SummaryResetStats, MAX_RING_SHARDS,

@@ -24,7 +24,7 @@
 //! outside the simulated heap, so summary reads never doom in-flight hardware
 //! publishers), the OR of every signature published since the summary's last reset.
 //! A validator whose read signature is disjoint from the summary — checked under the
-//! publish-counter/generation fence of [`RingSummary::try_fast_pass`] — has nothing
+//! publish-counter/epoch fence of [`RingSummary::try_fast_pass`] — has nothing
 //! to conflict with and skips the walk entirely; any doubt falls back to the precise
 //! walk. False positives only cost the fallback; false negatives cannot happen (the
 //! correctness argument lives with `try_fast_pass` and in `docs/hot-path.md`).
@@ -409,21 +409,21 @@ impl Ring {
 
     /// Reset the summary when it has grown dense enough to stop filtering (see
     /// [`RingSummary::wants_reset`]). At most one resetter runs at a time; the
-    /// summary's reset protocol — generation seqlock or epoch banks, per its
-    /// [`SummaryTuning`] — keeps concurrent publishers and validators correct
-    /// (the interleaving arguments are spelled out in `docs/hot-path.md` and
-    /// `docs/ring-sharding.md`). Returns true when a reset was performed.
+    /// summary's epoch-bank reset protocol keeps concurrent publishers and
+    /// validators correct (the interleaving arguments are spelled out in
+    /// `docs/hot-path.md` and `docs/ring-sharding.md`). Returns true when a
+    /// reset was performed.
     pub fn maybe_reset_summary(&self, th: &HtmThread<'_>, summary: &RingSummary) -> bool {
         summary.maybe_reset_with(|| self.timestamp_nt(th), || {}, |_| {}) == ResetAttempt::Done
     }
 }
 
-/// Legacy density threshold: reset once more than a third of the summary's bits
+/// Initial density threshold: reset once more than a third of the summary's bits
 /// are set (a summary this dense intersects almost every read signature, so the
 /// fast path stops paying for itself). [`SummaryTuning::default`] starts here.
 const SUMMARY_DENSITY_NUM: u32 = 1;
 const SUMMARY_DENSITY_DEN: u32 = 3;
-/// Legacy publishes between density checks (keeps the density popcount off the
+/// Initial publishes between density checks (keeps the density popcount off the
 /// common path). [`SummaryTuning::default`] starts here.
 const SUMMARY_CHECK_INTERVAL: u64 = 256;
 
@@ -444,34 +444,13 @@ const CTRL_DOMINANCE: u64 = 4;
 const CTRL_MIN_INTERVAL: u64 = 32;
 const CTRL_MAX_INTERVAL: u64 = 4096;
 
-/// Which reset protocol a [`RingSummary`] runs (see `docs/ring-sharding.md`,
-/// "Epoch-based resets").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResetMode {
-    /// PR 2's generation seqlock: one bank of words, cleared in place while the
-    /// generation is odd; every validator and publisher stalls or falls back
-    /// for the duration of the clear. Kept as the differential oracle.
-    Seqlock,
-    /// Epoch banks: two banks of words; a reset clears the *retired* bank off
-    /// to the side and then flips the epoch, so validators keep fast-passing on
-    /// the current bank throughout and publishers never spin. Resets defer
-    /// (rather than block) while a validator is pinned to an older epoch.
-    Epoch,
-}
-
-/// Construction-time tuning of a [`RingSummary`]: reset protocol plus the
-/// *initial* values of the adaptive density controller. The legacy constants
-/// (`1/3` density, 256-publish check interval) are the defaults, so
-/// `SummaryTuning::default()` with [`ResetMode::Seqlock`] pins PR 2/3
-/// behaviour exactly — the `ring_shards: 1` oracle configuration relies on
-/// this.
+/// Construction-time tuning of a [`RingSummary`]: the *initial* values of the
+/// adaptive density controller (`1/3` density, 256-publish check interval by
+/// default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SummaryTuning {
-    /// Reset protocol.
-    pub mode: ResetMode,
     /// Density threshold numerator: reset when more than `num/den` of the live
-    /// bits are set. Controller initial value (the controller only moves it in
-    /// [`ResetMode::Epoch`]).
+    /// bits are set. Controller initial value.
     pub density_num: u32,
     /// Density threshold denominator.
     pub density_den: u32,
@@ -482,20 +461,9 @@ pub struct SummaryTuning {
 impl Default for SummaryTuning {
     fn default() -> Self {
         Self {
-            mode: ResetMode::Seqlock,
             density_num: SUMMARY_DENSITY_NUM,
             density_den: SUMMARY_DENSITY_DEN,
             check_interval: SUMMARY_CHECK_INTERVAL,
-        }
-    }
-}
-
-impl SummaryTuning {
-    /// The default tuning running the epoch-bank protocol.
-    pub fn epochs() -> Self {
-        Self {
-            mode: ResetMode::Epoch,
-            ..Self::default()
         }
     }
 }
@@ -510,7 +478,7 @@ pub enum FastMiss {
     /// dense (or a genuine conflict exists — the walk decides which).
     Dirty,
     /// Transient instability a denser-summary reset would not have prevented:
-    /// a publisher was announced but not yet folded, the generation/epoch moved
+    /// a publisher was announced but not yet folded, the epoch moved
     /// mid-probe, or the validator's window predates the last reset.
     Inflight,
 }
@@ -521,7 +489,7 @@ pub enum ResetAttempt {
     /// No reset due: pacing interval not elapsed, density below threshold, or
     /// another resetter holds the guard.
     Idle,
-    /// Epoch mode only: the summary is due for a reset but a validator is still
+    /// The summary is due for a reset but a validator is still
     /// pinned to an older epoch; the reset is deferred to a later committer
     /// instead of invalidating the reader mid-probe (grace-period rule).
     Deferred,
@@ -541,19 +509,18 @@ pub enum ResetAttempt {
 ///    `completed` first and `started` last and requires them equal — any publish it
 ///    could be missing bits from is then provably either fully summarised or not
 ///    yet visible in the timestamp it validated against.
-/// 2. **Stability across the probe**: publishers OR their bits under a
-///    generation/epoch re-check (retrying into the current bank if a reset
-///    overlapped), and validators require the generation (seqlock mode: stable
-///    and even; epoch mode: stable) across their whole read sequence. In epoch
-///    mode the final re-check additionally catches publishers that folded into
-///    the *new* bank after a flip the validator did not see.
+/// 2. **Stability across the probe**: publishers OR their bits under an epoch
+///    re-check (retrying into the current bank if a reset overlapped), and
+///    validators require the epoch stable across their whole read sequence.
+///    The final re-check additionally catches publishers that folded into the
+///    *new* bank after a flip the validator did not see.
 /// 3. **Reset timestamp read after the clear**: bits a clear may have dropped
 ///    belong to publishes whose timestamps were visible before `reset_ts` was
 ///    read, so requiring `start_time >= reset_ts` (of the bank being probed) on
 ///    the fast path makes the dropped bits irrelevant (those publishes are
 ///    before the validator's window).
 ///
-/// In [`ResetMode::Epoch`] the summary additionally keeps an [`EpochRegistry`]:
+/// The summary additionally keeps an [`EpochRegistry`]:
 /// validators entering through the `*_at` probes pin the epoch they read, and
 /// [`RingSummary::maybe_reset_with`] defers (never blocks) while any pin is
 /// older than the current epoch — see `docs/ring-sharding.md` for the
@@ -564,20 +531,18 @@ pub struct RingSummary {
     /// cache lines ([`BankLine`], 8 words per 64-byte line) so each bank
     /// starts on a line boundary and two banks never share a line — a
     /// publisher folding into the current bank cannot false-share with the
-    /// reset clearing the retired one. Seqlock mode: one bank of
-    /// `lines_per_bank` lines, cleared in place. Epoch mode: two banks back to
-    /// back (bank `b` word `i` at line `b * lines_per_bank + i / 8`, lane
-    /// `i % 8`); publishers fold into bank `gen & 1`, resets clear the retired
-    /// bank off to the side.
+    /// reset clearing the retired one. Two banks back to back (bank `b` word
+    /// `i` at line `b * lines_per_bank + i / 8`, lane `i % 8`); publishers
+    /// fold into bank `gen & 1`, resets clear the retired bank off to the
+    /// side.
     lines: Box<[BankLine]>,
     /// Whole cache lines per bank: `spec.words() / 8`, rounded up.
     lines_per_bank: usize,
-    /// Seqlock mode: generation, odd while a reset is clearing the words.
-    /// Epoch mode: the epoch counter; the current bank is `gen & 1`.
+    /// The epoch counter; the current bank is `gen & 1`.
     gen: AtomicU64,
     /// Ring timestamp observed just after the last clear of each bank;
     /// fast-path validators must have `start_time >= reset_ts[bank]` for the
-    /// bank they probe. Seqlock mode uses slot 0 only.
+    /// bank they probe.
     reset_ts: [AtomicU64; 2],
     /// Publishes announced (monotone; never decremented).
     started: AtomicU64,
@@ -600,10 +565,8 @@ pub struct RingSummary {
     /// Fast-pass misses a reset would not have prevented
     /// ([`FastMiss::Inflight`]).
     miss_inflight: AtomicU64,
-    /// Per-thread epoch pins (consulted in epoch mode only).
+    /// Per-thread epoch pins.
     pins: EpochRegistry,
-    /// Reset protocol.
-    mode: ResetMode,
     /// Highest commit timestamp whose publish has *completed its fold* into
     /// `words` (recorded by [`RingSummary::complete_publish_masked`] just
     /// before it bumps `completed`; monotone). A validator whose clean probe
@@ -619,8 +582,7 @@ pub struct RingSummary {
 }
 
 impl RingSummary {
-    /// An empty summary for signatures of geometry `spec` (legacy seqlock
-    /// tuning).
+    /// An empty summary for signatures of geometry `spec` (default tuning).
     pub fn new(spec: SigSpec) -> Self {
         Self::with_tuning(spec, SummaryTuning::default())
     }
@@ -633,7 +595,7 @@ impl RingSummary {
     /// An empty summary whose density accounting covers only the words selected by
     /// `word_mask` (a shard of the sharded ring only ever folds in its own word
     /// range, so measuring density against the full geometry would make
-    /// [`RingSummary::wants_reset`] unreachable). Legacy seqlock tuning.
+    /// [`RingSummary::wants_reset`] unreachable). Default tuning.
     pub fn new_masked(spec: SigSpec, word_mask: u64) -> Self {
         Self::new_masked_tuned(spec, word_mask, SummaryTuning::default())
     }
@@ -648,13 +610,9 @@ impl RingSummary {
 
     fn build(spec: SigSpec, live_bits: u32, tuning: SummaryTuning) -> Self {
         assert!(tuning.density_den > 0, "density threshold needs a denominator");
-        let banks = match tuning.mode {
-            ResetMode::Seqlock => 1,
-            ResetMode::Epoch => 2,
-        };
         let lines_per_bank = (spec.words() as usize).div_ceil(WORDS_PER_LINE);
         Self {
-            lines: (0..banks * lines_per_bank)
+            lines: (0..2 * lines_per_bank)
                 .map(|_| BankLine::default())
                 .collect(),
             lines_per_bank,
@@ -670,7 +628,6 @@ impl RingSummary {
             miss_dirty: AtomicU64::new(0),
             miss_inflight: AtomicU64::new(0),
             pins: EpochRegistry::new(),
-            mode: tuning.mode,
             folded_ts: AtomicU64::new(0),
             live_bits,
             spec,
@@ -682,13 +639,7 @@ impl RingSummary {
         self.spec
     }
 
-    /// Reset protocol this summary runs.
-    pub fn mode(&self) -> ResetMode {
-        self.mode
-    }
-
-    /// Current publishes-between-density-checks (adaptive in epoch mode; fixed
-    /// at the configured value in seqlock mode).
+    /// Current (adaptive) publishes-between-density-checks.
     pub fn check_interval(&self) -> u64 {
         self.ctrl_interval.load(SeqCst)
     }
@@ -696,16 +647,6 @@ impl RingSummary {
     /// Current density threshold as a `(num, den)` ratio of the live bits.
     pub fn density_threshold(&self) -> (u32, u32) {
         (self.ctrl_num.load(SeqCst), self.ctrl_den)
-    }
-
-    /// The bank publishers fold into / validators probe under generation or
-    /// epoch `g`.
-    #[inline]
-    fn bank_of(&self, g: u64) -> usize {
-        match self.mode {
-            ResetMode::Seqlock => 0,
-            ResetMode::Epoch => (g & 1) as usize,
-        }
     }
 
     /// Word `i` of bank `bank`.
@@ -725,14 +666,10 @@ impl RingSummary {
     /// pinned epoch. Long-running readers may hold a pin across several probes
     /// — resets defer rather than invalidate them — but MUST
     /// [`RingSummary::unpin`] promptly or shard resets starve into
-    /// [`ResetAttempt::Deferred`] forever. No-op (plain epoch load) in seqlock
-    /// mode.
+    /// [`ResetAttempt::Deferred`] forever.
     pub fn pin_epoch(&self, tid: usize) -> u64 {
         loop {
             let e = self.gen.load(SeqCst);
-            if self.mode == ResetMode::Seqlock {
-                return e;
-            }
             self.pins.set(tid, e);
             if self.gen.load(SeqCst) == e {
                 return e;
@@ -742,9 +679,7 @@ impl RingSummary {
 
     /// Drop `tid`'s epoch pin.
     pub fn unpin(&self, tid: usize) {
-        if self.mode == ResetMode::Epoch {
-            self.pins.clear(tid);
-        }
+        self.pins.clear(tid);
     }
 
     /// The pin registry, exposed so crate-internal tests can plant a stale pin
@@ -762,9 +697,9 @@ impl RingSummary {
         self.started.fetch_add(1, SeqCst);
     }
 
-    /// Fold a committed publish's signature into the summary. The generation
-    /// re-check makes the OR effectively atomic against resets: if a reset clears
-    /// words mid-OR, the loop runs again and re-ORs into the fresh summary.
+    /// Fold a committed publish's signature into the summary. The epoch
+    /// re-check makes the OR effectively atomic against resets: if the epoch
+    /// flips mid-OR, the loop runs again and re-ORs into the new current bank.
     pub fn complete_publish(&self, sig: &Sig) {
         self.complete_publish_masked(sig, u64::MAX, 0)
     }
@@ -782,12 +717,7 @@ impl RingSummary {
     pub fn complete_publish_masked(&self, sig: &Sig, word_mask: u64, folded_ts: u64) {
         loop {
             let g1 = self.gen.load(SeqCst);
-            if self.mode == ResetMode::Seqlock && g1 & 1 != 0 {
-                // A reset is clearing the (only) bank in place: wait it out.
-                std::hint::spin_loop();
-                continue;
-            }
-            let bank = self.bank_of(g1);
+            let bank = (g1 & 1) as usize;
             // The fold kernel ORs `sig`'s non-zero words under `word_mask`
             // into the bank — the same atomic-RMW set as the old per-word
             // loop, four words per branch.
@@ -795,8 +725,8 @@ impl RingSummary {
             if self.gen.load(SeqCst) == g1 {
                 break;
             }
-            // Epoch mode: the epoch flipped mid-fold — re-fold into the new
-            // current bank. Bits a straggling iteration left in the retired
+            // The epoch flipped mid-fold — re-fold into the new current
+            // bank. Bits a straggling iteration left in the retired
             // bank only over-approximate it (false positives, never missed
             // conflicts) and vanish at that bank's next clear.
         }
@@ -845,12 +775,12 @@ impl RingSummary {
     /// simulated heap while the summary does not.
     ///
     /// Read order is load-bearing (see the type-level docs): `completed` first,
-    /// generation/epoch + reset window, the timestamp, the summary words, then
-    /// `started` and the generation/epoch again. Equality of the two counters
+    /// epoch + reset window, the timestamp, the summary words, then
+    /// `started` and the epoch again. Equality of the two counters
     /// proves every publish visible in `ts` had completed before the first read —
     /// and was therefore either in the bank words read afterwards, or dropped by
-    /// a reset that the `start_time >= reset_ts` check already accounts for. In
-    /// epoch mode the final epoch re-check is what catches the one hole counters
+    /// a reset that the `start_time >= reset_ts` check already accounts for. The
+    /// final epoch re-check is what catches the one hole counters
     /// alone leave open: a publish that folded into the *new* bank after a flip
     /// this validator did not observe would balance the counters while its bits
     /// are absent from the old bank being probed — any such publish implies the
@@ -861,11 +791,12 @@ impl RingSummary {
         start_time: u64,
         read_ts: impl FnOnce() -> u64,
     ) -> Option<u64> {
-        self.fast_pass_impl(None, read_sig, start_time, read_ts).ok()
+        self.probe(None, |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
+            .ok()
     }
 
     /// [`RingSummary::try_fast_pass`] with the caller's thread id, pinning the
-    /// probed epoch in the registry for the duration (epoch mode; resets defer
+    /// probed epoch in the registry for the duration (resets defer
     /// around the pin instead of invalidating the probe) and reporting *why* a
     /// miss missed — the executors feed the cause into `TmStats` and the
     /// adaptive controller consumes the same split.
@@ -876,68 +807,36 @@ impl RingSummary {
         start_time: u64,
         read_ts: impl FnOnce() -> u64,
     ) -> Result<u64, FastMiss> {
-        self.fast_pass_impl(Some(tid), read_sig, start_time, read_ts)
+        self.probe(Some(tid), |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
     }
 
-    fn fast_pass_impl(
+    /// Run `pass` against the current epoch — pinned in the registry for the
+    /// duration when the caller gave its thread id — and record a miss for
+    /// the adaptive controller.
+    fn probe(
         &self,
         tid: Option<usize>,
-        read_sig: &Sig,
-        start_time: u64,
-        read_ts: impl FnOnce() -> u64,
+        pass: impl FnOnce(u64) -> Result<u64, FastMiss>,
     ) -> Result<u64, FastMiss> {
-        let res = match self.mode {
-            ResetMode::Seqlock => self.fast_pass_seqlock(read_sig, start_time, read_ts),
-            ResetMode::Epoch => {
-                let e = match tid {
-                    Some(t) => self.pin_epoch(t),
-                    None => self.gen.load(SeqCst),
-                };
-                let r = self.fast_pass_epoch(e, read_sig, start_time, read_ts);
-                if let Some(t) = tid {
-                    self.unpin(t);
-                }
-                r
-            }
+        let e = match tid {
+            Some(t) => self.pin_epoch(t),
+            None => self.gen.load(SeqCst),
         };
+        let res = pass(e);
+        if let Some(t) = tid {
+            self.unpin(t);
+        }
         if let Err(cause) = res {
             self.note_miss(cause);
         }
         res
     }
 
-    fn fast_pass_seqlock(
-        &self,
-        read_sig: &Sig,
-        start_time: u64,
-        read_ts: impl FnOnce() -> u64,
-    ) -> Result<u64, FastMiss> {
-        let c1 = self.completed.load(SeqCst);
-        let g1 = self.gen.load(SeqCst);
-        if g1 & 1 != 0 {
-            return Err(FastMiss::Inflight);
-        }
-        if start_time < self.reset_ts[0].load(SeqCst) {
-            return Err(FastMiss::Inflight);
-        }
-        let ts = read_ts();
-        if ts == start_time {
-            return Ok(ts); // nothing committed since; same early-out as validate_nt
-        }
-        if kernels::probe_lines_masked(self.bank_lines(0), read_sig.words(), read_sig.nonzero_mask()) {
-            return Err(FastMiss::Dirty);
-        }
-        if self.started.load(SeqCst) != c1 || self.gen.load(SeqCst) != g1 {
-            return Err(FastMiss::Inflight);
-        }
-        Ok(ts)
-    }
-
-    /// Epoch-mode fast pass against the bank of pinned epoch `e`. Unlike the
-    /// seqlock flavour there is no "reset in progress" bail-out: a concurrent
-    /// reset clears the *retired* bank, not the one this probe reads, so
-    /// validators keep deciding at full speed for the whole clear and only a
-    /// probe that actually straddles the flip (final `gen != e`) falls back.
+    /// The fast pass against the bank of pinned epoch `e`. There is no "reset
+    /// in progress" bail-out: a concurrent reset clears the *retired* bank,
+    /// not the one this probe reads, so validators keep deciding at full speed
+    /// for the whole clear and only a probe that actually straddles the flip
+    /// (final `gen != e`) falls back.
     fn fast_pass_epoch(
         &self,
         e: u64,
@@ -1015,7 +914,8 @@ impl RingSummary {
     /// In both cases a reset inside the window is rejected by the
     /// `start_time >= reset_ts` check, exactly as in the fast pass.
     pub fn clean_since(&self, read_sig: &Sig, start_time: u64) -> Option<u64> {
-        self.clean_since_impl(None, read_sig, start_time).ok()
+        self.probe(None, |e| self.clean_since_epoch(e, read_sig, start_time))
+            .ok()
     }
 
     /// [`RingSummary::clean_since`] with the caller's thread id (epoch pin held
@@ -1027,61 +927,10 @@ impl RingSummary {
         read_sig: &Sig,
         start_time: u64,
     ) -> Result<u64, FastMiss> {
-        self.clean_since_impl(Some(tid), read_sig, start_time)
+        self.probe(Some(tid), |e| self.clean_since_epoch(e, read_sig, start_time))
     }
 
-    fn clean_since_impl(
-        &self,
-        tid: Option<usize>,
-        read_sig: &Sig,
-        start_time: u64,
-    ) -> Result<u64, FastMiss> {
-        let res = match self.mode {
-            ResetMode::Seqlock => self.clean_since_seqlock(read_sig, start_time),
-            ResetMode::Epoch => {
-                let e = match tid {
-                    Some(t) => self.pin_epoch(t),
-                    None => self.gen.load(SeqCst),
-                };
-                let r = self.clean_since_epoch(e, read_sig, start_time);
-                if let Some(t) = tid {
-                    self.unpin(t);
-                }
-                r
-            }
-        };
-        if let Err(cause) = res {
-            self.note_miss(cause);
-        }
-        res
-    }
-
-    fn clean_since_seqlock(&self, read_sig: &Sig, start_time: u64) -> Result<u64, FastMiss> {
-        let c1 = self.completed.load(SeqCst);
-        let g1 = self.gen.load(SeqCst);
-        if g1 & 1 != 0 {
-            return Err(FastMiss::Inflight);
-        }
-        if start_time < self.reset_ts[0].load(SeqCst) {
-            return Err(FastMiss::Inflight);
-        }
-        let adv = self.folded_ts.load(SeqCst);
-        if adv <= start_time {
-            if self.started.load(SeqCst) == c1 && self.gen.load(SeqCst) == g1 {
-                return Ok(start_time);
-            }
-            return Err(FastMiss::Inflight);
-        }
-        if kernels::probe_lines_masked(self.bank_lines(0), read_sig.words(), read_sig.nonzero_mask()) {
-            return Err(FastMiss::Dirty);
-        }
-        if self.started.load(SeqCst) != c1 || self.gen.load(SeqCst) != g1 {
-            return Err(FastMiss::Inflight);
-        }
-        Ok(adv)
-    }
-
-    /// Epoch-mode clean probe against pinned epoch `e`'s bank; same structure
+    /// The clean probe against pinned epoch `e`'s bank; same structure
     /// as [`RingSummary::fast_pass_epoch`] with the fold watermark in place of
     /// the ring timestamp.
     fn clean_since_epoch(&self, e: u64, read_sig: &Sig, start_time: u64) -> Result<u64, FastMiss> {
@@ -1118,13 +967,13 @@ impl RingSummary {
 
     /// Popcount of the current bank against the adaptive threshold.
     fn density_exceeded(&self) -> bool {
-        let bank = self.bank_of(self.gen.load(SeqCst));
+        let bank = (self.gen.load(SeqCst) & 1) as usize;
         let pop = kernels::popcount_lines(self.bank_lines(bank), self.spec.words() as usize);
         pop > self.live_bits as u64 * self.ctrl_num.load(SeqCst) as u64 / self.ctrl_den as u64
     }
 
     /// One adaptive-controller step, run under the reset guard at each density
-    /// check (epoch mode only): harvest the miss-cause counters accumulated
+    /// check: harvest the miss-cause counters accumulated
     /// since the last check and move the threshold/interval toward whichever
     /// regime dominates. Dirty misses mean the filter is saturating — tighten
     /// the threshold and check more often; in-flight misses mean resets are not
@@ -1151,8 +1000,7 @@ impl RingSummary {
     }
 
     /// Attempt a reset: pacing-interval gate, resetter guard, adaptive
-    /// controller step (epoch mode), density check, then the mode's reset
-    /// protocol. `read_ts` reads the owning ring's timestamp (a closure because
+    /// controller step, density check, then the reset protocol. `read_ts` reads the owning ring's timestamp (a closure because
     /// the timestamp lives in the simulated heap while the summary does not).
     /// `pre_clear` runs before any summary bits are dropped and `post_clear`
     /// receives the new reset timestamp after the protocol completes — the
@@ -1160,11 +1008,7 @@ impl RingSummary {
     /// the floor and zero the probe word before the clear, publish the new
     /// floor after); plain-ring callers pass no-ops.
     ///
-    /// **Seqlock protocol** (one bank): generation goes odd, the bank clears in
-    /// place (validators bail, publishers spin), `reset_ts` is read *after* the
-    /// clear, generation goes even again.
-    ///
-    /// **Epoch protocol** (two banks): if any registry pin is older than the
+    /// **The protocol** (two banks): if any registry pin is older than the
     /// current epoch the reset returns [`ResetAttempt::Deferred`] — the
     /// grace-period rule; nobody blocks. Otherwise the *retired* bank (the one
     /// validators are not reading) is cleared off to the side, its `reset_ts`
@@ -1193,9 +1037,7 @@ impl RingSummary {
         {
             return ResetAttempt::Idle;
         }
-        if self.mode == ResetMode::Epoch {
-            self.controller_step();
-        }
+        self.controller_step();
         if !self.density_exceeded() {
             // Below threshold: restart the pacing interval so the popcount is
             // not repeated on every subsequent commit.
@@ -1203,56 +1045,36 @@ impl RingSummary {
             self.resetting.store(0, SeqCst);
             return ResetAttempt::Idle;
         }
-        let nw = self.spec.words() as usize;
-        match self.mode {
-            ResetMode::Seqlock => {
-                self.gen.fetch_add(1, SeqCst); // odd: publishers re-OR, validators fall back
-                pre_clear();
-                for i in 0..nw {
-                    self.word(0, i).store(0, SeqCst);
-                }
-                // Read the timestamp only *after* the clear: any publish whose
-                // bits the clear dropped and whose OR completed beforehand had
-                // made its timestamp visible before this read, so `reset_ts`
-                // covers it and validators that started earlier are sent to
-                // the precise walk.
-                let ts = read_ts();
-                self.reset_ts[0].store(ts, SeqCst);
-                self.since_reset.store(0, SeqCst);
-                self.gen.fetch_add(1, SeqCst); // even: fast path re-opens
-                self.resetting.store(0, SeqCst);
-                post_clear(ts);
-            }
-            ResetMode::Epoch => {
-                let e = self.gen.load(SeqCst);
-                if !self.pins.drained(e) {
-                    // Grace period: a reader is still pinned to the bank this
-                    // reset would clear. Defer; the next committer retries.
-                    self.resetting.store(0, SeqCst);
-                    return ResetAttempt::Deferred;
-                }
-                let retired = ((e + 1) & 1) as usize;
-                pre_clear();
-                for i in 0..nw {
-                    self.word(retired, i).store(0, SeqCst);
-                }
-                let ts = read_ts();
-                self.reset_ts[retired].store(ts, SeqCst);
-                self.since_reset.store(0, SeqCst);
-                // The flip: the freshly cleared bank becomes current. Store,
-                // not fetch_add — only the guarded resetter ever moves the
-                // epoch.
-                self.gen.store(e + 1, SeqCst);
-                self.resetting.store(0, SeqCst);
-                post_clear(ts);
-            }
+        let e = self.gen.load(SeqCst);
+        if !self.pins.drained(e) {
+            // Grace period: a reader is still pinned to the bank this
+            // reset would clear. Defer; the next committer retries.
+            self.resetting.store(0, SeqCst);
+            return ResetAttempt::Deferred;
         }
+        let retired = ((e + 1) & 1) as usize;
+        pre_clear();
+        for i in 0..self.spec.words() as usize {
+            self.word(retired, i).store(0, SeqCst);
+        }
+        // Read the timestamp only *after* the clear: any publish whose bits
+        // the clear dropped had made its timestamp visible before this read,
+        // so `reset_ts` covers it and validators that started earlier are
+        // sent to the precise walk.
+        let ts = read_ts();
+        self.reset_ts[retired].store(ts, SeqCst);
+        self.since_reset.store(0, SeqCst);
+        // The flip: the freshly cleared bank becomes current. Store, not
+        // fetch_add — only the guarded resetter ever moves the epoch.
+        self.gen.store(e + 1, SeqCst);
+        self.resetting.store(0, SeqCst);
+        post_clear(ts);
         ResetAttempt::Done
     }
 
     /// Snapshot of the current bank's summary bits (diagnostics and tests).
     pub fn snapshot(&self) -> Sig {
-        let bank = self.bank_of(self.gen.load(SeqCst));
+        let bank = (self.gen.load(SeqCst) & 1) as usize;
         let nw = self.spec.words() as usize;
         Sig::from_words(
             self.spec,
@@ -1491,36 +1313,7 @@ mod tests {
         assert_eq!(summary.try_fast_pass(&rsig, 0, || 5), Some(5));
     }
 
-    #[test]
-    fn reset_redirects_older_validators_to_precise_walk() {
-        let (sys, ring) = setup(1024);
-        let th = sys.thread(0);
-        let summary = RingSummary::new(SigSpec::PAPER);
-        let mut wsig = Sig::new(SigSpec::PAPER);
-        // Saturate the summary well past the density threshold.
-        for a in 0..SUMMARY_CHECK_INTERVAL + 10 {
-            wsig.clear();
-            wsig.add((a * 4099) as u32);
-            wsig.add((a * 7919 + 13) as u32);
-            wsig.add((a * 104_729 + 7) as u32);
-            ring.publish_software_summarized(&th, &wsig, &summary);
-        }
-        assert!(summary.wants_reset());
-        assert!(ring.maybe_reset_summary(&th, &summary));
-        assert!(summary.snapshot().is_empty());
-        let rts = ring.timestamp_nt(&th);
-        assert_eq!(summary.reset_ts[0].load(SeqCst), rts);
-        // A validator that started before the reset must not fast-pass...
-        let mut rsig = Sig::new(SigSpec::PAPER);
-        rsig.add(1);
-        assert_eq!(summary.try_fast_pass(&rsig, rts - 1, || rts), None);
-        // ...but one that starts at/after the reset timestamp may.
-        assert_eq!(summary.try_fast_pass(&rsig, rts, || rts), Some(rts));
-        // Second reset attempt is a no-op until the interval elapses again.
-        assert!(!ring.maybe_reset_summary(&th, &summary));
-    }
-
-    // ---- epoch mode ----
+    // ---- resets ----
 
     fn saturate(ring: &Ring, th: &htm_sim::HtmThread<'_>, summary: &RingSummary, n: u64) {
         let mut wsig = Sig::new(SigSpec::PAPER);
@@ -1537,7 +1330,9 @@ mod tests {
     fn epoch_reset_flips_bank_and_redirects_old_windows() {
         let (sys, ring) = setup(4096);
         let th = sys.thread(0);
-        let summary = RingSummary::with_tuning(SigSpec::PAPER, SummaryTuning::epochs());
+        let summary = RingSummary::new(SigSpec::PAPER);
+        assert_eq!(summary.density_threshold(), (16, 48));
+        assert_eq!(summary.check_interval(), SUMMARY_CHECK_INTERVAL);
         saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
         assert!(summary.wants_reset());
         assert_eq!(summary.gen.load(SeqCst), 0);
@@ -1552,6 +1347,8 @@ mod tests {
         rsig.add(1);
         assert_eq!(summary.try_fast_pass(&rsig, rts - 1, || rts), None);
         assert_eq!(summary.try_fast_pass(&rsig, rts, || rts), Some(rts));
+        // A second reset attempt is a no-op until the interval elapses again.
+        assert!(!ring.maybe_reset_summary(&th, &summary));
         // Publishes after the flip fold into the new current bank.
         let mut wsig = Sig::new(SigSpec::PAPER);
         wsig.add(31_337);
@@ -1563,7 +1360,7 @@ mod tests {
     fn epoch_reset_defers_while_a_reader_is_pinned() {
         let (sys, ring) = setup(4096);
         let th = sys.thread(0);
-        let summary = RingSummary::with_tuning(SigSpec::PAPER, SummaryTuning::epochs());
+        let summary = RingSummary::new(SigSpec::PAPER);
         saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
         // A pin at the *current* epoch never blocks: the reset clears the
         // retired bank, which that reader is not probing.
@@ -1590,7 +1387,7 @@ mod tests {
 
     #[test]
     fn epoch_mode_probe_with_publisher_in_flight_reports_inflight() {
-        let summary = RingSummary::with_tuning(SigSpec::PAPER, SummaryTuning::epochs());
+        let summary = RingSummary::new(SigSpec::PAPER);
         summary.begin_publish();
         let mut rsig = Sig::new(SigSpec::PAPER);
         rsig.add(1);
@@ -1605,7 +1402,7 @@ mod tests {
 
     #[test]
     fn dirty_probe_reports_dirty_and_feeds_the_controller() {
-        let summary = RingSummary::with_tuning(SigSpec::PAPER, SummaryTuning::epochs());
+        let summary = RingSummary::new(SigSpec::PAPER);
         let mut wsig = Sig::new(SigSpec::PAPER);
         wsig.add(1000);
         summary.begin_publish();
@@ -1628,9 +1425,8 @@ mod tests {
     #[test]
     fn controller_tightens_on_dirty_and_relaxes_on_inflight() {
         let tuning = SummaryTuning {
-            mode: ResetMode::Epoch,
             check_interval: 4,
-            ..SummaryTuning::epochs()
+            ..SummaryTuning::default()
         };
         let summary = RingSummary::with_tuning(SigSpec::PAPER, tuning);
         let (num0, den) = summary.density_threshold();
@@ -1678,13 +1474,5 @@ mod tests {
         }
         assert_eq!(summary.density_threshold().0, den / 2, "ceiling: 1/2");
         assert_eq!(summary.check_interval(), CTRL_MAX_INTERVAL);
-    }
-
-    #[test]
-    fn seqlock_summary_keeps_legacy_threshold_fixed() {
-        let summary = RingSummary::new(SigSpec::PAPER);
-        assert_eq!(summary.mode(), ResetMode::Seqlock);
-        assert_eq!(summary.density_threshold(), (16, 48));
-        assert_eq!(summary.check_interval(), SUMMARY_CHECK_INTERVAL);
     }
 }

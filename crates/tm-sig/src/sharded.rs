@@ -31,7 +31,7 @@ use htm_sim::{HeapBuilder, HtmThread, HtmTx};
 
 use crate::align::CacheAligned;
 use crate::ring::{
-    FastMiss, ResetAttempt, ResetMode, Ring, RingSummary, RingValidationError, SummaryTuning,
+    FastMiss, ResetAttempt, Ring, RingSummary, RingValidationError, SummaryTuning,
 };
 use crate::sig::Sig;
 use crate::spec::SigSpec;
@@ -93,12 +93,10 @@ pub struct ShardedValidation {
 /// the executors' statistics want them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SummaryResetStats {
-    /// Shards whose summary was reset (either protocol).
+    /// Shards whose summary was reset (each reset retires one epoch bank).
     pub resets: u64,
-    /// Resets that retired an epoch bank (epoch mode only; `<= resets`).
-    pub epoch_retires: u64,
     /// Due resets deferred because a validator was pinned to an older epoch
-    /// (the grace-period rule; epoch mode only).
+    /// (the grace-period rule).
     pub pinned_stalls: u64,
 }
 
@@ -426,7 +424,7 @@ impl ShardedRing {
     /// their `times` slot keeps the begin-time value, which is exactly the
     /// window start validation needs if `read_sig` later grows a bit there.
     ///
-    /// In epoch mode the touched shards first run the **combined group fast
+    /// The touched shards first run the **combined group fast
     /// pass** (`ShardedSummary::group_pass`): every per-shard decision reads
     /// only the `GroupProbe` block — five small arrays packed into a handful
     /// of cache lines shared by *all* shards — so a no-conflict validation
@@ -455,14 +453,12 @@ impl ShardedRing {
             inflight_shards: 0,
         };
         let mut pending = smask;
-        if summaries.epoch_mode() {
-            for s in bits(smask) {
-                let fold = read_sig.fold_word_masked(self.shard_word_mask(s));
-                if let Some(adv) = summaries.group_pass(s, fold, times.t[s]) {
-                    times.t[s] = times.t[s].max(adv);
-                    v.fast_shards |= 1 << s;
-                    pending &= !(1 << s);
-                }
+        for s in bits(smask) {
+            let fold = read_sig.fold_word_masked(self.shard_word_mask(s));
+            if let Some(adv) = summaries.group_pass(s, fold, times.t[s]) {
+                times.t[s] = times.t[s].max(adv);
+                v.fast_shards |= 1 << s;
+                pending &= !(1 << s);
             }
         }
         for s in bits(pending) {
@@ -493,8 +489,7 @@ impl ShardedRing {
     /// dropped the shard's group floor is raised to the `u64::MAX` sentinel and
     /// its probe word zeroed (so no group pass can vouch for a window across
     /// the clear), and after the protocol completes the floor is published as
-    /// the new reset timestamp. Both protocols run the hooks — seqlock resets
-    /// keep the floors coherent even though only epoch mode consults them.
+    /// the new reset timestamp.
     pub fn maybe_reset_summaries(
         &self,
         th: &HtmThread<'_>,
@@ -512,12 +507,7 @@ impl ShardedRing {
                 },
                 |ts| group.floor[s].store(ts, SeqCst),
             ) {
-                ResetAttempt::Done => {
-                    stats.resets += 1;
-                    if sum.mode() == ResetMode::Epoch {
-                        stats.epoch_retires += 1;
-                    }
-                }
+                ResetAttempt::Done => stats.resets += 1,
                 ResetAttempt::Deferred => stats.pinned_stalls += 1,
                 ResetAttempt::Idle => {}
             }
@@ -527,14 +517,14 @@ impl ShardedRing {
 
     /// Build the matching host-side summary set: one word-range-masked
     /// [`RingSummary`] per shard, geometry kept in sync with this ring, in the
-    /// legacy seqlock tuning ([`SummaryTuning::default`]).
+    /// default tuning ([`SummaryTuning::default`]).
     pub fn new_summary(&self) -> ShardedSummary {
         self.new_summary_tuned(SummaryTuning::default())
     }
 
     /// [`ShardedRing::new_summary`] with explicit [`SummaryTuning`] — the
-    /// runtime builds epoch-mode summaries (and controller initial values) from
-    /// `TmConfig` through this.
+    /// runtime sets the controller's initial check interval from `TmConfig`
+    /// through this.
     pub fn new_summary_tuned(&self, tuning: SummaryTuning) -> ShardedSummary {
         ShardedSummary {
             shards: (0..self.shards.len())
@@ -611,15 +601,6 @@ impl ShardedSummary {
     /// Shard `s`'s summary.
     pub fn shard(&self, s: usize) -> &RingSummary {
         &self.shards[s]
-    }
-
-    /// True when the shard summaries run the epoch-bank protocol (the group
-    /// fast pass is consulted only then; seqlock mode keeps PR 3's exact
-    /// behaviour as the differential oracle).
-    pub fn epoch_mode(&self) -> bool {
-        self.shards
-            .first()
-            .is_some_and(|s| s.mode() == ResetMode::Epoch)
     }
 
     /// Announce a publish to shard `s`: the group's `started` slot first, then
@@ -969,39 +950,8 @@ mod tests {
     }
 
     #[test]
-    fn masked_summary_density_reset() {
-        // One shard of an 8-shard PAPER ring covers 4 words = 256 bits; a third
-        // of that is ~85 bits, far below the full geometry's threshold — the
-        // masked live-bit accounting must still trigger the reset.
-        let (sys, ring, summaries) = setup(8, 256);
-        let th = sys.thread(0);
-        let mut sig = Sig::new(ring.spec());
-        for i in 0..300u32 {
-            sig.clear();
-            sig.add(addr_in_shard(&ring, 2, i * 4099));
-            ring.publish_software_summarized(&th, &sig, &summaries);
-        }
-        let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert!(
-            stats.resets >= 1,
-            "shard 2's masked summary must reach its density threshold"
-        );
-        assert_eq!(stats.epoch_retires, 0, "seqlock resets retire no epoch");
-        assert!(summaries.shard(2).snapshot().is_empty());
-    }
-
-    fn setup_epochs(shards: usize, entries: usize) -> (HtmSystem, ShardedRing, ShardedSummary) {
-        let sys = HtmSystem::new(HtmConfig::default(), HEAP);
-        let mut b = HeapBuilder::new(HEAP);
-        let ring = ShardedRing::alloc(&mut b, shards, entries, SigSpec::PAPER);
-        let summaries = ring.new_summary_tuned(SummaryTuning::epochs());
-        (sys, ring, summaries)
-    }
-
-    #[test]
     fn group_pass_decides_disjoint_epoch_validation() {
-        let (sys, ring, summaries) = setup_epochs(8, 16);
-        assert!(summaries.epoch_mode());
+        let (sys, ring, summaries) = setup(8, 16);
         let th = sys.thread(0);
         let a = addr_in_shard(&ring, 3, 0);
         let mut wsig = Sig::new(ring.spec());
@@ -1045,7 +995,7 @@ mod tests {
 
     #[test]
     fn group_pass_declines_while_publisher_in_flight() {
-        let (sys, ring, summaries) = setup_epochs(8, 16);
+        let (sys, ring, summaries) = setup(8, 16);
         let th = sys.thread(0);
         // Hand-announce without completing: an in-flight hardware publisher.
         summaries.begin_shard(2);
@@ -1066,7 +1016,10 @@ mod tests {
 
     #[test]
     fn epoch_reset_publishes_group_floor() {
-        let (sys, ring, summaries) = setup_epochs(8, 256);
+        // One shard of an 8-shard PAPER ring covers 4 words = 256 bits; a third
+        // of that is ~85 bits, far below the full geometry's threshold — the
+        // masked live-bit accounting must still trigger the reset.
+        let (sys, ring, summaries) = setup(8, 256);
         let th = sys.thread(0);
         let mut sig = Sig::new(ring.spec());
         for i in 0..300u32 {
@@ -1077,7 +1030,6 @@ mod tests {
         let before = ring.shard(2).timestamp_nt(&th);
         let stats = ring.maybe_reset_summaries(&th, &summaries);
         assert!(stats.resets >= 1);
-        assert!(stats.epoch_retires >= 1, "epoch resets retire a bank");
         assert_eq!(stats.pinned_stalls, 0);
         assert!(summaries.shard(2).snapshot().is_empty());
         // The reset raised shard 2's group floor to the post-clear timestamp:
@@ -1098,7 +1050,7 @@ mod tests {
 
     #[test]
     fn stale_pin_defers_sharded_reset_and_counts_stall() {
-        let (sys, ring, summaries) = setup_epochs(8, 256);
+        let (sys, ring, summaries) = setup(8, 256);
         let th = sys.thread(0);
         let mut sig = Sig::new(ring.spec());
         // Saturate shard 2 past the density threshold.
@@ -1109,7 +1061,7 @@ mod tests {
         }
         // First reset flips shard 2's summary to epoch 1.
         let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert!(stats.epoch_retires >= 1);
+        assert!(stats.resets >= 1);
         assert_eq!(summaries.shard(2).pin_epoch(0), 1);
         summaries.shard(2).unpin(0);
         // Saturate again, then pin a reader to the *old* epoch 0 (a validator
@@ -1126,6 +1078,6 @@ mod tests {
         // Unpin: the next sweep retires the bank.
         summaries.shard(2).pins_for_tests().clear(9);
         let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert!(stats.epoch_retires >= 1);
+        assert!(stats.resets >= 1);
     }
 }

@@ -14,7 +14,7 @@
 //!    resumes and proceeds at full cadence, and the publish occupancy
 //!    counters balance back to zero.
 
-use tm_sig::{ResetAttempt, ResetMode, RingSummary, Sig, SigSpec, SummaryTuning};
+use tm_sig::{ResetAttempt, RingSummary, Sig, SigSpec, SummaryTuning};
 
 const SPEC_BITS: u32 = 512;
 
@@ -23,7 +23,6 @@ const SPEC_BITS: u32 = 512;
 /// of the bits are live.
 fn tuning() -> SummaryTuning {
     SummaryTuning {
-        mode: ResetMode::Epoch,
         density_num: 1,
         density_den: 8,
         check_interval: 32,

@@ -3,10 +3,10 @@
 //! (vs ground truth, under real multithreaded interleavings), the sharded
 //! ring (vs per-shard ground truth, plus a shard-count=1 differential oracle
 //! against the single ring), the epoch reset protocol (vs ground truth
-//! under concurrent resets, vs the seqlock protocol as a differential oracle,
-//! and the skip-untouched-shards software publish vs a publish-everything
-//! oracle), the unrolled word kernels (word-for-word vs the scalar oracles),
-//! and the signature arena's cleared-on-recycle contract.
+//! under concurrent resets, vs the precise entry walk it approximates, and
+//! the skip-untouched-shards software publish vs a publish-everything
+//! oracle), and the unrolled word kernels (word-for-word vs the scalar
+//! references).
 
 use htm_sim::{HeapBuilder, HtmConfig, HtmSystem};
 use proptest::prelude::*;
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
 use tm_sig::kernels::{scalar, unrolled, BankLine};
 use tm_sig::{
-    CloneSaved, ResetMode, Ring, RingSummary, ShardTimes, ShardedRing, Sig, SigJournal, SigSlot,
+    CloneSaved, Ring, RingSummary, ShardTimes, ShardedRing, Sig, SigJournal, SigSlot,
     SigSpec, SummaryTuning,
 };
 
@@ -515,7 +515,6 @@ proptest! {
         let mut b = HeapBuilder::new(1 << 20);
         let ring = ShardedRing::alloc(&mut b, 8, 1024, SigSpec::PAPER); // no rollover
         let summaries = ring.new_summary_tuned(SummaryTuning {
-            mode: ResetMode::Epoch,
             density_num: 1,
             density_den: 64,
             check_interval: 4,
@@ -649,19 +648,20 @@ proptest! {
         });
     }
 
-    /// Epoch-vs-seqlock differential oracle on the plain [`Ring`], at both the
+    /// The summary against the specification it approximates — the precise
+    /// entry walk [`Ring::validate_nt`] — on the plain [`Ring`], at both the
     /// compact-entry (2048-bit, 32-word) geometry and the full-entry-layout
     /// boundary (4096-bit, 64-word — the widest a ring entry's single mask
-    /// word supports): the same commit sequence is fed to two identical rings,
-    /// one summarized under the epoch protocol (aggressive tuning, so resets
-    /// actually fire) and one under the legacy seqlock. The two summaries may
-    /// disagree about *how* a validation was decided (fast pass vs precise
-    /// walk), but never about the verdict or the advanced timestamp — the fast
-    /// pass only ever says "definitely clean", and both sides share the precise
-    /// walk as their fallback. The >64-word folded geometry has no ring; its
-    /// differential is [`epoch_matches_seqlock_on_folded_geometry`] below.
+    /// word supports): a commit sequence is published through a summary under
+    /// aggressive tuning (so resets actually fire), and after every commit the
+    /// summarized validation is compared with the bare walk over the same
+    /// window. The fast pass may decide *how* a validation was settled, never
+    /// the outcome: it may only say "clean" where the walk says clean, and the
+    /// advanced timestamp must equal the walk's. The >64-word folded geometry
+    /// has no ring; its check is [`epoch_fast_pass_sound_on_folded_geometry`]
+    /// below.
     #[test]
-    fn epoch_matches_seqlock_oracle(
+    fn epoch_summary_matches_precise_walk(
         commits in proptest::collection::vec(arb_addrs(), 1..14),
         probe in 0u32..100_000,
         bits in prop_oneof![Just(2048u32), Just(4096)],
@@ -670,16 +670,8 @@ proptest! {
         let spec = SigSpec::new(bits);
         let sys = HtmSystem::new(HtmConfig::default(), 1 << 18);
         let mut b = HeapBuilder::new(1 << 18);
-        let ring_e = Ring::alloc(&mut b, 64, spec); // no rollover
-        let ring_s = Ring::alloc(&mut b, 64, spec);
-        let sum_e = RingSummary::with_tuning(spec, SummaryTuning {
-            mode: ResetMode::Epoch,
-            density_num: 1,
-            density_den: 64,
-            check_interval: 1,
-        });
-        let sum_s = RingSummary::with_tuning(spec, SummaryTuning {
-            mode: ResetMode::Seqlock,
+        let ring = Ring::alloc(&mut b, 64, spec); // no rollover
+        let summary = RingSummary::with_tuning(spec, SummaryTuning {
             density_num: 1,
             density_den: 64,
             check_interval: 1,
@@ -694,45 +686,38 @@ proptest! {
             for &a in addrs {
                 w.add(a);
             }
-            let ts_e = ring_e.publish_software_summarized(&th, &w, &sum_e);
-            let ts_s = ring_s.publish_software_summarized(&th, &w, &sum_s);
-            prop_assert_eq!(ts_e, ts_s);
+            ring.publish_software_summarized(&th, &w, &summary);
             if i % reset_every == 0 {
-                ring_e.maybe_reset_summary(&th, &sum_e);
-                ring_s.maybe_reset_summary(&th, &sum_s);
+                ring.maybe_reset_summary(&th, &summary);
             }
-            let (res_e, _fast_e) = ring_e.validate_summarized_nt(&th, &sum_e, &rsig, start);
-            let (res_s, _fast_s) = ring_s.validate_summarized_nt(&th, &sum_s, &rsig, start);
-            prop_assert_eq!(res_e, res_s, "protocols disagreed at commit {}", i);
-            if let Ok(ts) = res_e {
+            let walk = ring.validate_nt(&th, &rsig, start);
+            let (res, fast) = ring.validate_summarized_nt(&th, &summary, &rsig, start);
+            prop_assert_eq!(res, walk, "summary and walk disagreed at commit {} (fast: {})", i, fast);
+            if let Ok(ts) = res {
                 start = ts;
             }
         }
     }
 
-    /// Epoch-vs-seqlock differential on the **folded** signature geometry
-    /// (8192 bits, 128 words — word `i` and `i + 64` share a non-zero-word
-    /// mask bit, and no ring exists at this width), driven at the
-    /// [`RingSummary`] level with synthetic timestamps: identical publish and
-    /// reset sequences go to one summary per protocol. Each protocol's fast
-    /// pass is checked for soundness against the exact published signatures
-    /// (an admitted window must contain no conflicting publish), and whenever
-    /// both protocols pass they must agree on the advanced timestamp.
+    /// Fast-pass soundness on the **folded** signature geometry (8192 bits,
+    /// 128 words — word `i` and `i + 64` share a non-zero-word mask bit, and
+    /// no ring exists at this width), driven at the [`RingSummary`] level with
+    /// synthetic timestamps and resets firing mid-sequence. The fast pass is
+    /// checked against the exact published signatures (an admitted window
+    /// must contain no conflicting publish), and a pass must advance to the
+    /// timestamp it read.
     #[test]
-    fn epoch_matches_seqlock_on_folded_geometry(
+    fn epoch_fast_pass_sound_on_folded_geometry(
         commits in proptest::collection::vec(arb_addrs(), 1..20),
         probe in 0u32..100_000,
         reset_every in 1usize..5,
     ) {
         let spec = SigSpec::new(8192);
-        let mk = |mode| RingSummary::with_tuning(spec, SummaryTuning {
-            mode,
+        let summary = RingSummary::with_tuning(spec, SummaryTuning {
             density_num: 1,
             density_den: 64,
             check_interval: 1,
         });
-        let sum_e = mk(ResetMode::Epoch);
-        let sum_s = mk(ResetMode::Seqlock);
 
         let mut rsig = Sig::new(spec);
         rsig.add(probe);
@@ -744,35 +729,24 @@ proptest! {
                 w.add(a);
             }
             let ts = (i + 1) as u64;
-            for sum in [&sum_e, &sum_s] {
-                sum.begin_publish();
-                sum.complete_publish_masked(&w, u64::MAX, ts);
-            }
+            summary.begin_publish();
+            summary.complete_publish_masked(&w, u64::MAX, ts);
             published.push(w);
             if i % reset_every == 0 {
-                for sum in [&sum_e, &sum_s] {
-                    sum.maybe_reset_with(|| ts, || {}, |_| {});
-                }
+                summary.maybe_reset_with(|| ts, || {}, |_| {});
             }
-            let pass_e = sum_e.try_fast_pass(&rsig, start, || ts);
-            let pass_s = sum_s.try_fast_pass(&rsig, start, || ts);
-            for (name, pass) in [("epoch", pass_e), ("seqlock", pass_s)] {
-                if let Some(adv) = pass {
-                    prop_assert!(adv <= ts);
-                    // The admitted window is (start, adv]; publish at ts m+1
-                    // sits at index m.
-                    for m in start..adv {
-                        prop_assert!(
-                            !published[m as usize].intersects(&rsig),
-                            "{name} fast pass admitted a conflicting publish at ts {}",
-                            m + 1
-                        );
-                    }
+            if let Some(adv) = summary.try_fast_pass(&rsig, start, || ts) {
+                prop_assert_eq!(adv, ts);
+                // The admitted window is (start, adv]; publish at ts m+1
+                // sits at index m.
+                for m in start..adv {
+                    prop_assert!(
+                        !published[m as usize].intersects(&rsig),
+                        "fast pass admitted a conflicting publish at ts {}",
+                        m + 1
+                    );
                 }
-            }
-            if let (Some(a), Some(b)) = (pass_e, pass_s) {
-                prop_assert_eq!(a, b, "protocols advanced differently at commit {}", i);
-                start = a;
+                start = adv;
             }
         }
     }
@@ -790,18 +764,13 @@ proptest! {
     fn software_publish_skip_matches_all_shards_oracle(
         commits in proptest::collection::vec(arb_addrs(), 1..14),
         reads in arb_addrs(),
-        epochs in prop_oneof![Just(true), Just(false)],
     ) {
         let sys = HtmSystem::new(HtmConfig::default(), 1 << 20);
         let mut b = HeapBuilder::new(1 << 20);
         let sharded = ShardedRing::alloc(&mut b, 8, 1024, SigSpec::PAPER); // no rollover
         let oracle = Ring::alloc(&mut b, 1024, SigSpec::PAPER);
-        let tuning = SummaryTuning {
-            mode: if epochs { ResetMode::Epoch } else { ResetMode::Seqlock },
-            ..SummaryTuning::default()
-        };
-        let summaries = sharded.new_summary_tuned(tuning);
-        let oracle_summary = RingSummary::with_tuning(SigSpec::PAPER, tuning);
+        let summaries = sharded.new_summary();
+        let oracle_summary = RingSummary::new(SigSpec::PAPER);
         let th = sys.thread(0);
 
         let mut rsig = Sig::new(SigSpec::PAPER);
@@ -840,7 +809,7 @@ proptest! {
     /// The unrolled word kernels against the scalar oracles, word for word, on
     /// arbitrary equal-length slices (every length residue mod 4, zero-biased
     /// words so chunk skipping fires) and arbitrary word masks. Covers the
-    /// plain, atomic-bank and line-chunked kernel families.
+    /// plain and line-chunked kernel families.
     #[test]
     fn unrolled_kernels_match_scalar_oracles(pair in arb_word_pair(), mask in 0u64..=u64::MAX) {
         let (a, b): (Vec<u64>, Vec<u64>) = pair;
@@ -850,11 +819,6 @@ proptest! {
         unrolled::or_into(&mut d1, &b);
         scalar::or_into(&mut d2, &b);
         prop_assert_eq!(&d1, &d2);
-
-        let (mut d1, mut d2) = (a.clone(), a.clone());
-        let r1 = unrolled::and_not_into(&mut d1, &b);
-        let r2 = scalar::and_not_into(&mut d2, &b);
-        prop_assert_eq!((&d1, r1 == 0), (&d2, r2 == 0));
 
         // The masked tier, under the exact-mask contract the Sig invariant
         // provides (the mask covers every non-zero word of its operand).
@@ -888,22 +852,6 @@ proptest! {
         }
         prop_assert_eq!(unrolled::mask_of(&a), scalar::mask_of(&a));
         prop_assert_eq!(unrolled::popcount(&a), scalar::popcount(&a));
-
-        let atomics = |w: &[u64]| -> Vec<AtomicU64> {
-            w.iter().map(|&x| AtomicU64::new(x)).collect()
-        };
-        let loads = |bank: &[AtomicU64]| -> Vec<u64> {
-            bank.iter().map(|x| x.load(SeqCst)).collect()
-        };
-        let (b1, b2) = (atomics(&a), atomics(&a));
-        prop_assert_eq!(
-            unrolled::probe_intersects(&b1, &b),
-            scalar::probe_intersects(&b2, &b)
-        );
-        unrolled::fold_or(&b1, &b, mask);
-        scalar::fold_or(&b2, &b, mask);
-        prop_assert_eq!(loads(&b1), loads(&b2));
-        prop_assert_eq!(unrolled::popcount_atomic(&b1), scalar::popcount_atomic(&b2));
 
         let lines_of = |w: &[u64]| -> Vec<BankLine> {
             w.chunks(8)

@@ -2,12 +2,16 @@
 # Documentation hygiene gate (wired into scripts/tier1.sh):
 #
 #   1. Every file in docs/ is reachable from docs/INDEX.md (linked directly).
-#   2. Every intra-repo markdown link in docs/*.md and README.md resolves
-#      ([text](relative/path) — http(s) and #anchors are skipped).
-#   3. Every backticked code reference to a repo file resolves: `path/file.rs`,
-#      optionally with a `:line` suffix (the line must exist) or a `::item`
-#      suffix (stripped). Paths resolve repo-root-relative, doc-relative, or
-#      with the `crates/` prefix docs conventionally omit.
+#   2. Every intra-repo markdown link in docs/*.md, README.md, DESIGN.md and
+#      EXPERIMENTS.md resolves ([text](relative/path) — http(s) and #anchors
+#      are skipped).
+#   3. Every backticked code reference to a repo file in those documents
+#      resolves: `path/file.rs`, optionally with a `:line` suffix (the line must
+#      exist) or a `::item` suffix (`item` must occur in the file). Paths
+#      resolve repo-root-relative, doc-relative, or with the `crates/` prefix
+#      docs conventionally omit.
+#   4. Every backticked `TmConfig::x` / `HtmConfig::x` in those documents names
+#      a live field (or associated function) of the struct.
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -60,7 +64,15 @@ resolve() {
   return 1
 }
 
-for doc in docs/*.md README.md; do
+# The file defining a config struct, for check 4.
+config_file() {
+  case "$1" in
+  TmConfig) echo crates/core/src/runtime.rs ;;
+  HtmConfig) echo crates/htm-sim/src/config.rs ;;
+  esac
+}
+
+for doc in docs/*.md README.md DESIGN.md EXPERIMENTS.md; do
   dir="$(dirname "$doc")"
 
   # Markdown links: [text](target). Skip URLs and pure anchors.
@@ -76,9 +88,12 @@ for doc in docs/*.md README.md; do
 
   # Backticked code references: `path/file.ext`, `file.rs:123`, `file.rs::item`.
   while IFS= read -r ref; do
-    line=""
+    line="" item=""
     case "$ref" in
-    *::*) ref="${ref%%::*}" ;;
+    *::*)
+      item="${ref##*::}"
+      ref="${ref%%::*}"
+      ;;
     *:*)
       line="${ref##*:}"
       ref="${ref%:*}"
@@ -91,7 +106,20 @@ for doc in docs/*.md README.md; do
     if [ -n "$line" ] && [ "$line" -gt "$(wc -l <"$path")" ]; then
       err "$doc: $ref:$line past end of file ($(wc -l <"$path") lines)"
     fi
+    if [ -n "$item" ] && ! grep -qw -- "$item" "$path"; then
+      err "$doc: $ref::$item names nothing in $path"
+    fi
   done < <(grep -oE '`[A-Za-z0-9_][A-Za-z0-9_./-]*\.(rs|sh|md|json|toml)(:[0-9]+|::[A-Za-z0-9_]+)?`' "$doc" | tr -d '`')
+
+  # Config-field references: `TmConfig::x` / `HtmConfig::x` (the reference may
+  # continue, e.g. `TmConfig::ring_shards: 1`).
+  while IFS= read -r ref; do
+    ty="${ref%%::*}"
+    name="${ref##*::}"
+    if ! grep -qE "^ *pub $name:|fn $name\b" "$(config_file "$ty")"; then
+      err "$doc: $ty::$name is not a field of $ty"
+    fi
+  done < <(grep -oE '`(TmConfig|HtmConfig)::[A-Za-z0-9_]+' "$doc" | tr -d '`' | sort -u)
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -1,35 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, workspace tests (under a timeout, plus a repeat
-# loop of the concurrent root proptests on multi-CPU hosts), clippy -D
-# warnings on every workspace crate, rustdoc with warnings denied (broken
-# intra-doc links or malformed doc comments fail the gate), documentation hygiene
-# (scripts/doc-check.sh: docs/ reachable from docs/INDEX.md, intra-repo
-# links and code references resolve), and a bounded deterministic
-# schedule-exploration pass (schedx --bounded) over the virtual-clock
-# scenarios.
+# Tier-1 gate: release build; workspace tests under a timeout (plus, on a
+# multi-CPU host, a x10 repeat of the concurrent suites); clippy and rustdoc
+# with warnings denied; scripts/doc-check.sh; schedx --bounded.
 #
-# Flags:
-#   --smoke  also run the microbenchmarks at reduced iterations (CI sanity),
-#            including a ringbench --mode epoch pass, a membench pass, a
-#            partbench pass, a backendbench pass, a serverbench pass and a
-#            seeded schedx soak over the CI scenarios
-#   --bench  full microbenchmark run: linebench + pathbench + ringbench (the
-#            latter in both summary-reset protocols) + membench + partbench +
-#            backendbench + serverbench, writing fresh numbers to
-#            target/BENCH_{2,3,4,5,6,7,8}.json and gating against the
-#            committed ./BENCH_{2,3,4,5,6,7,8}.json (a >10% regression on
-#            end-to-end partitioned throughput or sharded mixed publish
-#            throughput, a >2x blow-up of the epoch-mode sharded validation
-#            overhead, a >2x slow-down of the unrolled intersect kernel,
-#            padding turning measurably costly, the adaptive planner falling
-#            below 1.2x static-single-segment on the capacity-heavy row, more
-#            than 8% behind hand-tuned static on the hint-optimal row, a >10%
-#            regression of the POWER split/stretch ablation rows, POWER
-#            capacity stretching falling below 1.5x splitting, server group
-#            commit falling below 1.3x unbatched or regressing >10%, the
-#            admission controller's overload goodput falling below 0.8x
-#            saturation or behind the no-controller baseline, or the overload
-#            p999 blowing past 3x its committed baseline, fails the gate)
+#   --smoke  also run every bench bin at reduced iterations and a seeded
+#            schedx soak over the CI scenarios
+#   --bench  full bench run: fresh numbers to target/BENCH_{2,4,5,6,7,8}.json,
+#            each gated against the committed ./BENCH_N.json by its own bin
+#            (the gate conditions are in each bin's --baseline help and in
+#            EXPERIMENTS.md); linebench runs ungated
 #
 # Fully offline: all dependencies are workspace-local (see docs/offline.md).
 set -euo pipefail
@@ -44,15 +23,23 @@ echo "== tier1: cargo test -q (workspace, timeout 900) =="
 timeout 900 cargo test -q --workspace
 
 if [ "$(nproc)" -ge 2 ]; then
-    echo "== tier1: root proptests x10 (timeout 60 each) =="
-    # Progress bugs in the multi-threaded protocol paths only show under real
-    # parallelism and only in some runs (ROADMAP item 0 hung one run in four):
-    # repeat the concurrent random-program suite (~0.4 s per run).
-    proptests_bin="$(cargo test -q --test proptests --no-run --message-format=json |
-        sed -n 's/.*"executable":"\([^"]*proptests-[^"]*\)".*/\1/p' | tail -n 1)"
+    echo "== tier1: root proptests + htm-sim lib suite x10 (timeout 60 each) =="
+    # Progress and atomicity bugs in the multi-threaded paths only show under
+    # real parallelism and only in some runs (a 2-CPU hang one run in four; a
+    # line-table doom lost one run in ~290): repeat the concurrent
+    # random-program suite (~0.4 s per run) and htm-sim's lib suite, which
+    # holds the line table's stress tests (~0.1 s per run).
+    test_bin() {
+        cargo test -q "$@" --no-run --message-format=json |
+            sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -n 1
+    }
+    proptests_bin="$(test_bin --test proptests)"
+    htm_sim_bin="$(test_bin -p htm-sim --lib)"
     for i in $(seq 1 10); do
         timeout 60 "$proptests_bin" -q >/dev/null ||
             { echo "root proptests run $i failed or hung" >&2; exit 1; }
+        timeout 60 "$htm_sim_bin" -q >/dev/null ||
+            { echo "htm-sim lib suite run $i failed or hung" >&2; exit 1; }
     done
 fi
 
@@ -84,8 +71,6 @@ case "${1:-}" in
     cargo run -q --release -p tm-bench --bin pathbench -- --smoke
     echo "== tier1: ringbench --smoke =="
     cargo run -q --release -p tm-bench --bin ringbench -- --smoke
-    echo "== tier1: ringbench --smoke --mode epoch =="
-    cargo run -q --release -p tm-bench --bin ringbench -- --smoke --mode epoch
     echo "== tier1: membench --smoke =="
     cargo run -q --release -p tm-bench --bin membench -- --smoke
     echo "== tier1: partbench --smoke =="
@@ -111,11 +96,8 @@ case "${1:-}" in
     # the sharding delta, which flips sign with the host's core count.
     cargo run -q --release -p tm-bench --bin pathbench -- --shards 1 \
         --json target/BENCH_2.json --baseline BENCH_2.json
-    echo "== tier1: ringbench (full, regression gate vs BENCH_3.json) =="
+    echo "== tier1: ringbench (full, regression gate vs BENCH_4.json) =="
     cargo run -q --release -p tm-bench --bin ringbench -- \
-        --json target/BENCH_3.json --baseline BENCH_3.json
-    echo "== tier1: ringbench --mode epoch (full, regression gate vs BENCH_4.json) =="
-    cargo run -q --release -p tm-bench --bin ringbench -- --mode epoch \
         --json target/BENCH_4.json --baseline BENCH_4.json
     echo "== tier1: membench (full, regression gate vs BENCH_5.json) =="
     cargo run -q --release -p tm-bench --bin membench -- \
@@ -129,7 +111,7 @@ case "${1:-}" in
     echo "== tier1: serverbench (full, regression gate vs BENCH_8.json) =="
     cargo run -q --release -p tm-bench --bin serverbench -- \
         --json target/BENCH_8.json --baseline BENCH_8.json
-    echo "   fresh numbers in target/BENCH_{2,3,4,5,6,7,8}.json; copy over the" \
+    echo "   fresh numbers in target/BENCH_{2,4,5,6,7,8}.json; copy over the" \
          "matching ./BENCH_N.json to rebaseline"
     ;;
 esac
