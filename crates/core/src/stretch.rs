@@ -22,8 +22,8 @@
 //! POWER, so the write set stays bounded by the backend's budget (64 entries
 //! on the Power model). A write-heavy overflow still aborts with
 //! [`htm_sim::AbortCode::Capacity`] and falls back to the global lock — which
-//! is exactly the trade-off the `backendbench` splitting-vs-stretching
-//! ablation measures (`docs/backends.md`).
+//! is exactly the trade-off `microbench`'s `rescue` rows (the
+//! splitting-vs-stretching ablation) measure (`docs/backends.md`).
 //!
 //! On backends without suspended regions
 //! ([`htm_sim::CapacityModel::supports_suspend`] false: TSX, the

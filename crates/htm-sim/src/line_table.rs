@@ -78,8 +78,7 @@
 //! and in [`crate::HtmConfig::validate`]. See `docs/line-table.md`.
 //!
 //! A mutex-based reference implementation with identical semantics lives in
-//! [`crate::line_table_ref`]; it serves as the differential-testing oracle and
-//! the "before" baseline of the `linebench` microbenchmark.
+//! [`crate::line_table_ref`]; it serves as the differential-testing oracle.
 
 use crate::align::CacheAligned;
 use crate::heap::{Line, WORDS_PER_LINE};
@@ -230,8 +229,7 @@ fn clear_stale_writer(
 /// aligned, so the table's first and last words could share a host line with
 /// unrelated allocations; the chunked layout pins every group of eight
 /// adjacent line-words to exactly one host line. Adjacent heap lines still
-/// intentionally share a host line here (they do in real tag arrays too); the
-/// `membench` false-sharing A/B quantifies that trade-off in isolation.
+/// intentionally share a host line here (they do in real tag arrays too).
 pub struct LineTable {
     chunks: Box<[CacheAligned<[AtomicU64; WORDS_PER_LINE]>]>,
     n_lines: usize,

@@ -2,16 +2,14 @@
 //!
 //! This is the original `LineTable` (one `Mutex<LineEntry>` per heap line),
 //! retained verbatim after the lock-free packed-word table replaced it on the
-//! hot path ([`crate::line_table`]). It exists for two reasons:
-//!
-//! 1. **Differential-testing oracle**: `tests/table_differential.rs` replays
-//!    randomized operation sequences against both tables and requires identical
-//!    outcomes and identical final ownership state. Sequential executions of the
-//!    two implementations must agree exactly — the lock-free table's extra
-//!    freedoms (spurious dooms, claim back-off) only arise under concurrency.
-//! 2. **Benchmark baseline**: `tm-harness`'s `linebench` bin measures both from
-//!    the same binary, so the committed before/after numbers (`BENCH_1.json`)
-//!    are reproducible from this tree alone.
+//! hot path ([`crate::line_table`]). It exists as the **differential-testing
+//! oracle**: `tests/table_differential.rs` replays randomized operation
+//! sequences against both tables and requires identical outcomes and identical
+//! final ownership state. Sequential executions of the two implementations
+//! must agree exactly — the lock-free table's extra freedoms (spurious dooms,
+//! claim back-off) only arise under concurrency. (It was also the "before" arm
+//! of the retired conflict-table bench: the packed word halved the access
+//! cycle, 7.4 vs 15.5 ns/op — history table in EXPERIMENTS.md.)
 //!
 //! The API mirrors [`crate::line_table::LineTable`] exactly; it is not used by
 //! [`crate::HtmSystem`].

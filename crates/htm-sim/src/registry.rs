@@ -155,8 +155,7 @@ impl TxStatus {
 /// One cache line per thread to avoid false sharing between status words:
 /// every CAS on one thread's status would otherwise invalidate its
 /// neighbours' lines on every doom/begin/finish. [`CacheAligned`] pads the
-/// status word to a full line (the `membench` false-sharing A/B measures
-/// what the packed layout would cost).
+/// status word to a full line.
 type TxSlot = CacheAligned<AtomicU64>;
 
 fn new_slot() -> TxSlot {

@@ -464,7 +464,8 @@ impl<'a, 's> HtmTx<'a, 's> {
     ///
     /// The price is the per-access suspend overhead
     /// ([`crate::backend::CapacityModel::suspend_cost`] + 1 units), which is
-    /// what the splitting-vs-stretching ablation measures (`backendbench`).
+    /// what the splitting-vs-stretching ablation measures (`microbench`'s
+    /// `rescue` rows).
     ///
     /// # Panics
     ///

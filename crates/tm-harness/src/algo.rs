@@ -33,7 +33,7 @@ pub enum Algo {
     /// Stretch-HTM: whole-transaction capacity *stretching* via suspend/resume
     /// instead of Part-HTM's segment *splitting* — only effective on backends
     /// with suspended regions (the `power` model); degrades to HTM-GL
-    /// elsewhere. The `backendbench` ablation's second arm.
+    /// elsewhere. The second arm of `microbench`'s `rescue` rows.
     StretchHtm,
 }
 

@@ -588,7 +588,7 @@ pub fn vsweep(opts: &ExpOpts) -> Table {
     table
 }
 
-/// perfbench's `nrmw_capacity` shape (`partbench`'s capacity-heavy row): 768
+/// perfbench's `nrmw_capacity` shape (`microbench`'s `plan` rows run it too): 768
 /// reads + 16 writes in 32 fine-grained segments against a 64-line read
 /// budget — every transaction takes the partitioned path. Run with 64 slices
 /// per array ([`micro::Nrmw::new`]), like every figure in the tree.

@@ -17,7 +17,7 @@
 //!
 //! Arrivals are *precomputed* rather than drawn inline so that a run's
 //! offered load is a pure function of `(process, rate, seed)` — the
-//! virtual-time serverbench cell replays the identical arrival plan across
+//! virtual-time `microbench` server cell replays the identical arrival plan across
 //! batching/admission variants, making their latency tables directly
 //! comparable (same comparability rule as `docs/virtual-time.md`).
 
@@ -199,7 +199,7 @@ impl LatencyHisto {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile — the serverbench gate's tail metric.
+    /// 99.9th percentile — the tail metric of `microbench`'s `server` rows.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }

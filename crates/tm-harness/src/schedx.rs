@@ -173,7 +173,7 @@ struct BatchGroup {
 }
 
 impl BatchGroup {
-    /// Requests per group (the serverbench default batch width is 8; 4 keeps
+    /// Requests per group (the `ServeOpts` default batch width is 8; 4 keeps
     /// the bounded frontier small while landing in a distinct width class).
     const WIDTH: usize = 4;
 }

@@ -47,7 +47,7 @@ const RECOVER_SHIFT: u32 = 5;
 pub struct AdmissionSpec {
     /// Master switch: `false` pins the no-controller baseline (every request
     /// admitted to the speculative paths) — the differential oracle the
-    /// serverbench overload row is measured against.
+    /// `microbench` overload rows are measured against.
     pub enabled: bool,
     /// Admit everything while the per-worker backlog is at or below this
     /// (the server is keeping up; there is no excess to shed).

@@ -10,7 +10,9 @@
 //! * **group commit** ([`batch`]) — per-worker coalescing of small
 //!   same-shard requests into one planner-declared multi-segment
 //!   transaction, amortizing the fixed per-transaction costs (HTM
-//!   begin/commit, glock check, ring publish) across up to `batch_max`
+//!   begin/commit, the executor's routing and planner bookkeeping, the
+//!   subscription reads; not a ring publish — with no partitioned-path peer
+//!   active the quiet fast path never publishes) across up to `batch_max`
 //!   requests, while the width-classed planner sites let PR 7's abort
 //!   profiler split an over-wide batch back apart on capacity aborts;
 //! * **admission control** ([`admission`]) — a probe/backoff controller
@@ -25,7 +27,7 @@
 //! reports sojourn-latency histograms ([`tm_harness::loadgen`]) next to the
 //! usual protocol statistics. `batch_max = 1` and [`AdmissionSpec::off`]
 //! pin the unbatched / no-controller differential oracles; the
-//! `serverbench` binary measures both mechanisms against them.
+//! `microbench` binary's `server` rows measure both mechanisms against them.
 //!
 //! See `docs/tm-server.md` for the request lifecycle and the batching
 //! equivalence argument.

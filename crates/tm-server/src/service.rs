@@ -334,7 +334,7 @@ impl Default for TrafficMix {
 }
 
 impl TrafficMix {
-    /// A small-transaction-only mix (the serverbench batching row).
+    /// A small-transaction-only mix (`microbench`'s group-commit rows).
     pub fn small_only() -> Self {
         Self {
             transfer_weight: 0,

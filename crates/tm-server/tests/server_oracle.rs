@@ -171,7 +171,7 @@ fn virtual_server_is_reproducible() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a, b, "virtual-time serverbench cell must be reproducible");
+    assert_eq!(a, b, "virtual-time server cell must be reproducible");
     assert!(a.0 > 0, "virtual time must advance");
     assert_eq!(a.3, 300, "every request gets a latency sample");
 }

@@ -16,8 +16,8 @@
 //!   (below half-live words: index only the live words, as the pre-pass
 //!   sparse loops did) and the bulk 4-wide walk.
 //! * [`scalar`] — the one-word-at-a-time loops the unrolled forms replaced:
-//!   the reference the kernel tests and `membench` compare against, always
-//!   called by name.
+//!   the reference the kernel tests and `microbench`'s `kernels` rows
+//!   compare against, always called by name.
 //!
 //! Both flavours are *pure word kernels*: they know nothing about signature
 //! masks, banks, epochs or ring protocol. Callers keep every protocol
@@ -373,8 +373,8 @@ pub mod unrolled {
 
     /// Density cutover for the masked kernels: at half-live words and above
     /// the 4-wide bulk walk wins (one branch per chunk, straight-line lanes);
-    /// below it the mask-guided walk touches only live words — the membench
-    /// `or_sparse`/`and_not_sparse` rows are exactly the regime this guards.
+    /// below it the mask-guided walk touches only live words — `microbench`'s
+    /// `or_into_masked`/`and_not_masked` rows are exactly the regime this guards.
     #[inline]
     fn mask_is_dense(live: u64, len: usize) -> bool {
         2 * live.count_ones() as usize >= len

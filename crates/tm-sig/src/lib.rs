@@ -28,8 +28,9 @@
 //!   "Epoch-based resets");
 //! * [`kernels`] — 4-wide-unrolled `u64` word kernels backing every signature
 //!   hot loop, with the original scalar loops kept as the reference the
-//!   kernel tests and `membench` compare against; [`CacheAligned`] — the cache-line padding wrapper disciplining
-//!   the shared layouts (see `docs/mem-layout.md`).
+//!   kernel tests and `microbench` compare against; [`CacheAligned`] — the
+//!   cache-line padding wrapper disciplining the shared layouts (see
+//!   `docs/mem-layout.md`).
 
 #![deny(missing_docs)]
 

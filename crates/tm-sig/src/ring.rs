@@ -595,12 +595,7 @@ impl RingSummary {
     /// An empty summary whose density accounting covers only the words selected by
     /// `word_mask` (a shard of the sharded ring only ever folds in its own word
     /// range, so measuring density against the full geometry would make
-    /// [`RingSummary::wants_reset`] unreachable). Default tuning.
-    pub fn new_masked(spec: SigSpec, word_mask: u64) -> Self {
-        Self::new_masked_tuned(spec, word_mask, SummaryTuning::default())
-    }
-
-    /// [`RingSummary::new_masked`] with explicit [`SummaryTuning`].
+    /// [`RingSummary::wants_reset`] unreachable).
     pub fn new_masked_tuned(spec: SigSpec, word_mask: u64, tuning: SummaryTuning) -> Self {
         let covered = (0..spec.words().min(64))
             .filter(|i| word_mask & (1 << i) != 0)
@@ -958,7 +953,7 @@ impl RingSummary {
     /// True when the summary is due for a density check and more than the
     /// controller's current threshold of its live bits are set (the full
     /// geometry, or the shard's word range for a summary built with
-    /// [`RingSummary::new_masked`]). A summary that dense intersects almost
+    /// [`RingSummary::new_masked_tuned`]). A summary that dense intersects almost
     /// every read signature, so the fast path stops paying for itself.
     pub fn wants_reset(&self) -> bool {
         self.since_reset.load(SeqCst) >= self.ctrl_interval.load(SeqCst)

@@ -316,8 +316,8 @@ impl ShardedRing {
     /// including the highest one. So at every shared shard `A`'s bump precedes
     /// `B`'s: the same pairwise order as the hold-everything protocol, but each
     /// lock is now held only for its own shard's reserve/write/bump instead of
-    /// for the whole multi-shard sweep (the `publish_software_disjoint`
-    /// regression in BENCH_3 was exactly this over-long hold). Returns the
+    /// for the whole multi-shard sweep (the software-only publish regression
+    /// of the first sharded-ring bench was exactly this over-long hold). Returns the
     /// touched-shard mask and per-shard commit timestamps.
     pub fn publish_software_summarized(
         &self,

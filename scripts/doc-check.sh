@@ -12,6 +12,12 @@
 #      docs conventionally omit.
 #   4. Every backticked `TmConfig::x` / `HtmConfig::x` in those documents names
 #      a live field (or associated function) of the struct.
+#   5. Every backticked microbench row reference `group/metric` in those
+#      documents names a row of the committed BENCH.json (read through
+#      scripts/bench-rows.sh; a group is any `workload` the file holds).
+#   6. No tracked file names a retired bench binary or a BENCH_<n> baseline,
+#      except CHANGES.md, ISSUE.md, the frozen benchmark/ paths and the history
+#      block of EXPERIMENTS.md (between the `bench-history:` markers).
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -72,6 +78,11 @@ config_file() {
   esac
 }
 
+# The committed microbench rows and their groups, for check 5.
+bench_rows="$(./scripts/bench-rows.sh BENCH.json | cut -d' ' -f1)"
+bench_groups="$(cut -d/ -f1 <<<"$bench_rows" | sort -u | paste -sd'|')"
+[ -n "$bench_groups" ] || err "BENCH.json holds no rows"
+
 for doc in docs/*.md README.md DESIGN.md EXPERIMENTS.md; do
   dir="$(dirname "$doc")"
 
@@ -120,7 +131,26 @@ for doc in docs/*.md README.md DESIGN.md EXPERIMENTS.md; do
       err "$doc: $ty::$name is not a field of $ty"
     fi
   done < <(grep -oE '`(TmConfig|HtmConfig)::[A-Za-z0-9_]+' "$doc" | tr -d '`' | sort -u)
+
+  # Microbench row references: `group/metric`.
+  while IFS= read -r ref; do
+    if ! grep -qxF -- "$ref" <<<"$bench_rows"; then
+      err "$doc: microbench row $ref is not in BENCH.json"
+    fi
+  done < <(grep -oE "\`(${bench_groups:-none})/[a-z0-9_]+\`" "$doc" | tr -d '`' | sort -u)
 done
+
+# --- 6. retired bench names ---------------------------------------------------
+# (The pattern is spelled so that this script does not match itself.)
+retired='\b((line|path|ring|mem|part|backend|server)bench|micro(prof))\b|BENCH_[0-9]'
+while IFS= read -r hit; do
+  err "retired bench name: $hit"
+done < <(git ls-files -co --exclude-standard -- . ':!CHANGES.md' ':!ISSUE.md' ':!benchmark' |
+  xargs awk '
+    /bench-history:begin/ { skip = 1 }
+    /bench-history:end/ { skip = 0 }
+    !skip { printf "%s:%d: %s\n", FILENAME, FNR, substr($0, 1, 100) }
+  ' | grep -E "$retired" || true)
 
 if [ "$fail" -ne 0 ]; then
   echo "doc-check: FAILED" >&2

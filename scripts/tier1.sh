@@ -3,16 +3,25 @@
 # multi-CPU host, a x10 repeat of the concurrent suites); clippy and rustdoc
 # with warnings denied; scripts/doc-check.sh; schedx --bounded.
 #
-#   --smoke  also run every bench bin at reduced iterations and a seeded
+#   --smoke  also microbench --smoke (every row once, < 30 s) and a seeded
 #            schedx soak over the CI scenarios
-#   --bench  full bench run: fresh numbers to target/BENCH_{2,4,5,6,7,8}.json,
-#            each gated against the committed ./BENCH_N.json by its own bin
-#            (the gate conditions are in each bin's --baseline help and in
-#            EXPERIMENTS.md); linebench runs ungated
+#   --bench  also a full microbench run (< 3 min) to target/microbench.json,
+#            gated against the committed BENCH.json by perfbench's
+#            `benchmark/run.sh check` (ok / worse / unresolved per row) and by
+#            microbench's own claim floors; to rebaseline, copy the fresh file
+#            over BENCH.json
 #
 # Fully offline: all dependencies are workspace-local (see docs/offline.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+case "$#:${1:-}" in
+0: | 1:--smoke | 1:--bench) ;;
+*)
+    echo "usage: scripts/tier1.sh [--smoke | --bench]" >&2
+    exit 2
+    ;;
+esac
 
 echo "== tier1: cargo build --release =="
 cargo build --release
@@ -65,20 +74,9 @@ cargo build -q --release -p tm-harness --bin schedx
 
 case "${1:-}" in
 --smoke)
-    echo "== tier1: linebench --smoke =="
-    cargo run -q --release -p tm-bench --bin linebench -- --smoke
-    echo "== tier1: pathbench --smoke =="
-    cargo run -q --release -p tm-bench --bin pathbench -- --smoke
-    echo "== tier1: ringbench --smoke =="
-    cargo run -q --release -p tm-bench --bin ringbench -- --smoke
-    echo "== tier1: membench --smoke =="
-    cargo run -q --release -p tm-bench --bin membench -- --smoke
-    echo "== tier1: partbench --smoke =="
-    cargo run -q --release -p tm-bench --bin partbench -- --smoke
-    echo "== tier1: backendbench --smoke =="
-    cargo run -q --release -p tm-bench --bin backendbench -- --smoke
-    echo "== tier1: serverbench --smoke =="
-    cargo run -q --release -p tm-bench --bin serverbench -- --smoke
+    echo "== tier1: microbench --smoke (timeout 30) =="
+    cargo build -q --release -p tm-bench
+    timeout 30 ./target/release/microbench --smoke --out target/microbench-smoke.json
     echo "== tier1: schedx --seeds soak (seeded schedule sampling) =="
     # Complements the bounded-exhaustive gate above: 32 seeded schedules per
     # CI scenario reach interleavings past the exhaustive depth horizon.
@@ -88,31 +86,10 @@ case "${1:-}" in
     done
     ;;
 --bench)
-    echo "== tier1: linebench (full) =="
-    cargo run -q --release -p tm-bench --bin linebench
-    echo "== tier1: pathbench (full, regression gate vs BENCH_2.json) =="
-    # --shards 1 matches the committed baseline's convention (see
-    # EXPERIMENTS.md): the gate tracks the single-ring partitioned path, not
-    # the sharding delta, which flips sign with the host's core count.
-    cargo run -q --release -p tm-bench --bin pathbench -- --shards 1 \
-        --json target/BENCH_2.json --baseline BENCH_2.json
-    echo "== tier1: ringbench (full, regression gate vs BENCH_4.json) =="
-    cargo run -q --release -p tm-bench --bin ringbench -- \
-        --json target/BENCH_4.json --baseline BENCH_4.json
-    echo "== tier1: membench (full, regression gate vs BENCH_5.json) =="
-    cargo run -q --release -p tm-bench --bin membench -- \
-        --json target/BENCH_5.json --baseline BENCH_5.json
-    echo "== tier1: partbench (full, regression gate vs BENCH_6.json) =="
-    cargo run -q --release -p tm-bench --bin partbench -- \
-        --json target/BENCH_6.json --baseline BENCH_6.json
-    echo "== tier1: backendbench (full, regression gate vs BENCH_7.json) =="
-    cargo run -q --release -p tm-bench --bin backendbench -- \
-        --json target/BENCH_7.json --baseline BENCH_7.json
-    echo "== tier1: serverbench (full, regression gate vs BENCH_8.json) =="
-    cargo run -q --release -p tm-bench --bin serverbench -- \
-        --json target/BENCH_8.json --baseline BENCH_8.json
-    echo "   fresh numbers in target/BENCH_{2,4,5,6,7,8}.json; copy over the" \
-         "matching ./BENCH_N.json to rebaseline"
+    echo "== tier1: microbench (full, timeout 180; drift gate vs BENCH.json) =="
+    cargo build -q --release -p tm-bench
+    timeout 180 ./target/release/microbench --out target/microbench.json
+    bash benchmark/run.sh check BENCH.json target/microbench.json
     ;;
 esac
 
