@@ -173,7 +173,7 @@ pub const ROWS: &[RowDef] = &[
     host("server/overload_on_req_per_s", "1/s", Higher),
     host("server/overload_off_req_per_s", "1/s", Higher),
     wall("server/overload_sat_frac", Higher).floor(0.8),
-    wall("server/admission_gain", Higher).floor(1.0),
+    wall("server/admission_gain", Higher),
     // Part-HTM design choices on the Fig. 3(b) cell. It fits the fast path at
     // 4 cores, so the partitioned-path choices are ablated with it off.
     tput("ablation/default_tx_per_mwu"),
@@ -337,7 +337,7 @@ mod tests {
                 d.key
             );
         }
-        assert_eq!(ROWS.iter().filter(|d| d.floor.is_some()).count(), 6);
+        assert_eq!(ROWS.iter().filter(|d| d.floor.is_some()).count(), 5);
     }
 
     #[test]

@@ -33,6 +33,9 @@ use tm_sig::{ShardTimes, ShardedValidation, Sig, SigJournal, SigSpec};
 
 /// Global (partitioned-path) attempts before the slow path (§5.3.7: "the
 /// transaction is retried 5 times before falling back to the slow path").
+/// Only conflict-, lock- and validation-driven global aborts spend them: a
+/// capacity-class abort of a single declared segment goes to the slow path at
+/// once, since re-running it cannot fit it.
 pub const PART_RETRIES: u32 = 5;
 /// Base of the exponential backoff after a global abort (Fig. 1 line 59), in
 /// spin-work units.
@@ -169,11 +172,18 @@ enum GroupRun {
     /// A merged (multi-segment) group died of a capacity-class abort: re-run it
     /// as single declared segments (retrying it as-is would be futile).
     Split,
-    /// The enclosing global transaction must abort; `capacity` (the terminal
-    /// abort was capacity-class) feeds the controller's sub-path profile.
-    Fail {
-        capacity: bool,
-    },
+    /// The enclosing global transaction must abort, for this reason.
+    Fail(GlobalAbort),
+}
+
+/// Why a global transaction on the partitioned path aborted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum GlobalAbort {
+    /// Conflict, lock or validation driven: another global attempt may commit.
+    Retry,
+    /// A single declared segment died of a capacity-class abort: nothing is
+    /// left to split, so every further attempt would fail the same way.
+    Futile,
 }
 
 /// A variant's reaction to a failed sub-HTM attempt (before the retry budget).
@@ -396,10 +406,11 @@ impl<'r, V: Variant> PartExec<'r, V> {
     /// Run the declared segments `start..end` as *one* sub-HTM transaction
     /// with bounded retries (§5.3.3–5.3.5). `start..end` comes from the
     /// segment plan: a single declared segment under the static oracle, up to
-    /// the site's learned merge factor under the adaptive planner. A
-    /// multi-segment group that dies of a capacity-class abort is not
-    /// retried — it reports [`GroupRun::Split`] so the caller re-runs it as
-    /// single segments.
+    /// the site's learned merge factor under the adaptive planner. A group
+    /// that dies of a capacity-class abort is never retried as-is: a
+    /// multi-segment group reports [`GroupRun::Split`] so the caller re-runs
+    /// it as single segments, and a single declared segment fails the global
+    /// transaction at once (nothing is left to split).
     fn run_group<W: Workload>(
         &mut self,
         w: &mut W,
@@ -443,9 +454,12 @@ impl<'r, V: Variant> PartExec<'r, V> {
             self.th.stats.journal_rollbacks += 1;
             w.restore(snap.clone());
             attempts += 1;
-            let capacity = capacity_class(code);
-            if capacity && end - start > 1 {
-                return GroupRun::Split;
+            if capacity_class(code) {
+                return if end - start > 1 {
+                    GroupRun::Split
+                } else {
+                    GroupRun::Fail(GlobalAbort::Futile)
+                };
             }
             // Lock conflicts and undo overflow propagate to the global
             // transaction (§5.3.5); a possibly stale snapshot is revalidated
@@ -462,7 +476,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
                 if attempts >= budget && budget < default {
                     self.th.stats.adaptive_retry_saves += (default - budget) as u64;
                 }
-                return GroupRun::Fail { capacity };
+                return GroupRun::Fail(GlobalAbort::Retry);
             }
             // A plain retry after a data conflict backs off first, by up to
             // what the lost attempt itself cost: self-scaling, so a 250-unit
@@ -477,9 +491,10 @@ impl<'r, V: Variant> PartExec<'r, V> {
         }
     }
 
-    /// Execute the transaction on the partitioned path (§5.3). `Err(())` means the
-    /// global transaction aborted and the caller decides whether to retry.
-    fn try_partitioned<W: Workload>(&mut self, w: &mut W) -> Result<(), ()> {
+    /// Execute the transaction on the partitioned path (§5.3). `Err` means the
+    /// global transaction aborted; the reason tells the caller whether another
+    /// global attempt can help.
+    fn try_partitioned<W: Workload>(&mut self, w: &mut W) -> Result<(), GlobalAbort> {
         let rt = self.th.rt;
         // Global begin (Fig. 1 lines 16–19): the active_tx/GLock handshake gives
         // mutual exclusion against the slow path.
@@ -536,7 +551,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
                         let last_htm = Some(end - 1) == last_htm_seg;
                         if V::validate_after_sub(cfg, last_htm) && !self.validate() {
                             self.global_abort();
-                            return Err(());
+                            return Err(GlobalAbort::Retry);
                         }
                         self.v.seal(&mut self.wmir);
                         seg = end;
@@ -553,12 +568,12 @@ impl<'r, V: Variant> PartExec<'r, V> {
                         }
                         end = seg + 1;
                     }
-                    GroupRun::Fail { capacity } => {
-                        if adaptive && capacity {
+                    GroupRun::Fail(why) => {
+                        if adaptive && why == GlobalAbort::Futile {
                             slot.record_sub_futility();
                         }
                         self.global_abort();
-                        return Err(());
+                        return Err(why);
                     }
                 }
             }
@@ -569,7 +584,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
         if wrote {
             if V::VALIDATE_AT_COMMIT && !self.validate() {
                 self.global_abort();
-                return Err(());
+                return Err(GlobalAbort::Retry);
             }
             let ring = rt.sharded_ring();
             let sig = self.v.commit_sig(&self.wmir);
@@ -629,7 +644,9 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
 
     /// The three-path driver: fast → partitioned on resource failure; fast →
     /// slow when conflicts persist; partitioned → slow after bounded global
-    /// aborts.
+    /// aborts. A transaction with nothing to split — one hardware segment —
+    /// goes from a resource failure straight to the slow path, and so does a
+    /// partitioned attempt whose single segment overflows.
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let rt = self.th.rt;
         let cfg = rt.config();
@@ -644,6 +661,13 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
         let slot = rt.sites().slot(w.site());
         let prior = w.profiled_resource_limited();
         let route = self.profile.route(cfg, slot, prior, &mut self.th.stats);
+        let one_segment = w.segments() == 1 && !w.software_segment(0);
+        // A profiler demotion (not the `skip_fast` ablation, which must still
+        // reach the sub-HTM path) of a one-segment transaction means its single
+        // segment is known not to fit: partitioning cannot change that.
+        if route == FastRoute::Demote && one_segment && !cfg.skip_fast {
+            return self.fall_back(w);
+        }
         if let FastRoute::Attempt { budget } = route {
             let mut fails = 0;
             loop {
@@ -654,9 +678,12 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
                         return self.committed(w, CommitPath::Htm);
                     }
                     Err(code) if code.is_resource_failure() => {
-                        // Capacity or interrupt: this is the class Part-HTM exists
-                        // for — partition it.
+                        // Capacity or quantum: this is the class Part-HTM exists
+                        // for — partition it, unless there is nothing to split.
                         self.profile.note_exit(cfg, slot, FastExit::Resource);
+                        if one_segment {
+                            return self.fall_back(w);
+                        }
                         self.th.stats.fallbacks_partitioned += 1;
                         break;
                     }
@@ -679,8 +706,10 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
         }
         let mut gfails = 0;
         loop {
-            if self.try_partitioned(w).is_ok() {
-                return self.committed(w, CommitPath::SubHtm);
+            match self.try_partitioned(w) {
+                Ok(()) => return self.committed(w, CommitPath::SubHtm),
+                Err(GlobalAbort::Futile) => return self.fall_back(w),
+                Err(GlobalAbort::Retry) => {}
             }
             gfails += 1;
             if gfails >= PART_RETRIES {
@@ -730,6 +759,8 @@ mod tests {
         segs: usize,
         base: Addr,
         work_per_op: u64,
+        /// The static profiler's verdict for the site.
+        prior: Option<bool>,
     }
 
     impl Incr {
@@ -739,6 +770,7 @@ mod tests {
                 segs,
                 base: rt.app(0),
                 work_per_op: 0,
+                prior: None,
             }
         }
     }
@@ -748,6 +780,9 @@ mod tests {
         fn sample(&mut self, _rng: &mut SmallRng) {}
         fn segments(&self) -> usize {
             self.segs
+        }
+        fn profiled_resource_limited(&self) -> Option<bool> {
+            self.prior
         }
         fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
             let per = self.n / self.segs;
@@ -760,6 +795,30 @@ mod tests {
                 ctx.write(a, v + 1)?;
             }
             Ok(())
+        }
+    }
+
+    /// `Incr` whose segment `seg` aborts with `code` on its first `left` runs,
+    /// on whichever path runs it.
+    struct Failing {
+        inner: Incr,
+        seg: usize,
+        code: AbortCode,
+        left: usize,
+    }
+
+    impl Workload for Failing {
+        type Snap = ();
+        fn sample(&mut self, _rng: &mut SmallRng) {}
+        fn segments(&self) -> usize {
+            self.inner.segs
+        }
+        fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
+            if seg == self.seg && self.left > 0 {
+                self.left -= 1;
+                return Err(self.code);
+            }
+            self.inner.segment(seg, ctx)
         }
     }
 
@@ -840,13 +899,127 @@ mod tests {
 
     fn oversize_segments_fall_back_to_global_lock<V: Variant>() {
         // Even one segment (48 app lines, 3 per set, plus metadata) overflows 4-way sets:
-        // partitioning cannot help, the slow path must rescue the transaction.
+        // partitioning cannot help, the slow path must rescue the transaction —
+        // after exactly one global abort, on the first sub-HTM capacity abort.
         let rt = mid_rt(TmConfig::default(), 1, 2048);
         let mut e = PartExec::<V>::new(&rt, 0);
         let path = e.execute(&mut Incr::new(&rt, 96, 2));
         assert_eq!(path, CommitPath::GlobalLock);
         check_sum(&rt, 96, 1);
         check_released(&rt);
+        let s = &e.thread().stats;
+        assert_eq!(s.fallbacks_partitioned, 1);
+        assert_eq!(s.sub_aborts, 1);
+        assert_eq!(s.global_aborts, 1);
+    }
+
+    fn one_segment_overrun_commits_under_the_lock<V: Variant>() {
+        // One hardware segment that blows the quantum: nothing to split, so the
+        // fast path's resource failure goes straight to the lock.
+        let htm = HtmConfig {
+            quantum: 1500,
+            ..HtmConfig::default()
+        };
+        let rt = TmRuntime::new(htm, TmConfig::default(), 1, 4096);
+        let mut e = PartExec::<V>::new(&rt, 0);
+        let mut w = Incr {
+            work_per_op: 100,
+            ..Incr::new(&rt, 40, 1)
+        };
+        assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
+        check_sum(&rt, 40, 1);
+        check_released(&rt);
+        let s = &e.thread().stats;
+        assert_eq!(s.fast_aborts, 1);
+        assert_eq!(s.fallbacks_partitioned, 0);
+        assert_eq!(s.sub_aborts, 0);
+        assert_eq!(s.global_aborts, 0);
+        assert_eq!(s.fallbacks_gl, 1);
+    }
+
+    fn demoted_one_segment_site_goes_straight_to_the_lock<V: Variant>() {
+        // The static profiler marks the site resource-limited: the transaction
+        // skips the fast path, and with one segment the partitioned path too.
+        let tm = TmConfig {
+            adaptive_plan: false,
+            ..TmConfig::default()
+        };
+        let rt = TmRuntime::new(HtmConfig::default(), tm, 1, 1024);
+        let mut e = PartExec::<V>::new(&rt, 0);
+        let mut w = Incr {
+            prior: Some(true),
+            ..Incr::new(&rt, 4, 1)
+        };
+        assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
+        check_sum(&rt, 4, 1);
+        let s = &e.thread().stats;
+        assert_eq!(s.site_demotions, 1);
+        assert_eq!(s.fast_aborts, 0);
+        assert_eq!(s.fallbacks_partitioned, 0);
+    }
+
+    fn skip_fast_one_segment_commits_sub_htm<V: Variant>() {
+        // `skip_fast` is the no-fast ablation, not a demotion: a one-segment
+        // transaction that fits still commits on the sub-HTM path.
+        let tm = TmConfig {
+            skip_fast: true,
+            ..TmConfig::default()
+        };
+        let rt = TmRuntime::new(HtmConfig::default(), tm, 1, 1024);
+        let mut e = PartExec::<V>::new(&rt, 0);
+        assert_eq!(e.execute(&mut Incr::new(&rt, 4, 1)), CommitPath::SubHtm);
+        check_sum(&rt, 4, 1);
+        assert_eq!(e.thread().stats.fast_aborts, 0);
+    }
+
+    fn conflict_global_aborts_spend_every_part_retry<V: Variant>() {
+        // Segment 1 dies of a data conflict on every sub-HTM attempt of every
+        // global attempt: conflicts keep the full retry ladder.
+        let tm = TmConfig {
+            skip_fast: true,
+            adaptive_plan: false,
+            ..TmConfig::default()
+        };
+        let budget = tm.sub_retries as usize;
+        let rt = TmRuntime::new(HtmConfig::default(), tm, 1, 1024);
+        let mut e = PartExec::<V>::new(&rt, 0);
+        let mut w = Failing {
+            inner: Incr::new(&rt, 8, 2),
+            seg: 1,
+            code: AbortCode::Conflict,
+            left: budget * PART_RETRIES as usize,
+        };
+        assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
+        check_sum(&rt, 8, 1);
+        check_released(&rt);
+        let s = &e.thread().stats;
+        assert_eq!(s.global_aborts, PART_RETRIES as u64);
+        assert_eq!(s.sub_aborts, (budget * PART_RETRIES as usize) as u64);
+    }
+
+    fn interrupts_retry_in_place<V: Variant>() {
+        // An injected interrupt is transient, not a resource failure: a
+        // one-segment transaction retries it on whichever path it is on.
+        for (skip_fast, path) in [(false, CommitPath::Htm), (true, CommitPath::SubHtm)] {
+            let tm = TmConfig {
+                skip_fast,
+                ..TmConfig::default()
+            };
+            let rt = TmRuntime::new(HtmConfig::default(), tm, 1, 1024);
+            let mut e = PartExec::<V>::new(&rt, 0);
+            let mut w = Failing {
+                inner: Incr::new(&rt, 4, 1),
+                seg: 0,
+                code: AbortCode::Interrupt,
+                left: 2,
+            };
+            assert_eq!(e.execute(&mut w), path);
+            check_sum(&rt, 4, 1);
+            let s = &e.thread().stats;
+            assert_eq!(s.fast_aborts + s.sub_aborts, 2);
+            assert_eq!(s.global_aborts, 0);
+            assert_eq!(s.fallbacks_gl, 0);
+        }
     }
 
     fn irrevocable_goes_straight_to_global_lock<V: Variant>() {
@@ -959,6 +1132,11 @@ mod tests {
         capacity_limited_tx_commits_on_partitioned_path,
         time_limited_tx_commits_on_partitioned_path,
         oversize_segments_fall_back_to_global_lock,
+        one_segment_overrun_commits_under_the_lock,
+        demoted_one_segment_site_goes_straight_to_the_lock,
+        skip_fast_one_segment_commits_sub_htm,
+        conflict_global_aborts_spend_every_part_retry,
+        interrupts_retry_in_place,
         irrevocable_goes_straight_to_global_lock,
         skip_fast_goes_straight_to_partitioned,
         software_segments_escape_the_quantum,

@@ -87,9 +87,12 @@ fn undo_restores_across_multiple_subs_on_global_abort() {
 }
 
 #[test]
-fn part_retries_exhaustion_lands_on_global_lock_exactly_once() {
-    // A segment that can never fit in hardware (bigger than total L1) exhausts
-    // sub-retries, then part-retries, then commits under the lock — once.
+fn oversize_segment_lands_on_global_lock_after_one_global_abort() {
+    // A segment that can never fit in hardware (bigger than total L1): the
+    // fast attempt overflows, the partitioned attempt's first sub-HTM capacity
+    // abort on that single declared segment ends it (nothing is left to split,
+    // so neither a sub-HTM retry nor another global attempt is spent), and the
+    // transaction commits under the lock — once.
     let htm = HtmConfig { l1_sets: 4, l1_ways: 2, quantum: 100_000, ..HtmConfig::default() };
     let rt = TmRuntime::new(htm, TmConfig::default(), 1, 2048);
     let mut e = PartHtm::new(&rt, 0);
@@ -98,8 +101,9 @@ fn part_retries_exhaustion_lands_on_global_lock_exactly_once() {
     let s = &e.thread().stats;
     assert_eq!(s.commits_gl, 1);
     assert_eq!(s.fallbacks_gl, 1);
-    assert!(s.sub_aborts >= rt.config().sub_retries as u64);
-    assert!(s.global_aborts >= part_htm_core::PART_RETRIES as u64);
+    assert_eq!(s.fallbacks_partitioned, 1);
+    assert_eq!(s.sub_aborts, 1);
+    assert_eq!(s.global_aborts, 1);
     for i in 0..64 {
         assert_eq!(rt.verify_read(i * 8), 1);
     }

@@ -18,6 +18,20 @@ use tm_sig::{Ring, Sig};
 
 use crate::redo::RedoLog;
 
+/// The newest ring timestamp whose commit is *settled* — its write-back done —
+/// given a just-read timestamp `ts`. A writer bumps the timestamp before it
+/// writes its values back, both under the ring lock, so while the lock is held
+/// entry `ts` may still be in flight: a reader that moved its start time past
+/// it could then read the entry's old values and never validate against it
+/// again. Read after `ts`, a free lock proves the writer of `ts` finished.
+fn settled(th: &TmThread<'_>, ring: &Ring, ts: u64) -> u64 {
+    if th.hw.nt_read(ring.lock_addr()) != 0 {
+        ts.saturating_sub(1)
+    } else {
+        ts
+    }
+}
+
 struct RingCtx<'c, 'r> {
     th: &'c TmThread<'r>,
     ring: &'c Ring,
@@ -38,7 +52,7 @@ impl TxCtx for RingCtx<'_, '_> {
         // Poll the ring: validate against commits newer than our start time.
         if self.ring.timestamp_nt(&self.th.hw) != *self.start {
             match self.ring.validate_nt(&self.th.hw, self.rsig, *self.start) {
-                Ok(ts) => *self.start = ts,
+                Ok(ts) => *self.start = settled(self.th, self.ring, ts),
                 Err(_) => return Err(AbortCode::Conflict),
             }
         }
@@ -78,7 +92,7 @@ impl<'r> RingStm<'r> {
         self.rsig.clear();
         self.wsig.clear();
         self.redo.clear();
-        let mut start = ring.timestamp_nt(&self.th.hw);
+        let mut start = settled(&self.th, ring, ring.timestamp_nt(&self.th.hw));
 
         {
             let mut ctx = RingCtx {
@@ -242,6 +256,40 @@ mod tests {
         let th = TmThread::new(&rt, 0);
         assert_eq!(rt.ring().timestamp_nt(&th.hw), 1);
         assert!(rt.ring().entry(1).snapshot_nt(&th.hw).contains(rt.app(0)));
+    }
+
+    #[test]
+    fn reader_revalidates_past_an_entry_whose_write_back_is_in_flight() {
+        // A writer's commit, performed by hand: lock, publish {b}, bump the
+        // timestamp — and stop before writing b back.
+        let rt = TmRuntime::with_defaults(2, 64);
+        let ring = rt.ring();
+        let (reader, writer) = (TmThread::new(&rt, 0), TmThread::new(&rt, 1));
+        let (a, b) = (rt.app(0), rt.app(8));
+        let spec = rt.config().sig_spec;
+        let (mut rsig, mut wsig, mut redo) = (Sig::new(spec), Sig::new(spec), RedoLog::default());
+        let mut start = ring.timestamp_nt(&reader.hw);
+        let mut ctx = RingCtx {
+            th: &reader,
+            ring,
+            start: &mut start,
+            rsig: &mut rsig,
+            wsig: &mut wsig,
+            redo: &mut redo,
+        };
+        assert!(writer.hw.nt_cas(ring.lock_addr(), 0, 1).is_ok());
+        let mut published = Sig::new(spec);
+        published.add(b);
+        let ts = ring.timestamp_nt(&writer.hw) + 1;
+        ring.write_entry_nt(&writer.hw, ts, &published);
+        writer.hw.nt_write(ring.timestamp_addr(), ts);
+        // The reader validates against the new entry (which misses `a`)...
+        assert_eq!(ctx.read(a), Ok(0));
+        // ...then reads b's old value: that read must not go unvalidated.
+        let stale = ctx.read(b);
+        writer.hw.nt_write(b, 1);
+        writer.hw.nt_write(ring.lock_addr(), 0);
+        assert_eq!(stale, Err(AbortCode::Conflict), "stale read of b survived");
     }
 
     #[test]

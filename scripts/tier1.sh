@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build; workspace tests under a timeout (plus, on a
-# multi-CPU host, a x10 repeat of the concurrent suites); clippy and rustdoc
+# Tier-1 gate: release build; workspace tests under a timeout (plus a x50
+# repeat of the release failure-injection suite and, on a multi-CPU host, a
+# x10 repeat of the concurrent suites); clippy and rustdoc
 # with warnings denied; scripts/doc-check.sh; schedx --bounded.
 #
 #   --smoke  also microbench --smoke (every row once, < 30 s) and a seeded
@@ -31,6 +32,20 @@ echo "== tier1: cargo test -q (workspace, timeout 900) =="
 # well under a minute once built).
 timeout 900 cargo test -q --workspace
 
+test_bin() {
+    cargo test -q "$@" --no-run --message-format=json |
+        sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -n 1
+}
+
+echo "== tier1: failure_injection x50 (release, timeout 60 each) =="
+# A lost update that shows one run in six must fail the gate, not pass as a
+# flake (~0.04 s per run).
+failure_injection_bin="$(test_bin --release --test failure_injection)"
+for i in $(seq 1 50); do
+    timeout 60 "$failure_injection_bin" -q >/dev/null ||
+        { echo "failure_injection run $i failed or hung" >&2; exit 1; }
+done
+
 if [ "$(nproc)" -ge 2 ]; then
     echo "== tier1: root proptests + htm-sim lib suite x10 (timeout 60 each) =="
     # Progress and atomicity bugs in the multi-threaded paths only show under
@@ -38,10 +53,6 @@ if [ "$(nproc)" -ge 2 ]; then
     # line-table doom lost one run in ~290): repeat the concurrent
     # random-program suite (~0.4 s per run) and htm-sim's lib suite, which
     # holds the line table's stress tests (~0.1 s per run).
-    test_bin() {
-        cargo test -q "$@" --no-run --message-format=json |
-            sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -n 1
-    }
     proptests_bin="$(test_bin --test proptests)"
     htm_sim_bin="$(test_bin -p htm-sim --lib)"
     for i in $(seq 1 10); do
