@@ -418,7 +418,7 @@ fn rescue(sc: &Scale, out: &mut Measured) {
     .fine_grained();
     for kind in [BackendKind::Tsx, BackendKind::Power, BackendKind::Limited] {
         let htm = HtmConfig {
-            backend: Some(kind),
+            backend: kind,
             read_lines_max: 64,
             ..HtmConfig::default()
         };

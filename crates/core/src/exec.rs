@@ -31,6 +31,10 @@ use rand::Rng;
 use std::ops::Range;
 use tm_sig::{ShardTimes, ShardedValidation, Sig, SigJournal, SigSpec};
 
+/// Hardware attempts on the fast path before concluding the failure mode
+/// (§7: competitors "retry a transaction 5 times as HTM before falling
+/// back"). The adaptive planner's per-site budgets never exceed it.
+pub const FAST_RETRIES: u32 = 5;
 /// Global (partitioned-path) attempts before the slow path (§5.3.7: "the
 /// transaction is retried 5 times before falling back to the slow path").
 /// Only conflict-, lock- and validation-driven global aborts spend them: a
@@ -77,7 +81,7 @@ fn subscribe_zero(tx: &mut HtmTx<'_, '_>, addr: Addr, code: u8) -> TxResult<()> 
 /// `subscribe_active`, the *quiet* speculation that no partitioned-path
 /// transaction runs — then run `body` and commit. A failed attempt counts one
 /// [`crate::TmStats::fast_aborts`]. Shared by every executor with a hardware
-/// first path (Part-HTM, Part-HTM-O, Stretch-HTM and the HTM-GL/HLE/SpHT
+/// first path (Part-HTM, Part-HTM-O, Stretch-HTM and the HTM-GL/SpHT
 /// baselines); `body` builds the path's instrumentation context around the
 /// transaction it is handed.
 pub fn hw_attempt<W: Workload, R>(
@@ -694,9 +698,9 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
                             // exit path, not to partitioning (§4 "Three-paths
                             // Execution").
                             self.profile.note_exit(cfg, slot, FastExit::Exhausted);
-                            if budget < cfg.fast_retries {
+                            if budget < FAST_RETRIES {
                                 self.th.stats.adaptive_retry_saves +=
-                                    (cfg.fast_retries - budget) as u64;
+                                    (FAST_RETRIES - budget) as u64;
                             }
                             return self.fall_back(w);
                         }

@@ -40,7 +40,7 @@ pub use api::{
 };
 pub use exec::{
     commit_under_glock, hw_attempt, run_all, wait_glock_released, PartExec, BACKOFF_UNITS,
-    PART_RETRIES,
+    FAST_RETRIES, PART_RETRIES,
 };
 pub use opaque::PartHtmO;
 pub use parthtm::PartHtm;

@@ -24,7 +24,7 @@
 //!    overflowing undo log). A `limit` watermark remembers the largest group
 //!    that survived, so the plan converges instead of oscillating; the limit
 //!    re-probes upward after [`RAISE_AFTER`] clean commits at the plateau.
-//! 3. **Adaptive retry budgets** — per-site `fast_retries`/`sub_retries`
+//! 3. **Adaptive retry budgets** — per-site [`crate::FAST_RETRIES`]/`sub_retries`
 //!    scaled down from the paper defaults when the observed odds say the
 //!    retries are futile (persistent conflict exhaustion on the fast path,
 //!    persistent capacity trouble on the sub path), clamped to `[1, default]`.
@@ -41,6 +41,7 @@
 //! under races by design — a dropped sample shifts a heuristic, never a
 //! protocol invariant.
 
+use crate::exec::FAST_RETRIES;
 use crate::runtime::TmConfig;
 use crate::stats::TmStats;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
@@ -291,6 +292,9 @@ impl SiteSlot {
 /// | tsx      | 512         | 16        |
 /// | power    | 64          | 2         |
 /// | limited  | 16          | 1         |
+///
+/// [`crate::TmRuntime::new`] applies it to the fixed POWER and limited-set
+/// classes only: TSX geometry is per-experiment, so TSX keeps [`MAX_GROUP`].
 pub fn backend_group_cap(write_lines_max: usize) -> u32 {
     ((MAX_GROUP as usize * write_lines_max) / REFERENCE_WRITE_LINES).clamp(1, MAX_GROUP as usize)
         as u32
@@ -450,7 +454,7 @@ pub enum FastRoute {
     /// Try the fast path, with this many conflict retries before the global
     /// lock.
     Attempt {
-        /// Conflict-retry budget (≤ the configured `fast_retries`).
+        /// Conflict-retry budget (≤ [`crate::FAST_RETRIES`]).
         budget: u32,
     },
     /// Skip straight to the partitioned path.
@@ -495,7 +499,7 @@ impl FastProfile {
                 return FastRoute::Demote;
             }
             return FastRoute::Attempt {
-                budget: cfg.fast_retries,
+                budget: FAST_RETRIES,
             };
         }
         let tick = slot.tick();
@@ -507,7 +511,7 @@ impl FastProfile {
             return FastRoute::Demote;
         }
         FastRoute::Attempt {
-            budget: slot.fast_budget(cfg.fast_retries),
+            budget: slot.fast_budget(FAST_RETRIES),
         }
     }
 

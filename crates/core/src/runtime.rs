@@ -3,7 +3,7 @@
 
 use crate::planner::SiteTable;
 use crate::stats::TmStats;
-use htm_sim::{line_of, Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line};
+use htm_sim::{line_of, Addr, BackendKind, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tm_sig::{
@@ -27,9 +27,6 @@ pub struct TmConfig {
     /// default of 8 gives disjoint-region commits independent serialisation
     /// points (see `docs/ring-sharding.md`).
     pub ring_shards: usize,
-    /// Hardware attempts on the fast path before concluding the failure mode
-    /// (§7: competitors "retry a transaction 5 times as HTM before falling back").
-    pub fast_retries: u32,
     /// Sub-HTM attempts before aborting the enclosing global transaction (§5.3.5
     /// "retries for a limited number of times").
     pub sub_retries: u32,
@@ -69,7 +66,6 @@ impl Default for TmConfig {
             sig_spec: SigSpec::PAPER,
             ring_entries: 1024,
             ring_shards: 8,
-            fast_retries: 5,
             sub_retries: 5,
             skip_fast: false,
             validate_every_sub: true,
@@ -237,15 +233,16 @@ impl TmRuntime {
             check_interval: cfg.summary_check_interval,
             ..SummaryTuning::default()
         });
-        // With an explicit backend, the planner's merge ceiling scales with
-        // the backend's write-set budget (its capacity class:
-        // [`crate::planner::backend_group_cap`]). Backend-less configs keep
-        // the unconditional MAX_GROUP ceiling — the legacy differential
-        // oracles pin that behaviour bit-for-bit, and their capacity
-        // landscape is probed dynamically by split/merge anyway.
-        let group_cap = match sys.config().backend {
-            Some(_) => crate::planner::backend_group_cap(sys.capacity_model().write_lines_max()),
-            None => crate::planner::MAX_GROUP,
+        // POWER and limited-set geometries are fixed capacity classes: the
+        // planner's merge ceiling scales with their write-set budget
+        // ([`crate::planner::backend_group_cap`]). TSX geometry is
+        // per-experiment and split/merge probes it dynamically, so TSX keeps
+        // the unconditional MAX_GROUP ceiling.
+        let model = sys.capacity_model();
+        let group_cap = if model.kind == BackendKind::Tsx {
+            crate::planner::MAX_GROUP
+        } else {
+            crate::planner::backend_group_cap(model.write_lines_max())
         };
         let sites = SiteTable::with_group_cap(cfg.plan_group, group_cap);
         Self {
@@ -514,6 +511,29 @@ mod tests {
         }
         assert_eq!(at(rt.app(0)), Region::App);
         assert_eq!(at(rt.app(63)), Region::App);
+    }
+
+    #[test]
+    fn group_cap_is_keyed_on_the_backend_kind() {
+        // Start every site at the widest plan; the table's ceiling clamps it.
+        let group_on = |backend: BackendKind| {
+            let htm = HtmConfig {
+                l1_sets: 16,
+                l1_ways: 4,
+                backend,
+                ..HtmConfig::default()
+            };
+            let tm = TmConfig {
+                plan_group: crate::planner::MAX_GROUP,
+                ..TmConfig::default()
+            };
+            TmRuntime::new(htm, tm, 1, 64).sites().slot(0).plan_group()
+        };
+        // A 64-line TSX geometry keeps the planner's ceiling: split/merge
+        // probes a per-experiment geometry dynamically.
+        assert_eq!(group_on(BackendKind::Tsx), crate::planner::MAX_GROUP);
+        // POWER's fixed 64-entry write set is a capacity class.
+        assert_eq!(group_on(BackendKind::Power), 2);
     }
 
     #[test]

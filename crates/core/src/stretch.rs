@@ -26,13 +26,13 @@
 //! splitting-vs-stretching ablation) measure (`docs/backends.md`).
 //!
 //! On backends without suspended regions
-//! ([`htm_sim::CapacityModel::supports_suspend`] false: TSX, the
-//! limited-set model, or the legacy inline path), the ctx degrades to plain
+//! ([`htm_sim::CapacityModel::supports_suspend`] false: TSX and the
+//! limited-set model), the ctx degrades to plain
 //! transactional accesses and the executor behaves exactly like the HTM-GL
 //! baseline — attempts, then the lock.
 
 use crate::api::{spin_work, CommitPath, TmExecutor, TxCtx, Workload};
-use crate::exec::{commit_under_glock, hw_attempt, run_all, wait_glock_released};
+use crate::exec::{commit_under_glock, hw_attempt, run_all, wait_glock_released, FAST_RETRIES};
 use crate::runtime::{TmRuntime, TmThread};
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
@@ -126,10 +126,9 @@ impl<'r> TmExecutor<'r> for StretchHtm<'r> {
     }
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
-        let retries = self.th.rt.config().fast_retries;
         let (stretch_at, suspend_work) = (self.stretch_at, self.can_suspend);
         if !w.is_irrevocable() {
-            for _ in 0..retries {
+            for _ in 0..FAST_RETRIES {
                 wait_glock_released(&self.th);
                 let attempt = hw_attempt(&mut self.th, w, false, |tx, w| {
                     let mut ctx = StretchCtx {
@@ -207,7 +206,7 @@ mod tests {
     fn power_rt(threads: usize, app_words: usize) -> TmRuntime {
         TmRuntime::new(
             HtmConfig {
-                backend: Some(BackendKind::Power),
+                backend: BackendKind::Power,
                 ..HtmConfig::default()
             },
             TmConfig::default(),
@@ -244,7 +243,7 @@ mod tests {
         // certain timer abort in a plain hardware transaction.
         let rt = TmRuntime::new(
             HtmConfig {
-                backend: Some(BackendKind::Power),
+                backend: BackendKind::Power,
                 quantum: 2000,
                 ..HtmConfig::default()
             },
@@ -289,7 +288,7 @@ mod tests {
         // correct (plain attempts, then the lock).
         let rt = TmRuntime::new(
             HtmConfig {
-                backend: Some(BackendKind::Tsx),
+                backend: BackendKind::Tsx,
                 ..HtmConfig::default()
             },
             TmConfig::default(),

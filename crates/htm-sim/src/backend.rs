@@ -1,33 +1,38 @@
-//! Pluggable capacity models: the [`HtmBackend`] trait and its three
-//! implementations.
+//! Capacity models: which best-effort HTM the simulator is, as data.
 //!
 //! `htm-sim` historically hardcoded one TSX-like geometry (set-associative
 //! written-line L1, flat read budget). The paper's claim — Part-HTM salvages
 //! transactions that exceed *best-effort* resource limits — is a statement
-//! about a whole family of HTMs, so the capacity policy is now a trait:
+//! about a whole family of HTMs, so the capacity envelope is selectable by
+//! [`BackendKind`]. The three envelopes differ only in numbers, collected in
+//! one [`CapacityModel`] by [`BackendKind::model`]:
 //!
-//! * [`TsxBackend`] — the original model, bit-exact with the legacy inline
-//!   path (`tests/backend_diff.rs` pins this differentially). Built from the
-//!   [`HtmConfig`] geometry, so `backend: Some(BackendKind::Tsx)` and
-//!   `backend: None` behave identically.
-//! * [`PowerBackend`] — an IBM POWER8-style model: a tiny flat 64-entry write
-//!   set, a modest read set, *suspended regions* ([`crate::HtmTx::suspend`] /
-//!   [`crate::HtmTx::resume`]: non-transactional reads and interrupt-immune
-//!   work mid-transaction) and rollback-only transactions
-//!   ([`crate::HtmThread::begin_rot`]). The capacity-stretching comparison
-//!   point from PAPERS.md ("Stretching the capacity of HTM in IBM POWER
-//!   architectures").
-//! * [`LimitedSetBackend`] — a FORTH-style limited read/write-set HTM
+//! * [`BackendKind::Tsx`] — the default TSX/Haswell model. Its geometry comes
+//!   from the [`HtmConfig`] `l1_*` / `l2_*` / `read_lines_max` fields, so it
+//!   is per-experiment.
+//! * [`BackendKind::Power`] — an IBM POWER8-style model: a tiny flat 64-entry
+//!   write set, a modest read set, *suspended regions*
+//!   ([`crate::HtmTx::suspend`] / [`crate::HtmTx::resume`]: non-transactional
+//!   reads and interrupt-immune work mid-transaction) and rollback-only
+//!   transactions ([`crate::HtmThread::begin_rot`]). The capacity-stretching
+//!   comparison point from PAPERS.md ("Stretching the capacity of HTM in IBM
+//!   POWER architectures").
+//! * [`BackendKind::Limited`] — a FORTH-style limited read/write-set HTM
 //!   ("Limited Read/Write-Set HTM without modifying the ISA"): very small
 //!   hardware set budgets, but overflowing lines *spill* to a
 //!   software-managed structure instead of aborting, each spill costing extra
 //!   work units, until a per-transaction spill budget runs out.
 //!
-//! ## What a backend may and may not change
+//! One policy (`TxCap::on_read_line`, `TxCap::on_write_line`) serves all
+//! three: a line that fits the hardware model fits; otherwise it spills while
+//! spill budget remains; otherwise it overflows. TSX and POWER are the
+//! `spill_budget == 0` case.
 //!
-//! A backend owns **capacity accounting only**. Conflict detection (the line
+//! ## What a capacity model may and may not change
+//!
+//! A model owns **capacity accounting only**. Conflict detection (the line
 //! table), write buffering, doom checking and commit publication are shared
-//! machinery and identical across backends — that is what keeps every backend
+//! machinery and identical across models — that is what keeps every backend
 //! serializable by construction (see `docs/backends.md`): a spilled or
 //! stretched line stays registered in the conflict table even though it no
 //! longer counts against the hardware budget, so requester-wins dooming and
@@ -37,8 +42,7 @@ use crate::cache::L1Model;
 use crate::config::HtmConfig;
 use crate::heap::Line;
 
-/// Which backend an [`HtmConfig`] selects (`None` = the legacy inline TSX
-/// path, byte-for-byte the pre-trait behaviour).
+/// Which capacity model an [`HtmConfig`] selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
     /// TSX/Haswell model: set-associative write L1, large flat read budget.
@@ -61,22 +65,53 @@ impl BackendKind {
 
     /// Parse a CLI operand (`tsx|power|limited`).
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "tsx" => Some(BackendKind::Tsx),
-            "power" => Some(BackendKind::Power),
-            "limited" => Some(BackendKind::Limited),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// Build the backend. `cfg` parameterizes the TSX model (its geometry
+    /// The capacity model. `cfg` parameterizes the TSX model (its geometry
     /// lives in [`HtmConfig`]); POWER and limited-set geometries are fixed
     /// properties of the modelled hardware.
-    pub fn build(self, cfg: &HtmConfig) -> Box<dyn HtmBackend> {
+    pub fn model(self, cfg: &HtmConfig) -> CapacityModel {
         match self {
-            BackendKind::Tsx => Box::new(TsxBackend::from_config(cfg)),
-            BackendKind::Power => Box::new(PowerBackend::new()),
-            BackendKind::Limited => Box::new(LimitedSetBackend::new()),
+            BackendKind::Tsx => CapacityModel {
+                kind: self,
+                write_sets: cfg.l1_sets,
+                write_ways: cfg.l1_ways,
+                read_lines_max: cfg.read_lines_max,
+                l2_sets: cfg.l2_sets,
+                l2_ways: cfg.l2_ways,
+                supports_suspend: false,
+                supports_rot: false,
+                spill_budget: 0,
+                spill_charge: 0,
+                suspend_cost: 0,
+            },
+            BackendKind::Power => CapacityModel {
+                kind: self,
+                write_sets: 1,
+                write_ways: POWER_WRITE_LINES,
+                read_lines_max: POWER_READ_LINES,
+                l2_sets: 0,
+                l2_ways: 0,
+                supports_suspend: true,
+                supports_rot: true,
+                spill_budget: 0,
+                spill_charge: 0,
+                suspend_cost: POWER_SUSPEND_COST,
+            },
+            BackendKind::Limited => CapacityModel {
+                kind: self,
+                write_sets: LIMITED_WRITE_SETS,
+                write_ways: LIMITED_WRITE_WAYS,
+                read_lines_max: LIMITED_READ_LINES,
+                l2_sets: 0,
+                l2_ways: 0,
+                supports_suspend: false,
+                supports_rot: false,
+                spill_budget: LIMITED_SPILL_BUDGET,
+                spill_charge: LIMITED_SPILL_CHARGE,
+                suspend_cost: 0,
+            },
         }
     }
 
@@ -84,13 +119,33 @@ impl BackendKind {
     pub const ALL: [BackendKind; 3] = [BackendKind::Tsx, BackendKind::Power, BackendKind::Limited];
 }
 
+/// POWER8 write-set entries: the TM store queue holds 64 cache lines,
+/// flat (no set conflicts).
+pub const POWER_WRITE_LINES: usize = 64;
+/// POWER8 read-set budget in lines (~8 KB of read tracking).
+pub const POWER_READ_LINES: usize = 128;
+/// Virtual-clock cost of one suspend/resume round trip (tsuspend./tresume.
+/// plus the pipeline drain they imply).
+pub const POWER_SUSPEND_COST: u64 = 8;
+
+/// Limited-set hardware write budget: 4 sets x 4 ways = 16 lines.
+pub const LIMITED_WRITE_SETS: usize = 4;
+/// Ways of the limited-set write model.
+pub const LIMITED_WRITE_WAYS: usize = 4;
+/// Limited-set flat hardware read budget.
+pub const LIMITED_READ_LINES: usize = 64;
+/// Lines one transaction may overflow into the software structure.
+pub const LIMITED_SPILL_BUDGET: usize = 256;
+/// Work units the software overflow handler costs per spilled line.
+pub const LIMITED_SPILL_CHARGE: u64 = 8;
+
 /// The published resource geometry of one backend: everything a TM protocol
-/// (or the segment planner) needs to plan against the hardware, without
-/// knowing which backend it is.
+/// (or the segment planner) needs to plan against the hardware, and
+/// everything the simulator's one capacity policy reads.
 #[derive(Clone, Debug)]
 pub struct CapacityModel {
-    /// Backend display name.
-    pub name: &'static str,
+    /// Which backend this is (its display name is [`BackendKind::name`]).
+    pub kind: BackendKind,
     /// Sets of the written-line model (1 = flat buffer).
     pub write_sets: usize,
     /// Ways of the written-line model.
@@ -107,7 +162,7 @@ pub struct CapacityModel {
     /// is legal.
     pub supports_rot: bool,
     /// Lines one transaction may spill to software tracking (0 = overflow
-    /// aborts immediately, as on TSX).
+    /// aborts immediately, as on TSX and POWER).
     pub spill_budget: usize,
     /// Work units the software overflow handler costs per spilled line.
     pub spill_charge: u64,
@@ -138,40 +193,25 @@ pub enum CapOutcome {
     Overflow,
 }
 
-/// Per-transaction capacity state, owned by [`crate::HtmThread`] and operated
-/// on by the backend hooks. Reset and reused across transactions.
+/// Per-transaction capacity state, owned by [`crate::HtmThread`] and shaped
+/// by its machine's [`CapacityModel`]. Reset and reused across transactions.
 pub struct TxCap {
     /// Written-line occupancy model.
-    pub(crate) l1: L1Model,
+    l1: L1Model,
     /// Optional read-set associativity model.
-    pub(crate) l2: Option<L1Model>,
+    l2: Option<L1Model>,
     /// Distinct lines whose *first* access was a read.
-    pub(crate) read_lines: usize,
-    /// Flat read budget (== the model's `read_lines_max`).
-    pub(crate) read_budget: usize,
-    /// Spill budget remaining this transaction.
-    pub(crate) spill_left: usize,
-    /// Spill budget at transaction start (restored by [`TxCap::reset`]).
-    pub(crate) spill_budget: usize,
+    read_lines: usize,
     /// Lines spilled by this transaction (reads + writes).
-    pub(crate) spilled_lines: u64,
+    spilled_lines: u64,
 }
 
 impl TxCap {
-    pub(crate) fn new(
-        write_sets: usize,
-        write_ways: usize,
-        read_budget: usize,
-        l2: Option<(usize, usize)>,
-        spill_budget: usize,
-    ) -> Self {
+    pub(crate) fn new(m: &CapacityModel) -> Self {
         Self {
-            l1: L1Model::new(write_sets, write_ways),
-            l2: l2.map(|(s, w)| L1Model::new(s, w)),
+            l1: L1Model::new(m.write_sets, m.write_ways),
+            l2: (m.l2_sets > 0).then(|| L1Model::new(m.l2_sets, m.l2_ways)),
             read_lines: 0,
-            read_budget,
-            spill_left: spill_budget,
-            spill_budget,
             spilled_lines: 0,
         }
     }
@@ -183,7 +223,6 @@ impl TxCap {
             l2.reset();
         }
         self.read_lines = 0;
-        self.spill_left = self.spill_budget;
         self.spilled_lines = 0;
     }
 
@@ -202,220 +241,39 @@ impl TxCap {
         self.spilled_lines
     }
 
-    /// Try to spill one line out of software accounting: consume budget and
-    /// report the handler charge, or `None` when the budget is dry.
-    fn consume_spill(&mut self, charge: u64) -> Option<u64> {
-        if self.spill_left == 0 {
-            return None;
+    /// A transaction registered a **new** read line: count it, then check
+    /// the flat budget before the optional associative read model.
+    #[inline]
+    pub(crate) fn on_read_line(&mut self, m: &CapacityModel, line: Line) -> CapOutcome {
+        self.read_lines += 1;
+        if self.read_lines <= m.read_lines_max
+            && self.l2.as_mut().is_none_or(|l2| l2.insert_line(line))
+        {
+            return CapOutcome::Fits;
         }
-        self.spill_left -= 1;
-        self.spilled_lines += 1;
-        Some(charge)
-    }
-}
-
-/// Capacity policy of one simulated HTM implementation.
-///
-/// Backends are stateless and shared (`Send + Sync`): all per-transaction
-/// state lives in the [`TxCap`] the hooks receive. The default hook bodies
-/// implement the standard abort-on-overflow policy; [`LimitedSetBackend`]
-/// overrides them with the spill path.
-pub trait HtmBackend: Send + Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// The published resource geometry.
-    fn capacity(&self) -> &CapacityModel;
-
-    /// A transaction registered a **new** read line. `cap.read_lines` has
-    /// already been incremented (matching the legacy accounting order).
-    fn on_read_line(&self, cap: &mut TxCap, line: Line) -> CapOutcome {
-        if cap.read_lines > cap.read_budget {
-            return CapOutcome::Overflow;
-        }
-        if let Some(l2) = cap.l2.as_mut() {
-            if !l2.insert_line(line) {
-                return CapOutcome::Overflow;
-            }
-        }
-        CapOutcome::Fits
+        self.spill(m)
     }
 
     /// A transaction registered a **new** written line (or upgraded a read
     /// line to written).
-    fn on_write_line(&self, cap: &mut TxCap, line: Line) -> CapOutcome {
-        if cap.l1.insert_written_line(line) {
-            CapOutcome::Fits
-        } else {
-            CapOutcome::Overflow
-        }
-    }
-}
-
-/// The TSX/Haswell model behind the trait: geometry straight from
-/// [`HtmConfig`], standard abort-on-overflow hooks, no suspend, no ROT.
-pub struct TsxBackend {
-    model: CapacityModel,
-}
-
-impl TsxBackend {
-    /// Mirror `cfg`'s geometry, so the trait-routed path is bit-exact with
-    /// the legacy inline path under the same configuration.
-    pub fn from_config(cfg: &HtmConfig) -> Self {
-        Self {
-            model: CapacityModel {
-                name: "tsx",
-                write_sets: cfg.l1_sets,
-                write_ways: cfg.l1_ways,
-                read_lines_max: cfg.read_lines_max,
-                l2_sets: cfg.l2_sets,
-                l2_ways: cfg.l2_ways,
-                supports_suspend: false,
-                supports_rot: false,
-                spill_budget: 0,
-                spill_charge: 0,
-                suspend_cost: 0,
-            },
-        }
-    }
-}
-
-impl HtmBackend for TsxBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Tsx
-    }
-    fn capacity(&self) -> &CapacityModel {
-        &self.model
-    }
-}
-
-/// POWER8 write-set entries: the TM store queue holds 64 cache lines,
-/// flat (no set conflicts).
-pub const POWER_WRITE_LINES: usize = 64;
-/// POWER8 read-set budget in lines (~8 KB of read tracking).
-pub const POWER_READ_LINES: usize = 128;
-/// Virtual-clock cost of one suspend/resume round trip (tsuspend./tresume.
-/// plus the pipeline drain they imply).
-pub const POWER_SUSPEND_COST: u64 = 8;
-
-/// The IBM POWER8-style model: tiny flat write set, suspend/resume regions,
-/// rollback-only transactions. Overflow aborts (no software spill); the
-/// capacity-*stretching* escape hatch is [`crate::HtmTx::read_stretched`] and
-/// [`crate::HtmTx::suspended_work`], which trade per-access suspend overhead
-/// for exemption from the read budget and the timer quantum.
-pub struct PowerBackend {
-    model: CapacityModel,
-}
-
-impl PowerBackend {
-    /// The fixed POWER8 geometry.
-    pub fn new() -> Self {
-        Self {
-            model: CapacityModel {
-                name: "power",
-                write_sets: 1,
-                write_ways: POWER_WRITE_LINES,
-                read_lines_max: POWER_READ_LINES,
-                l2_sets: 0,
-                l2_ways: 0,
-                supports_suspend: true,
-                supports_rot: true,
-                spill_budget: 0,
-                spill_charge: 0,
-                suspend_cost: POWER_SUSPEND_COST,
-            },
-        }
-    }
-}
-
-impl Default for PowerBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HtmBackend for PowerBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Power
-    }
-    fn capacity(&self) -> &CapacityModel {
-        &self.model
-    }
-}
-
-/// Limited-set hardware write budget: 4 sets x 4 ways = 16 lines.
-pub const LIMITED_WRITE_SETS: usize = 4;
-/// Ways of the limited-set write model.
-pub const LIMITED_WRITE_WAYS: usize = 4;
-/// Limited-set flat hardware read budget.
-pub const LIMITED_READ_LINES: usize = 64;
-/// Lines one transaction may overflow into the software structure.
-pub const LIMITED_SPILL_BUDGET: usize = 256;
-/// Work units the software overflow handler costs per spilled line.
-pub const LIMITED_SPILL_CHARGE: u64 = 8;
-
-/// The FORTH-style limited read/write-set model: hardware budgets far below
-/// TSX, but an overflowing line moves to a software-managed tracking
-/// structure (costing [`LIMITED_SPILL_CHARGE`] work units) instead of
-/// aborting, up to [`LIMITED_SPILL_BUDGET`] lines per transaction. The
-/// spilled line *stays registered in the conflict table* — only the capacity
-/// accounting moves to software — so isolation is untouched.
-pub struct LimitedSetBackend {
-    model: CapacityModel,
-}
-
-impl LimitedSetBackend {
-    /// The fixed limited-set geometry.
-    pub fn new() -> Self {
-        Self {
-            model: CapacityModel {
-                name: "limited",
-                write_sets: LIMITED_WRITE_SETS,
-                write_ways: LIMITED_WRITE_WAYS,
-                read_lines_max: LIMITED_READ_LINES,
-                l2_sets: 0,
-                l2_ways: 0,
-                supports_suspend: false,
-                supports_rot: false,
-                spill_budget: LIMITED_SPILL_BUDGET,
-                spill_charge: LIMITED_SPILL_CHARGE,
-                suspend_cost: 0,
-            },
-        }
-    }
-}
-
-impl Default for LimitedSetBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HtmBackend for LimitedSetBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Limited
-    }
-    fn capacity(&self) -> &CapacityModel {
-        &self.model
-    }
-
-    fn on_read_line(&self, cap: &mut TxCap, _line: Line) -> CapOutcome {
-        if cap.read_lines <= cap.read_budget {
+    #[inline]
+    pub(crate) fn on_write_line(&mut self, m: &CapacityModel, line: Line) -> CapOutcome {
+        if self.l1.insert_written_line(line) {
             return CapOutcome::Fits;
         }
-        match cap.consume_spill(self.model.spill_charge) {
-            Some(charge) => CapOutcome::Spilled { charge },
-            None => CapOutcome::Overflow,
-        }
+        self.spill(m)
     }
 
-    fn on_write_line(&self, cap: &mut TxCap, line: Line) -> CapOutcome {
-        if cap.l1.insert_written_line(line) {
-            return CapOutcome::Fits;
+    /// The line did not fit the hardware: move it to software tracking while
+    /// spill budget remains, else overflow.
+    #[cold]
+    fn spill(&mut self, m: &CapacityModel) -> CapOutcome {
+        if self.spilled_lines >= m.spill_budget as u64 {
+            return CapOutcome::Overflow;
         }
-        match cap.consume_spill(self.model.spill_charge) {
-            Some(charge) => CapOutcome::Spilled { charge },
-            None => CapOutcome::Overflow,
+        self.spilled_lines += 1;
+        CapOutcome::Spilled {
+            charge: m.spill_charge,
         }
     }
 }
@@ -458,10 +316,20 @@ mod tests {
     }
 
     #[test]
+    fn default_config_is_tsx() {
+        let cfg = HtmConfig::default();
+        assert_eq!(cfg.backend, BackendKind::Tsx);
+        let m = cfg.backend.model(&cfg);
+        assert_eq!(m.kind, BackendKind::Tsx);
+        assert_eq!((m.write_sets, m.write_ways), (cfg.l1_sets, cfg.l1_ways));
+        assert_eq!((m.l2_sets, m.l2_ways), (cfg.l2_sets, cfg.l2_ways));
+        assert_eq!(m.read_lines_max, cfg.read_lines_max);
+    }
+
+    #[test]
     fn tsx_mirrors_config() {
         let cfg = HtmConfig::default();
-        let be = BackendKind::Tsx.build(&cfg);
-        let m = be.capacity();
+        let m = BackendKind::Tsx.model(&cfg);
         assert_eq!(m.write_lines_max(), cfg.l1_lines());
         assert_eq!(m.read_lines_max, cfg.read_lines_max);
         assert!(!m.supports_suspend && !m.supports_rot);
@@ -470,68 +338,75 @@ mod tests {
 
     #[test]
     fn power_geometry() {
-        let m = PowerBackend::new();
-        let m = m.capacity();
+        let m = BackendKind::Power.model(&HtmConfig::default());
         assert_eq!(m.write_lines_max(), POWER_WRITE_LINES);
         assert!(m.supports_suspend && m.supports_rot);
+        assert_eq!(m.spill_budget, 0);
     }
 
     #[test]
     fn limited_spills_then_overflows() {
-        let be = LimitedSetBackend::new();
-        let m = be.capacity().clone();
-        let mut cap = TxCap::new(
-            m.write_sets,
-            m.write_ways,
-            m.read_lines_max,
-            None,
-            m.spill_budget,
-        );
+        let m = BackendKind::Limited.model(&HtmConfig::default());
+        let mut cap = TxCap::new(&m);
         // Fill the hardware write budget: all Fits.
         let mut line = 0u32;
         for _ in 0..m.write_lines_max() {
-            assert_eq!(be.on_write_line(&mut cap, line), CapOutcome::Fits);
+            assert_eq!(cap.on_write_line(&m, line), CapOutcome::Fits);
             line += 1;
         }
         // The next `spill_budget` lines spill at the handler charge.
+        let spilled = CapOutcome::Spilled {
+            charge: m.spill_charge,
+        };
         for _ in 0..m.spill_budget {
-            assert_eq!(
-                be.on_write_line(&mut cap, line),
-                CapOutcome::Spilled {
-                    charge: m.spill_charge
-                }
-            );
+            assert_eq!(cap.on_write_line(&m, line), spilled);
             line += 1;
         }
         assert_eq!(cap.spilled_lines(), m.spill_budget as u64);
         // Budget dry: overflow.
-        assert_eq!(be.on_write_line(&mut cap, line), CapOutcome::Overflow);
-        // Reset restores the spill budget.
+        assert_eq!(cap.on_write_line(&m, line), CapOutcome::Overflow);
+        // Reset restores the spill budget: an overflowing line spills again.
         cap.reset();
-        assert_eq!(cap.spill_left, m.spill_budget);
         assert_eq!(cap.spilled_lines(), 0);
+        for l in 0..m.write_lines_max() as u32 {
+            assert_eq!(cap.on_write_line(&m, l), CapOutcome::Fits);
+        }
+        assert_eq!(cap.on_write_line(&m, line), spilled);
     }
 
     #[test]
-    fn tsx_hooks_match_legacy_order() {
-        // Trait-routed TSX must check the flat budget before the l2 model,
-        // after the caller already incremented read_lines — same order as the
-        // legacy inline path.
+    fn limited_read_spills_past_the_flat_budget() {
+        let m = BackendKind::Limited.model(&HtmConfig::default());
+        let mut cap = TxCap::new(&m);
+        for l in 0..m.read_lines_max as u32 {
+            assert_eq!(cap.on_read_line(&m, l), CapOutcome::Fits);
+        }
+        assert_eq!(
+            cap.on_read_line(&m, m.read_lines_max as u32),
+            CapOutcome::Spilled {
+                charge: m.spill_charge
+            }
+        );
+        assert_eq!(cap.read_lines(), m.read_lines_max + 1, "spills count");
+    }
+
+    #[test]
+    fn tsx_checks_flat_budget_before_l2() {
+        // TSX checks the flat budget (counting the new line) before the l2
+        // model, and never spills.
         let cfg = HtmConfig {
             read_lines_max: 2,
             l2_sets: 2,
             l2_ways: 1,
             ..HtmConfig::tiny()
         };
-        let be = TsxBackend::from_config(&cfg);
-        let mut cap = TxCap::new(4, 2, 2, Some((2, 1)), 0);
-        cap.read_lines = 1;
-        assert_eq!(be.on_read_line(&mut cap, 0), CapOutcome::Fits);
-        cap.read_lines = 2;
+        let m = BackendKind::Tsx.model(&cfg);
+        let mut cap = TxCap::new(&m);
+        assert_eq!(cap.on_read_line(&m, 0), CapOutcome::Fits);
         // Line 2 maps to l2 set 0, already holding line 0: l2 overflow.
-        assert_eq!(be.on_read_line(&mut cap, 2), CapOutcome::Overflow);
-        cap.read_lines = 3;
-        // Flat budget exceeded regardless of l2.
-        assert_eq!(be.on_read_line(&mut cap, 1), CapOutcome::Overflow);
+        assert_eq!(cap.on_read_line(&m, 2), CapOutcome::Overflow);
+        // Flat budget exceeded: line 1's l2 set is empty, yet it overflows.
+        assert_eq!(cap.on_read_line(&m, 1), CapOutcome::Overflow);
+        assert_eq!(cap.spilled_lines(), 0);
     }
 }

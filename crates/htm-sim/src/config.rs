@@ -1,5 +1,7 @@
 //! Geometry and policy knobs of the simulated best-effort HTM.
 
+use crate::backend::BackendKind;
+
 /// Configuration of the simulated hardware.
 ///
 /// The defaults model the Intel Haswell parts used in the paper's evaluation
@@ -44,14 +46,11 @@ pub struct HtmConfig {
     /// Events retained per thread by the debugging trace (see [`crate::trace`]);
     /// 0 (the default) disables tracing entirely.
     pub trace_capacity: usize,
-    /// Capacity-model backend (see [`crate::backend`]). `None` (the default)
-    /// keeps the legacy inline TSX path — byte-for-byte the pre-trait
-    /// behaviour. `Some(BackendKind::Tsx)` routes the same geometry through
-    /// the [`crate::backend::HtmBackend`] trait (bit-exact, pinned by
-    /// `tests/backend_diff.rs`); `Power` and `Limited` select the alternative
-    /// capacity models, whose fixed geometries override the `l1_*`/`l2_*`/
-    /// `read_lines_max` fields above.
-    pub backend: Option<crate::backend::BackendKind>,
+    /// Capacity model (see [`crate::backend`]). `Tsx` (the default) takes its
+    /// geometry from the `l1_*`/`l2_*`/`read_lines_max` fields above; `Power`
+    /// and `Limited` select the alternative capacity models, whose fixed
+    /// geometries override those fields.
+    pub backend: BackendKind,
 }
 
 impl Default for HtmConfig {
@@ -66,7 +65,7 @@ impl Default for HtmConfig {
             interrupt_prob: 0.0,
             max_threads: crate::registry::MAX_THREADS,
             trace_capacity: 0,
-            backend: None,
+            backend: BackendKind::Tsx,
         }
     }
 }
@@ -91,7 +90,7 @@ impl HtmConfig {
             interrupt_prob: 0.0,
             max_threads: 8,
             trace_capacity: 0,
-            backend: None,
+            backend: BackendKind::Tsx,
         }
     }
 

@@ -2,7 +2,7 @@
 //! per-thread handle from which hardware transactions are started.
 
 use crate::abort::AbortCode;
-use crate::backend::{CapacityModel, HtmBackend, StretchStats, TxCap};
+use crate::backend::{CapacityModel, StretchStats, TxCap};
 use crate::config::HtmConfig;
 use crate::heap::{Addr, Heap, Line};
 use crate::line_table::LineTable;
@@ -37,22 +37,21 @@ pub struct HtmSystem {
     pub(crate) table: LineTable,
     pub(crate) registry: TxRegistry,
     pub(crate) config: HtmConfig,
-    /// Capacity-model backend (see [`crate::backend`]); `None` keeps the
-    /// legacy inline TSX path.
-    pub(crate) backend: Option<Box<dyn HtmBackend>>,
+    /// The capacity model of [`HtmConfig::backend`] (see [`crate::backend`]).
+    pub(crate) model: CapacityModel,
 }
 
 impl HtmSystem {
     /// Build a machine with the given HTM geometry and a heap of `heap_words` words.
     pub fn new(config: HtmConfig, heap_words: usize) -> Self {
         config.validate();
-        let backend = config.backend.map(|k| k.build(&config));
+        let model = config.backend.model(&config);
         Self {
             heap: Heap::new(heap_words),
             table: LineTable::new(heap_words.div_ceil(crate::heap::WORDS_PER_LINE)),
             registry: TxRegistry::new(config.max_threads),
             config,
-            backend,
+            model,
         }
     }
 
@@ -61,32 +60,11 @@ impl HtmSystem {
         &self.config
     }
 
-    /// The configured backend, if any (`None` = legacy inline TSX path).
-    pub fn backend(&self) -> Option<&dyn HtmBackend> {
-        self.backend.as_deref()
-    }
-
-    /// The machine's published capacity geometry — from the backend when one
-    /// is configured, otherwise synthesized from the legacy [`HtmConfig`]
-    /// fields. TM protocols and the segment planner plan against this rather
-    /// than poking at `l1_sets`/`l1_ways` directly.
-    pub fn capacity_model(&self) -> CapacityModel {
-        match self.backend.as_deref() {
-            Some(be) => be.capacity().clone(),
-            None => CapacityModel {
-                name: "tsx",
-                write_sets: self.config.l1_sets,
-                write_ways: self.config.l1_ways,
-                read_lines_max: self.config.read_lines_max,
-                l2_sets: self.config.l2_sets,
-                l2_ways: self.config.l2_ways,
-                supports_suspend: false,
-                supports_rot: false,
-                spill_budget: 0,
-                spill_charge: 0,
-                suspend_cost: 0,
-            },
-        }
+    /// The machine's published capacity geometry. TM protocols and the
+    /// segment planner plan against this rather than poking at
+    /// `l1_sets`/`l1_ways` directly.
+    pub fn capacity_model(&self) -> &CapacityModel {
+        &self.model
     }
 
     /// Direct access to the heap (raw, non-conflict-checked operations).
@@ -102,14 +80,7 @@ impl HtmSystem {
             "thread id {id} >= max_threads"
         );
         let n_lines = self.heap.len().div_ceil(crate::heap::WORDS_PER_LINE);
-        let m = self.capacity_model();
-        let cap = TxCap::new(
-            m.write_sets,
-            m.write_ways,
-            m.read_lines_max,
-            (m.l2_sets > 0).then_some((m.l2_sets, m.l2_ways)),
-            m.spill_budget,
-        );
+        let cap = TxCap::new(&self.model);
         HtmThread {
             sys: self,
             id: id as ThreadId,
@@ -308,7 +279,7 @@ impl<'s> HtmThread<'s> {
     /// [`CapacityModel::supports_rot`] is true.
     pub fn begin_rot(&mut self) -> HtmTx<'_, 's> {
         assert!(
-            self.sys.capacity_model().supports_rot,
+            self.sys.model.supports_rot,
             "begin_rot: backend has no rollback-only transactions"
         );
         self.stretch.rot_begins += 1;

@@ -16,7 +16,9 @@
 //!   (sequential consistency of the doom flag and the publish stores guarantees the
 //!   check catches any racing commit).
 //! * Capacity: distinct written lines must fit the simulated L1 sets/ways; distinct
-//!   read lines must fit the flat read budget.
+//!   read lines must fit the flat read budget (and the optional L2 model). A
+//!   backend with a spill budget moves an overflowing line to software
+//!   tracking at a work-unit charge instead ([`crate::backend`]).
 //! * Time: each operation costs work units; reaching the quantum raises the
 //!   simulated timer interrupt ([`AbortCode::Timer`]).
 
@@ -217,27 +219,10 @@ impl<'a, 's> HtmTx<'a, 's> {
                 flags: crate::system::LINE_READ,
             };
             self.th.touched.push(line);
-            self.th.cap.read_lines += 1;
-            let be = self.th.sys.backend.as_deref();
-            match be {
-                None => {
-                    // Legacy inline path, kept byte-for-byte (the TSX backend
-                    // below routes the identical checks through the trait;
-                    // tests/backend_diff.rs pins the equivalence).
-                    if self.th.cap.read_lines > self.th.cap.read_budget {
-                        return Err(self.fail(AbortCode::Capacity));
-                    }
-                    if let Some(l2) = self.th.cap.l2.as_mut() {
-                        if !l2.insert_line(line) {
-                            return Err(self.fail(AbortCode::Capacity));
-                        }
-                    }
-                }
-                Some(be) => match be.on_read_line(&mut self.th.cap, line) {
-                    CapOutcome::Fits => {}
-                    CapOutcome::Spilled { charge } => self.charge(charge)?,
-                    CapOutcome::Overflow => return Err(self.fail(AbortCode::Capacity)),
-                },
+            match self.th.cap.on_read_line(&self.th.sys.model, line) {
+                CapOutcome::Fits => {}
+                CapOutcome::Spilled { charge } => self.charge(charge)?,
+                CapOutcome::Overflow => return Err(self.fail(AbortCode::Capacity)),
             }
         } else if st.flags & crate::system::LINE_WRITTEN != 0 {
             // The line is in the write set: the word itself may be buffered.
@@ -287,18 +272,10 @@ impl<'a, 's> HtmTx<'a, 's> {
         if fresh {
             self.th.touched.push(line);
         }
-        let be = self.th.sys.backend.as_deref();
-        match be {
-            None => {
-                if !self.th.cap.l1.insert_written_line(line) {
-                    return Err(self.fail(AbortCode::Capacity));
-                }
-            }
-            Some(be) => match be.on_write_line(&mut self.th.cap, line) {
-                CapOutcome::Fits => {}
-                CapOutcome::Spilled { charge } => self.charge(charge)?,
-                CapOutcome::Overflow => return Err(self.fail(AbortCode::Capacity)),
-            },
+        match self.th.cap.on_write_line(&self.th.sys.model, line) {
+            CapOutcome::Fits => {}
+            CapOutcome::Spilled { charge } => self.charge(charge)?,
+            CapOutcome::Overflow => return Err(self.fail(AbortCode::Capacity)),
         }
         Ok(())
     }
@@ -359,24 +336,6 @@ impl<'a, 's> HtmTx<'a, 's> {
         self.charge(units)
     }
 
-    /// True if the configured backend supports suspended regions.
-    fn supports_suspend(&self) -> bool {
-        self.th
-            .sys
-            .backend
-            .as_deref()
-            .is_some_and(|b| b.capacity().supports_suspend)
-    }
-
-    /// Virtual-clock cost of one suspend/resume round trip.
-    fn suspend_cost(&self) -> u64 {
-        self.th
-            .sys
-            .backend
-            .as_deref()
-            .map_or(0, |b| b.capacity().suspend_cost)
-    }
-
     /// Enter a **suspended region** (POWER's `tsuspend.`): the transaction
     /// stays live (its write buffer and conflict-table claims are intact, and
     /// a conflicting peer access still dooms it), but subsequent code runs
@@ -400,11 +359,11 @@ impl<'a, 's> HtmTx<'a, 's> {
     pub fn suspend(&mut self) {
         debug_assert!(self.active, "operation on finished transaction");
         assert!(
-            self.supports_suspend(),
+            self.th.sys.model.supports_suspend,
             "suspend: backend has no suspended regions"
         );
         assert!(!self.suspended, "nested suspend");
-        crate::vclock::charge(self.suspend_cost());
+        crate::vclock::charge(self.th.sys.model.suspend_cost);
         self.suspended = true;
         self.th.stretch.suspends += 1;
     }
@@ -475,11 +434,11 @@ impl<'a, 's> HtmTx<'a, 's> {
         debug_assert!(self.active, "operation on finished transaction");
         assert!(!self.suspended, "read_stretched inside a suspended region");
         assert!(
-            self.supports_suspend(),
+            self.th.sys.model.supports_suspend,
             "read_stretched: backend has no suspended regions"
         );
         self.check_doomed()?;
-        self.charge_clock(self.suspend_cost() + 1)?;
+        self.charge_clock(self.th.sys.model.suspend_cost + 1)?;
         let line = crate::line_of(addr);
         let st = self.th.lstate[line as usize];
         if st.epoch != self.th.epoch {

@@ -20,7 +20,7 @@ use htm_sim::{AbortCode, BackendKind, HtmConfig, HtmStats, HtmSystem, HtmThread,
 /// A per-backend test configuration (tiny quantum so timer paths stay live).
 fn cfg(kind: BackendKind) -> HtmConfig {
     HtmConfig {
-        backend: Some(kind),
+        backend: kind,
         quantum: 10_000,
         max_threads: 8,
         ..HtmConfig::default()
@@ -395,7 +395,7 @@ fn suspend_on_limited_panics() {
 
 #[test]
 #[should_panic(expected = "backend has no suspended regions")]
-fn suspend_on_legacy_path_panics() {
+fn suspend_on_default_config_panics() {
     let sys = HtmSystem::new(HtmConfig::default(), 1024);
     let mut th = sys.thread(0);
     let mut tx = th.begin();

@@ -9,7 +9,7 @@
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
 use part_htm_core::api::spin_work;
-use part_htm_core::{commit_under_glock, hw_attempt, run_all, wait_glock_released};
+use part_htm_core::{commit_under_glock, hw_attempt, run_all, wait_glock_released, FAST_RETRIES};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 /// Completely uninstrumented hardware-transaction context: HTM-GL adds no software
@@ -39,7 +39,7 @@ impl TxCtx for PureHtmCtx<'_, '_, '_> {
 }
 
 /// One uninstrumented hardware attempt of the whole transaction, subscribed to
-/// the global lock (HTM-GL's and HLE's only hardware path, SpHT's fast path).
+/// the global lock (HTM-GL's only hardware path, SpHT's fast path).
 pub fn try_pure_htm<W: Workload>(th: &mut TmThread<'_>, w: &mut W) -> TxResult<()> {
     hw_attempt(th, w, false, |tx, w| run_all(w, &mut PureHtmCtx { tx }))
 }
@@ -59,9 +59,8 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
     }
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
-        let retries = self.th.rt.config().fast_retries;
         if !w.is_irrevocable() {
-            for _ in 0..retries {
+            for _ in 0..FAST_RETRIES {
                 wait_glock_released(&self.th);
                 match try_pure_htm(&mut self.th, w) {
                     Ok(()) => {

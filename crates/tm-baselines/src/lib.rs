@@ -43,7 +43,6 @@ pub const STM_WRITE_COST: u64 = 48;
 /// meaningful (see DESIGN.md "Simulator calibration").
 pub const PLAIN_ACCESS_COST: u64 = 16;
 
-pub mod hle;
 pub mod htm_gl;
 pub mod norec;
 pub mod norec_rh;
@@ -52,7 +51,6 @@ pub mod ringstm;
 pub mod seq;
 pub mod spht;
 
-pub use hle::Hle;
 pub use htm_gl::HtmGl;
 pub use norec::NOrec;
 pub use norec_rh::NOrecRh;

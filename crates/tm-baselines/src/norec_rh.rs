@@ -13,7 +13,7 @@
 use htm_sim::abort::TxResult;
 use htm_sim::{AbortCode, Addr};
 use part_htm_core::api::spin_work;
-use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
+use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload, FAST_RETRIES};
 
 use crate::htm_gl::PureHtmCtx;
 use crate::norec::{validate, wait_even};
@@ -179,8 +179,7 @@ impl<'r> NOrecRh<'r> {
                 Ok(()) => return Ok(()),
                 Err(code) => {
                     hw_attempts += 1;
-                    let out_of_hw = code.is_resource_failure()
-                        || hw_attempts >= self.th.rt.config().fast_retries;
+                    let out_of_hw = code.is_resource_failure() || hw_attempts >= FAST_RETRIES;
                     if out_of_hw {
                         // Final fallback: the plain software NOrec commit.
                         while self.th.hw.nt_cas(seqlock, snapshot, snapshot + 1).is_err() {
@@ -216,7 +215,7 @@ impl<'r> TmExecutor<'r> for NOrecRh<'r> {
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
         let seqlock = self.th.rt.seqlock();
         if !w.is_irrevocable() {
-            for _ in 0..self.th.rt.config().fast_retries {
+            for _ in 0..FAST_RETRIES {
                 // Anti-lemming: wait for any software committer to drain.
                 wait_even(&self.th, seqlock);
                 match self.try_htm(w) {

@@ -25,7 +25,9 @@ use htm_sim::util::FastMap;
 use htm_sim::{AbortCode, Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
 use part_htm_core::ctx::SoftwareCtx;
-use part_htm_core::{commit_under_glock, wait_glock_released, BACKOFF_UNITS, PART_RETRIES};
+use part_htm_core::{
+    commit_under_glock, wait_glock_released, BACKOFF_UNITS, FAST_RETRIES, PART_RETRIES,
+};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 use crate::htm_gl::try_pure_htm;
@@ -230,7 +232,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                     }
                     Err(_) => {
                         fails += 1;
-                        if fails >= cfg.fast_retries {
+                        if fails >= FAST_RETRIES {
                             self.th.stats.fallbacks_gl += 1;
                             return commit_under_glock(&mut self.th, w, false);
                         }

@@ -9,11 +9,10 @@
 //! hand-tuned hints); `--adaptive on` forces the abort-profiled planner. The
 //! default keeps `TmConfig::default()` (adaptive).
 //!
-//! `--backend` routes every cell through an explicit HTM capacity model (see
-//! docs/backends.md): `tsx` is the differential twin of the default path,
-//! `power` models a 64-entry write set with suspend/resume, `limited` a
-//! FORTH-style small-set machine with software spill. Omitting the flag keeps
-//! the legacy inline path that the recorded figures were produced with.
+//! `--backend` selects the HTM capacity model every cell runs on (see
+//! docs/backends.md): `tsx`, the default and the model the recorded figures
+//! were produced with; `power`, a 64-entry write set with suspend/resume;
+//! `limited`, a FORTH-style small-set machine with software spill.
 //!
 //! `--csv DIR` additionally writes one `DIR/<experiment>.csv` per figure, ready for
 //! plotting.
@@ -93,11 +92,10 @@ fn main() {
             }
             "--backend" => {
                 i += 1;
-                let kind = args
+                opts.backend = args
                     .get(i)
                     .and_then(|s| BackendKind::parse(s.trim()))
                     .unwrap_or_else(|| usage());
-                opts.backend = Some(kind);
             }
             _ => usage(),
         }

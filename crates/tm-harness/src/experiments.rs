@@ -34,10 +34,9 @@ pub struct ExpOpts {
     /// the static per-declared-segment plan (the paper's hand-tuned hints),
     /// `Some(true)` forces the abort-profiled planner, `None` keeps the default.
     pub adaptive: Option<bool>,
-    /// Route the HTM model through an explicit backend (`tsx`, `power`,
-    /// `limited`). `None` keeps the legacy inline path — the bit-exact
-    /// differential oracle — so default runs reproduce the recorded figures.
-    pub backend: Option<BackendKind>,
+    /// The HTM capacity model every cell runs on (`tsx`, the default, or
+    /// `power` / `limited`; see docs/backends.md).
+    pub backend: BackendKind,
 }
 
 impl Default for ExpOpts {
@@ -49,7 +48,7 @@ impl Default for ExpOpts {
             stats: false,
             reps: 1,
             adaptive: None,
-            backend: None,
+            backend: BackendKind::Tsx,
         }
     }
 }
@@ -75,7 +74,7 @@ struct FigSpec {
     stats: bool,
     reps: usize,
     adaptive: Option<bool>,
-    backend: Option<BackendKind>,
+    backend: BackendKind,
 }
 
 impl FigSpec {
@@ -140,9 +139,9 @@ where
         tm.adaptive_plan = adaptive;
     }
     // Wrap the per-experiment geometry so `--backend` routes every cell through
-    // the selected capacity model (None keeps the legacy bit-exact path).
+    // the selected capacity model.
     let htm_for = |threads: usize| HtmConfig {
-        backend: spec.backend.or(htm_for(threads).backend),
+        backend: spec.backend,
         ..htm_for(threads)
     };
     // Mean throughput of one (algo, threads) cell over `reps` fresh runs.
@@ -758,7 +757,7 @@ mod tests {
             stats: false,
             reps: 1,
             adaptive: None,
-            backend: None,
+            backend: BackendKind::Tsx,
         }
     }
 
@@ -798,7 +797,7 @@ mod tests {
             stats: false,
             reps: 1,
             adaptive: None,
-            backend: None,
+            backend: BackendKind::Tsx,
         };
         let s = table1(&o);
         assert!(s.contains("HTM-GL"));
@@ -814,7 +813,7 @@ mod tests {
             stats: false,
             reps: 1,
             adaptive: None,
-            backend: None,
+            backend: BackendKind::Tsx,
         };
         let a = vsweep(&o);
         let b = vsweep(&o);
@@ -833,14 +832,13 @@ mod tests {
     fn backend_sweep_runs_all_three_models() {
         // The same quick figure under each explicit capacity model: all must
         // complete with non-zero throughput (the constrained models still make
-        // progress via splitting / the global-lock fallback), and the `tsx`
-        // route is the differential twin of the legacy path.
+        // progress via splitting / the global-lock fallback).
         let mut o = quick();
         o.threads = Some(vec![2]);
         o.scale = 0.01;
         o.algos = Some(vec![Algo::PartHtm, Algo::StretchHtm]);
         for kind in [BackendKind::Tsx, BackendKind::Power, BackendKind::Limited] {
-            o.backend = Some(kind);
+            o.backend = kind;
             let t = fig3a(&o);
             for algo in ["Part-HTM", "Stretch-HTM"] {
                 let v = t.value(2, algo).unwrap();
@@ -858,7 +856,7 @@ mod tests {
             stats: false,
             reps: 1,
             adaptive: None,
-            backend: Some(BackendKind::Power),
+            backend: BackendKind::Power,
         };
         let a = vsweep(&o);
         let b = vsweep(&o);

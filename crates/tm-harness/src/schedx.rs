@@ -359,7 +359,7 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
         }
         "power-stretch" => {
             let htm = HtmConfig {
-                backend: Some(BackendKind::Power),
+                backend: BackendKind::Power,
                 ..HtmConfig::default()
             };
             let rt = TmRuntime::new(htm, TmConfig::default(), 2, (StretchRead::LINES as usize) * 8);

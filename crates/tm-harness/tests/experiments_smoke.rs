@@ -12,7 +12,7 @@ fn tiny_opts() -> ExpOpts {
         stats: false,
         reps: 1,
         adaptive: None,
-        backend: None,
+        ..ExpOpts::default()
     }
 }
 
@@ -58,7 +58,7 @@ fn table1_exposes_no_table_but_renders_rows() {
         stats: false,
         reps: 1,
         adaptive: None,
-        backend: None,
+        ..ExpOpts::default()
     };
     let (out, table) = run_experiment_table("table1", &opts).unwrap();
     assert!(table.is_none());
@@ -92,20 +92,21 @@ fn fig3b_no_fast_only_commits_partitioned_or_gl() {
 
 #[test]
 fn extended_algos_run_the_figures_too() {
-    // SpHT and HLE are not in the paper's legends but must drive any experiment.
+    // SpHT and Stretch-HTM are not in the paper's legends but must drive any
+    // experiment.
     let opts = ExpOpts {
         threads: Some(vec![2]),
         scale: 0.02,
-        algos: Some(vec![Algo::SpHt, Algo::Hle]),
+        algos: Some(vec![Algo::SpHt, Algo::StretchHtm]),
         stats: true,
         reps: 2,
         adaptive: None,
-        backend: None,
+        ..ExpOpts::default()
     };
     for id in ["fig3a", "fig4a"] {
         let (out, table) = run_experiment_table(id, &opts).unwrap();
         let t = table.unwrap();
-        assert_eq!(t.algos, vec!["SpHT", "HLE"]);
+        assert_eq!(t.algos, vec!["SpHT", "Stretch-HTM"]);
         assert!(t.cells[0].iter().all(|v| *v > 0.0));
         // --stats mode gathered one report per algorithm and rendered them.
         assert_eq!(t.reports.len(), 2);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build; workspace tests under a timeout (plus a x50
-# repeat of the release failure-injection suite and, on a multi-CPU host, a
-# x10 repeat of the concurrent suites); clippy and rustdoc
-# with warnings denied; scripts/doc-check.sh; schedx --bounded.
+# Tier-1 gate: release build; a compile check of the frozen perfbench
+# (benchmark/) against the workspace API; workspace tests under a timeout (plus
+# a x50 repeat of the release failure-injection suite and, on a multi-CPU host,
+# a x10 repeat of the concurrent suites); clippy and rustdoc with warnings
+# denied; scripts/doc-check.sh; schedx --bounded.
 #
 #   --smoke  also microbench --smoke (every row once, < 30 s) and a seeded
 #            schedx soak over the CI scenarios
@@ -26,6 +27,11 @@ esac
 
 echo "== tier1: cargo build --release =="
 cargo build --release
+
+echo "== tier1: cargo check benchmark/ (perfbench compiles against this API) =="
+# perfbench depends on htm-sim, core and the other crates by path: an API
+# change that breaks it must fail here, not when the benchmark next runs.
+cargo check -q --release --offline --manifest-path benchmark/Cargo.toml --all-targets
 
 echo "== tier1: cargo test -q (workspace, timeout 900) =="
 # A wedged test must fail the gate, not hang it (the whole debug suite needs

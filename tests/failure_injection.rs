@@ -88,7 +88,7 @@ fn every_protocol_survives_interrupts_plus_tiny_caches() {
 #[test]
 fn extended_algos_survive_the_same_chaos() {
     let htm = HtmConfig { interrupt_prob: 0.01, ..HtmConfig::default() };
-    for algo in [Algo::SpHt, Algo::Hle, Algo::PartHtmNoFast] {
+    for algo in [Algo::SpHt, Algo::StretchHtm, Algo::PartHtmNoFast] {
         total_increments_exact(algo, htm.clone());
     }
 }
