@@ -7,9 +7,8 @@
 //!   --out PATH  report file (default `target/microbench.json`)
 //!
 //! The drift gate is `benchmark/run.sh check BENCH.json target/microbench.json`;
-//! `BENCH.json` is a committed full run. A full run also checks the six
-//! absolute claim floors of the row table and exits 1 naming any row below
-//! its floor.
+//! `BENCH.json` is a committed full run. A full run also checks the absolute
+//! claim floors of the row table and exits 1 naming any row below its floor.
 //!
 //! Wall groups time their two arms back to back, once per pass over all of
 //! them; [`Scale::reps`] passes give each row its median and quartiles. Virtual
@@ -19,7 +18,7 @@
 //! placement).
 
 use htm_sim::vclock::SchedSpec;
-use htm_sim::{BackendKind, HeapBuilder, HtmConfig, HtmSystem, HtmThread};
+use htm_sim::{BackendKind, HeapBuilder, HtmConfig, HtmSystem, HtmThread, WORDS_PER_LINE};
 use part_htm_core::{PartHtm, TmConfig, TmRuntime};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -27,7 +26,7 @@ use std::time::Instant;
 use tm_bench::{floor_misses, render, rows, Measured};
 use tm_harness::experiments::capacity_shape;
 use tm_harness::loadgen::ArrivalProcess;
-use tm_harness::{run_cell_virtual, Algo};
+use tm_harness::{run_cell_virtual, Algo, RunResult};
 use tm_server::service::{gen_requests, run_server, Request, ServeMode, ServeOpts};
 use tm_server::{AdmissionSpec, ServerReport, ServerSpec, ServerState, TrafficMix};
 use tm_sig::kernels::{scalar, unrolled};
@@ -286,9 +285,10 @@ fn publish(sc: &Scale, out: &mut Measured) {
     const ADDRS_PER_SIG: usize = 12;
     let (sys, arms) = rings();
     let sharded = &arms[1].0;
+    // One address per line: each sets a bit of its own.
     let mut addr = 0u32;
     let mut next_in_shard = |shard: usize| loop {
-        addr += 1;
+        addr += WORDS_PER_LINE as u32;
         if sharded.shard_of_word(sharded.spec().bit_of(addr) / 64) == shard {
             return addr;
         }
@@ -344,14 +344,14 @@ fn publish(sc: &Scale, out: &mut Measured) {
 type Shape<'a> = (NrmwParams, &'a HtmConfig, usize);
 
 /// Run one virtual cell of `shape` under `algo` and `tm`; record its commits
-/// per million work units as row `<name>_tx_per_mwu` and return them.
+/// per million work units as row `<name>_tx_per_mwu` and return the run.
 fn nrmw_row(
     out: &mut Measured,
     name: &str,
     algo: Algo,
     (p, htm, ops): Shape<'_>,
     tm: TmConfig,
-) -> f64 {
+) -> RunResult {
     let (r, _) = run_cell_virtual(
         algo,
         CORES,
@@ -363,9 +363,8 @@ fn nrmw_row(
         |rt| micro::init(rt, &p),
         |shared, t| micro::Nrmw::new(shared, t, 64),
     );
-    let v = r.virtual_throughput();
-    out.put(format!("{name}_tx_per_mwu"), v);
-    v
+    out.put(format!("{name}_tx_per_mwu"), r.virtual_throughput());
+    r
 }
 
 /// The adaptive abort-profiled planner against pinned static plans. On the
@@ -373,6 +372,8 @@ fn nrmw_row(
 /// runs every declared segment as its own sub-HTM and `tuned8` the hand-tuned
 /// merge width; on the Fig. 3(c) time-limited shape the declared 4x25
 /// segmentation *is* the optimum and the adaptive row prices learning that.
+/// The adaptive capacity cell also records its global aborts and work units
+/// per transaction: signature false positives show up there first.
 fn plan(sc: &Scale, out: &mut Measured) {
     let adapt = TmConfig::default;
     let pinned = |plan_group| TmConfig {
@@ -385,7 +386,19 @@ fn plan(sc: &Scale, out: &mut Measured) {
     let static1 = nrmw_row(out, "plan/static1", Algo::PartHtm, cap, pinned(1));
     nrmw_row(out, "plan/tuned8", Algo::PartHtm, cap, pinned(8));
     let adaptive = nrmw_row(out, "plan/adaptive", Algo::PartHtm, cap, adapt());
-    out.put("plan/adaptive_over_static1", adaptive / static1);
+    out.put(
+        "plan/adaptive_over_static1",
+        adaptive.virtual_throughput() / static1.virtual_throughput(),
+    );
+    let tx = adaptive.commits as f64;
+    out.put(
+        "plan/adaptive_global_aborts_per_ktx",
+        1000.0 * adaptive.tm.global_aborts as f64 / tx,
+    );
+    out.put(
+        "plan/adaptive_work_units_per_tx",
+        adaptive.hw.work_units as f64 / tx,
+    );
 
     let p = NrmwParams {
         array_len: 2_000,
@@ -398,7 +411,10 @@ fn plan(sc: &Scale, out: &mut Measured) {
     let hint = (p, &htm, sc.hint_ops);
     let fixed = nrmw_row(out, "plan/hint_static", Algo::PartHtm, hint, pinned(1));
     let learnt = nrmw_row(out, "plan/hint_adaptive", Algo::PartHtm, hint, adapt());
-    out.put("plan/hint_adaptive_over_static", learnt / fixed);
+    out.put(
+        "plan/hint_adaptive_over_static",
+        learnt.virtual_throughput() / fixed.virtual_throughput(),
+    );
 }
 
 /// Splitting vs stretching per capacity backend: 1200 contiguous reads (~150
@@ -425,7 +441,7 @@ fn rescue(sc: &Scale, out: &mut Measured) {
         let shape = (p, &htm, sc.rescue_ops);
         let mut arm = |arm: &str, algo| {
             let name = format!("rescue/{}_{arm}", kind.name());
-            nrmw_row(out, &name, algo, shape, TmConfig::default())
+            nrmw_row(out, &name, algo, shape, TmConfig::default()).virtual_throughput()
         };
         let (split, stretch) = (
             arm("split", Algo::PartHtm),

@@ -134,12 +134,16 @@ pub const ROWS: &[RowDef] = &[
     wall("publish/sharded_over_single_2t", Higher),
     host("publish/sharded_pub_per_s_4t", "1/s", Higher),
     wall("publish/sharded_over_single_4t", Higher),
-    // Adaptive planner vs pinned static plans on `capacity_shape()`, and on
-    // the Fig. 3(c) shape whose declared segmentation is already optimal.
+    // Adaptive planner vs pinned static plans on `capacity_shape()` (with the
+    // adaptive cell's global aborts and work per transaction, gated so that
+    // signature false positives cannot creep back), and on the Fig. 3(c)
+    // shape whose declared segmentation is already optimal.
     tput("plan/static1_tx_per_mwu"),
     tput("plan/tuned8_tx_per_mwu"),
     tput("plan/adaptive_tx_per_mwu"),
     virt("plan/adaptive_over_static1", "ratio", Higher).floor(1.2),
+    virt("plan/adaptive_global_aborts_per_ktx", "count", Lower),
+    virt("plan/adaptive_work_units_per_tx", "wu", Lower),
     tput("plan/hint_static_tx_per_mwu"),
     tput("plan/hint_adaptive_tx_per_mwu"),
     virt("plan/hint_adaptive_over_static", "ratio", Higher).floor(0.92),
@@ -150,7 +154,7 @@ pub const ROWS: &[RowDef] = &[
     tput("rescue/power_stretch_tx_per_mwu"),
     tput("rescue/limited_split_tx_per_mwu"),
     tput("rescue/limited_stretch_tx_per_mwu"),
-    virt("rescue/power_stretch_over_split", "ratio", Higher).floor(1.5),
+    virt("rescue/power_stretch_over_split", "ratio", Higher),
     // Group commit (`batch_max: 8` vs 1) on both clocks, with the counts the
     // wall/virtual gap is attributed from; admission control at 2x overload.
     host("server/batched_req_per_s", "1/s", Higher),
@@ -337,7 +341,7 @@ mod tests {
                 d.key
             );
         }
-        assert_eq!(ROWS.iter().filter(|d| d.floor.is_some()).count(), 5);
+        assert_eq!(ROWS.iter().filter(|d| d.floor.is_some()).count(), 4);
     }
 
     #[test]
@@ -355,19 +359,19 @@ mod tests {
     fn a_floor_miss_names_its_row() {
         let def = ROWS
             .iter()
-            .find(|d| d.key == "rescue/power_stretch_over_split")
+            .find(|d| d.key == "plan/adaptive_over_static1")
             .unwrap();
         let row = |x: f64| Row {
             def,
             value: Summary::of(vec![x]),
         };
-        assert!(floor_misses(&[row(1.5), row(1.614)]).is_empty());
-        let misses = floor_misses(&[row(1.614), row(1.49)]);
+        assert!(floor_misses(&[row(1.2), row(1.652)]).is_empty());
+        let misses = floor_misses(&[row(1.652), row(1.19)]);
         assert_eq!(misses.len(), 1);
         assert!(
-            misses[0].contains("rescue/power_stretch_over_split = 1.490"),
+            misses[0].contains("plan/adaptive_over_static1 = 1.190"),
             "{misses:?}"
         );
-        assert!(misses[0].contains("1.5"), "{misses:?}");
+        assert!(misses[0].contains("1.2"), "{misses:?}");
     }
 }

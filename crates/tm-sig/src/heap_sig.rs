@@ -237,17 +237,20 @@ mod tests {
         let (sys, locks, own, probe) = setup();
         let th = sys.thread(0);
         let spec = SigSpec::PAPER;
-        // "locks" holds bits for addresses 1 and 2; "own" masks out address 1;
-        // "probe" contains address 1 only => masked intersection must be empty.
+        // "locks" holds bits for addresses 8 and 16 (two lines); "own" masks
+        // out address 8; "probe" contains address 8 only => masked
+        // intersection must be empty.
+        let (mine, foreign) = (8, 16);
+        assert_ne!(spec.bit_of(mine), spec.bit_of(foreign));
         let mut l = Sig::new(spec);
-        l.add(1);
-        l.add(2);
+        l.add(mine);
+        l.add(foreign);
         locks.write_nt(&th, &l);
         let mut o = Sig::new(spec);
-        o.add(1);
+        o.add(mine);
         own.write_nt(&th, &o);
         let mut p = Sig::new(spec);
-        p.add(1);
+        p.add(mine);
         probe.write_nt(&th, &p);
 
         let mut th = sys.thread(1);
@@ -256,9 +259,9 @@ mod tests {
             .unwrap();
         assert!(!hit, "own lock must not count as a conflict");
 
-        // Now probe address 2 (a foreign lock): conflict.
+        // Now probe address 16 (a foreign lock): conflict.
         let mut p2 = Sig::new(spec);
-        p2.add(2);
+        p2.add(foreign);
         probe.write_nt(&sys.thread(0), &p2);
         let hit2 = th
             .attempt(|tx| locks.intersects_masked_tx(tx, &own, &probe))

@@ -1,6 +1,6 @@
 //! Signature geometry and the address-to-bit hash function.
 
-use htm_sim::Addr;
+use htm_sim::{Addr, WORDS_PER_LINE};
 
 /// Geometry of all signatures in a runtime: number of bits (a power of two, at least
 /// one 64-bit word) and the derived word count.
@@ -38,15 +38,21 @@ impl SigSpec {
         self.bits / 64
     }
 
-    /// The single hash function: maps a word address to a bit index.
+    /// The single hash function: maps a word address to a bit index, keyed on
+    /// the cache line the word lives in.
     ///
-    /// Multiplicative (Fibonacci) hashing — consecutive addresses spread across the
-    /// filter, so false conflicts come only from genuine collisions, matching the
-    /// paper's "the hash function could map more than one address into the same
-    /// entry".
+    /// The key is the address of the line's first word, so every word of a line
+    /// sets the same bit: the signature tracks what the HTM tracks, and a
+    /// transaction that reads a whole line sets one bit, not eight. A
+    /// line-aligned address is its own key.
+    /// Multiplicative (Fibonacci) hashing spreads consecutive lines across the
+    /// filter, so false conflicts between lines come only from genuine
+    /// collisions, matching the paper's "the hash function could map more than
+    /// one address into the same entry".
     #[inline]
     pub fn bit_of(self, addr: Addr) -> u32 {
-        let h = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let line_base = addr & !(WORDS_PER_LINE as Addr - 1);
+        let h = (line_base as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (h >> (64 - self.bits.trailing_zeros())) as u32
     }
 
@@ -96,11 +102,45 @@ mod tests {
     fn hash_spreads_addresses() {
         let s = SigSpec::PAPER;
         let mut used = std::collections::HashSet::new();
-        for addr in 0..2048u32 {
-            used.insert(s.bit_of(addr));
+        for line in 0..2048u32 {
+            used.insert(s.bit_of(line * WORDS_PER_LINE as Addr));
+            if line == 255 {
+                // Up to 256 consecutive lines never collide.
+                assert_eq!(used.len(), 256);
+            }
         }
-        // 2048 addresses into 2048 bits: expect good occupancy (> 55%).
-        assert!(used.len() > 1100, "only {} distinct bits", used.len());
+        // 2048 line bases into 2048 bits: the multiplier seen through an
+        // 8-word stride clusters long runs (uniform hashing would give ~1 295).
+        assert!(used.len() > 900, "only {} distinct bits", used.len());
+    }
+
+    #[test]
+    fn words_of_one_line_share_one_bit() {
+        for &bits in &[64u32, 512, 2048, 8192] {
+            let s = SigSpec::new(bits);
+            for base in (0..50_000u32).step_by(8 * 37) {
+                for word in base..base + WORDS_PER_LINE as Addr {
+                    assert_eq!(s.bit_of(word), s.bit_of(base), "word {word}, {bits} bits");
+                }
+            }
+        }
+    }
+
+    /// A line-aligned address hashes exactly as under the word-keyed hash, so
+    /// a workload whose accesses are all line-aligned sets the same bits.
+    #[test]
+    fn line_aligned_addresses_keep_their_bit() {
+        let word_keyed = |s: SigSpec, addr: Addr| {
+            let h = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> (64 - s.bits().trailing_zeros())) as u32
+        };
+        for &bits in &[64u32, 512, 2048, 8192] {
+            let s = SigSpec::new(bits);
+            for k in (0..200_000u32).step_by(13) {
+                let addr = k * WORDS_PER_LINE as Addr;
+                assert_eq!(s.bit_of(addr), word_keyed(s, addr), "addr {addr}");
+            }
+        }
     }
 
     #[test]

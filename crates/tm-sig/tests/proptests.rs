@@ -104,6 +104,20 @@ proptest! {
         prop_assert_eq!(sa.intersects(&sb), sb.intersects(&sa));
     }
 
+    /// A signature sees cache lines, not words: any word set and the set of
+    /// its words' line bases produce the same signature.
+    #[test]
+    fn signature_sees_lines_not_words(addrs in arb_addrs(), bits in prop_oneof![Just(512u32), Just(2048), Just(8192)]) {
+        let spec = SigSpec::new(bits);
+        let (mut words, mut lines) = (Sig::new(spec), Sig::new(spec));
+        for &a in &addrs {
+            words.add(a);
+            lines.add(a & !(htm_sim::WORDS_PER_LINE as u32 - 1));
+        }
+        prop_assert_eq!(words.words(), lines.words());
+        prop_assert_eq!(words.popcount(), lines.popcount());
+    }
+
     /// Ring validation is complete within the window: a reader of address `x`
     /// starting at time `t0` is invalidated iff some commit after `t0` wrote `x`'s
     /// bit (false positives allowed, false negatives never — unless the window

@@ -14,6 +14,9 @@ const INITIAL: u64 = 500;
 #[derive(Clone, Copy)]
 struct Bank {
     base: Addr,
+    /// Words from one account to the next: 8 gives each account a cache line
+    /// of its own, 1 packs eight accounts into a line.
+    stride: usize,
 }
 
 /// Transfer between two accounts, in two segments (so the partitioned path splits
@@ -49,16 +52,26 @@ impl Workload for Transfer {
 
     fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
         if seg == 0 {
-            let a = self.bank.base + (self.from * 8) as Addr;
+            let a = self.bank.base + (self.from * self.bank.stride) as Addr;
             let v = ctx.read(a)?;
             self.moved = self.amount.min(v);
             ctx.write(a, v - self.moved)?;
         } else {
-            let a = self.bank.base + (self.to * 8) as Addr;
+            let a = self.bank.base + (self.to * self.bank.stride) as Addr;
             let v = ctx.read(a)?;
             ctx.write(a, v + self.moved)?;
         }
         Ok(())
+    }
+}
+
+fn transfer(bank: Bank, _thread: usize) -> Transfer {
+    Transfer {
+        bank,
+        from: 0,
+        to: 1,
+        amount: 0,
+        moved: 0,
     }
 }
 
@@ -74,15 +87,12 @@ fn conserved_total_under(algo: Algo, threads: usize, htm: HtmConfig, tm: TmConfi
             for i in 0..ACCOUNTS {
                 rt.setup_write(i * 8, INITIAL);
             }
-            Bank { base: rt.app(0) }
+            Bank {
+                base: rt.app(0),
+                stride: 8,
+            }
         },
-        |bank, _t| Transfer {
-            bank,
-            from: 0,
-            to: 1,
-            amount: 0,
-            moved: 0,
-        },
+        transfer,
         |rt, _bank| (0..ACCOUNTS).map(|i| rt.verify_read(i * 8)).sum::<u64>(),
     );
     assert_eq!(
@@ -174,5 +184,61 @@ fn part_htm_conserves_money_with_small_signatures() {
     };
     for algo in [Algo::PartHtm, Algo::RingStm] {
         conserved_total_under(algo, 4, HtmConfig::default(), tm.clone());
+    }
+}
+
+#[test]
+fn adjacent_word_partitioned_writers_conserve_money() {
+    // Accounts one word apart: sixteen of them fill two cache lines, and
+    // signatures are keyed on the line, so two threads' partitioned writers
+    // on neighbouring accounts contend on one write-lock bit. The total must
+    // stay exact, and no lock bit, line entry or `active_tx` count may leak.
+    let tm = TmConfig {
+        skip_fast: true,
+        ..TmConfig::default()
+    };
+    for algo in [Algo::PartHtm, Algo::PartHtmO] {
+        let (r, (total, locks_released, active_tx, live_lines)) = run_cell_with(
+            algo,
+            2,
+            1_000,
+            HtmConfig::default(),
+            tm.clone(),
+            ACCOUNTS,
+            |rt| {
+                for i in 0..ACCOUNTS {
+                    rt.setup_write(i, INITIAL);
+                }
+                Bank {
+                    base: rt.app(0),
+                    stride: 1,
+                }
+            },
+            transfer,
+            |rt, _bank| {
+                let th = rt.system().thread(0);
+                (
+                    (0..ACCOUNTS).map(|i| rt.verify_read(i)).sum::<u64>(),
+                    rt.write_locks().snapshot_nt(&th).is_empty(),
+                    rt.system().nt_read(rt.active_tx()),
+                    rt.system().live_line_entries(),
+                )
+            },
+        );
+        assert_eq!(
+            total,
+            (ACCOUNTS as u64) * INITIAL,
+            "{} lost or created money",
+            r.algo
+        );
+        assert_eq!(r.commits, 2_000);
+        assert!(
+            r.tm.commits_subhtm > 0,
+            "{}: the partitioned path ran",
+            r.algo
+        );
+        assert!(locks_released, "{}: a write-lock bit leaked", r.algo);
+        assert_eq!(active_tx, 0, "{}: active_tx leaked", r.algo);
+        assert_eq!(live_lines, 0, "{}: a line-table entry leaked", r.algo);
     }
 }
