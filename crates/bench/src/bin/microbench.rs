@@ -417,11 +417,11 @@ fn plan(sc: &Scale, out: &mut Measured) {
     );
 }
 
-/// Splitting vs stretching per capacity backend: 1200 contiguous reads (~150
-/// lines) overflow every read budget (TSX pinned to 64 lines, POWER 128,
+/// Splitting vs the global lock per capacity backend: 1200 contiguous reads
+/// (~150 lines) overflow every read budget (TSX pinned to 64 lines, POWER 128,
 /// limited-set 64), 16 writes fit every write budget. `split` is Part-HTM's
-/// partitioned path, `stretch` is Stretch-HTM's suspended reads — which only
-/// the POWER model supports; elsewhere that row is HTM-GL in disguise.
+/// partitioned path, `glock` is HTM-GL, which sends the resource failure to
+/// the lock (the limited-set backend's spill absorbs it in hardware).
 fn rescue(sc: &Scale, out: &mut Measured) {
     let p = NrmwParams {
         array_len: 4_000,
@@ -439,16 +439,9 @@ fn rescue(sc: &Scale, out: &mut Measured) {
             ..HtmConfig::default()
         };
         let shape = (p, &htm, sc.rescue_ops);
-        let mut arm = |arm: &str, algo| {
+        for (arm, algo) in [("split", Algo::PartHtm), ("glock", Algo::HtmGl)] {
             let name = format!("rescue/{}_{arm}", kind.name());
-            nrmw_row(out, &name, algo, shape, TmConfig::default()).virtual_throughput()
-        };
-        let (split, stretch) = (
-            arm("split", Algo::PartHtm),
-            arm("stretch", Algo::StretchHtm),
-        );
-        if kind == BackendKind::Power {
-            out.put("rescue/power_stretch_over_split", stretch / split);
+            nrmw_row(out, &name, algo, shape, TmConfig::default());
         }
     }
 }

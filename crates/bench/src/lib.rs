@@ -147,14 +147,13 @@ pub const ROWS: &[RowDef] = &[
     tput("plan/hint_static_tx_per_mwu"),
     tput("plan/hint_adaptive_tx_per_mwu"),
     virt("plan/hint_adaptive_over_static", "ratio", Higher).floor(0.92),
-    // Split (Part-HTM) vs stretch (Stretch-HTM) per capacity backend.
+    // Split (Part-HTM) vs the global lock (HTM-GL) per capacity backend.
     tput("rescue/tsx_split_tx_per_mwu"),
-    tput("rescue/tsx_stretch_tx_per_mwu"),
+    tput("rescue/tsx_glock_tx_per_mwu"),
     tput("rescue/power_split_tx_per_mwu"),
-    tput("rescue/power_stretch_tx_per_mwu"),
+    tput("rescue/power_glock_tx_per_mwu"),
     tput("rescue/limited_split_tx_per_mwu"),
-    tput("rescue/limited_stretch_tx_per_mwu"),
-    virt("rescue/power_stretch_over_split", "ratio", Higher),
+    tput("rescue/limited_glock_tx_per_mwu"),
     // Group commit (`batch_max: 8` vs 1) on both clocks, with the counts the
     // wall/virtual gap is attributed from; admission control at 2x overload.
     host("server/batched_req_per_s", "1/s", Higher),

@@ -81,9 +81,9 @@ fn subscribe_zero(tx: &mut HtmTx<'_, '_>, addr: Addr, code: u8) -> TxResult<()> 
 /// `subscribe_active`, the *quiet* speculation that no partitioned-path
 /// transaction runs — then run `body` and commit. A failed attempt counts one
 /// [`crate::TmStats::fast_aborts`]. Shared by every executor with a hardware
-/// first path (Part-HTM, Part-HTM-O, Stretch-HTM and the HTM-GL/SpHT
-/// baselines); `body` builds the path's instrumentation context around the
-/// transaction it is handed.
+/// first path (Part-HTM, Part-HTM-O and the HTM-GL/SpHT baselines); `body`
+/// builds the path's instrumentation context around the transaction it is
+/// handed.
 pub fn hw_attempt<W: Workload, R>(
     th: &mut TmThread<'_>,
     w: &mut W,

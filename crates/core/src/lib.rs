@@ -31,7 +31,6 @@ pub mod parthtm;
 pub mod planner;
 pub mod runtime;
 pub mod stats;
-pub mod stretch;
 pub mod undo;
 
 pub use api::{
@@ -49,4 +48,3 @@ pub use planner::{
 };
 pub use runtime::{Region, SigKind, TmConfig, TmRuntime, TmThread};
 pub use stats::TmStats;
-pub use stretch::{StretchCtx, StretchHtm};

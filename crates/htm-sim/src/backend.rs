@@ -10,13 +10,10 @@
 //! * [`BackendKind::Tsx`] — the default TSX/Haswell model. Its geometry comes
 //!   from the [`HtmConfig`] `l1_*` / `l2_*` / `read_lines_max` fields, so it
 //!   is per-experiment.
-//! * [`BackendKind::Power`] — an IBM POWER8-style model: a tiny flat 64-entry
-//!   write set, a modest read set, *suspended regions*
-//!   ([`crate::HtmTx::suspend`] / [`crate::HtmTx::resume`]: non-transactional
-//!   reads and interrupt-immune work mid-transaction) and rollback-only
-//!   transactions ([`crate::HtmThread::begin_rot`]). The capacity-stretching
-//!   comparison point from PAPERS.md ("Stretching the capacity of HTM in IBM
-//!   POWER architectures").
+//! * [`BackendKind::Power`] — an IBM POWER8-style model: a flat 64-entry
+//!   write set and a 128-line read set ("Stretching the capacity of HTM in
+//!   IBM POWER architectures", PAPERS.md). Only the geometry is modelled;
+//!   POWER's suspended regions and rollback-only transactions are not.
 //! * [`BackendKind::Limited`] — a FORTH-style limited read/write-set HTM
 //!   ("Limited Read/Write-Set HTM without modifying the ISA"): very small
 //!   hardware set budgets, but overflowing lines *spill* to a
@@ -33,8 +30,8 @@
 //! A model owns **capacity accounting only**. Conflict detection (the line
 //! table), write buffering, doom checking and commit publication are shared
 //! machinery and identical across models — that is what keeps every backend
-//! serializable by construction (see `docs/backends.md`): a spilled or
-//! stretched line stays registered in the conflict table even though it no
+//! serializable by construction (see `docs/backends.md`): a spilled line
+//! stays registered in the conflict table even though it no
 //! longer counts against the hardware budget, so requester-wins dooming and
 //! the atomic commit publish are unaffected.
 
@@ -47,7 +44,7 @@ use crate::heap::Line;
 pub enum BackendKind {
     /// TSX/Haswell model: set-associative write L1, large flat read budget.
     Tsx,
-    /// POWER8 model: flat 64-entry write set, suspend/resume, ROT flavour.
+    /// POWER8 model: flat 64-entry write set, 128-line read set.
     Power,
     /// FORTH limited-set model: tiny sets with software-managed overflow.
     Limited,
@@ -80,11 +77,8 @@ impl BackendKind {
                 read_lines_max: cfg.read_lines_max,
                 l2_sets: cfg.l2_sets,
                 l2_ways: cfg.l2_ways,
-                supports_suspend: false,
-                supports_rot: false,
                 spill_budget: 0,
                 spill_charge: 0,
-                suspend_cost: 0,
             },
             BackendKind::Power => CapacityModel {
                 kind: self,
@@ -93,11 +87,8 @@ impl BackendKind {
                 read_lines_max: POWER_READ_LINES,
                 l2_sets: 0,
                 l2_ways: 0,
-                supports_suspend: true,
-                supports_rot: true,
                 spill_budget: 0,
                 spill_charge: 0,
-                suspend_cost: POWER_SUSPEND_COST,
             },
             BackendKind::Limited => CapacityModel {
                 kind: self,
@@ -106,11 +97,8 @@ impl BackendKind {
                 read_lines_max: LIMITED_READ_LINES,
                 l2_sets: 0,
                 l2_ways: 0,
-                supports_suspend: false,
-                supports_rot: false,
                 spill_budget: LIMITED_SPILL_BUDGET,
                 spill_charge: LIMITED_SPILL_CHARGE,
-                suspend_cost: 0,
             },
         }
     }
@@ -124,9 +112,6 @@ impl BackendKind {
 pub const POWER_WRITE_LINES: usize = 64;
 /// POWER8 read-set budget in lines (~8 KB of read tracking).
 pub const POWER_READ_LINES: usize = 128;
-/// Virtual-clock cost of one suspend/resume round trip (tsuspend./tresume.
-/// plus the pipeline drain they imply).
-pub const POWER_SUSPEND_COST: u64 = 8;
 
 /// Limited-set hardware write budget: 4 sets x 4 ways = 16 lines.
 pub const LIMITED_WRITE_SETS: usize = 4;
@@ -156,18 +141,11 @@ pub struct CapacityModel {
     pub l2_sets: usize,
     /// Ways of the optional read model.
     pub l2_ways: usize,
-    /// Whether [`crate::HtmTx::suspend`]/[`crate::HtmTx::resume`] are legal.
-    pub supports_suspend: bool,
-    /// Whether [`crate::HtmThread::begin_rot`] (rollback-only transactions)
-    /// is legal.
-    pub supports_rot: bool,
     /// Lines one transaction may spill to software tracking (0 = overflow
     /// aborts immediately, as on TSX and POWER).
     pub spill_budget: usize,
     /// Work units the software overflow handler costs per spilled line.
     pub spill_charge: u64,
-    /// Work units (virtual-clock only) one suspend/resume round trip costs.
-    pub suspend_cost: u64,
 }
 
 impl CapacityModel {
@@ -278,31 +256,6 @@ impl TxCap {
     }
 }
 
-/// Cumulative per-thread counters for the backend-specific escape hatches
-/// (suspend/resume regions, software spills, rollback-only transactions).
-///
-/// Deliberately **not** part of [`crate::HtmStats`]: that struct is pinned to
-/// exactly one cache line (8 x u64) and cannot grow. These counters are cold
-/// (bumped only on backend-specific slow paths), so a plain unpadded struct
-/// on the thread handle is the right home.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StretchStats {
-    /// Suspended regions entered.
-    pub suspends: u64,
-    /// Suspended regions exited.
-    pub resumes: u64,
-    /// Non-transactional loads performed while suspended.
-    pub suspended_reads: u64,
-    /// Work units executed in suspended mode (quantum- and interrupt-immune).
-    pub suspended_work: u64,
-    /// Stretched reads: conflict-tracked loads exempted from the read budget.
-    pub stretched_reads: u64,
-    /// Lines spilled to software capacity tracking (limited-set backend).
-    pub spilled_lines: u64,
-    /// Rollback-only transactions started.
-    pub rot_begins: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +285,6 @@ mod tests {
         let m = BackendKind::Tsx.model(&cfg);
         assert_eq!(m.write_lines_max(), cfg.l1_lines());
         assert_eq!(m.read_lines_max, cfg.read_lines_max);
-        assert!(!m.supports_suspend && !m.supports_rot);
         assert_eq!(m.spill_budget, 0);
     }
 
@@ -340,7 +292,7 @@ mod tests {
     fn power_geometry() {
         let m = BackendKind::Power.model(&HtmConfig::default());
         assert_eq!(m.write_lines_max(), POWER_WRITE_LINES);
-        assert!(m.supports_suspend && m.supports_rot);
+        assert_eq!(m.read_lines_max, POWER_READ_LINES);
         assert_eq!(m.spill_budget, 0);
     }
 

@@ -71,7 +71,7 @@ pub mod vclock;
 
 pub use abort::AbortCode;
 pub use align::{CacheAligned, CACHE_LINE};
-pub use backend::{BackendKind, CapacityModel, StretchStats};
+pub use backend::{BackendKind, CapacityModel};
 pub use config::HtmConfig;
 pub use heap::{Addr, Heap, HeapBuilder, Line, WORDS_PER_LINE, WORDS_PER_LINE_SHIFT};
 pub use stats::HtmStats;

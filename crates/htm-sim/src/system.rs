@@ -2,7 +2,7 @@
 //! per-thread handle from which hardware transactions are started.
 
 use crate::abort::AbortCode;
-use crate::backend::{CapacityModel, StretchStats, TxCap};
+use crate::backend::{CapacityModel, TxCap};
 use crate::config::HtmConfig;
 use crate::heap::{Addr, Heap, Line};
 use crate::line_table::LineTable;
@@ -91,7 +91,7 @@ impl HtmSystem {
             cap,
             rng: SmallRng::seed_from_u64(0x5EED_0000 + id as u64),
             stats: crate::align::CacheAligned::new(HtmStats::default()),
-            stretch: StretchStats::default(),
+            spilled_lines: 0,
             trace: crate::trace::Trace::new(self.config.trace_capacity),
             in_tx: false,
         }
@@ -240,9 +240,10 @@ pub struct HtmThread<'s> {
     /// the hot-loop counter bumps never false-share with a neighbouring
     /// thread's handle (`Deref` keeps `th.stats.field` call sites unchanged).
     pub stats: crate::align::CacheAligned<HtmStats>,
-    /// Counters for the backend-specific escape hatches (suspends, spills,
-    /// ROTs); kept out of the cache-line-pinned [`HtmStats`].
-    pub stretch: StretchStats,
+    /// Lines spilled to software capacity tracking (limited-set backend),
+    /// cumulative. Cold, so it lives outside the cache-line-pinned
+    /// [`HtmStats`].
+    pub spilled_lines: u64,
     /// Debugging event trace (empty unless [`HtmConfig::trace_capacity`] > 0).
     pub trace: crate::trace::Trace,
     pub(crate) in_tx: bool,
@@ -262,31 +263,6 @@ impl<'s> HtmThread<'s> {
     /// Begin a hardware transaction (`_xbegin`). Panics on nesting — flatten at the
     /// protocol level, as TSX effectively does.
     pub fn begin(&mut self) -> HtmTx<'_, 's> {
-        self.begin_inner(false)
-    }
-
-    /// Begin a **rollback-only transaction** (POWER's `tbegin.`-with-ROT
-    /// flavour): writes are buffered, conflict-tracked and atomically
-    /// published exactly like [`HtmThread::begin`], but *reads are invisible
-    /// to conflict detection* — they neither doom concurrent writers nor get
-    /// this transaction doomed by concurrent commits. Only single-writer
-    /// speculation (e.g. sandboxing) is sound under ROT; the conformance
-    /// suite pins the weaker semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the configured backend's
-    /// [`CapacityModel::supports_rot`] is true.
-    pub fn begin_rot(&mut self) -> HtmTx<'_, 's> {
-        assert!(
-            self.sys.model.supports_rot,
-            "begin_rot: backend has no rollback-only transactions"
-        );
-        self.stretch.rot_begins += 1;
-        self.begin_inner(true)
-    }
-
-    fn begin_inner(&mut self, rot: bool) -> HtmTx<'_, 's> {
         assert!(!self.in_tx, "nested hardware transaction");
         self.in_tx = true;
         self.stats.begins += 1;
@@ -299,7 +275,7 @@ impl<'s> HtmThread<'s> {
         }
         self.epoch += 1;
         self.sys.registry.begin(self.id);
-        HtmTx::new(self, rot)
+        HtmTx::new(self)
     }
 
     /// Convenience: strongly atomic non-transactional read by this thread.

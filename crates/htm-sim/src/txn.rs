@@ -38,22 +38,14 @@ pub struct HtmTx<'a, 's> {
     th: &'a mut HtmThread<'s>,
     work: u64,
     active: bool,
-    /// Inside a suspended region ([`HtmTx::suspend`]): transactional
-    /// operations are illegal until [`HtmTx::resume`].
-    suspended: bool,
-    /// Rollback-only transaction ([`crate::HtmThread::begin_rot`]): reads
-    /// bypass conflict registration and capacity accounting.
-    rot: bool,
 }
 
 impl<'a, 's> HtmTx<'a, 's> {
-    pub(crate) fn new(th: &'a mut HtmThread<'s>, rot: bool) -> Self {
+    pub(crate) fn new(th: &'a mut HtmThread<'s>) -> Self {
         Self {
             th,
             work: 0,
             active: true,
-            suspended: false,
-            rot,
         }
     }
 
@@ -78,11 +70,6 @@ impl<'a, 's> HtmTx<'a, 's> {
         self.th.cap.spilled_lines()
     }
 
-    /// True while inside a suspended region.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
     #[inline]
     fn doomed(&self) -> bool {
         self.th.sys.registry.is_doomed(self.th.id)
@@ -92,7 +79,6 @@ impl<'a, 's> HtmTx<'a, 's> {
     fn rollback(&mut self, code: AbortCode) {
         debug_assert!(self.active);
         self.active = false;
-        self.suspended = false;
         let th = &mut *self.th;
         for &line in th.touched.iter() {
             th.sys.table.unregister(line, th.id);
@@ -101,7 +87,7 @@ impl<'a, 's> HtmTx<'a, 's> {
         if !th.wbuf.is_empty() {
             th.wbuf.clear();
         }
-        th.stretch.spilled_lines += th.cap.spilled_lines();
+        th.spilled_lines += th.cap.spilled_lines();
         th.cap.reset();
         if !th.trace.is_disabled() {
             // Who aborted whom: the doom's cause lives in the status word
@@ -177,24 +163,10 @@ impl<'a, 's> HtmTx<'a, 's> {
     /// Transactional load of the word at `addr`.
     pub fn read(&mut self, addr: Addr) -> TxResult<u64> {
         debug_assert!(self.active, "operation on finished transaction");
-        assert!(!self.suspended, "transactional read inside a suspended region");
         self.check_doomed()?;
         self.charge(1)?;
         let line = crate::line_of(addr);
         let st = self.th.lstate[line as usize];
-        if self.rot {
-            // Rollback-only transaction: the read is invisible to conflict
-            // detection and capacity accounting — serve own buffered writes,
-            // else the shared heap.
-            if st.epoch == self.th.epoch && st.flags & crate::system::LINE_WRITTEN != 0 {
-                if let Some(&v) = self.th.wbuf.get(&addr) {
-                    return Ok(v);
-                }
-            }
-            let v = self.th.sys.heap.load(addr);
-            self.check_doomed()?;
-            return Ok(v);
-        }
         if st.epoch != self.th.epoch {
             // First access to this line: register it in the conflict table.
             let mut backoff = crate::util::Backoff::new();
@@ -283,7 +255,6 @@ impl<'a, 's> HtmTx<'a, 's> {
     /// Transactional store of `val` to the word at `addr` (buffered until commit).
     pub fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
         debug_assert!(self.active, "operation on finished transaction");
-        assert!(!self.suspended, "transactional write inside a suspended region");
         self.check_doomed()?;
         self.charge(1)?;
         let line = crate::line_of(addr);
@@ -307,7 +278,6 @@ impl<'a, 's> HtmTx<'a, 's> {
     /// rollback (failed attempts roll back their software cursors instead).
     pub fn write_private(&mut self, addr: Addr, val: u64) -> TxResult<()> {
         debug_assert!(self.active, "operation on finished transaction");
-        assert!(!self.suspended, "transactional write inside a suspended region");
         self.check_doomed()?;
         self.charge(1)?;
         let line = crate::line_of(addr);
@@ -331,150 +301,8 @@ impl<'a, 's> HtmTx<'a, 's> {
     /// work, ...). Consumes time but touches no memory.
     pub fn work(&mut self, units: u64) -> TxResult<()> {
         debug_assert!(self.active, "operation on finished transaction");
-        assert!(!self.suspended, "transactional work inside a suspended region");
         self.check_doomed()?;
         self.charge(units)
-    }
-
-    /// Enter a **suspended region** (POWER's `tsuspend.`): the transaction
-    /// stays live (its write buffer and conflict-table claims are intact, and
-    /// a conflicting peer access still dooms it), but subsequent code runs
-    /// non-transactionally until [`HtmTx::resume`]. Inside the region only
-    /// [`HtmTx::suspended_read`] and [`HtmTx::suspended_work`] are legal;
-    /// transactional reads/writes/commit panic.
-    ///
-    /// Suspended execution is charged to the virtual clock but **not** to the
-    /// timer quantum or the injected-interrupt draw — on POWER, interrupts
-    /// delivered in suspended mode do not abort the transaction, which is the
-    /// time-stretching half of the capacity-stretching strategy.
-    ///
-    /// The whole round-trip cost ([`crate::backend::CapacityModel::suspend_cost`])
-    /// is charged here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend has no suspended regions
-    /// ([`crate::backend::CapacityModel::supports_suspend`] is false) or if
-    /// already suspended (suspended regions do not nest).
-    pub fn suspend(&mut self) {
-        debug_assert!(self.active, "operation on finished transaction");
-        assert!(
-            self.th.sys.model.supports_suspend,
-            "suspend: backend has no suspended regions"
-        );
-        assert!(!self.suspended, "nested suspend");
-        crate::vclock::charge(self.th.sys.model.suspend_cost);
-        self.suspended = true;
-        self.th.stretch.suspends += 1;
-    }
-
-    /// Exit the suspended region (POWER's `tresume.`) and re-check the doom
-    /// flag: a conflict that arrived while suspended is observed here.
-    ///
-    /// # Panics
-    ///
-    /// Panics when not suspended.
-    pub fn resume(&mut self) -> TxResult<()> {
-        debug_assert!(self.active, "operation on finished transaction");
-        assert!(self.suspended, "resume outside a suspended region");
-        self.suspended = false;
-        self.th.stretch.resumes += 1;
-        self.check_doomed()
-    }
-
-    /// Non-transactional load while suspended: returns the globally committed
-    /// value of `addr` — the transaction's own buffered writes are **not**
-    /// visible (exactly POWER's suspended-load semantics, where transactional
-    /// stores are invisible until `tend.`). The access is not
-    /// conflict-tracked and cannot abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics when not suspended.
-    pub fn suspended_read(&mut self, addr: Addr) -> u64 {
-        debug_assert!(self.active, "operation on finished transaction");
-        assert!(self.suspended, "suspended_read outside a suspended region");
-        crate::vclock::charge(1);
-        self.th.stretch.suspended_reads += 1;
-        self.th.sys.heap.load(addr)
-    }
-
-    /// Perform `units` of computation in suspended mode: virtual time
-    /// advances, but neither the timer quantum nor the injected-interrupt
-    /// draw applies — the transaction's speculative state survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when not suspended.
-    pub fn suspended_work(&mut self, units: u64) {
-        debug_assert!(self.active, "operation on finished transaction");
-        assert!(self.suspended, "suspended_work outside a suspended region");
-        crate::vclock::charge(units);
-        self.th.stretch.suspended_work += units;
-    }
-
-    /// A **stretched read**: the capacity-stretching primitive built on
-    /// suspend/resume. Models `tsuspend.` → software-logged load →
-    /// `tresume.`: the line is registered in the conflict table (so a racing
-    /// commit still dooms this transaction — serializability is preserved by
-    /// construction) but is **exempt from the read budget**, and the whole
-    /// round trip is charged to the virtual clock instead of the quantum.
-    /// Own buffered writes are visible, like [`HtmTx::read`].
-    ///
-    /// The price is the per-access suspend overhead
-    /// ([`crate::backend::CapacityModel::suspend_cost`] + 1 units), which is
-    /// what the splitting-vs-stretching ablation measures (`microbench`'s
-    /// `rescue` rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend has no suspended regions, or inside an explicit
-    /// suspended region (the round trip is modelled internally).
-    pub fn read_stretched(&mut self, addr: Addr) -> TxResult<u64> {
-        debug_assert!(self.active, "operation on finished transaction");
-        assert!(!self.suspended, "read_stretched inside a suspended region");
-        assert!(
-            self.th.sys.model.supports_suspend,
-            "read_stretched: backend has no suspended regions"
-        );
-        self.check_doomed()?;
-        self.charge_clock(self.th.sys.model.suspend_cost + 1)?;
-        let line = crate::line_of(addr);
-        let st = self.th.lstate[line as usize];
-        if st.epoch != self.th.epoch {
-            // Register like a read so conflicts doom us, but charge nothing
-            // to the capacity model.
-            let mut backoff = crate::util::Backoff::new();
-            loop {
-                match self
-                    .th
-                    .sys
-                    .table
-                    .tx_read(&self.th.sys.registry, line, self.th.id)
-                {
-                    AccessOutcome::Ok => break,
-                    AccessOutcome::Wait => {
-                        if self.doomed() {
-                            return Err(self.fail(AbortCode::Conflict));
-                        }
-                        backoff.snooze();
-                    }
-                }
-            }
-            self.th.lstate[line as usize] = crate::system::LineState {
-                epoch: self.th.epoch,
-                flags: crate::system::LINE_READ,
-            };
-            self.th.touched.push(line);
-            self.th.stretch.stretched_reads += 1;
-        } else if st.flags & crate::system::LINE_WRITTEN != 0 {
-            if let Some(&v) = self.th.wbuf.get(&addr) {
-                return Ok(v);
-            }
-        }
-        let v = self.th.sys.heap.load(addr);
-        self.check_doomed()?;
-        Ok(v)
     }
 
     /// Explicitly abort with a software-defined code (`_xabort(code)`).
@@ -498,7 +326,6 @@ impl<'a, 's> HtmTx<'a, 's> {
     /// atomically to the heap. Fails with `Conflict` if the transaction was doomed.
     pub fn commit(mut self) -> TxResult<()> {
         debug_assert!(self.active, "double commit");
-        assert!(!self.suspended, "commit inside a suspended region");
         if self.th.sys.registry.start_commit(self.th.id).is_err() {
             return Err(self.fail(AbortCode::Conflict));
         }
@@ -517,7 +344,7 @@ impl<'a, 's> HtmTx<'a, 's> {
             th.sys.table.unregister(line, th.id);
         }
         th.touched.clear();
-        th.stretch.spilled_lines += th.cap.spilled_lines();
+        th.spilled_lines += th.cap.spilled_lines();
         th.cap.reset();
         th.sys.registry.finish(th.id);
         th.stats.commits += 1;

@@ -9,10 +9,6 @@
 //! 2. **Capacity-abort determinism under the virtual clock** — the same
 //!    `SchedSpec` reproduces the identical statistics (including capacity
 //!    and spill counts) bit for bit.
-//! 3. **Suspend/resume nesting rules** — suspended regions do not nest,
-//!    resume requires suspend, transactional operations and commit inside a
-//!    suspended region panic, and backends without suspended regions reject
-//!    `suspend()` outright; same for rollback-only transactions.
 
 use htm_sim::vclock::SchedSpec;
 use htm_sim::{AbortCode, BackendKind, HtmConfig, HtmStats, HtmSystem, HtmThread, VClock};
@@ -110,9 +106,9 @@ fn serializable_under_stress_with_spill() {
     })
     .unwrap();
     assert!(
-        th.stretch.spilled_lines >= 8,
+        th.spilled_lines >= 8,
         "24 written lines on a 16-line budget must spill, got {}",
-        th.stretch.spilled_lines
+        th.spilled_lines
     );
 }
 
@@ -173,7 +169,7 @@ fn vclock_digest(kind: BackendKind) -> (Vec<(HtmStats, u64)>, u64) {
                         Ok(())
                     });
                     assert_eq!(r, Err(AbortCode::Capacity));
-                    ((*th.stats).clone(), th.stretch.spilled_lines)
+                    ((*th.stats).clone(), th.spilled_lines)
                 })
             })
             .collect();
@@ -190,238 +186,4 @@ fn capacity_aborts_deterministic_under_vclock() {
         assert_eq!(a, b, "{}: virtual-clock run not reproducible", kind.name());
         assert!(a.1 > 0, "{}: virtual time must advance", kind.name());
     }
-}
-
-// ---------------------------------------------------------------------------
-// Suspend/resume + ROT rules
-// ---------------------------------------------------------------------------
-
-fn power_sys() -> HtmSystem {
-    // 512 lines: room for the read budget (128) plus stretched reads.
-    HtmSystem::new(cfg(BackendKind::Power), 4096)
-}
-
-#[test]
-fn suspend_resume_happy_path() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.write(0, 42).unwrap();
-    tx.suspend();
-    assert!(tx.is_suspended());
-    // Suspended loads see the pre-transactional value, not the buffered write.
-    assert_eq!(tx.suspended_read(0), 0);
-    tx.suspended_work(500);
-    tx.resume().unwrap();
-    assert!(!tx.is_suspended());
-    tx.commit().unwrap();
-    assert_eq!(sys.nt_read(0), 42);
-    assert_eq!(th.stretch.suspends, 1);
-    assert_eq!(th.stretch.resumes, 1);
-    assert_eq!(th.stretch.suspended_reads, 1);
-    assert_eq!(th.stretch.suspended_work, 500);
-}
-
-#[test]
-fn suspended_work_is_quantum_immune() {
-    let sys = power_sys(); // quantum 10_000
-    let mut th = sys.thread(0);
-    let r = th.attempt(|tx| {
-        tx.write(0, 1)?;
-        tx.suspend();
-        tx.suspended_work(1_000_000); // far past the quantum: survives
-        tx.resume()?;
-        Ok(())
-    });
-    assert_eq!(r, Ok(()));
-    assert_eq!(th.stats.aborts_timer, 0);
-
-    // The same work transactionally fires the timer.
-    let r = th.attempt(|tx| {
-        tx.write(0, 2)?;
-        tx.work(1_000_000)
-    });
-    assert_eq!(r, Err(AbortCode::Timer));
-}
-
-#[test]
-fn conflict_while_suspended_observed_at_resume() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.write(0, 5).unwrap();
-    tx.suspend();
-    // A peer commits over our write line while we are suspended.
-    sys.nt_write(0, 9);
-    assert_eq!(tx.resume(), Err(AbortCode::Conflict));
-    drop(tx);
-    assert_eq!(th.stats.aborts_conflict, 1);
-    assert_eq!(sys.nt_read(0), 9, "our buffered write must not publish");
-}
-
-#[test]
-fn stretched_reads_exceed_read_budget_but_stay_tracked() {
-    let sys = power_sys();
-    let model = sys.capacity_model();
-    let budget = model.read_lines_max;
-    let mut th = sys.thread(0);
-    // Fill the hardware read budget, then stretch well past it.
-    let r = th.attempt(|tx| {
-        for l in 0..budget {
-            tx.read((l * 8) as u32)?;
-        }
-        for l in budget..budget + 16 {
-            tx.read_stretched((l * 8) as u32)?;
-        }
-        Ok(())
-    });
-    assert_eq!(r, Ok(()), "stretched reads must not hit the read budget");
-    assert_eq!(th.stretch.stretched_reads, 16);
-    assert_eq!(th.stats.aborts_capacity, 0);
-
-    // ... and a stretched line is still conflict-tracked: a peer write to it
-    // dooms the transaction (serializability is never traded away).
-    let mut tx = th.begin();
-    tx.read_stretched(0).unwrap();
-    sys.nt_write(0, 1);
-    assert_eq!(tx.read(8), Err(AbortCode::Conflict));
-    drop(tx);
-}
-
-#[test]
-fn rot_reads_are_invisible_to_conflict_detection() {
-    let sys = power_sys();
-    let mut writer = sys.thread(0);
-    let mut rot = sys.thread(1);
-
-    // A normal transaction holds line 0 in its write set; a ROT read of that
-    // line neither dooms the writer (requester-wins would) nor registers.
-    let mut wtx = writer.begin();
-    wtx.write(0, 5).unwrap();
-    let mut rtx = rot.begin_rot();
-    assert_eq!(rtx.read(0), Ok(0), "ROT read sees the committed value");
-    rtx.commit().unwrap();
-    // The writer survived the ROT read.
-    assert_eq!(wtx.read(8), Ok(0));
-    wtx.commit().unwrap();
-    assert_eq!(sys.nt_read(0), 5);
-
-    // ROT writes are still conflict-tracked and buffered.
-    let mut rtx = rot.begin_rot();
-    rtx.write(16, 7).unwrap();
-    assert_eq!(rtx.read(16), Ok(7), "ROT sees its own buffered write");
-    sys.nt_write(16, 1); // peer write dooms the ROT via its write set
-    assert!(rtx.read(24).is_err());
-    drop(rtx);
-    assert_eq!(sys.nt_read(16), 1, "doomed ROT publishes nothing");
-    assert_eq!(rot.stretch.rot_begins, 2);
-}
-
-#[test]
-#[should_panic(expected = "nested suspend")]
-fn nested_suspend_panics() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-    tx.suspend();
-}
-
-#[test]
-#[should_panic(expected = "resume outside a suspended region")]
-fn resume_without_suspend_panics() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    let _ = tx.resume();
-}
-
-#[test]
-#[should_panic(expected = "transactional read inside a suspended region")]
-fn transactional_read_while_suspended_panics() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-    let _ = tx.read(0);
-}
-
-#[test]
-#[should_panic(expected = "transactional write inside a suspended region")]
-fn transactional_write_while_suspended_panics() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-    let _ = tx.write(0, 1);
-}
-
-#[test]
-#[should_panic(expected = "commit inside a suspended region")]
-fn commit_while_suspended_panics() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-    let _ = tx.commit();
-}
-
-#[test]
-#[should_panic(expected = "suspended_read outside a suspended region")]
-fn suspended_read_outside_region_panics() {
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    let _ = tx.suspended_read(0);
-}
-
-#[test]
-#[should_panic(expected = "backend has no suspended regions")]
-fn suspend_on_tsx_panics() {
-    let sys = HtmSystem::new(cfg(BackendKind::Tsx), 1024);
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-}
-
-#[test]
-#[should_panic(expected = "backend has no suspended regions")]
-fn suspend_on_limited_panics() {
-    let sys = HtmSystem::new(cfg(BackendKind::Limited), 1024);
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-}
-
-#[test]
-#[should_panic(expected = "backend has no suspended regions")]
-fn suspend_on_default_config_panics() {
-    let sys = HtmSystem::new(HtmConfig::default(), 1024);
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.suspend();
-}
-
-#[test]
-#[should_panic(expected = "backend has no rollback-only transactions")]
-fn rot_on_tsx_panics() {
-    let sys = HtmSystem::new(cfg(BackendKind::Tsx), 1024);
-    let mut th = sys.thread(0);
-    let _ = th.begin_rot();
-}
-
-#[test]
-fn abort_inside_suspended_region_cleans_up() {
-    // xabort is legal while suspended (POWER's tabort. works in suspended
-    // state) and must roll everything back, clearing the suspension.
-    let sys = power_sys();
-    let mut th = sys.thread(0);
-    let mut tx = th.begin();
-    tx.write(0, 3).unwrap();
-    tx.suspend();
-    assert_eq!(tx.xabort(9), AbortCode::Explicit(9));
-    drop(tx);
-    assert_eq!(th.stats.aborts_explicit, 1);
-    assert_eq!(sys.nt_read(0), 0);
-    assert_eq!(sys.live_line_entries(), 0);
 }

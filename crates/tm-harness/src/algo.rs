@@ -3,7 +3,7 @@
 use crate::driver::{run_threads, run_threads_virtual, RunResult};
 use htm_sim::vclock::{SchedSpec, VReport};
 use htm_sim::HtmConfig;
-use part_htm_core::{PartHtm, PartHtmO, StretchHtm, TmConfig, TmRuntime, Workload};
+use part_htm_core::{PartHtm, PartHtmO, TmConfig, TmRuntime, Workload};
 use tm_baselines::{HtmGl, NOrec, NOrecRh, RingStm, Sequential, SpHt};
 
 /// A transactional-memory algorithm under evaluation.
@@ -28,11 +28,6 @@ pub enum Algo {
     /// SpHT (Lev & Maessen): lazy transaction splitting — the §3 comparison point,
     /// available for ablations (not part of the paper's figure legends).
     SpHt,
-    /// Stretch-HTM: whole-transaction capacity *stretching* via suspend/resume
-    /// instead of Part-HTM's segment *splitting* — only effective on backends
-    /// with suspended regions (the `power` model); degrades to HTM-GL
-    /// elsewhere. The second arm of `microbench`'s `rescue` rows.
-    StretchHtm,
 }
 
 impl Algo {
@@ -58,7 +53,6 @@ impl Algo {
             Algo::PartHtmNoFast => "Part-HTM-no-fast",
             Algo::Sequential => "Sequential",
             Algo::SpHt => "SpHT",
-            Algo::StretchHtm => "Stretch-HTM",
         }
     }
 
@@ -75,7 +69,6 @@ impl Algo {
             "part-htm-no-fast" | "nofast" => Algo::PartHtmNoFast,
             "sequential" | "seq" => Algo::Sequential,
             "spht" => Algo::SpHt,
-            "stretch-htm" | "stretchhtm" => Algo::StretchHtm,
             _ => return None,
         })
     }
@@ -163,7 +156,6 @@ where
             run_threads::<Sequential, _, _>(&rt, 1, ops_per_thread, factory)
         }
         Algo::SpHt => run_threads::<SpHt, _, _>(&rt, threads, ops_per_thread, factory),
-        Algo::StretchHtm => run_threads::<StretchHtm, _, _>(&rt, threads, ops_per_thread, factory),
     };
     let out = finish(&rt, shared);
     (result, out)
@@ -216,9 +208,6 @@ where
             run_threads_virtual::<Sequential, _, _>(&rt, 1, ops, spec, factory)
         }
         Algo::SpHt => run_threads_virtual::<SpHt, _, _>(&rt, threads, ops, spec, factory),
-        Algo::StretchHtm => {
-            run_threads_virtual::<StretchHtm, _, _>(&rt, threads, ops, spec, factory)
-        }
     }
 }
 

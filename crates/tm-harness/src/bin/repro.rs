@@ -11,8 +11,8 @@
 //!
 //! `--backend` selects the HTM capacity model every cell runs on (see
 //! docs/backends.md): `tsx`, the default and the model the recorded figures
-//! were produced with; `power`, a 64-entry write set with suspend/resume;
-//! `limited`, a FORTH-style small-set machine with software spill.
+//! were produced with; `power`, a flat 64-line write set and 128-line read
+//! set; `limited`, a FORTH-style small-set machine with software spill.
 //!
 //! `--csv DIR` additionally writes one `DIR/<experiment>.csv` per figure, ready for
 //! plotting.

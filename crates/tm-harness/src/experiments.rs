@@ -836,11 +836,11 @@ mod tests {
         let mut o = quick();
         o.threads = Some(vec![2]);
         o.scale = 0.01;
-        o.algos = Some(vec![Algo::PartHtm, Algo::StretchHtm]);
+        o.algos = Some(vec![Algo::PartHtm, Algo::HtmGl]);
         for kind in [BackendKind::Tsx, BackendKind::Power, BackendKind::Limited] {
             o.backend = kind;
             let t = fig3a(&o);
-            for algo in ["Part-HTM", "Stretch-HTM"] {
+            for algo in ["Part-HTM", "HTM-GL"] {
                 let v = t.value(2, algo).unwrap();
                 assert!(v > 0.0, "{algo} on {} produced no commits", kind.name());
             }

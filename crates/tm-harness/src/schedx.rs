@@ -13,7 +13,7 @@
 
 use htm_sim::vclock::{SchedPolicy, SchedSpec, VClock, VReport};
 use htm_sim::{BackendKind, HtmConfig, HtmSystem};
-use part_htm_core::{batch_site, PartHtm, StretchHtm, TmConfig, TmRuntime, TxCtx, Workload};
+use part_htm_core::{batch_site, PartHtm, TmConfig, TmRuntime, TxCtx, Workload};
 use rand::rngs::SmallRng;
 use std::fmt::Write as _;
 use tm_sig::SigSpec;
@@ -88,9 +88,9 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
         "write-heavy Part-HTM on a tiny sharded ring with epoch summary resets",
     ),
     (
-        "power-stretch",
+        "power-split",
         2,
-        "Stretch-HTM on the POWER backend: stretched reads + suspended work under the clock",
+        "Part-HTM on the POWER backend: a scan over the read budget, split into sub-HTMs",
     ),
     (
         "server-batch",
@@ -115,7 +115,7 @@ pub const BOUNDED_SET: &[&str] = &[
     "counter2",
     "planner",
     "ring-epoch",
-    "power-stretch",
+    "power-split",
     "server-batch",
     "lock-sig-convoy",
 ];
@@ -237,35 +237,40 @@ impl Workload for ConvoyWriter {
     }
 }
 
-/// Read well past the POWER read budget (the tail of the scan goes through
-/// suspended loads), burn a suspended non-transactional burst, then increment
-/// `HOT` shared counters. Exercises the vclock's suspend/resume accounting:
-/// suspended time still advances the virtual clock but cannot be interrupted
-/// by the timer, and conflicts on stretched lines are still decision points.
-struct StretchRead {
+/// Read past the POWER read budget in `SEGS` declared segments, then
+/// increment `HOT` shared counters in the last one. The whole transaction
+/// overflows the budget, so it is rescued by the partitioned path; conflicts
+/// on the hot lines between sub-HTMs are decision points.
+struct PowerScan {
     base: htm_sim::Addr,
 }
 
-impl StretchRead {
-    /// POWER read budget is 128 lines; 140 guarantees stretched reads.
+impl PowerScan {
+    /// POWER read budget is 128 lines; 140 guarantees a capacity abort.
     const LINES: u32 = 140;
+    const SEGS: usize = 4;
     const HOT: u32 = 4;
 }
 
-impl Workload for StretchRead {
+impl Workload for PowerScan {
     type Snap = ();
     fn sample(&mut self, _r: &mut SmallRng) {}
-    fn segment<C: TxCtx>(&mut self, _s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+    fn segments(&self) -> usize {
+        Self::SEGS
+    }
+    fn segment<C: TxCtx>(&mut self, s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+        let per = Self::LINES / Self::SEGS as u32;
         let mut sum = 0u64;
-        for i in 0..Self::LINES {
+        for i in s as u32 * per..(s as u32 + 1) * per {
             sum = sum.wrapping_add(ctx.read(self.base + i * 8)?);
         }
         std::hint::black_box(sum);
-        ctx.nt_work(16)?;
-        for i in 0..Self::HOT {
-            let a = self.base + i * 8;
-            let v = ctx.read(a)?;
-            ctx.write(a, v + 1)?;
+        if s + 1 == Self::SEGS {
+            for i in 0..Self::HOT {
+                let a = self.base + i * 8;
+                let v = ctx.read(a)?;
+                ctx.write(a, v + 1)?;
+            }
         }
         Ok(())
     }
@@ -357,15 +362,15 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
             check_clean(&rt, &[(0, 16)], &mut bad);
             finish(name, r, rep, bad)
         }
-        "power-stretch" => {
+        "power-split" => {
             let htm = HtmConfig {
                 backend: BackendKind::Power,
                 ..HtmConfig::default()
             };
-            let rt = TmRuntime::new(htm, TmConfig::default(), 2, (StretchRead::LINES as usize) * 8);
+            let rt = TmRuntime::new(htm, TmConfig::default(), 2, (PowerScan::LINES as usize) * 8);
             let base = rt.app(0);
             let (r, rep) =
-                run_threads_virtual::<StretchHtm, _, _>(&rt, 2, 3, spec.clone(), |_t| StretchRead {
+                run_threads_virtual::<PartHtm, _, _>(&rt, 2, 3, spec.clone(), |_t| PowerScan {
                     base,
                 });
             let mut bad = Vec::new();
@@ -373,7 +378,7 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
                 bad.push(format!("expected 6 commits, got {}", r.commits));
             }
             let words: Vec<(usize, u64)> =
-                (0..StretchRead::HOT as usize).map(|i| (i * 8, 6)).collect();
+                (0..PowerScan::HOT as usize).map(|i| (i * 8, 6)).collect();
             check_clean(&rt, &words, &mut bad);
             finish(name, r, rep, bad)
         }

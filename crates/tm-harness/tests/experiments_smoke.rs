@@ -92,12 +92,11 @@ fn fig3b_no_fast_only_commits_partitioned_or_gl() {
 
 #[test]
 fn extended_algos_run_the_figures_too() {
-    // SpHT and Stretch-HTM are not in the paper's legends but must drive any
-    // experiment.
+    // SpHT is not in the paper's legends but must drive any experiment.
     let opts = ExpOpts {
         threads: Some(vec![2]),
         scale: 0.02,
-        algos: Some(vec![Algo::SpHt, Algo::StretchHtm]),
+        algos: Some(vec![Algo::SpHt]),
         stats: true,
         reps: 2,
         adaptive: None,
@@ -106,10 +105,10 @@ fn extended_algos_run_the_figures_too() {
     for id in ["fig3a", "fig4a"] {
         let (out, table) = run_experiment_table(id, &opts).unwrap();
         let t = table.unwrap();
-        assert_eq!(t.algos, vec!["SpHT", "Stretch-HTM"]);
+        assert_eq!(t.algos, vec!["SpHT"]);
         assert!(t.cells[0].iter().all(|v| *v > 0.0));
-        // --stats mode gathered one report per algorithm and rendered them.
-        assert_eq!(t.reports.len(), 2);
+        // --stats mode gathered one report per algorithm and rendered it.
+        assert_eq!(t.reports.len(), 1);
         assert!(out.contains("statistics at 2 threads"));
     }
 }

@@ -19,7 +19,10 @@
 #      except CHANGES.md, ISSUE.md, the frozen benchmark/ paths and the history
 #      block of EXPERIMENTS.md (between the `bench-history:` markers); nor,
 #      with the same exceptions, one of the six retired Criterion `ablation_*`
-#      groups that microbench's `ablation/*` rows replaced.
+#      groups that microbench's `ablation/*` rows replaced; nor, with the same
+#      exceptions plus ROADMAP.md (which records the deletion), an identifier
+#      of the deleted Stretch-HTM executor or the POWER suspend/rollback-only
+#      surface only it used.
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -148,14 +151,22 @@ done
 # whole and truncated only for the report.)
 retired='\b((line|path|ring|mem|part|backend|server)bench|micro(prof))\b|BENCH_[0-9]'
 retired+='|\bablation_(fast_path|inflight_validation|signature_bits|split_|sub_retries)'
+stretch='\bStretch(Htm|Ctx|Stats)\b|\bread_stretche[d]\b|\bsuspended_(read|work)\b'
+stretch+='|\bbegin_ro[t]\b|\bsupports_(suspend|rot)\b|\bPOWER_SUSPEND_COS[T]\b|\bpower-stretc[h]\b'
+# One scan of every non-exempt line as `file:line: text`; ROADMAP.md is exempt
+# from the stretch/suspend identifiers only.
 while IFS= read -r hit; do
-  err "retired bench name: $hit"
+  if grep -qE "$retired" <<<"$hit"; then
+    err "retired bench name: ${hit:0:160}"
+  elif [[ $hit != ROADMAP.md:* ]]; then
+    err "retired stretch/suspend identifier: ${hit:0:160}"
+  fi
 done < <(git ls-files -co --exclude-standard -- . ':!CHANGES.md' ':!ISSUE.md' ':!benchmark' |
   xargs awk '
     /bench-history:begin/ { skip = 1 }
     /bench-history:end/ { skip = 0 }
     !skip { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
-  ' | grep -E "$retired" | cut -c1-160 || true)
+  ' | grep -E "$retired|$stretch" || true)
 
 if [ "$fail" -ne 0 ]; then
   echo "doc-check: FAILED" >&2

@@ -1,5 +1,6 @@
 //! Failure injection: every protocol must stay serializable when the simulated
-//! hardware fires random asynchronous interrupts, shrinks its caches, or both.
+//! hardware fires random asynchronous interrupts (on every capacity backend),
+//! shrinks its caches, or both.
 //! These runs push every fallback path hard (retries, partitioned-path aborts,
 //! undo-log restores, global-lock rescues). A workload that panics while it
 //! holds the global lock must fail its own thread only.
@@ -7,7 +8,7 @@
 use part_htm::core::{PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload};
 use part_htm::harness::{run_cell_with, Algo};
 use part_htm::htm::abort::TxResult;
-use part_htm::htm::{Addr, HtmConfig};
+use part_htm::htm::{Addr, BackendKind, HtmConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -86,9 +87,19 @@ fn every_protocol_survives_interrupts_plus_tiny_caches() {
 }
 
 #[test]
+fn every_protocol_survives_interrupts_on_every_backend() {
+    for backend in [BackendKind::Power, BackendKind::Limited] {
+        let htm = HtmConfig { backend, interrupt_prob: 0.01, ..HtmConfig::default() };
+        for algo in Algo::COMPETITORS {
+            total_increments_exact(algo, htm.clone());
+        }
+    }
+}
+
+#[test]
 fn extended_algos_survive_the_same_chaos() {
     let htm = HtmConfig { interrupt_prob: 0.01, ..HtmConfig::default() };
-    for algo in [Algo::SpHt, Algo::StretchHtm, Algo::PartHtmNoFast] {
+    for algo in [Algo::SpHt, Algo::PartHtmNoFast] {
         total_increments_exact(algo, htm.clone());
     }
 }
