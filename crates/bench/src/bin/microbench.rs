@@ -19,7 +19,7 @@
 
 use htm_sim::vclock::SchedSpec;
 use htm_sim::{BackendKind, HeapBuilder, HtmConfig, HtmSystem, HtmThread, WORDS_PER_LINE};
-use part_htm_core::{PartHtm, TmConfig, TmRuntime};
+use part_htm_core::{CommitPath, PartHtm, TmConfig, TmExecutor, TmRuntime, TmThread, Workload};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -530,11 +530,46 @@ fn small_mix() -> TrafficMix {
     }
 }
 
+/// An executor that commits nothing: `run_server` under it times the serve
+/// loop alone (pulling, batching, admission, latency accounting).
+struct NoopExec<'r>(TmThread<'r>);
+
+impl<'r> TmExecutor<'r> for NoopExec<'r> {
+    const NAME: &'static str = "no-op";
+
+    fn new(rt: &'r TmRuntime, thread_id: usize) -> Self {
+        Self(TmThread::new(rt, thread_id))
+    }
+
+    fn execute<W: Workload>(&mut self, _w: &mut W) -> CommitPath {
+        CommitPath::Htm
+    }
+
+    fn thread(&self) -> &TmThread<'r> {
+        &self.0
+    }
+
+    fn thread_mut(&mut self) -> &mut TmThread<'r> {
+        &mut self.0
+    }
+}
+
 /// Group commit on the wall clock: a saturated stream (everything due at
-/// t = 0), so goodput is service capacity.
+/// t = 0), so goodput is service capacity. The serve loop's own cost is the
+/// same stream under [`NoopExec`] with default options on perfbench's two
+/// `server_small` workers, in worker time per request.
 fn server_batch_wall(sc: &Scale, out: &mut Measured) {
     let (mix, htm, off) = (small_mix(), HtmConfig::default(), AdmissionSpec::off());
     let reqs = gen_requests(&mix, &vec![0u64; sc.small_n], 8001);
+    let workers = 2;
+    let rt = TmRuntime::new(htm.clone(), TmConfig::default(), workers, SPEC.app_words());
+    let state = ServerState::new(&rt, SPEC);
+    let opts = ServeOpts::default();
+    let noop = run_server::<NoopExec>(&rt, &state, workers, &reqs, &ServeMode::Wall, &opts);
+    out.put(
+        "server/serve_loop_ns_per_req",
+        noop.run.elapsed.as_nanos() as f64 * workers as f64 / reqs.len() as f64,
+    );
     let cell = |batch_max| server_cell(&htm, &mix, &reqs, batch_max, off, &ServeMode::Wall);
     let (batched, unbatched) = (cell(8).goodput_wall(), cell(1).goodput_wall());
     out.put("server/batched_req_per_s", batched);

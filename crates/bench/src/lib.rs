@@ -156,6 +156,7 @@ pub const ROWS: &[RowDef] = &[
     tput("rescue/limited_glock_tx_per_mwu"),
     // Group commit (`batch_max: 8` vs 1) on both clocks, with the counts the
     // wall/virtual gap is attributed from; admission control at 2x overload.
+    host("server/serve_loop_ns_per_req", "ns", Lower),
     host("server/batched_req_per_s", "1/s", Higher),
     host("server/unbatched_req_per_s", "1/s", Higher),
     wall("server/batch_speedup_wall", Higher).floor(1.3),

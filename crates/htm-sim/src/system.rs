@@ -9,7 +9,6 @@ use crate::line_table::LineTable;
 use crate::registry::{Requester, ThreadId, TxRegistry};
 use crate::stats::HtmStats;
 use crate::txn::HtmTx;
-use crate::util::FastMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -21,12 +20,32 @@ use rand::SeedableRng;
 pub(crate) struct LineState {
     pub(crate) epoch: u32,
     pub(crate) flags: u8,
+    /// Index in [`HtmThread::wbuf`] of the line's newest buffered word, or
+    /// [`CHAIN_END`] when it has none. Lives in the struct's padding.
+    pub(crate) head: u16,
 }
 
 /// Line is registered in the read set.
 pub(crate) const LINE_READ: u8 = 1;
 /// Line is registered in the write set.
 pub(crate) const LINE_WRITTEN: u8 = 2;
+
+/// One buffered transactional store. The words of one line form a chain,
+/// newest first, from [`LineState::head`] through `next`, so a lookup compares
+/// at most [`crate::WORDS_PER_LINE`] entries and never hashes.
+pub(crate) struct Buffered {
+    pub(crate) addr: Addr,
+    /// The line's next-older entry, or [`CHAIN_END`].
+    pub(crate) next: u16,
+    pub(crate) val: u64,
+}
+
+/// `Buffered::next` of a line's oldest entry.
+pub(crate) const CHAIN_END: u16 = u16::MAX;
+
+/// Distinct words one transaction may buffer: chain links are `u16` and
+/// [`CHAIN_END`] is reserved.
+const WBUF_MAX: usize = CHAIN_END as usize;
 
 /// A simulated machine with best-effort HTM.
 ///
@@ -43,9 +62,21 @@ pub struct HtmSystem {
 
 impl HtmSystem {
     /// Build a machine with the given HTM geometry and a heap of `heap_words` words.
+    ///
+    /// # Panics
+    ///
+    /// On an invalid configuration ([`HtmConfig::validate`]), or when the
+    /// backend's write set — hardware lines plus spill budget — exceeds the
+    /// 8 191 lines whose words the write buffer's `u16` chain links address.
     pub fn new(config: HtmConfig, heap_words: usize) -> Self {
         config.validate();
         let model = config.backend.model(&config);
+        assert!(
+            (model.write_lines_max() + model.spill_budget) * crate::heap::WORDS_PER_LINE
+                <= WBUF_MAX,
+            "write set of {} lines exceeds the write buffer's {WBUF_MAX} words",
+            model.write_lines_max() + model.spill_budget
+        );
         Self {
             heap: Heap::new(heap_words),
             table: LineTable::new(heap_words.div_ceil(crate::heap::WORDS_PER_LINE)),
@@ -84,7 +115,7 @@ impl HtmSystem {
         HtmThread {
             sys: self,
             id: id as ThreadId,
-            wbuf: FastMap::default(),
+            wbuf: Vec::new(),
             lstate: vec![LineState::default(); n_lines].into_boxed_slice(),
             epoch: 0,
             touched: Vec::with_capacity(64),
@@ -224,8 +255,10 @@ impl HtmSystem {
 pub struct HtmThread<'s> {
     pub(crate) sys: &'s HtmSystem,
     pub(crate) id: ThreadId,
-    /// Buffered transactional writes (word -> value), published at commit.
-    pub(crate) wbuf: FastMap<Addr, u64>,
+    /// Buffered transactional writes, one entry per distinct word in
+    /// first-write order, chained per line (see [`Buffered`]); published at
+    /// commit.
+    pub(crate) wbuf: Vec<Buffered>,
     /// Per-line access state, epoch-tagged (see [`LineState`]).
     pub(crate) lstate: Box<[LineState]>,
     /// Current transaction epoch; `lstate` entries from other epochs are stale.
@@ -374,6 +407,17 @@ mod tests {
         drop(tx);
         assert_eq!(th.stats.aborts_conflict, 1);
         assert_eq!(sys.live_line_entries(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the write buffer")]
+    fn write_set_beyond_u16_chain_links_is_rejected() {
+        let cfg = HtmConfig {
+            l1_sets: 1024,
+            l1_ways: 8,
+            ..HtmConfig::default()
+        };
+        HtmSystem::new(cfg, 256);
     }
 
     // The check is a `debug_assert!` in `Registry::begin`: release builds

@@ -26,7 +26,7 @@ use crate::abort::{AbortCode, TxResult};
 use crate::backend::CapOutcome;
 use crate::heap::Addr;
 use crate::line_table::AccessOutcome;
-use crate::system::HtmThread;
+use crate::system::{Buffered, HtmThread, LineState, CHAIN_END};
 use rand::Rng;
 
 /// An in-flight hardware transaction. Obtained from [`crate::HtmThread::begin`].
@@ -84,9 +84,7 @@ impl<'a, 's> HtmTx<'a, 's> {
             th.sys.table.unregister(line, th.id);
         }
         th.touched.clear();
-        if !th.wbuf.is_empty() {
-            th.wbuf.clear();
-        }
+        th.wbuf.clear();
         th.spilled_lines += th.cap.spilled_lines();
         th.cap.reset();
         if !th.trace.is_disabled() {
@@ -186,9 +184,10 @@ impl<'a, 's> HtmTx<'a, 's> {
                     }
                 }
             }
-            self.th.lstate[line as usize] = crate::system::LineState {
+            self.th.lstate[line as usize] = LineState {
                 epoch: self.th.epoch,
                 flags: crate::system::LINE_READ,
+                head: CHAIN_END,
             };
             self.th.touched.push(line);
             match self.th.cap.on_read_line(&self.th.sys.model, line) {
@@ -196,10 +195,10 @@ impl<'a, 's> HtmTx<'a, 's> {
                 CapOutcome::Spilled { charge } => self.charge(charge)?,
                 CapOutcome::Overflow => return Err(self.fail(AbortCode::Capacity)),
             }
-        } else if st.flags & crate::system::LINE_WRITTEN != 0 {
-            // The line is in the write set: the word itself may be buffered.
-            if let Some(&v) = self.th.wbuf.get(&addr) {
-                return Ok(v);
+        } else if st.head != CHAIN_END {
+            // The line has buffered words: this one may be among them.
+            if let Some(i) = self.buffered(st.head, addr) {
+                return Ok(self.th.wbuf[i].val);
             }
         }
         let v = self.th.sys.heap.load(addr);
@@ -237,9 +236,10 @@ impl<'a, 's> HtmTx<'a, 's> {
         } else {
             st.flags | crate::system::LINE_WRITTEN
         };
-        self.th.lstate[line as usize] = crate::system::LineState {
+        self.th.lstate[line as usize] = LineState {
             epoch: self.th.epoch,
             flags,
+            head: CHAIN_END,
         };
         if fresh {
             self.th.touched.push(line);
@@ -259,11 +259,41 @@ impl<'a, 's> HtmTx<'a, 's> {
         self.charge(1)?;
         let line = crate::line_of(addr);
         let st = self.th.lstate[line as usize];
-        if st.epoch != self.th.epoch || st.flags & crate::system::LINE_WRITTEN == 0 {
+        let next = if st.epoch != self.th.epoch || st.flags & crate::system::LINE_WRITTEN == 0 {
+            // A line enters the write set with nothing buffered.
             self.register_write_line(line)?;
-        }
-        self.th.wbuf.insert(addr, val);
+            CHAIN_END
+        } else if let Some(i) = self.buffered(st.head, addr) {
+            self.th.wbuf[i].val = val;
+            return Ok(());
+        } else {
+            st.head
+        };
+        // A new word: append it as the line's chain head. The write-set
+        // bound `HtmSystem::new` checks keeps the index below `CHAIN_END`.
+        debug_assert!(self.th.wbuf.len() < CHAIN_END as usize);
+        let head = self.th.wbuf.len() as u16;
+        self.th.wbuf.push(Buffered { addr, next, val });
+        self.th.lstate[line as usize].head = head;
         Ok(())
+    }
+
+    /// The write-buffer index of `addr`, walking its line's chain from `head`.
+    #[inline]
+    fn buffered(&self, mut head: u16, addr: Addr) -> Option<usize> {
+        while head != CHAIN_END {
+            let e = &self.th.wbuf[head as usize];
+            if e.addr == addr {
+                return Some(head as usize);
+            }
+            head = e.next;
+        }
+        None
+    }
+
+    /// Distinct words buffered by this transaction so far.
+    pub fn buffered_words(&self) -> usize {
+        self.th.wbuf.len()
     }
 
     /// Store to a **thread-private** location with transactional capacity accounting
@@ -334,12 +364,10 @@ impl<'a, 's> HtmTx<'a, 's> {
         let read_lines = self.th.cap.read_lines();
         let write_lines = self.th.cap.write_lines();
         let th = &mut *self.th;
-        if !th.wbuf.is_empty() {
-            for (&addr, &val) in th.wbuf.iter() {
-                th.sys.heap.store(addr, val);
-            }
-            th.wbuf.clear();
+        for e in th.wbuf.iter() {
+            th.sys.heap.store(e.addr, e.val);
         }
+        th.wbuf.clear();
         for &line in th.touched.iter() {
             th.sys.table.unregister(line, th.id);
         }

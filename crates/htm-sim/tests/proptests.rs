@@ -1,7 +1,8 @@
 //! Property-based tests of the HTM simulator's core guarantees.
 
-use htm_sim::{AbortCode, HtmConfig, HtmSystem};
+use htm_sim::{AbortCode, Addr, HtmConfig, HtmSystem, WORDS_PER_LINE};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A tiny transactional program over 8 one-line counters.
 #[derive(Clone, Debug)]
@@ -24,6 +25,47 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 
 fn addr(counter: u8) -> u32 {
     u32::from(counter) * 8
+}
+
+/// Lines the write-buffer programs spread over.
+const WB_LINES: u32 = 600;
+
+/// One access of a write-buffer program: `(is_write, addr, value)`.
+type WbOp = (bool, Addr, u64);
+
+/// Reads and writes over up to [`WB_LINES`] lines, half of them crowded into
+/// four lines so words repeat and share lines.
+fn arb_wb_ops() -> impl Strategy<Value = Vec<WbOp>> {
+    let word = prop_oneof![
+        (0u32..WB_LINES, 0u32..8).prop_map(|(l, w)| l * 8 + w),
+        (0u32..4, 0u32..8).prop_map(|(l, w)| l * 8 + w),
+    ];
+    proptest::collection::vec(
+        (0u8..2, word, 1u64..1_000_000).prop_map(|(w, a, v)| (w == 1, a, v)),
+        1..400,
+    )
+}
+
+/// A machine whose write set holds every [`WB_LINES`] line and whose
+/// quantum outlasts any program here.
+fn wb_system() -> HtmSystem {
+    let cfg = HtmConfig {
+        l1_sets: 128,
+        l1_ways: 8,
+        quantum: 1 << 20,
+        ..HtmConfig::default()
+    };
+    let words = WB_LINES as usize * WORDS_PER_LINE;
+    let sys = HtmSystem::new(cfg, words);
+    for a in 0..words as Addr {
+        sys.nt_write(a, initial(a));
+    }
+    sys
+}
+
+/// The heap value of `a` before any program runs.
+fn initial(a: Addr) -> u64 {
+    u64::from(a) * 3 + 7
 }
 
 proptest! {
@@ -89,6 +131,40 @@ proptest! {
         prop_assert_eq!(r, Err(AbortCode::Explicit(1)));
         for c in 0..8u8 {
             prop_assert_eq!(sys.nt_read(addr(c)), 0);
+        }
+        prop_assert_eq!(sys.live_line_entries(), 0);
+    }
+
+    /// The write buffer against a `BTreeMap` model, inside one transaction:
+    /// a read returns the transaction's own latest write (else the heap), the
+    /// buffer holds one entry per distinct word written, a commit publishes
+    /// each word's last value and an abort publishes nothing.
+    #[test]
+    fn write_buffer_matches_map_model(ops in arb_wb_ops(), commit in 0u8..2) {
+        let sys = wb_system();
+        let mut th = sys.thread(0);
+        let mut model: BTreeMap<Addr, u64> = BTreeMap::new();
+        let mut tx = th.begin();
+        for &(is_write, a, v) in &ops {
+            if is_write {
+                tx.write(a, v).unwrap();
+                model.insert(a, v);
+                prop_assert_eq!(tx.buffered_words(), model.len());
+            } else {
+                let want = model.get(&a).copied().unwrap_or_else(|| initial(a));
+                prop_assert_eq!(tx.read(a), Ok(want), "read of {}", a);
+            }
+        }
+        if commit == 1 {
+            prop_assert_eq!(tx.commit(), Ok(()));
+        } else {
+            let _ = tx.xabort(3);
+            drop(tx);
+            model.clear();
+        }
+        for a in 0..(WB_LINES * 8) {
+            let want = model.get(&a).copied().unwrap_or_else(|| initial(a));
+            prop_assert_eq!(sys.nt_read(a), want, "word {} after the transaction", a);
         }
         prop_assert_eq!(sys.live_line_entries(), 0);
     }
@@ -182,4 +258,20 @@ proptest! {
         }
         prop_assert_eq!(sys.live_line_entries(), 0);
     }
+}
+
+/// Re-writing one word keeps one buffered entry, however often it happens,
+/// and commit publishes the last value.
+#[test]
+fn rewrites_of_one_word_keep_one_entry() {
+    let sys = wb_system();
+    let mut th = sys.thread(0);
+    let mut tx = th.begin();
+    for v in 0..10_000u64 {
+        tx.write(13, v).unwrap();
+        assert_eq!(tx.read(13), Ok(v));
+    }
+    assert_eq!(tx.buffered_words(), 1);
+    tx.commit().unwrap();
+    assert_eq!(sys.nt_read(13), 9_999);
 }

@@ -34,7 +34,8 @@ const CLASS_TRANSFER: u32 = 1;
 
 /// A group of requests executing as one transaction: segment `i` serves
 /// request `i`. Built by the [`Batcher`]; results are readable after the
-/// executor commits it.
+/// executor commits it. Hand a finished group back with
+/// [`Batcher::recycle`] so its buffers serve a later group.
 pub struct ReqGroup<'s> {
     state: &'s ServerState,
     reqs: Vec<Request>,
@@ -45,6 +46,12 @@ pub struct ReqGroup<'s> {
 impl<'s> ReqGroup<'s> {
     /// Wrap `reqs` (non-empty; all same home shard, or a lone transfer).
     pub fn new(state: &'s ServerState, reqs: Vec<Request>) -> Self {
+        Self::with_results(state, reqs, Vec::new())
+    }
+
+    /// [`ReqGroup::new`] over a reusable `results` buffer (its contents are
+    /// discarded).
+    fn with_results(state: &'s ServerState, reqs: Vec<Request>, mut results: Vec<u64>) -> Self {
         assert!(!reqs.is_empty());
         let spec = state.spec();
         let shard = reqs[0].op.home_shard(spec);
@@ -59,7 +66,8 @@ impl<'s> ReqGroup<'s> {
             CLASS_SMALL
         };
         let site = batch_site(class, shard, reqs.len() as u32);
-        let results = vec![0; reqs.len()];
+        results.clear();
+        results.resize(reqs.len(), 0);
         Self {
             state,
             reqs,
@@ -113,12 +121,18 @@ impl Workload for ReqGroup<'_> {
 
 /// Per-worker request coalescer: per-shard FIFO pending lists with the
 /// flush rules from the module docs.
+///
+/// It allocates only while warming up: pending lists and group buffers are
+/// sized to `batch_max`, and a group's `(requests, results)` pair returns to
+/// a pool through [`Batcher::recycle`] when the caller is done with it.
 pub struct Batcher {
     pending: Vec<Vec<Request>>,
     batch_max: usize,
     count: usize,
     /// Round-robin cursor for idle flushes.
     rr: usize,
+    /// Empty `(requests, results)` buffers of recycled groups.
+    pool: Vec<(Vec<Request>, Vec<u64>)>,
 }
 
 impl Batcher {
@@ -127,10 +141,11 @@ impl Batcher {
     pub fn new(shards: usize, batch_max: usize) -> Self {
         assert!(batch_max >= 1);
         Self {
-            pending: vec![Vec::new(); shards],
+            pending: (0..shards).map(|_| Vec::with_capacity(batch_max)).collect(),
             batch_max,
             count: 0,
             rr: 0,
+            pool: Vec::new(),
         }
     }
 
@@ -144,35 +159,32 @@ impl Batcher {
         self.count == 0
     }
 
-    /// Accept one request; returns the groups that must execute *now*, in
-    /// service order. A batchable request returns at most one group (its
-    /// shard's list reaching `batch_max`); a transfer returns the flushes of
-    /// every shard it touches (ascending shard id — the shards are disjoint,
-    /// so the inter-shard order is immaterial) followed by itself.
-    pub fn offer<'s>(&mut self, state: &'s ServerState, req: Request) -> Vec<ReqGroup<'s>> {
+    /// Accept one request; appends the groups that must execute *now* to
+    /// `out`, in service order. A batchable request emits at most one group
+    /// (its shard's list reaching `batch_max`); a transfer emits the flushes
+    /// of every shard it touches (ascending shard id — the shards are
+    /// disjoint, so the inter-shard order is immaterial) followed by itself.
+    pub fn offer<'s>(&mut self, state: &'s ServerState, req: Request, out: &mut Vec<ReqGroup<'s>>) {
         let spec = state.spec();
         if req.op.batchable() {
             let shard = req.op.home_shard(spec) as usize;
             self.pending[shard].push(req);
             self.count += 1;
             if self.pending[shard].len() >= self.batch_max {
-                return vec![self.drain(state, shard).expect("just pushed")];
+                out.extend(self.drain(state, shard));
             }
-            return Vec::new();
+            return;
         }
         // Transfer: flush the pending lists of every shard it touches, then
         // run it alone — per-shard service order stays arrival order.
-        let mut shards = vec![req.op.home_shard(spec)];
-        if let Some(s) = req.op.cross_shard(spec) {
-            shards.push(s);
+        let home = req.op.home_shard(spec);
+        let cross = req.op.cross_shard(spec).unwrap_or(home);
+        for s in [home.min(cross), home.max(cross)] {
+            out.extend(self.drain(state, s as usize));
         }
-        shards.sort_unstable();
-        let mut out: Vec<ReqGroup<'s>> = shards
-            .into_iter()
-            .filter_map(|s| self.drain(state, s as usize))
-            .collect();
-        out.push(ReqGroup::new(state, vec![req]));
-        out
+        let (mut reqs, results) = self.buffers();
+        reqs.push(req);
+        out.push(ReqGroup::with_results(state, reqs, results));
     }
 
     /// Flush one pending shard (round-robin), for when no arrival is due:
@@ -191,21 +203,43 @@ impl Batcher {
         None
     }
 
+    /// Take back a finished group's buffers for a later group.
+    pub fn recycle(&mut self, group: ReqGroup<'_>) {
+        let (mut reqs, results) = (group.reqs, group.results);
+        reqs.clear();
+        self.pool.push((reqs, results));
+    }
+
+    /// An empty `(requests, results)` pair: pooled, or new at `batch_max`.
+    fn buffers(&mut self) -> (Vec<Request>, Vec<u64>) {
+        self.pool.pop().unwrap_or_else(|| {
+            (
+                Vec::with_capacity(self.batch_max),
+                Vec::with_capacity(self.batch_max),
+            )
+        })
+    }
+
+    /// Emit shard `shard`'s pending list as a group, leaving an empty pooled
+    /// buffer in its place.
     fn drain<'s>(&mut self, state: &'s ServerState, shard: usize) -> Option<ReqGroup<'s>> {
         if self.pending[shard].is_empty() {
             return None;
         }
-        let reqs = std::mem::take(&mut self.pending[shard]);
+        let (empty, results) = self.buffers();
+        let reqs = std::mem::replace(&mut self.pending[shard], empty);
         self.count -= reqs.len();
-        Some(ReqGroup::new(state, reqs))
+        Some(ReqGroup::with_results(state, reqs, results))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{Op, ServerSpec};
-    use part_htm_core::TmRuntime;
+    use crate::service::{gen_requests, Op, ServerSpec, TrafficMix};
+    use part_htm_core::{PartHtm, TmExecutor, TmRuntime};
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn setup() -> (TmRuntime, ServerSpec) {
         let spec = ServerSpec {
@@ -219,6 +253,13 @@ mod tests {
     /// A key living on the given shard (found by search).
     fn key_on_shard(spec: &ServerSpec, shard: u32) -> u32 {
         (0..).find(|&k| spec.shard_of_key(0, k) == shard).unwrap()
+    }
+
+    /// The groups one `offer` emits.
+    fn offer<'s>(b: &mut Batcher, state: &'s ServerState, req: Request) -> Vec<ReqGroup<'s>> {
+        let mut out = Vec::new();
+        b.offer(state, req, &mut out);
+        out
     }
 
     fn put(spec: &ServerSpec, shard: u32, val: u64) -> Request {
@@ -238,11 +279,11 @@ mod tests {
         let (rt, spec) = setup();
         let state = ServerState::new(&rt, spec);
         let mut b = Batcher::new(spec.shards, 3);
-        assert!(b.offer(&state, put(&spec, 1, 10)).is_empty());
-        assert!(b.offer(&state, put(&spec, 2, 99)).is_empty());
-        assert!(b.offer(&state, put(&spec, 1, 11)).is_empty());
+        assert!(offer(&mut b, &state, put(&spec, 1, 10)).is_empty());
+        assert!(offer(&mut b, &state, put(&spec, 2, 99)).is_empty());
+        assert!(offer(&mut b, &state, put(&spec, 1, 11)).is_empty());
         assert_eq!(b.pending(), 3);
-        let groups = b.offer(&state, put(&spec, 1, 12));
+        let groups = offer(&mut b, &state, put(&spec, 1, 12));
         assert_eq!(groups.len(), 1);
         let g = &groups[0];
         assert_eq!(g.len(), 3);
@@ -281,9 +322,9 @@ mod tests {
         let cross = xfer.op.cross_shard(&spec).unwrap();
 
         let mut b = Batcher::new(spec.shards, 8);
-        assert!(b.offer(&state, put(&spec, home, 1)).is_empty());
-        assert!(b.offer(&state, put(&spec, cross, 2)).is_empty());
-        let groups = b.offer(&state, xfer);
+        assert!(offer(&mut b, &state, put(&spec, home, 1)).is_empty());
+        assert!(offer(&mut b, &state, put(&spec, cross, 2)).is_empty());
+        let groups = offer(&mut b, &state, xfer);
         assert_eq!(groups.len(), 3, "both flushes plus the transfer");
         assert!(groups[..2].iter().all(|g| g.len() == 1));
         let last = groups.last().unwrap();
@@ -298,7 +339,7 @@ mod tests {
         let state = ServerState::new(&rt, spec);
         let mut b = Batcher::new(spec.shards, 8);
         for s in [0u32, 2, 3] {
-            b.offer(&state, put(&spec, s, u64::from(s)));
+            offer(&mut b, &state, put(&spec, s, u64::from(s)));
         }
         let mut seen = Vec::new();
         while let Some(g) = b.flush_next(&state) {
@@ -319,5 +360,107 @@ mod tests {
         assert_ne!(one.site(), two.site(), "width classes separate sites");
         assert_eq!(one.segments(), 1);
         assert_eq!(two.segments(), 2);
+    }
+
+    /// The flush rules restated as plain per-shard queues: a full queue
+    /// flushes whole, a transfer flushes the queues of the shards it touches
+    /// (ascending) and then runs alone, an idle flush takes the next
+    /// non-empty queue round-robin.
+    struct Model {
+        queues: Vec<VecDeque<Request>>,
+        batch_max: usize,
+        rr: usize,
+    }
+
+    impl Model {
+        fn offer(&mut self, spec: &ServerSpec, req: Request, out: &mut Vec<Vec<Request>>) {
+            let home = req.op.home_shard(spec) as usize;
+            if req.op.batchable() {
+                self.queues[home].push_back(req);
+                if self.queues[home].len() == self.batch_max {
+                    out.push(self.queues[home].drain(..).collect());
+                }
+                return;
+            }
+            let mut shards = vec![home];
+            shards.extend(req.op.cross_shard(spec).map(|s| s as usize));
+            shards.sort_unstable();
+            for s in shards {
+                if !self.queues[s].is_empty() {
+                    out.push(self.queues[s].drain(..).collect());
+                }
+            }
+            out.push(vec![req]);
+        }
+
+        fn flush_next(&mut self) -> Option<Vec<Request>> {
+            let n = self.queues.len();
+            let s = (0..n)
+                .map(|i| (self.rr + i) % n)
+                .find(|&s| !self.queues[s].is_empty())?;
+            self.rr = (s + 1) % n;
+            Some(self.queues[s].drain(..).collect())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The pooled batcher emits exactly the model's groups, in the
+        /// model's order, with the model's site ids; every group is executed
+        /// and recycled before the next one is built, so a buffer that
+        /// carried a request or a response word across groups would show.
+        #[test]
+        fn batcher_matches_per_shard_queue_model(
+            seed in 0u64..1_000_000,
+            n in 1usize..160,
+            batch_max in 1usize..=8,
+            idle_every in 0usize..6,
+        ) {
+            let spec = ServerSpec { shards: 4, slots_per_shard: 128, queue_cap: 8 };
+            let rt = TmRuntime::with_defaults(1, spec.app_words());
+            let state = ServerState::new(&rt, spec);
+            let mix = TrafficMix { tenants: 2, keys: 24, transfer_weight: 3, ..TrafficMix::default() };
+            let reqs = gen_requests(&mix, &vec![0; n], seed);
+            let mut exec = PartHtm::new(&rt, 0);
+            let mut b = Batcher::new(spec.shards, batch_max);
+            let mut model = Model {
+                queues: vec![VecDeque::new(); spec.shards],
+                batch_max,
+                rr: 0,
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut check = |g: ReqGroup<'_>, b: &mut Batcher, want: &[Request]| {
+                assert_eq!(g.requests(), want);
+                assert_eq!(g.results(), vec![0; want.len()], "stale response words");
+                let class = if want[0].op.batchable() { CLASS_SMALL } else { CLASS_TRANSFER };
+                let shard = want[0].op.home_shard(&spec);
+                assert_eq!(g.site(), batch_site(class, shard, want.len() as u32));
+                let mut g = g;
+                exec.execute(&mut g);
+                b.recycle(g);
+            };
+            for (i, &req) in reqs.iter().enumerate() {
+                b.offer(&state, req, &mut got);
+                model.offer(&spec, req, &mut want);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.drain(..).zip(want.drain(..)) {
+                    check(g, &mut b, &w);
+                }
+                if idle_every > 0 && i % idle_every == 0 {
+                    let (g, w) = (b.flush_next(&state), model.flush_next());
+                    prop_assert_eq!(g.is_some(), w.is_some());
+                    if let (Some(g), Some(w)) = (g, w) {
+                        check(g, &mut b, &w);
+                    }
+                }
+            }
+            while let Some(w) = model.flush_next() {
+                let g = b.flush_next(&state).expect("model still has a pending queue");
+                check(g, &mut b, &w);
+            }
+            prop_assert!(b.is_empty());
+            prop_assert!(b.flush_next(&state).is_none());
+        }
     }
 }

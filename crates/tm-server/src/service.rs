@@ -529,10 +529,12 @@ impl ServerReport {
 /// The per-worker serve loop: pull due arrivals in order, coalesce
 /// batchable same-shard requests up to `batch_max`, flush a transfer's
 /// shards before it runs, admit or shed each group, record sojourn latency.
+/// `stream` indexes this worker's requests in `requests`, in arrival order.
 fn serve_worker<'r, E: TmExecutor<'r>>(
     exec: &mut E,
     state: &ServerState,
-    stream: &[Request],
+    requests: &[Request],
+    stream: &[u32],
     opts: &ServeOpts,
     clock: &WorkerClock,
     periodic_dump: bool,
@@ -543,6 +545,20 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
     let mut served = 0u64;
     let mut groups = 0u64;
     let mut responses: Vec<(u64, u64)> = Vec::new();
+    let mut ready: Vec<ReqGroup<'_>> = Vec::new();
+    let arrival = |i: usize| requests[stream[i] as usize].arrival;
+    // The end of the arrivals due by `now`, searched from `from` (the stream
+    // is sorted by arrival): galloping, so the usual one or two new arrivals
+    // cost one or two probes and a saturated stream's catch-up O(log n).
+    let due_end = |from: usize, now: u64| {
+        let (mut lo, mut step) = (from, 1);
+        while lo + step <= stream.len() && arrival(lo + step - 1) <= now {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step - 1).min(stream.len());
+        lo + stream[lo..hi].partition_point(|&i| requests[i as usize].arrival <= now)
+    };
     let mut next = 0usize;
     // Arrivals at or before the last observed clock: `due - next` is the
     // due-but-unpulled queue, part of the controller's backlog signal.
@@ -598,15 +614,14 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
 
     while next < stream.len() || !batcher.is_empty() {
         let now = clock.now();
-        while due < stream.len() && stream[due].arrival <= now {
-            due += 1;
-        }
+        due = due_end(due, now);
         // Pull every due arrival, in order. Full groups and transfers flush
         // inline so per-shard service order equals arrival order.
-        while next < stream.len() && stream[next].arrival <= now {
-            let req = stream[next];
+        while next < due {
+            let req = requests[stream[next] as usize];
             next += 1;
-            for mut g in batcher.offer(state, req) {
+            batcher.offer(state, req, &mut ready);
+            for mut g in ready.drain(..) {
                 let backlog =
                     (due - next) as u64 + batcher.pending() as u64 + g.len() as u64;
                 run_group(
@@ -619,6 +634,7 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
                     &mut groups,
                     backlog,
                 );
+                batcher.recycle(g);
             }
         }
         if let Some(mut g) = batcher.flush_next(state) {
@@ -634,8 +650,9 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
                 &mut groups,
                 backlog,
             );
+            batcher.recycle(g);
         } else if next < stream.len() {
-            clock.wait_until(stream[next].arrival);
+            clock.wait_until(arrival(next));
         }
     }
     let th = exec.thread();
@@ -678,10 +695,21 @@ pub fn run_server<'r, E: TmExecutor<'r>>(
         requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "requests must be sorted by arrival"
     );
+    assert!(
+        u32::try_from(requests.len()).is_ok(),
+        "more than 2^32 requests"
+    );
+    // Each worker's stream is a list of indices into `requests`, sized
+    // exactly: count first, then fill.
     let spec = *state.spec();
-    let mut streams: Vec<Vec<Request>> = vec![Vec::new(); workers];
+    let worker_of = |r: &Request| r.op.home_shard(&spec) as usize % workers;
+    let mut lens = vec![0usize; workers];
     for r in requests {
-        streams[r.op.home_shard(&spec) as usize % workers].push(*r);
+        lens[worker_of(r)] += 1;
+    }
+    let mut streams: Vec<Vec<u32>> = lens.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (i, r) in requests.iter().enumerate() {
+        streams[worker_of(r)].push(i as u32);
     }
 
     let vclock = match mode {
@@ -706,7 +734,8 @@ pub fn run_server<'r, E: TmExecutor<'r>>(
                         Some(vc) => (WorkerClock::Virtual, Some(vc.attach(wid))),
                         None => (WorkerClock::Wall(Instant::now()), None),
                     };
-                    let out = serve_worker(&mut exec, state, stream, opts, &clock, wid == 0);
+                    let out =
+                        serve_worker(&mut exec, state, requests, stream, opts, &clock, wid == 0);
                     drop(guard);
                     out
                 })
