@@ -113,6 +113,10 @@ const fn count(key: S, unit: S) -> RowDef {
 
 /// The row table: every row `microbench` emits, in report order.
 pub const ROWS: &[RowDef] = &[
+    // The simulator's per-access read path, one thread: a repeat read of a
+    // registered line, and a first read with its registration and release.
+    host("sim/read_hit_ns_per_word", "ns", Lower),
+    host("sim/read_first_ns_per_line", "ns", Lower),
     // Unrolled word kernels vs the by-name `kernels::scalar` reference, 2048 bits.
     host("kernels/intersect_dense_ns_per_word", "ns", Lower),
     wall("kernels/intersect_dense_speedup", Higher),

@@ -24,7 +24,7 @@
 use crate::api::{spin_work, TxCtx, VALUE_MASK};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
-use htm_sim::{vclock, Addr, HtmThread, HtmTx};
+use htm_sim::{line_of, vclock, Addr, HtmThread, HtmTx, Line};
 use tm_sig::{kernels, HeapSig, Sig, SigJournal, SigSlot};
 
 /// Spend `units` outside any hardware transaction: burn them on the host and
@@ -40,30 +40,59 @@ pub(crate) fn software_work(units: u64) {
 
 /// A heap-resident signature paired with its software mirror; both are updated on
 /// every add.
+///
+/// The pair remembers the line of its last add. Signatures are keyed on the
+/// cache line and the pair borrows its mirror exclusively for its whole life,
+/// so that line's bit is still set: a repeat returns before hashing anything.
 pub struct SigPair<'a> {
     /// Heap copy (transactional updates).
-    pub heap: HeapSig,
+    heap: HeapSig,
     /// Software mirror.
-    pub mirror: &'a mut Sig,
+    mirror: &'a mut Sig,
+    /// The line of the last add that returned `Ok`; [`Line::MAX`], which no
+    /// address maps to, before the first.
+    last_line: Line,
 }
 
 impl<'a> SigPair<'a> {
     /// Pair the heap copy `heap` with its software mirror.
     #[inline]
     pub fn new(heap: HeapSig, mirror: &'a mut Sig) -> Self {
-        Self { heap, mirror }
+        Self {
+            heap,
+            mirror,
+            last_line: Line::MAX,
+        }
+    }
+
+    /// The software mirror, read-only: only [`SigPair::add`] and
+    /// [`SigPair::add_journaled`] may change it while the pair lives.
+    #[inline]
+    pub fn mirror(&self) -> &Sig {
+        self.mirror
     }
 
     /// Record `addr` in both copies: the mirror authoritatively, the heap copy as a
     /// private store whose only purpose is charging the signature's cache footprint
     /// against HTM capacity. New bits only — repeated accesses are free, as on real
     /// hardware where the line is already dirty in L1.
-    #[inline]
+    #[inline(always)]
     pub fn add(&mut self, tx: &mut HtmTx<'_, '_>, addr: Addr) -> TxResult<()> {
+        let line = line_of(addr);
+        if line == self.last_line {
+            return Ok(());
+        }
+        self.add_line(tx, addr, line)
+    }
+
+    /// [`SigPair::add`] of a line other than the last one.
+    #[inline(never)]
+    fn add_line(&mut self, tx: &mut HtmTx<'_, '_>, addr: Addr, line: Line) -> TxResult<()> {
         let (w, m) = self.mirror.spec().slot_of(addr);
         if self.mirror.add_slot(w, m) {
             tx.write_private(self.heap.word_addr(w), self.mirror.word(w))?;
         }
+        self.last_line = line;
         Ok(())
     }
 
@@ -72,11 +101,28 @@ impl<'a> SigPair<'a> {
     /// without ever having cloned it. Only the mirror is journalled — the heap copy
     /// is capacity ballast that nothing reads back, so stale bits there after an
     /// abort are as harmless as they were under the clone scheme.
-    #[inline]
+    #[inline(always)]
     pub fn add_journaled(
         &mut self,
         tx: &mut HtmTx<'_, '_>,
         addr: Addr,
+        journal: &mut SigJournal,
+        slot: SigSlot,
+    ) -> TxResult<()> {
+        let line = line_of(addr);
+        if line == self.last_line {
+            return Ok(());
+        }
+        self.add_line_journaled(tx, addr, line, journal, slot)
+    }
+
+    /// [`SigPair::add_journaled`] of a line other than the last one.
+    #[inline(never)]
+    fn add_line_journaled(
+        &mut self,
+        tx: &mut HtmTx<'_, '_>,
+        addr: Addr,
+        line: Line,
         journal: &mut SigJournal,
         slot: SigSlot,
     ) -> TxResult<()> {
@@ -87,6 +133,7 @@ impl<'a> SigPair<'a> {
             self.mirror.add_slot(w, m);
             tx.write_private(self.heap.word_addr(w), old | m)?;
         }
+        self.last_line = line;
         Ok(())
     }
 }
@@ -106,7 +153,7 @@ pub struct FastCtx<'c, 'a, 's> {
 }
 
 impl TxCtx for FastCtx<'_, '_, '_> {
-    #[inline]
+    #[inline(always)]
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         self.rsig.add(self.tx, addr)?;
         self.tx.read(addr)
@@ -151,7 +198,7 @@ pub struct SubCtx<'c, 'a, 's> {
 }
 
 impl TxCtx for SubCtx<'_, '_, '_> {
-    #[inline]
+    #[inline(always)]
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         // Values written by previous sub-HTM transactions of this very global
         // transaction are already in shared memory (eager writing), so a plain read
@@ -400,14 +447,8 @@ mod tests {
         {
             let mut ctx = FastCtx {
                 tx: &mut tx,
-                rsig: SigPair {
-                    heap: a.read_sig,
-                    mirror: &mut rmir,
-                },
-                wsig: SigPair {
-                    heap: a.write_sig,
-                    mirror: &mut wmir,
-                },
+                rsig: SigPair::new(a.read_sig, &mut rmir),
+                wsig: SigPair::new(a.write_sig, &mut wmir),
                 wrote: &mut wrote,
             };
             assert_eq!(ctx.read(rt.app(0)), Ok(11));
@@ -440,14 +481,8 @@ mod tests {
         {
             let mut ctx = SubCtx {
                 tx: &mut tx,
-                rsig: SigPair {
-                    heap: a.read_sig,
-                    mirror: &mut rmir,
-                },
-                wsig: SigPair {
-                    heap: a.write_sig,
-                    mirror: &mut wmir,
-                },
+                rsig: SigPair::new(a.read_sig, &mut rmir),
+                wsig: SigPair::new(a.write_sig, &mut wmir),
                 undo: &mut undo,
                 journal: &mut journal,
                 wrote: &mut wrote,

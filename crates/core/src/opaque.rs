@@ -90,7 +90,7 @@ impl LockedSet {
 struct OFastCtx<'x, 'c, 'a, 's>(&'x mut FastCtx<'c, 'a, 's>);
 
 impl TxCtx for OFastCtx<'_, '_, '_, '_> {
-    #[inline]
+    #[inline(always)]
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         let v = self.0.tx.read(addr)?;
         if v & LOCK_BIT != 0 {
@@ -127,7 +127,7 @@ struct OSubCtx<'x, 'c, 'a, 's> {
 }
 
 impl TxCtx for OSubCtx<'_, '_, '_, '_> {
-    #[inline]
+    #[inline(always)]
     fn read(&mut self, addr: Addr) -> TxResult<u64> {
         let c = &mut *self.base;
         let v = c.tx.read(addr)?;

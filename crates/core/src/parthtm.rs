@@ -52,7 +52,7 @@ impl Variant for Serializable {
         run_all(w, &mut ctx)?;
         // Pre-commit validation against non-visible locations (Fig. 1 lines 7–8).
         let FastCtx { tx, rsig, wsig, .. } = ctx;
-        if fast_validation(tx, rt.write_locks(), rsig.mirror, wsig.mirror)? {
+        if fast_validation(tx, rt.write_locks(), rsig.mirror(), wsig.mirror())? {
             return Err(tx.xabort(XABORT_LOCKED));
         }
         Ok(())
@@ -78,11 +78,11 @@ impl Variant for Serializable {
         // Pre-commit validation, own locks masked out (Fig. 1 lines 26–28).
         let SubCtx { tx, rsig, wsig, .. } = ctx;
         let locks = rt.write_locks();
-        if sub_validation(tx, locks, &self.amir, rsig.mirror, wsig.mirror)? {
+        if sub_validation(tx, locks, &self.amir, rsig.mirror(), wsig.mirror())? {
             return Err(tx.xabort(XABORT_LOCKED));
         }
         // Acquire write locks for the just-written locations (Fig. 1 line 29).
-        acquire_locks_tx(tx, locks, wsig.mirror)
+        acquire_locks_tx(tx, locks, wsig.mirror())
     }
 
     /// A conflict on the global write-locks (or an overflowing undo log)

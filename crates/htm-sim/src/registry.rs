@@ -152,6 +152,12 @@ impl TxStatus {
     }
 }
 
+/// True if status word `word` holds `Doomed`: a compare on its low byte.
+#[inline]
+pub(crate) fn is_doomed_word(word: u64) -> bool {
+    word & STATUS_MASK == TxStatus::Doomed as u64
+}
+
 /// One cache line per thread to avoid false sharing between status words:
 /// every CAS on one thread's status would otherwise invalidate its
 /// neighbours' lines on every doom/begin/finish. [`CacheAligned`] pads the
@@ -209,6 +215,12 @@ impl TxRegistry {
         TxStatus::of_word(self.slots[t as usize].load(Ordering::SeqCst))
     }
 
+    /// `t`'s status word itself. A transaction keeps a reference to its own
+    /// so that polling the doom flag is one load ([`is_doomed_word`]).
+    pub(crate) fn word(&self, t: ThreadId) -> &AtomicU64 {
+        &self.slots[t as usize]
+    }
+
     /// Begin a transaction on thread `t`. Panics if one is already in flight —
     /// the simulator flattens nesting at a higher level, like TSX does.
     pub fn begin(&self, t: ThreadId) {
@@ -242,7 +254,7 @@ impl TxRegistry {
     /// True if `t`'s transaction has been doomed by a conflicting access.
     #[inline]
     pub fn is_doomed(&self, t: ThreadId) -> bool {
-        self.status(t) == TxStatus::Doomed
+        is_doomed_word(self.slots[t as usize].load(Ordering::SeqCst))
     }
 
     /// Why `t`'s transaction was doomed — the access that won its

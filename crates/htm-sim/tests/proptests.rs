@@ -1,6 +1,6 @@
 //! Property-based tests of the HTM simulator's core guarantees.
 
-use htm_sim::{AbortCode, Addr, HtmConfig, HtmSystem, WORDS_PER_LINE};
+use htm_sim::{AbortCode, Addr, HtmConfig, HtmSystem, SchedSpec, VClock, WORDS_PER_LINE};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -274,4 +274,158 @@ fn rewrites_of_one_word_keep_one_entry() {
     assert_eq!(tx.buffered_words(), 1);
     tx.commit().unwrap();
     assert_eq!(sys.nt_read(13), 9_999);
+}
+
+// ---- the per-word charge -------------------------------------------------
+
+/// One operation of a charge program: `(kind, addr, work units)`, kind 0 a
+/// read, 1 a write, 2 `work(units)`.
+type ChargeOp = (u8, Addr, u64);
+
+/// Reads, writes and work over 16 lines (repeats on purpose: most accesses
+/// hit a line the transaction already registered).
+fn arb_charge_ops() -> impl Strategy<Value = Vec<ChargeOp>> {
+    proptest::collection::vec((0u8..3, 0u32..128, 1u64..40), 1..120)
+}
+
+/// Units the op costs: 1 per access, `k` for `work(k)`.
+fn units(op: &ChargeOp) -> u64 {
+    if op.0 == 2 {
+        op.2
+    } else {
+        1
+    }
+}
+
+/// The timer model: the index of the first op that brings cumulative work to
+/// `quantum` or beyond, with the cumulative work at that op (or the program's
+/// total work and `None` when it never does).
+fn timer_model(ops: &[ChargeOp], quantum: u64) -> (Option<usize>, u64) {
+    let mut work = 0;
+    for (i, op) in ops.iter().enumerate() {
+        work += units(op);
+        if work >= quantum {
+            return (Some(i), work);
+        }
+    }
+    (None, work)
+}
+
+/// Run `ops` as one transaction on `th`: the index and code of the op that
+/// aborted it (`None` if it committed) and the work it had used.
+fn run_charge_program(
+    th: &mut htm_sim::HtmThread<'_>,
+    ops: &[ChargeOp],
+) -> (Option<(usize, AbortCode)>, u64) {
+    let mut tx = th.begin();
+    for (i, &(kind, a, k)) in ops.iter().enumerate() {
+        let r = match kind {
+            0 => tx.read(a).map(drop),
+            1 => tx.write(a, k),
+            _ => tx.work(k),
+        };
+        if let Err(code) = r {
+            return (Some((i, code)), tx.work_used());
+        }
+    }
+    let work = tx.work_used();
+    tx.commit().expect("a lone transaction commits");
+    (None, work)
+}
+
+/// A machine whose read and write sets hold all 16 lines of a charge program.
+fn charge_system(quantum: u64, interrupt_prob: f64) -> HtmSystem {
+    let cfg = HtmConfig {
+        quantum,
+        interrupt_prob,
+        ..HtmConfig::default()
+    };
+    HtmSystem::new(cfg, 128)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// A plain transaction (no clock, no injected interrupts) charges on its
+    /// one-add fast path; one attached to a clock charges through the full
+    /// body. Both fire `Timer` at the op the cumulative-work model names, with
+    /// the model's `work_used`, and the one-core clock advances by exactly the
+    /// work charged.
+    #[test]
+    fn fast_charge_matches_timer_model(ops in arb_charge_ops(), quantum in 1u64..400) {
+        let (at, work) = timer_model(&ops, quantum);
+        let want = at.map(|i| (i, AbortCode::Timer));
+
+        let sys = charge_system(quantum, 0.0);
+        let mut th = sys.thread(0);
+        prop_assert_eq!(run_charge_program(&mut th, &ops), (want, work));
+        prop_assert_eq!(th.stats.work_units, work);
+        prop_assert_eq!(sys.live_line_entries(), 0);
+
+        // The same program on a one-core virtual clock.
+        let idle = {
+            let clock = VClock::new(1, SchedSpec::default());
+            drop(clock.attach(0));
+            clock.report()
+        };
+        let sys = charge_system(quantum, 0.0);
+        let clock = VClock::new(1, SchedSpec::default());
+        let got = {
+            let _core = clock.attach(0);
+            let mut th = sys.thread(0);
+            run_charge_program(&mut th, &ops)
+        };
+        prop_assert_eq!(got, (want, work));
+        let report = clock.report();
+        prop_assert_eq!(report.makespan, work);
+        let commits: Vec<(usize, u64)> = if at.is_none() { vec![(0, work)] } else { vec![] };
+        prop_assert_eq!(&report.commit_log, &commits);
+        prop_assert_eq!(report.n_commits, commits.len() as u64);
+        // One core never hands the floor over: no scheduler entry beyond
+        // attach and detach.
+        prop_assert_eq!(report.n_decisions, idle.n_decisions);
+    }
+
+    /// With `interrupt_prob > 0` the transaction is not plain: injected
+    /// interrupts still fire, never after the op the timer model names, and
+    /// at probability 1 on the very first op that does not reach the quantum.
+    #[test]
+    fn injected_interrupts_still_fire(
+        ops in arb_charge_ops(),
+        quantum in 1u64..400,
+        pct in 1u8..=100,
+        attached in 0u8..2,
+    ) {
+        let (at, work) = timer_model(&ops, quantum);
+        let sys = charge_system(quantum, f64::from(pct) / 100.0);
+        let clock = VClock::new(1, SchedSpec::default());
+        let core = (attached == 1).then(|| clock.attach(0));
+        let mut th = sys.thread(0);
+        let mut interrupts = 0;
+        for _ in 0..8 {
+            let (got, used) = run_charge_program(&mut th, &ops);
+            match got {
+                None => prop_assert_eq!((at, used), (None, work)),
+                Some((i, code)) => {
+                    let used_model: u64 = ops[..=i].iter().map(units).sum();
+                    prop_assert_eq!(used, used_model);
+                    if Some(i) == at {
+                        prop_assert_eq!(code, AbortCode::Timer);
+                    } else {
+                        prop_assert!(at.is_none_or(|t| i < t), "abort at {} after the timer", i);
+                        prop_assert_eq!(code, AbortCode::Interrupt);
+                        interrupts += 1;
+                    }
+                    if pct == 100 {
+                        prop_assert_eq!(i, 0, "probability 1 interrupts the first op");
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(th.stats.aborts_interrupt, interrupts);
+        if pct == 100 && at != Some(0) {
+            prop_assert_eq!(interrupts, 8);
+        }
+        drop(core);
+    }
 }

@@ -116,6 +116,12 @@ impl SigJournal {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// The journalled `(slot, word index, old value)` entries, in first-dirty
+    /// order (diagnostics and tests).
+    pub fn entries(&self) -> &[(SigSlot, u32, u64)] {
+        &self.entries
+    }
 }
 
 /// The clone-based save/restore this journal replaced, kept as the differential

@@ -5,8 +5,9 @@
 # a x10 repeat of the concurrent suites); clippy and rustdoc with warnings
 # denied; scripts/doc-check.sh; schedx --bounded.
 #
-#   --smoke  also microbench --smoke (every row once, < 30 s) and a seeded
-#            schedx soak over the CI scenarios
+#   --smoke  also microbench --smoke (every row once, < 30 s), a seeded
+#            schedx soak over the CI scenarios and a 1 s scripts/profile.sh
+#            run (skipped without cc)
 #   --bench  also a full microbench run (< 3 min) to target/microbench.json,
 #            gated against the committed BENCH.json by perfbench's
 #            `benchmark/run.sh check` (ok / worse / unresolved per row) and by
@@ -101,6 +102,17 @@ case "${1:-}" in
         ( ulimit -v 4194304; timeout 120 ./target/release/schedx \
             --scenario "$s" --seeds 32 )
     done
+    echo "== tier1: profile.sh nrmw_capacity 1 (the per-function sampler) =="
+    # The sampler must still build, load and attribute worker-thread samples
+    # to the simulator's functions.
+    if command -v cc >/dev/null; then
+        timeout 300 ./scripts/profile.sh nrmw_capacity 1 >target/profile-smoke.txt
+        head -n 5 target/profile-smoke.txt
+        grep -q ' htm_sim::' target/profile-smoke.txt ||
+            { echo "profile.sh attributed no sample to htm_sim::" >&2; exit 1; }
+    else
+        echo "cc not found: skipping the profile.sh smoke run"
+    fi
     ;;
 --bench)
     echo "== tier1: microbench (full, timeout 180; drift gate vs BENCH.json) =="
