@@ -422,9 +422,8 @@ fn nrmw_row(
 /// per transaction: signature false positives show up there first.
 fn plan(sc: &Scale, out: &mut Measured) {
     let adapt = TmConfig::default;
-    let pinned = |plan_group| TmConfig {
-        adaptive_plan: false,
-        plan_group,
+    let pinned = |g| TmConfig {
+        plan_group: Some(g),
         ..TmConfig::default()
     };
     let (p, htm) = capacity_shape();

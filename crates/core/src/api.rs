@@ -138,14 +138,16 @@ pub trait Workload {
 
     /// The static profiler's verdict for the *sampled* transaction (§4: the paper's
     /// profiler routes transactions that "likely (or certainly) fail in HTM" to the
-    /// partitioned path directly). `Some(true)` = known to exceed HTM resources,
-    /// skip the fast path; `Some(false)` = known to fit, always try the fast path;
-    /// `None` = unknown, let the executor adapt from observed outcomes.
+    /// partitioned path directly). `Some(true)` = known to exceed HTM resources;
+    /// `Some(false)` = known to fit; `None` = unknown.
     ///
-    /// Under `TmConfig::adaptive_plan` this is a *prior*, not a verdict: it
-    /// routes the site until the abort-profile controller
-    /// ([`crate::planner`]) has observed real fast-path outcomes, after which
-    /// the learned history decides (and periodically re-probes).
+    /// This is a *prior*, not a verdict: it decides only while the site's
+    /// abort profile ([`crate::planner`]) has recorded no fast-path outcome.
+    /// A site's first transaction (tick 0) always probes the fast path, so on
+    /// one thread the prior routes no transaction at all; it steers only
+    /// threads that route while that first probe is still in flight. After
+    /// the first outcome the learned history decides (and re-probes every
+    /// 64th transaction).
     fn profiled_resource_limited(&self) -> Option<bool> {
         None
     }
@@ -153,7 +155,7 @@ pub trait Workload {
     /// The transaction *site* of the sampled transaction: a small stable id
     /// for "transactions of this shape" (e.g. one id per operation type, or
     /// per long/short class). The adaptive planner keeps one abort profile —
-    /// demotion history, segment plan, retry budgets — per site, so
+    /// demotion history and segment plan — per site, so
     /// transactions with different resource appetites should report
     /// different sites. The default (one site for the whole workload) is
     /// always safe, just coarser.

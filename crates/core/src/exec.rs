@@ -21,7 +21,7 @@ use crate::api::{
     XABORT_UNDO_FULL,
 };
 use crate::ctx::{software_work, FastCtx, RawCtx, SigPair, SlowCtx, SoftwareCtx, SubCtx};
-use crate::planner::{build_plan, FastExit, FastProfile, FastRoute, PlanChange, PlanStep};
+use crate::planner::{build_plan, FastExit, FastRoute, PlanChange, PlanStep};
 use crate::runtime::{ThreadArena, TmConfig, TmRuntime, TmThread};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
@@ -33,7 +33,7 @@ use tm_sig::{ShardTimes, ShardedValidation, Sig, SigJournal, SigSpec};
 
 /// Hardware attempts on the fast path before concluding the failure mode
 /// (§7: competitors "retry a transaction 5 times as HTM before falling
-/// back"). The adaptive planner's per-site budgets never exceed it.
+/// back").
 pub const FAST_RETRIES: u32 = 5;
 /// Global (partitioned-path) attempts before the slow path (§5.3.7: "the
 /// transaction is retried 5 times before falling back to the slow path").
@@ -300,8 +300,6 @@ pub struct PartExec<'r, V: Variant> {
     /// Per-shard validation window: slot `s` holds the newest commit of ring
     /// shard `s` this transaction's reads are known consistent against.
     times: ShardTimes,
-    /// The fast-path routing profile: the *single* decision point for skip-fast.
-    profile: FastProfile,
     /// Reusable segment-plan buffer ([`build_plan`] output).
     plan: Vec<PlanStep>,
     /// The variant's per-transaction lock state.
@@ -409,19 +407,17 @@ impl<'r, V: Variant> PartExec<'r, V> {
 
     /// Run the declared segments `start..end` as *one* sub-HTM transaction
     /// with bounded retries (§5.3.3–5.3.5). `start..end` comes from the
-    /// segment plan: a single declared segment under the static oracle, up to
-    /// the site's learned merge factor under the adaptive planner. A group
-    /// that dies of a capacity-class abort is never retried as-is: a
-    /// multi-segment group reports [`GroupRun::Split`] so the caller re-runs
-    /// it as single segments, and a single declared segment fails the global
-    /// transaction at once (nothing is left to split).
+    /// segment plan: up to the site's learned merge factor, or the pinned
+    /// `plan_group`. A group that dies of a capacity-class abort is never
+    /// retried as-is: a multi-segment group reports [`GroupRun::Split`] so the
+    /// caller re-runs it as single segments, and a single declared segment
+    /// fails the global transaction at once (nothing is left to split).
     fn run_group<W: Workload>(
         &mut self,
         w: &mut W,
         start: usize,
         end: usize,
         wrote: &mut bool,
-        budget: u32,
     ) -> GroupRun {
         let rt = self.th.rt;
         let a = self.arena;
@@ -474,12 +470,8 @@ impl<'r, V: Variant> PartExec<'r, V> {
                 SubVerdict::GiveUp => true,
                 SubVerdict::Revalidate => !self.validate(),
                 SubVerdict::Retry => false,
-            } || attempts >= budget;
+            } || attempts >= rt.config().sub_retries;
             if give_up {
-                let default = rt.config().sub_retries;
-                if attempts >= budget && budget < default {
-                    self.th.stats.adaptive_retry_saves += (default - budget) as u64;
-                }
                 return GroupRun::Fail(GlobalAbort::Retry);
             }
             // A plain retry after a data conflict backs off first, by up to
@@ -516,15 +508,13 @@ impl<'r, V: Variant> PartExec<'r, V> {
         let mut wrote = false;
 
         // Build this transaction's segment plan: up to the site's learned
-        // merge factor under the adaptive controller, the pinned static
-        // `plan_group` otherwise (1 = exactly the declared segments).
+        // merge factor, or the pinned `plan_group` (1 = exactly the declared
+        // segments), which feeds nothing back.
         let cfg = rt.config();
-        let adaptive = cfg.adaptive_plan;
         let slot = rt.sites().slot(w.site());
-        let (group, sub_budget) = if adaptive {
-            (slot.plan_group(), slot.sub_budget(cfg.sub_retries))
-        } else {
-            (cfg.plan_group.max(1), cfg.sub_retries)
+        let (group, learn) = match cfg.plan_group {
+            Some(g) => (g.max(1), false),
+            None => (slot.plan_group(), true),
         };
         let nseg = w.segments();
         let mut plan = std::mem::take(&mut self.plan);
@@ -550,7 +540,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
             // Run `seg..end` as one group; after a split, as single segments.
             let (mut seg, mut end) = (step.start, step.end);
             while seg < step.end {
-                match self.run_group(w, seg, end, &mut wrote, sub_budget) {
+                match self.run_group(w, seg, end, &mut wrote) {
                     GroupRun::Committed => {
                         let last_htm = Some(end - 1) == last_htm_seg;
                         if V::validate_after_sub(cfg, last_htm) && !self.validate() {
@@ -562,20 +552,18 @@ impl<'r, V: Variant> PartExec<'r, V> {
                         end = seg + 1;
                     }
                     GroupRun::Split => {
-                        // The merged group exceeds this site's HTM budget: halve
-                        // the plan and re-run the group as the declared single
-                        // segments, sealing each exactly as the static plan would.
+                        // The merged group exceeds this site's HTM budget: re-run
+                        // it as the declared single segments, sealing each exactly
+                        // as the declared plan would (a learning site also halves
+                        // its plan).
                         self.th.stats.plan_splits += 1;
                         split_tx = true;
-                        if adaptive {
+                        if learn {
                             slot.record_capacity_split(step.len() as u32);
                         }
                         end = seg + 1;
                     }
                     GroupRun::Fail(why) => {
-                        if adaptive && why == GlobalAbort::Futile {
-                            slot.record_sub_futility();
-                        }
                         self.global_abort();
                         return Err(why);
                     }
@@ -605,7 +593,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
         self.dec_active();
         // Feed the controller: a commit with no capacity trouble earns merge
         // credit (up to the longest mergeable run this shape declares).
-        if adaptive && !split_tx && slot.record_clean_commit(max_run) == PlanChange::Merged {
+        if learn && !split_tx && slot.record_clean_commit(max_run) == PlanChange::Merged {
             self.th.stats.plan_merges += 1;
         }
         Ok(())
@@ -639,7 +627,6 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
             wmir: Sig::new(spec),
             journal: SigJournal::default(),
             times: ShardTimes::new(),
-            profile: FastProfile::default(),
             plan: Vec::new(),
             v: V::new(spec),
             th,
@@ -657,14 +644,14 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
         if w.is_irrevocable() {
             return self.fall_back(w);
         }
-        // The single fast-path routing decision (config override, static hint,
-        // learned demotion or legacy streak — see `planner::FastProfile`). The
+        // The single fast-path routing decision (config override, static hint
+        // or learned demotion — see `planner::SiteSlot::route`). The
         // controller's paper anchor: the static profiler routes "likely (or
         // certainly) failing" transactions straight to the partitioned path
         // (§4); here that verdict is learned from observed abort codes.
         let slot = rt.sites().slot(w.site());
         let prior = w.profiled_resource_limited();
-        let route = self.profile.route(cfg, slot, prior, &mut self.th.stats);
+        let route = slot.route(cfg.skip_fast, prior, &mut self.th.stats);
         let one_segment = w.segments() == 1 && !w.software_segment(0);
         // A profiler demotion (not the `skip_fast` ablation, which must still
         // reach the sub-HTM path) of a one-segment transaction means its single
@@ -672,19 +659,19 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
         if route == FastRoute::Demote && one_segment && !cfg.skip_fast {
             return self.fall_back(w);
         }
-        if let FastRoute::Attempt { budget } = route {
+        if route == FastRoute::Attempt {
             let mut fails = 0;
             loop {
                 wait_glock_released(&self.th);
                 match self.try_fast(w) {
                     Ok(()) => {
-                        self.profile.note_exit(cfg, slot, FastExit::Commit);
+                        slot.record_fast_exit(FastExit::Commit);
                         return self.committed(w, CommitPath::Htm);
                     }
                     Err(code) if code.is_resource_failure() => {
                         // Capacity or quantum: this is the class Part-HTM exists
                         // for — partition it, unless there is nothing to split.
-                        self.profile.note_exit(cfg, slot, FastExit::Resource);
+                        slot.record_fast_exit(FastExit::Resource);
                         if one_segment {
                             return self.fall_back(w);
                         }
@@ -693,15 +680,10 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
                     }
                     Err(_) => {
                         fails += 1;
-                        if fails >= budget {
+                        if fails >= FAST_RETRIES {
                             // Persistent conflicts: the paper routes these to the
                             // exit path, not to partitioning (§4 "Three-paths
                             // Execution").
-                            self.profile.note_exit(cfg, slot, FastExit::Exhausted);
-                            if budget < FAST_RETRIES {
-                                self.th.stats.adaptive_retry_saves +=
-                                    (FAST_RETRIES - budget) as u64;
-                            }
                             return self.fall_back(w);
                         }
                     }
@@ -763,8 +745,6 @@ mod tests {
         segs: usize,
         base: Addr,
         work_per_op: u64,
-        /// The static profiler's verdict for the site.
-        prior: Option<bool>,
     }
 
     impl Incr {
@@ -774,7 +754,6 @@ mod tests {
                 segs,
                 base: rt.app(0),
                 work_per_op: 0,
-                prior: None,
             }
         }
     }
@@ -784,9 +763,6 @@ mod tests {
         fn sample(&mut self, _rng: &mut SmallRng) {}
         fn segments(&self) -> usize {
             self.segs
-        }
-        fn profiled_resource_limited(&self) -> Option<bool> {
-            self.prior
         }
         fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
             let per = self.n / self.segs;
@@ -942,18 +918,18 @@ mod tests {
     }
 
     fn demoted_one_segment_site_goes_straight_to_the_lock<V: Variant>() {
-        // The static profiler marks the site resource-limited: the transaction
-        // skips the fast path, and with one segment the partitioned path too.
-        let tm = TmConfig {
-            adaptive_plan: false,
-            ..TmConfig::default()
-        };
-        let rt = TmRuntime::new(HtmConfig::default(), tm, 1, 1024);
+        // The site's profile has learned that its fast attempts die of
+        // resource failures, and tick 0's unconditional probe is spent: the
+        // transaction skips the fast path, and with one segment the
+        // partitioned path too.
+        let rt = TmRuntime::with_defaults(1, 1024);
         let mut e = PartExec::<V>::new(&rt, 0);
-        let mut w = Incr {
-            prior: Some(true),
-            ..Incr::new(&rt, 4, 1)
-        };
+        let mut w = Incr::new(&rt, 4, 1);
+        let slot = rt.sites().slot(w.site());
+        for _ in 0..8 {
+            slot.record_fast_exit(FastExit::Resource);
+        }
+        slot.tick();
         assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
         check_sum(&rt, 4, 1);
         let s = &e.thread().stats;
@@ -981,7 +957,6 @@ mod tests {
         // global attempt: conflicts keep the full retry ladder.
         let tm = TmConfig {
             skip_fast: true,
-            adaptive_plan: false,
             ..TmConfig::default()
         };
         let budget = tm.sub_retries as usize;

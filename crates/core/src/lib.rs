@@ -43,8 +43,6 @@ pub use exec::{
 };
 pub use opaque::PartHtmO;
 pub use parthtm::PartHtm;
-pub use planner::{
-    backend_group_cap, batch_site, build_plan, FastProfile, FastRoute, PlanStep, SiteTable,
-};
+pub use planner::{batch_site, build_plan, FastRoute, PlanStep, SiteTable};
 pub use runtime::{Region, SigKind, TmConfig, TmRuntime, TmThread};
 pub use stats::TmStats;

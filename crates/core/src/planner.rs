@@ -7,14 +7,15 @@
 //! runtime controller fed by the abort codes the simulator already classifies
 //! ([`htm_sim::AbortCode`]): every workload keeps declaring its
 //! finest-granularity segments, and a lock-free table of per-site profiles
-//! ([`SiteTable`]) makes three decisions per transaction:
+//! ([`SiteTable`]) makes two decisions per transaction:
 //!
 //! 1. **Futility demotion** — sites whose fast attempts persistently die of
 //!    resource failures skip the fast path directly, re-probing every
-//!    [`PROBE_PERIOD`]th transaction. The static
+//!    [`PROBE_PERIOD`]th transaction, tick 0 included. The static
 //!    [`crate::Workload::profiled_resource_limited`] hint is folded in as a
-//!    *prior*: it routes the site until the first observed fast-path outcome,
-//!    after which the learned EWMA decides.
+//!    *prior* that decides only while the site has no observed fast-path
+//!    outcome. Since tick 0 always probes, on one thread the prior routes no
+//!    transaction; it steers only threads that race that first probe.
 //! 2. **Dynamic segment planning** — the executor runs a *plan*
 //!    ([`build_plan`]) that merges up to `group` consecutive non-software
 //!    segments into one sub-HTM transaction each. The controller doubles
@@ -24,16 +25,12 @@
 //!    overflowing undo log). A `limit` watermark remembers the largest group
 //!    that survived, so the plan converges instead of oscillating; the limit
 //!    re-probes upward after [`RAISE_AFTER`] clean commits at the plateau.
-//! 3. **Adaptive retry budgets** — per-site [`crate::FAST_RETRIES`]/`sub_retries`
-//!    scaled down from the paper defaults when the observed odds say the
-//!    retries are futile (persistent conflict exhaustion on the fast path,
-//!    persistent capacity trouble on the sub path), clamped to `[1, default]`.
 //!
-//! `TmConfig::adaptive_plan: false` bypasses the table entirely and pins
-//! today's static behaviour — hint-is-absolute fast-path routing, the legacy
-//! resource-streak probe, one sub-HTM per `plan_group` declared segments,
-//! paper retry constants — as the exact differential oracle, matching the
-//! repo's fast-path/oracle convention (`docs/adaptive-partitioner.md`).
+//! Retries are the paper's constants ([`crate::FAST_RETRIES`] and
+//! `TmConfig::sub_retries`). `TmConfig::plan_group: Some(g)` pins the merge
+//! width at `g` and feeds no plan decision back; fast-path routing is the same
+//! [`SiteSlot::route`] call in every configuration
+//! (`docs/adaptive-partitioner.md`).
 //!
 //! All profile state is host-side (like the ring summaries): the controller
 //! is a scheduling heuristic and must not consume simulated HTM capacity or
@@ -41,10 +38,8 @@
 //! under races by design — a dropped sample shifts a heuristic, never a
 //! protocol invariant.
 
-use crate::exec::FAST_RETRIES;
-use crate::runtime::TmConfig;
 use crate::stats::TmStats;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use tm_sig::CacheAligned;
 
 /// Fixed-point one for the EWMA counters (probabilities in `0..=EWMA_ONE`).
@@ -55,8 +50,7 @@ pub const EWMA_ONE: u32 = 1024;
 pub const EWMA_SHIFT: u32 = 2;
 /// Demote the fast path once the resource-failure EWMA reaches 3/4.
 pub const DEMOTE_THRESHOLD: u32 = EWMA_ONE * 3 / 4;
-/// A demoted site re-probes the fast path every `PROBE_PERIOD`th transaction
-/// (same cadence as the legacy resource-streak profiler it replaces).
+/// A demoted site re-probes the fast path every `PROBE_PERIOD`th transaction.
 pub const PROBE_PERIOD: u64 = 64;
 /// Clean partitioned commits at the current plan before the group doubles.
 pub const MERGE_AFTER: u32 = 4;
@@ -65,31 +59,30 @@ pub const MERGE_AFTER: u32 = 4;
 pub const RAISE_AFTER: u32 = 64;
 /// Largest segments-per-group merge factor the controller will plan.
 pub const MAX_GROUP: u32 = 16;
-/// Reference write-set budget [`MAX_GROUP`] was tuned against: the TSX-like
-/// default geometry (64 sets x 8 ways = 512 written lines).
-pub const REFERENCE_WRITE_LINES: usize = 512;
 /// Site-table slots (power of two). Sites beyond the table share slots by
 /// hash collision — profiles blend, decisions stay safe (every decision is a
 /// performance hint, never a correctness input).
 pub const SITE_SLOTS: usize = 64;
 
-/// `flags` bits: which EWMAs have observed at least one sample (before the
-/// first sample the static prior decides instead of the unseeded EWMA).
-const F_RES: u32 = 1;
-const F_EXH: u32 = 1 << 1;
-const F_SUBCAP: u32 = 1 << 2;
-
-/// How a fast-path episode ended (the samples the fast-gate EWMAs consume).
+/// How a fast-path episode ended (the samples the demotion EWMA consumes).
+/// An episode that exhausts its conflict retries feeds no sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FastExit {
     /// The transaction committed on the fast path.
     Commit,
     /// The attempt died of a resource failure (capacity/interrupt) and the
-    /// transaction fell to the partitioned path.
+    /// transaction left the fast path.
     Resource,
-    /// Conflict retries exhausted the budget; the transaction took the
-    /// global lock.
-    Exhausted,
+}
+
+/// The fast-path routing decision for one transaction ([`SiteSlot::route`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FastRoute {
+    /// Try the fast path, with [`crate::FAST_RETRIES`] conflict retries
+    /// before the global lock.
+    Attempt,
+    /// Skip straight to the partitioned path.
+    Demote,
 }
 
 /// A controller plan adjustment, reported so the executor can count it.
@@ -104,21 +97,13 @@ pub enum PlanChange {
 /// One site's lock-free abort profile. All fields are racy-by-design relaxed
 /// atomics; see the module docs.
 pub struct SiteSlot {
-    /// Hard merge-factor ceiling for this table (backend capacity class; see
-    /// [`backend_group_cap`]). Plans, limits and plateau re-probes never
-    /// exceed it.
-    cap: u32,
     /// Claimed site id + 1 (0 = empty slot).
     key: AtomicU32,
-    /// Which EWMAs have samples (`F_*` bits).
-    flags: AtomicU32,
+    /// The resource EWMA has observed a fast-path outcome (before that, the
+    /// static prior decides instead of the unseeded EWMA).
+    sampled: AtomicBool,
     /// EWMA of fast-path episodes ending in a resource failure.
     res_ewma: AtomicU32,
-    /// EWMA of fast-path episodes ending with the conflict budget exhausted.
-    exh_ewma: AtomicU32,
-    /// EWMA of partitioned runs that hit capacity trouble (a group split or a
-    /// capacity-class sub-HTM give-up).
-    sub_cap_ewma: AtomicU32,
     /// Current merge factor: declared segments per planned sub-HTM group.
     group: AtomicU32,
     /// Largest group size not known to split (merges never plan past it).
@@ -130,17 +115,13 @@ pub struct SiteSlot {
 }
 
 impl SiteSlot {
-    fn new(init_group: u32, cap: u32) -> Self {
-        let cap = cap.clamp(1, MAX_GROUP);
+    fn new() -> Self {
         Self {
-            cap,
             key: AtomicU32::new(0),
-            flags: AtomicU32::new(0),
+            sampled: AtomicBool::new(false),
             res_ewma: AtomicU32::new(0),
-            exh_ewma: AtomicU32::new(0),
-            sub_cap_ewma: AtomicU32::new(0),
-            group: AtomicU32::new(init_group.clamp(1, cap)),
-            limit: AtomicU32::new(cap),
+            group: AtomicU32::new(1),
+            limit: AtomicU32::new(MAX_GROUP),
             credit: AtomicU32::new(0),
             clock: AtomicU64::new(0),
         }
@@ -154,13 +135,6 @@ impl SiteSlot {
         cell.store(new.clamp(0, EWMA_ONE as i64) as u32, Relaxed);
     }
 
-    #[inline]
-    fn set_flag(&self, bit: u32) {
-        if self.flags.load(Relaxed) & bit == 0 {
-            self.flags.fetch_or(bit, Relaxed);
-        }
-    }
-
     /// Advance the site clock; returns the previous tick.
     #[inline]
     pub fn tick(&self) -> u64 {
@@ -170,65 +144,46 @@ impl SiteSlot {
     /// Would the controller route this site straight to the partitioned path?
     /// Before any fast-path outcome was observed the static `prior` decides;
     /// afterwards the learned resource EWMA does. (The re-probe exception is
-    /// the caller's job — it owns the tick.)
+    /// [`SiteSlot::route`]'s job — it owns the tick.)
     #[inline]
     pub fn wants_demotion(&self, prior: Option<bool>) -> bool {
-        if self.flags.load(Relaxed) & F_RES != 0 {
+        if self.sampled.load(Relaxed) {
             self.res_ewma.load(Relaxed) >= DEMOTE_THRESHOLD
         } else {
             prior == Some(true)
         }
     }
 
+    /// Decide the fast-path route for one transaction and advance the site
+    /// clock. Counts a [`TmStats::site_demotions`] whenever the profile
+    /// (learned history or, before the first sample, the static prior — not
+    /// the `skip_fast` ablation) routes the transaction straight to the
+    /// partitioned path. Every [`PROBE_PERIOD`]th tick, tick 0 included,
+    /// probes the fast path regardless.
+    pub fn route(&self, skip_fast: bool, prior: Option<bool>, stats: &mut TmStats) -> FastRoute {
+        let tick = self.tick();
+        if skip_fast {
+            return FastRoute::Demote;
+        }
+        if self.wants_demotion(prior) && !tick.is_multiple_of(PROBE_PERIOD) {
+            stats.site_demotions += 1;
+            return FastRoute::Demote;
+        }
+        FastRoute::Attempt
+    }
+
     /// Feed one fast-path episode outcome.
     pub fn record_fast_exit(&self, exit: FastExit) {
-        match exit {
-            FastExit::Commit => {
-                Self::ewma(&self.res_ewma, false);
-                Self::ewma(&self.exh_ewma, false);
-                self.set_flag(F_RES | F_EXH);
-            }
-            FastExit::Resource => {
-                Self::ewma(&self.res_ewma, true);
-                self.set_flag(F_RES);
-            }
-            FastExit::Exhausted => {
-                Self::ewma(&self.exh_ewma, true);
-                self.set_flag(F_EXH);
-            }
+        Self::ewma(&self.res_ewma, exit == FastExit::Resource);
+        if !self.sampled.load(Relaxed) {
+            self.sampled.store(true, Relaxed);
         }
-    }
-
-    /// Scale `default` retries down by the futility odds in `cell` (linear,
-    /// clamped to `[1, default]`); identity until the EWMA has a sample.
-    fn scaled_budget(&self, flag: u32, cell: &AtomicU32, default: u32) -> u32 {
-        if self.flags.load(Relaxed) & flag == 0 || default <= 1 {
-            return default.max(1);
-        }
-        // Round the scaling: the integer EWMA saturates just below EWMA_ONE
-        // (the shifted step truncates to 0 near the target), and a
-        // fully-futile site must still floor at budget 1.
-        let futile = cell.load(Relaxed).min(EWMA_ONE);
-        let cut = ((default - 1) * futile + EWMA_ONE / 2) / EWMA_ONE;
-        (default - cut).max(1)
-    }
-
-    /// Fast-path conflict-retry budget for this site.
-    #[inline]
-    pub fn fast_budget(&self, default: u32) -> u32 {
-        self.scaled_budget(F_EXH, &self.exh_ewma, default)
-    }
-
-    /// Sub-HTM retry budget for this site.
-    #[inline]
-    pub fn sub_budget(&self, default: u32) -> u32 {
-        self.scaled_budget(F_SUBCAP, &self.sub_cap_ewma, default)
     }
 
     /// The merge factor the executor should plan with right now.
     #[inline]
     pub fn plan_group(&self) -> u32 {
-        self.group.load(Relaxed).clamp(1, self.cap)
+        self.group.load(Relaxed)
     }
 
     /// A group of `used` segments died of a capacity-class abort: halve the
@@ -238,16 +193,6 @@ impl SiteSlot {
         self.limit.fetch_min(new, Relaxed);
         self.group.fetch_min(new, Relaxed);
         self.credit.store(0, Relaxed);
-        Self::ewma(&self.sub_cap_ewma, true);
-        self.set_flag(F_SUBCAP);
-    }
-
-    /// A sub-HTM transaction gave up after exhausting its retries on a
-    /// capacity-class code with nothing left to split (group of 1).
-    pub fn record_sub_futility(&self) {
-        self.credit.store(0, Relaxed);
-        Self::ewma(&self.sub_cap_ewma, true);
-        self.set_flag(F_SUBCAP);
     }
 
     /// A partitioned commit completed without capacity trouble. `max_run` is
@@ -255,10 +200,8 @@ impl SiteSlot {
     /// transaction declared — the largest group worth planning. Returns
     /// [`PlanChange::Merged`] when the plan grew.
     pub fn record_clean_commit(&self, max_run: u32) -> PlanChange {
-        Self::ewma(&self.sub_cap_ewma, false);
-        self.set_flag(F_SUBCAP);
         let group = self.group.load(Relaxed);
-        let ceiling = max_run.clamp(1, self.cap);
+        let ceiling = max_run.clamp(1, MAX_GROUP);
         if group >= ceiling {
             return PlanChange::None;
         }
@@ -281,25 +224,6 @@ impl SiteSlot {
     }
 }
 
-/// Map a backend's write-set budget to the planner's merge-factor ceiling —
-/// the *capacity class* of the backend. [`MAX_GROUP`] was tuned against the
-/// TSX-like [`REFERENCE_WRITE_LINES`] budget; a backend with an `n`-times
-/// smaller write set gets an `n`-times smaller ceiling (floored at 1), so
-/// merged sub-HTM groups never plan wildly past what the hardware can hold:
-///
-/// | backend  | write lines | group cap |
-/// |----------|-------------|-----------|
-/// | tsx      | 512         | 16        |
-/// | power    | 64          | 2         |
-/// | limited  | 16          | 1         |
-///
-/// [`crate::TmRuntime::new`] applies it to the fixed POWER and limited-set
-/// classes only: TSX geometry is per-experiment, so TSX keeps [`MAX_GROUP`].
-pub fn backend_group_cap(write_lines_max: usize) -> u32 {
-    ((MAX_GROUP as usize * write_lines_max) / REFERENCE_WRITE_LINES).clamp(1, MAX_GROUP as usize)
-        as u32
-}
-
 /// The lock-free site table: [`SITE_SLOTS`] cache-line-aligned profiles,
 /// hash-indexed by site id with short linear probing. A site that finds
 /// neither itself nor an empty slot within the probe window shares the home
@@ -308,25 +232,19 @@ pub struct SiteTable {
     slots: Box<[CacheAligned<SiteSlot>]>,
 }
 
-impl SiteTable {
-    /// Build the table; fresh sites start planning `init_group` segments per
+impl Default for SiteTable {
+    /// An empty table; fresh sites start planning one declared segment per
     /// sub-HTM transaction, up to [`MAX_GROUP`].
-    pub fn new(init_group: u32) -> Self {
-        Self::with_group_cap(init_group, MAX_GROUP)
-    }
-
-    /// Build the table with a hard merge-factor ceiling (the backend's
-    /// capacity class, see [`backend_group_cap`]): `init_group`, every
-    /// learned plan, and the plateau re-probe are all clamped to `cap`.
-    /// `cap = MAX_GROUP` reproduces [`SiteTable::new`] exactly.
-    pub fn with_group_cap(init_group: u32, cap: u32) -> Self {
+    fn default() -> Self {
         Self {
             slots: (0..SITE_SLOTS)
-                .map(|_| CacheAligned::new(SiteSlot::new(init_group, cap)))
+                .map(|_| CacheAligned::new(SiteSlot::new()))
                 .collect(),
         }
     }
+}
 
+impl SiteTable {
     /// The profile slot for `site` (claiming an empty slot on first sight).
     pub fn slot(&self, site: u32) -> &SiteSlot {
         let key = site.wrapping_add(1);
@@ -386,7 +304,7 @@ impl PlanStep {
 /// group up to `group` consecutive non-software segments per sub-HTM step,
 /// never across a software segment. `group == 1` reproduces the static plan
 /// byte-for-byte — one step per declared segment, in declaration order (the
-/// `adaptive_plan: false` oracle guarantee, pinned by proptest).
+/// `plan_group: Some(1)` guarantee, pinned by proptest).
 ///
 /// Returns the longest run of consecutive non-software segments (the largest
 /// group worth planning for this shape).
@@ -446,92 +364,6 @@ pub fn batch_site(op_class: u32, shard: u32, width: u32) -> u32 {
     (1 << 16) | (op_class << 12) | (shard << 4) | wclass
 }
 
-/// The single fast-path routing decision point shared by both executors
-/// (replacing the three-way `skip_fast` / static-hint / resource-streak
-/// branching that used to be duplicated in `parthtm.rs` and `opaque.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FastRoute {
-    /// Try the fast path, with this many conflict retries before the global
-    /// lock.
-    Attempt {
-        /// Conflict-retry budget (≤ [`crate::FAST_RETRIES`]).
-        budget: u32,
-    },
-    /// Skip straight to the partitioned path.
-    Demote,
-}
-
-/// Per-executor fast-path profile: owns the legacy (static-mode) streak state
-/// and mediates between the executor and the shared [`SiteSlot`].
-#[derive(Default)]
-pub struct FastProfile {
-    /// Legacy mode: consecutive transactions whose fast attempt died of a
-    /// resource failure (the pre-controller adaptive stand-in, kept
-    /// bit-exact for the `adaptive_plan: false` oracle).
-    resource_streak: u32,
-    /// Legacy mode: transactions executed (drives the periodic re-probe).
-    tx_count: u64,
-}
-
-impl FastProfile {
-    /// Decide the fast-path route for one transaction. Counts a
-    /// [`TmStats::site_demotions`] whenever the *profiler* (learned history,
-    /// static hint or legacy streak — not the `skip_fast` config override)
-    /// routes the transaction straight to the partitioned path.
-    pub fn route(
-        &mut self,
-        cfg: &TmConfig,
-        slot: &SiteSlot,
-        prior: Option<bool>,
-        stats: &mut TmStats,
-    ) -> FastRoute {
-        if !cfg.adaptive_plan {
-            self.tx_count += 1;
-            if cfg.skip_fast {
-                return FastRoute::Demote;
-            }
-            let skip = match prior {
-                Some(limited) => limited,
-                None => self.resource_streak >= 3 && !self.tx_count.is_multiple_of(64),
-            };
-            if skip {
-                stats.site_demotions += 1;
-                return FastRoute::Demote;
-            }
-            return FastRoute::Attempt {
-                budget: FAST_RETRIES,
-            };
-        }
-        let tick = slot.tick();
-        if cfg.skip_fast {
-            return FastRoute::Demote;
-        }
-        if slot.wants_demotion(prior) && !tick.is_multiple_of(PROBE_PERIOD) {
-            stats.site_demotions += 1;
-            return FastRoute::Demote;
-        }
-        FastRoute::Attempt {
-            budget: slot.fast_budget(FAST_RETRIES),
-        }
-    }
-
-    /// Feed the episode outcome back (updates the legacy streak or the site
-    /// EWMAs, whichever mode is live).
-    pub fn note_exit(&mut self, cfg: &TmConfig, slot: &SiteSlot, exit: FastExit) {
-        if !cfg.adaptive_plan {
-            match exit {
-                FastExit::Commit => self.resource_streak = 0,
-                FastExit::Resource => {
-                    self.resource_streak = self.resource_streak.saturating_add(1);
-                }
-                FastExit::Exhausted => {}
-            }
-            return;
-        }
-        slot.record_fast_exit(exit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,7 +380,7 @@ mod tests {
 
     #[test]
     fn demotion_learns_and_recovers() {
-        let t = SiteTable::new(1);
+        let t = SiteTable::default();
         let s = t.slot(7);
         // Unseeded: the prior decides.
         assert!(!s.wants_demotion(None));
@@ -566,28 +398,31 @@ mod tests {
     }
 
     #[test]
-    fn budgets_scale_down_and_clamp() {
-        let t = SiteTable::new(1);
-        let s = t.slot(1);
-        assert_eq!(s.fast_budget(5), 5, "unseeded budget is the default");
-        for _ in 0..32 {
-            s.record_fast_exit(FastExit::Exhausted);
+    fn route_probes_tick_zero_and_every_period() {
+        let t = SiteTable::default();
+        let s = t.slot(11);
+        let mut stats = TmStats::default();
+        // Tick 0 probes even under a resource-limited prior; the prior routes
+        // the next transaction only because no outcome was recorded yet.
+        assert_eq!(s.route(false, Some(true), &mut stats), FastRoute::Attempt);
+        assert_eq!(s.route(false, Some(true), &mut stats), FastRoute::Demote);
+        demote_after(s);
+        let mut probed = 0;
+        for _ in 2..2 * PROBE_PERIOD {
+            if s.route(false, None, &mut stats) == FastRoute::Attempt {
+                probed += 1;
+            }
         }
-        assert_eq!(s.fast_budget(5), 1, "persistent exhaustion floors at 1");
-        assert_eq!(s.fast_budget(1), 1);
-        for _ in 0..32 {
-            s.record_sub_futility();
-        }
-        assert_eq!(s.sub_budget(5), 1);
-        for _ in 0..32 {
-            s.record_clean_commit(1);
-        }
-        assert_eq!(s.sub_budget(5), 5, "clean history restores the default");
+        assert_eq!(probed, 1, "exactly the 64th-tick probe");
+        assert_eq!(stats.site_demotions, 2 * PROBE_PERIOD - 2);
+        // `skip_fast` is the ablation, not a demotion: it is never counted.
+        assert_eq!(s.route(true, None, &mut stats), FastRoute::Demote);
+        assert_eq!(stats.site_demotions, 2 * PROBE_PERIOD - 2);
     }
 
     #[test]
     fn plan_merges_then_splits_then_converges() {
-        let t = SiteTable::new(1);
+        let t = SiteTable::default();
         let s = t.slot(3);
         assert_eq!(s.plan_group(), 1);
         let mut merges = 0;
@@ -613,28 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_group_cap_matches_capacity_classes() {
-        assert_eq!(backend_group_cap(512), MAX_GROUP, "tsx default unchanged");
-        assert_eq!(backend_group_cap(64), 2, "power: 64-entry write set");
-        assert_eq!(backend_group_cap(16), 1, "limited: FORTH-style small set");
-        assert_eq!(backend_group_cap(1), 1, "floors at 1");
-        assert_eq!(backend_group_cap(1 << 20), MAX_GROUP, "caps at MAX_GROUP");
-    }
-
-    #[test]
-    fn group_cap_bounds_merges_and_plateau_reprobes() {
-        let t = SiteTable::with_group_cap(8, 2);
-        let s = t.slot(5);
-        assert_eq!(s.plan_group(), 2, "init group clamped to the cap");
-        for _ in 0..10 * RAISE_AFTER {
-            s.record_clean_commit(16);
-        }
-        assert_eq!(s.plan_group(), 2, "plateau re-probe never exceeds the cap");
-    }
-
-    #[test]
     fn plan_never_exceeds_declared_run() {
-        let t = SiteTable::new(1);
+        let t = SiteTable::default();
         let s = t.slot(9);
         for _ in 0..10 * RAISE_AFTER {
             s.record_clean_commit(2);
@@ -692,43 +507,10 @@ mod tests {
 
     #[test]
     fn site_table_distinguishes_and_shares() {
-        let t = SiteTable::new(1);
+        let t = SiteTable::default();
         let a = t.slot(0) as *const _;
         let b = t.slot(1) as *const _;
         assert_ne!(a, b, "distinct sites get distinct slots");
         assert_eq!(a, t.slot(0) as *const _, "stable mapping");
-    }
-
-    #[test]
-    fn legacy_route_matches_the_streak_profiler() {
-        let cfg = TmConfig {
-            adaptive_plan: false,
-            ..TmConfig::default()
-        };
-        let t = SiteTable::new(1);
-        let slot = t.slot(0);
-        let mut p = FastProfile::default();
-        let mut stats = TmStats::default();
-        // Hint overrides everything but skip_fast.
-        assert_eq!(p.route(&cfg, slot, Some(true), &mut stats), FastRoute::Demote);
-        assert_eq!(
-            p.route(&cfg, slot, Some(false), &mut stats),
-            FastRoute::Attempt { budget: 5 }
-        );
-        // Three resource failures demote; every 64th transaction re-probes.
-        for _ in 0..3 {
-            p.note_exit(&cfg, slot, FastExit::Resource);
-        }
-        let mut skipped = 0;
-        let mut probed = 0;
-        for _ in 0..128 {
-            match p.route(&cfg, slot, None, &mut stats) {
-                FastRoute::Demote => skipped += 1,
-                FastRoute::Attempt { .. } => probed += 1,
-            }
-        }
-        assert_eq!(probed, 2, "exactly the 64th-transaction probes");
-        assert_eq!(skipped, 126);
-        assert_eq!(stats.site_demotions, 127);
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::planner::SiteTable;
 use crate::stats::TmStats;
-use htm_sim::{line_of, Addr, BackendKind, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line};
+use htm_sim::{line_of, Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tm_sig::{
@@ -40,24 +40,15 @@ pub struct TmConfig {
     /// summary's adaptive reset controller (`docs/ring-sharding.md`,
     /// "Epoch-based resets").
     pub summary_check_interval: u64,
-    /// Drive the executors from the adaptive abort-profile controller
-    /// ([`crate::planner`]): learned fast-path demotion (the static
-    /// [`crate::Workload::profiled_resource_limited`] hint becomes a prior
-    /// with a periodic re-probe), dynamic merging of consecutive declared
-    /// segments into one sub-HTM transaction each (un-merged on
-    /// capacity-class aborts), and per-site retry budgets scaled by observed
-    /// success odds. `false` pins today's static behaviour exactly — the
-    /// hint is absolute, the legacy resource-streak profiler routes unhinted
-    /// sites, every `plan_group` declared segments form one sub-HTM, retry
-    /// budgets are the paper constants — and is the differential oracle for
-    /// the planner proptests (`docs/adaptive-partitioner.md`).
-    pub adaptive_plan: bool,
-    /// Static merge factor: run every `plan_group` consecutive non-software
-    /// segments as one sub-HTM transaction (1 = the workload's declared
-    /// plan, unchanged). With `adaptive_plan` this is only the *initial*
-    /// group size per site; without it the plan is pinned, which is how the
-    /// benchmarks express hand-tuned static segmentations.
-    pub plan_group: u32,
+    /// Segment merge width. `None` (the default) lets the adaptive planner
+    /// ([`crate::planner`]) learn it per site, starting from one declared
+    /// segment per sub-HTM transaction and merging or splitting on observed
+    /// capacity outcomes. `Some(g)` pins it: every `g` consecutive
+    /// non-software segments run as one sub-HTM transaction, and no plan
+    /// decision is fed back (`Some(1)` is the workload's declared plan; the
+    /// benchmarks' hand-tuned static segmentations use larger `g`). Fast-path
+    /// demotion is learned either way (`docs/adaptive-partitioner.md`).
+    pub plan_group: Option<u32>,
 }
 
 impl Default for TmConfig {
@@ -70,8 +61,7 @@ impl Default for TmConfig {
             skip_fast: false,
             validate_every_sub: true,
             summary_check_interval: 256,
-            adaptive_plan: true,
-            plan_group: 1,
+            plan_group: None,
         }
     }
 }
@@ -233,18 +223,6 @@ impl TmRuntime {
             check_interval: cfg.summary_check_interval,
             ..SummaryTuning::default()
         });
-        // POWER and limited-set geometries are fixed capacity classes: the
-        // planner's merge ceiling scales with their write-set budget
-        // ([`crate::planner::backend_group_cap`]). TSX geometry is
-        // per-experiment and split/merge probes it dynamically, so TSX keeps
-        // the unconditional MAX_GROUP ceiling.
-        let model = sys.capacity_model();
-        let group_cap = if model.kind == BackendKind::Tsx {
-            crate::planner::MAX_GROUP
-        } else {
-            crate::planner::backend_group_cap(model.write_lines_max())
-        };
-        let sites = SiteTable::with_group_cap(cfg.plan_group, group_cap);
         Self {
             sys,
             cfg,
@@ -254,7 +232,7 @@ impl TmRuntime {
             seqlock,
             ring,
             summaries,
-            sites,
+            sites: SiteTable::default(),
             write_locks,
             arenas,
             app_base,
@@ -511,29 +489,6 @@ mod tests {
         }
         assert_eq!(at(rt.app(0)), Region::App);
         assert_eq!(at(rt.app(63)), Region::App);
-    }
-
-    #[test]
-    fn group_cap_is_keyed_on_the_backend_kind() {
-        // Start every site at the widest plan; the table's ceiling clamps it.
-        let group_on = |backend: BackendKind| {
-            let htm = HtmConfig {
-                l1_sets: 16,
-                l1_ways: 4,
-                backend,
-                ..HtmConfig::default()
-            };
-            let tm = TmConfig {
-                plan_group: crate::planner::MAX_GROUP,
-                ..TmConfig::default()
-            };
-            TmRuntime::new(htm, tm, 1, 64).sites().slot(0).plan_group()
-        };
-        // A 64-line TSX geometry keeps the planner's ceiling: split/merge
-        // probes a per-experiment geometry dynamically.
-        assert_eq!(group_on(BackendKind::Tsx), crate::planner::MAX_GROUP);
-        // POWER's fixed 64-entry write set is a capacity class.
-        assert_eq!(group_on(BackendKind::Power), 2);
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub struct TmStats {
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
     /// Transactions the abort-profile controller routed straight to the
-    /// partitioned path (learned futility demotion, the static hint prior, or
-    /// the legacy resource streak — not the `skip_fast` config override).
+    /// partitioned path (learned futility demotion or the static hint prior —
+    /// not the `skip_fast` config override).
     pub site_demotions: u64,
     /// Segment-plan merges: the controller grew a site's group size, so
     /// subsequent transactions run fewer sub-HTM round-trips.
@@ -61,9 +61,6 @@ pub struct TmStats {
     /// was re-run as single declared segments (the controller also halves the
     /// site's group size).
     pub plan_splits: u64,
-    /// Retry attempts the adaptive budgets avoided: on every retry loop that
-    /// exhausted a reduced budget, the difference to the configured default.
-    pub adaptive_retry_saves: u64,
     /// Transactions an admission controller shed straight to the serialized
     /// slow path ([`crate::TmExecutor::execute_shed`]); these also count in
     /// `commits_gl`, so `shed_commits <= commits_gl`.
@@ -174,7 +171,6 @@ impl TmStats {
         self.site_demotions += o.site_demotions;
         self.plan_merges += o.plan_merges;
         self.plan_splits += o.plan_splits;
-        self.adaptive_retry_saves += o.adaptive_retry_saves;
         self.shed_commits += o.shed_commits;
         self.batch_groups += o.batch_groups;
         self.batch_reqs += o.batch_reqs;

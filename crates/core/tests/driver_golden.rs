@@ -193,13 +193,22 @@ fn fits_in_htm() {
 /// re-collide in lockstep on the shared counter's write-locks line. It was
 /// `golden(30156, [0, 23, 1], [129, 6, 0, 0, 0], 130, 23, 184)`; the other
 /// seven rows of this file did not move.
+///
+/// Both rows were re-recorded deliberately again when the planner's adaptive
+/// retry budgets were deleted (retries are the paper's constants again). They
+/// were `golden(26461, [0, 24, 0], [88, 6, 0, 0, 0], 89, 6, 192)` (Part-HTM)
+/// and `golden(15692, [0, 24, 0], [24, 7, 22, 0, 0], 48, 5, 192)`
+/// (Part-HTM-O); the other six rows of this file did not move. At 12
+/// transactions per core the row is schedule noise, not a cost: over seeds
+/// 14, 1, 2 and 3 at 400 transactions per core the makespan rose 0.4 %
+/// (Part-HTM) and 3.6 % (Part-HTM-O) on average.
 #[test]
 fn capacity_limited_multi_segment() {
     check(
         mid_htm,
         [(96, 8); CORES],
-        golden(26461, [0, 24, 0], [88, 6, 0, 0, 0], 89, 6, 192),
-        golden(15692, [0, 24, 0], [24, 7, 22, 0, 0], 48, 5, 192),
+        golden(29569, [0, 24, 0], [97, 6, 1, 0, 0], 99, 10, 192),
+        golden(15679, [0, 24, 0], [24, 7, 22, 0, 0], 48, 4, 192),
     );
 }
 

@@ -5,9 +5,10 @@
 //!       [--csv DIR] [--stats] [--reps N] [--adaptive on|off] [--backend tsx|power|limited]
 //! ```
 //!
-//! `--adaptive off` pins the static per-declared-segment plan (the paper's
-//! hand-tuned hints); `--adaptive on` forces the abort-profiled planner. The
-//! default keeps `TmConfig::default()` (adaptive).
+//! `--adaptive off` pins the merge width at the declared segments
+//! (`TmConfig::plan_group: Some(1)`, the paper's hand-tuned plans);
+//! `--adaptive on` lets the planner learn merge widths (`plan_group: None`,
+//! also the default). Fast-path demotion is learned under both.
 //!
 //! `--backend` selects the HTM capacity model every cell runs on (see
 //! docs/backends.md): `tsx`, the default and the model the recorded figures

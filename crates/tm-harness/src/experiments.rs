@@ -30,9 +30,11 @@ pub struct ExpOpts {
     /// Repetitions per cell; cells report the mean throughput ("All data points are
     /// the average of 5 repeated execution", §7). Default 1 for speed.
     pub reps: usize,
-    /// Override `TmConfig::adaptive_plan` for the whole sweep: `Some(false)` pins
-    /// the static per-declared-segment plan (the paper's hand-tuned hints),
-    /// `Some(true)` forces the abort-profiled planner, `None` keeps the default.
+    /// Override `TmConfig::plan_group` for the whole sweep: `Some(false)` pins
+    /// the declared per-segment plan (`plan_group: Some(1)`, the paper's
+    /// hand-tuned hints), `Some(true)` lets the planner learn merge widths
+    /// (`None`), `None` keeps the default. Fast-path demotion is learned
+    /// either way.
     pub adaptive: Option<bool>,
     /// The HTM capacity model every cell runs on (`tsx`, the default, or
     /// `power` / `limited`; see docs/backends.md).
@@ -50,6 +52,13 @@ impl Default for ExpOpts {
             adaptive: None,
             backend: BackendKind::Tsx,
         }
+    }
+}
+
+/// Apply an [`ExpOpts::adaptive`] override to `tm`.
+fn pin_plan(tm: &mut TmConfig, adaptive: Option<bool>) {
+    if let Some(learn) = adaptive {
+        tm.plan_group = if learn { None } else { Some(1) };
     }
 }
 
@@ -135,9 +144,7 @@ where
     W: Workload + Send,
 {
     let mut tm = tm;
-    if let Some(adaptive) = spec.adaptive {
-        tm.adaptive_plan = adaptive;
-    }
+    pin_plan(&mut tm, spec.adaptive);
     // Wrap the per-experiment geometry so `--backend` routes every cell through
     // the selected capacity model.
     let htm_for = |threads: usize| HtmConfig {
@@ -503,9 +510,7 @@ pub fn table1(opts: &ExpOpts) -> String {
         .and_then(|t| t.first().copied())
         .unwrap_or(4);
     let mut tm = TmConfig::default();
-    if let Some(adaptive) = opts.adaptive {
-        tm.adaptive_plan = adaptive;
-    }
+    pin_plan(&mut tm, opts.adaptive);
     let mut out = String::new();
     out.push_str(&format!(
         "# table1 — Labyrinth statistics, {threads} threads: HTM-GL (A) vs Part-HTM (B)\n"
@@ -552,9 +557,7 @@ pub fn vsweep(opts: &ExpOpts) -> Table {
         .unwrap_or_else(|| Algo::COMPETITORS.to_vec());
     let ops = ((150.0 * opts.scale) as usize).max(1);
     let mut tm = TmConfig::default();
-    if let Some(adaptive) = opts.adaptive {
-        tm.adaptive_plan = adaptive;
-    }
+    pin_plan(&mut tm, opts.adaptive);
     let mut table = Table::new(
         "vsweep",
         "virtual-time scaling, N-Reads M-Writes N=M=10 disjoint (deterministic)",
@@ -682,9 +685,7 @@ pub fn explain(opts: &ExpOpts) -> String {
         ..htm
     };
     let mut tm = TmConfig::default();
-    if let Some(adaptive) = opts.adaptive {
-        tm.adaptive_plan = adaptive;
-    }
+    pin_plan(&mut tm, opts.adaptive);
     let cores = opts
         .threads
         .as_ref()

@@ -176,7 +176,7 @@ pub struct StatsReport {
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
     /// Fast-path attempts the adaptive planner demoted straight to the
-    /// partitioned path (learned futility, `TmConfig::adaptive_plan`).
+    /// partitioned path (learned futility or the static hint prior).
     pub site_demotions: u64,
     /// Clean partitioned commits after which the planner doubled a site's
     /// segment-merge group.
@@ -184,9 +184,6 @@ pub struct StatsReport {
     /// Merged sub-HTM groups split back to finer segments after a
     /// capacity-class abort.
     pub plan_splits: u64,
-    /// Retry attempts skipped because a site's learned budget was below the
-    /// configured maximum.
-    pub adaptive_retry_saves: u64,
     /// Transactions an admission controller shed straight to the global lock
     /// (a subset of the GL commits).
     pub shed_commits: u64,
@@ -227,7 +224,6 @@ impl StatsReport {
             site_demotions: r.tm.site_demotions,
             plan_merges: r.tm.plan_merges,
             plan_splits: r.tm.plan_splits,
-            adaptive_retry_saves: r.tm.adaptive_retry_saves,
             shed_commits: r.tm.shed_commits,
             batch_groups: r.tm.batch_groups,
             batch_reqs: r.tm.batch_reqs,
@@ -269,7 +265,6 @@ impl StatsReport {
             ("site_demotions", self.site_demotions),
             ("plan_merges", self.plan_merges),
             ("plan_splits", self.plan_splits),
-            ("adaptive_retry_saves", self.adaptive_retry_saves),
             ("shed_commits", self.shed_commits),
             ("batch_groups", self.batch_groups),
             ("batch_reqs", self.batch_reqs),
@@ -313,14 +308,10 @@ impl StatsReport {
                 self.epoch_pinned_stalls
             ));
         }
-        if self.site_demotions != 0
-            || self.plan_merges != 0
-            || self.plan_splits != 0
-            || self.adaptive_retry_saves != 0
-        {
+        if self.site_demotions != 0 || self.plan_merges != 0 || self.plan_splits != 0 {
             line.push_str(&format!(
-                " | planner: {} demotions, {} merges, {} splits, {} retry saves",
-                self.site_demotions, self.plan_merges, self.plan_splits, self.adaptive_retry_saves
+                " | planner: {} demotions, {} merges, {} splits",
+                self.site_demotions, self.plan_merges, self.plan_splits
             ));
         }
         if self.shed_commits != 0 || self.batch_groups != 0 {
@@ -404,7 +395,6 @@ mod tests {
             site_demotions: 0,
             plan_merges: 0,
             plan_splits: 0,
-            adaptive_retry_saves: 0,
             shed_commits: 0,
             batch_groups: 0,
             batch_reqs: 0,
@@ -419,7 +409,7 @@ mod tests {
         r.plan_merges = 2;
         r.site_demotions = 5;
         let line = r.render_hot_path().unwrap();
-        assert!(line.contains("planner: 5 demotions, 2 merges, 0 splits, 0 retry saves"));
+        assert!(line.contains("planner: 5 demotions, 2 merges, 0 splits"));
         r.shed_commits = 7;
         r.batch_groups = 4;
         r.batch_reqs = 16;
@@ -445,7 +435,6 @@ mod tests {
             site_demotions: 0,
             plan_merges: 1,
             plan_splits: 0,
-            adaptive_retry_saves: 0,
             shed_commits: 9,
             batch_groups: 4,
             batch_reqs: 16,

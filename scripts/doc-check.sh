@@ -10,8 +10,8 @@
 #      exist) or a `::item` suffix (`item` must occur in the file). Paths
 #      resolve repo-root-relative, doc-relative, or with the `crates/` prefix
 #      docs conventionally omit.
-#   4. Every backticked `TmConfig::x` / `HtmConfig::x` in those documents names
-#      a live field (or associated function) of the struct.
+#   4. Every backticked `TmConfig::x` / `HtmConfig::x` / `TmStats::x` in those
+#      documents names a live field (or associated function) of the struct.
 #   5. Every backticked microbench row reference `group/metric` in those
 #      documents names a row of the committed BENCH.json (read through
 #      scripts/bench-rows.sh; a group is any `workload` the file holds).
@@ -75,11 +75,12 @@ resolve() {
   return 1
 }
 
-# The file defining a config struct, for check 4.
+# The file defining a config or statistics struct, for check 4.
 config_file() {
   case "$1" in
   TmConfig) echo crates/core/src/runtime.rs ;;
   HtmConfig) echo crates/htm-sim/src/config.rs ;;
+  TmStats) echo crates/core/src/stats.rs ;;
   esac
 }
 
@@ -127,15 +128,15 @@ for doc in docs/*.md README.md DESIGN.md EXPERIMENTS.md; do
     fi
   done < <(grep -oE '`[A-Za-z0-9_][A-Za-z0-9_./-]*\.(rs|sh|md|json|toml)(:[0-9]+|::[A-Za-z0-9_]+)?`' "$doc" | tr -d '`')
 
-  # Config-field references: `TmConfig::x` / `HtmConfig::x` (the reference may
-  # continue, e.g. `TmConfig::ring_shards: 1`).
+  # Config and statistics field references: `TmConfig::x` / `HtmConfig::x` /
+  # `TmStats::x` (the reference may continue, e.g. `TmConfig::ring_shards: 1`).
   while IFS= read -r ref; do
     ty="${ref%%::*}"
     name="${ref##*::}"
     if ! grep -qE "^ *pub $name:|fn $name\b" "$(config_file "$ty")"; then
       err "$doc: $ty::$name is not a field of $ty"
     fi
-  done < <(grep -oE '`(TmConfig|HtmConfig)::[A-Za-z0-9_]+' "$doc" | tr -d '`' | sort -u)
+  done < <(grep -oE '`(TmConfig|HtmConfig|TmStats)::[A-Za-z0-9_]+' "$doc" | tr -d '`' | sort -u)
 
   # Microbench row references: `group/metric`.
   while IFS= read -r ref; do
