@@ -164,7 +164,7 @@ fn bench_kernel(
     out.put(format!("kernels/{name}_speedup"), s / u);
 }
 
-/// The predicate/fold kernels over dense disjoint operands (no early exit),
+/// The predicate kernel over dense disjoint operands (no early exit),
 /// the masked update kernels over a write-set-shaped operand (three non-zero
 /// words, mask computed once outside the timed loop, as `Sig` maintains it).
 fn kernels(sc: &Scale, out: &mut Measured) {
@@ -190,13 +190,6 @@ fn kernels(sc: &Scale, out: &mut Measured) {
         "intersect_dense",
         || assert!(!bb(scalar::intersect_any(bb(&a), bb(&b)))),
         || assert!(!bb(unrolled::intersect_any(bb(&a), bb(&b)))),
-    );
-    bench_kernel(
-        sc,
-        out,
-        "fold_full",
-        || assert!(bb(scalar::fold_masked(bb(&a), u64::MAX)) != 0),
-        || assert!(bb(unrolled::fold_masked(bb(&a), u64::MAX)) != 0),
     );
     bench_kernel(
         sc,
@@ -244,9 +237,9 @@ fn time_threads(threads: usize, body: impl Fn(usize) + Sync) -> f64 {
     })
 }
 
-/// No-conflict in-flight validation through the grouped `validate_touched_nt`
-/// fast pass the partitioned path runs: the sharded validator pays one group
-/// probe per touched shard, the single ring one. Both rings carry the same 48
+/// No-conflict in-flight validation through `validate_touched_nt`, the
+/// partitioned path's validator: the sharded validator pays one summary probe
+/// per touched shard, the single ring one. Both rings carry the same 48
 /// published entries; the read signature collides with none of them.
 fn validation(sc: &Scale, out: &mut Measured) {
     let (sys, arms) = rings();

@@ -120,8 +120,6 @@ pub const ROWS: &[RowDef] = &[
     // Unrolled word kernels vs the by-name `kernels::scalar` reference, 2048 bits.
     host("kernels/intersect_dense_ns_per_word", "ns", Lower),
     wall("kernels/intersect_dense_speedup", Higher),
-    host("kernels/fold_full_ns_per_word", "ns", Lower),
-    wall("kernels/fold_full_speedup", Higher),
     host("kernels/or_into_masked_ns_per_word", "ns", Lower),
     wall("kernels/or_into_masked_speedup", Higher),
     host("kernels/and_not_masked_ns_per_word", "ns", Lower),

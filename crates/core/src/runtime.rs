@@ -36,8 +36,8 @@ pub struct TmConfig {
     /// §5.3.6) instead of only once before the global commit (the serializability
     /// minimum; ablation knob).
     pub validate_every_sub: bool,
-    /// Publishes between summary density checks: initial value of each shard
-    /// summary's adaptive reset controller (`docs/ring-sharding.md`,
+    /// Publishes between summary density checks of each shard summary; a
+    /// check resets the summary past 1/3 density (`docs/ring-sharding.md`,
     /// "Epoch-based resets").
     pub summary_check_interval: u64,
     /// Segment merge width. `None` (the default) lets the adaptive planner

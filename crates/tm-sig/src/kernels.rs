@@ -38,7 +38,7 @@ pub type BankLine = crate::align::CacheAligned<[AtomicU64; 8]>;
 
 /// Whether word `i` participates under `word_mask` (bit `i` for the first 64
 /// words; words beyond 64 — folded-geometry siblings — always participate,
-/// matching `Sig::fold_word_masked` and `RingSummary::complete_publish_masked`).
+/// matching `RingSummary::complete_publish_masked`).
 #[inline]
 fn in_mask(i: usize, word_mask: u64) -> bool {
     i >= 64 || word_mask & (1u64 << i) != 0
@@ -72,44 +72,6 @@ pub mod scalar {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d |= s;
         }
-    }
-
-    /// OR-fold of the words selected by `word_mask` (the test-under-mask
-    /// kernel backing `Sig::fold_word_masked`).
-    pub fn fold_masked(words: &[u64], word_mask: u64) -> u64 {
-        let mut acc = 0u64;
-        for (i, &w) in words.iter().enumerate() {
-            if in_mask(i, word_mask) {
-                acc |= w;
-            }
-        }
-        acc
-    }
-
-    /// [`fold_masked`] guided by the signature's non-zero-word mask: only the
-    /// word groups named by `sig_mask` are visited (the per-shard fold
-    /// `validate_touched_nt` issues once per touched shard). `sig_mask` must
-    /// cover every non-zero word; folding a zero sibling is a no-op, so the
-    /// group walk needs no per-word test. As in [`fold_masked`], `word_mask`
-    /// only filters words below index 64 — folded-geometry siblings always
-    /// participate.
-    pub fn fold_live(words: &[u64], word_mask: u64, sig_mask: u64) -> u64 {
-        let n = words.len();
-        let mut m = super::live_bits(sig_mask, n);
-        let mut acc = 0u64;
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if word_mask & (1u64 << b) != 0 {
-                acc |= words[b];
-            }
-            let mut i = b + 64;
-            while i < n {
-                acc |= words[i];
-                i += 64;
-            }
-        }
-        acc
     }
 
     /// Recompute the non-zero-word mask (bit `i % 64` set iff some word `i`
@@ -290,47 +252,6 @@ pub mod unrolled {
         for (d, &s) in dt.iter_mut().zip(st) {
             *d |= s;
         }
-    }
-
-    /// OR-fold of the words selected by `word_mask`, four lanes at a time.
-    /// The mask test vanishes for the common `u64::MAX` (unmasked) case.
-    pub fn fold_masked(words: &[u64], word_mask: u64) -> u64 {
-        if word_mask == u64::MAX {
-            let (c, t) = words.split_at(words.len() & !3);
-            let mut acc = 0u64;
-            for w in c.chunks_exact(4) {
-                acc |= w[0] | w[1] | w[2] | w[3];
-            }
-            return t.iter().fold(acc, |a, &w| a | w);
-        }
-        let mut acc = 0u64;
-        for (i, &w) in words.iter().enumerate() {
-            if in_mask(i, word_mask) {
-                acc |= w;
-            }
-        }
-        acc
-    }
-
-    /// [`fold_masked`] guided by the signature's non-zero-word mask (see the
-    /// scalar oracle for the contract). Dense signatures take the bulk
-    /// [`fold_masked`] walk; sparse ones visit only the live words.
-    pub fn fold_live(words: &[u64], word_mask: u64, sig_mask: u64) -> u64 {
-        let n = words.len();
-        let m = super::live_bits(sig_mask, n);
-        if n > 64 || mask_is_dense(m, n) {
-            return fold_masked(words, word_mask);
-        }
-        let mut m = m;
-        let mut acc = 0u64;
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if word_mask & (1u64 << b) != 0 {
-                acc |= words[b];
-            }
-        }
-        acc
     }
 
     /// Recompute the non-zero-word mask, four lanes at a time. Word `i`
@@ -645,19 +566,6 @@ mod tests {
                 assert_eq!(
                     unrolled::intersect_any_masked(&a, &b, ma & mb),
                     scalar::intersect_any(&a, &b),
-                );
-            }
-            for mask in [0u64, u64::MAX, 0xF0F0_F0F0] {
-                assert_eq!(
-                    unrolled::fold_masked(&a, mask),
-                    scalar::fold_masked(&a, mask)
-                );
-                let ma = scalar::mask_of(&a);
-                assert_eq!(unrolled::fold_live(&a, mask, ma), scalar::fold_live(&a, mask, ma));
-                assert_eq!(
-                    scalar::fold_live(&a, mask, ma),
-                    scalar::fold_masked(&a, mask),
-                    "guided fold must equal the unguided kernel under the mask invariant"
                 );
             }
             assert_eq!(unrolled::mask_of(&a), scalar::mask_of(&a));

@@ -31,7 +31,7 @@
 //! A summary pass is valid even across ring rollover: the OR covers every publish
 //! since the reset, whether or not its slot has been overwritten.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use crate::epoch::EpochRegistry;
 use crate::heap_sig::HeapSig;
@@ -414,47 +414,30 @@ impl Ring {
     /// `docs/hot-path.md` and `docs/ring-sharding.md`). Returns true when a
     /// reset was performed.
     pub fn maybe_reset_summary(&self, th: &HtmThread<'_>, summary: &RingSummary) -> bool {
-        summary.maybe_reset_with(|| self.timestamp_nt(th), || {}, |_| {}) == ResetAttempt::Done
+        summary.maybe_reset_with(|| self.timestamp_nt(th)) == ResetAttempt::Done
     }
 }
 
-/// Initial density threshold: reset once more than a third of the summary's bits
+/// Default density threshold: reset once more than a third of the summary's bits
 /// are set (a summary this dense intersects almost every read signature, so the
-/// fast path stops paying for itself). [`SummaryTuning::default`] starts here.
+/// fast path stops paying for itself).
 const SUMMARY_DENSITY_NUM: u32 = 1;
 const SUMMARY_DENSITY_DEN: u32 = 3;
-/// Initial publishes between density checks (keeps the density popcount off the
-/// common path). [`SummaryTuning::default`] starts here.
+/// Default publishes between density checks (keeps the density popcount off the
+/// common path).
 const SUMMARY_CHECK_INTERVAL: u64 = 256;
 
-/// Controller resolution: the adaptive density threshold moves in steps of
-/// 1/16 of full density (the initial num/den ratio is represented exactly on
-/// this grid, so an untouched controller reproduces the configured threshold
-/// bit-for-bit).
-const CTRL_SCALE: u32 = 16;
-/// Misses a cause must accumulate within one check interval before the
-/// controller reacts to it at all (noise floor).
-const CTRL_MIN_EVIDENCE: u64 = 16;
-/// How dominant one miss cause must be over the other (×) before the
-/// controller moves.
-const CTRL_DOMINANCE: u64 = 4;
-/// Clamp on the adaptive check interval: never below (popcount every 32
-/// publishes is already aggressive) and never above (a summary must not go
-/// un-checked forever).
-const CTRL_MIN_INTERVAL: u64 = 32;
-const CTRL_MAX_INTERVAL: u64 = 4096;
-
-/// Construction-time tuning of a [`RingSummary`]: the *initial* values of the
-/// adaptive density controller (`1/3` density, 256-publish check interval by
-/// default).
+/// The density rule of a [`RingSummary`], fixed at construction: every
+/// `check_interval` publishes, reset when more than `density_num/density_den`
+/// of the live bits are set (`1/3` and 256 publishes by default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SummaryTuning {
     /// Density threshold numerator: reset when more than `num/den` of the live
-    /// bits are set. Controller initial value.
+    /// bits are set.
     pub density_num: u32,
     /// Density threshold denominator.
     pub density_den: u32,
-    /// Publishes between density checks. Controller initial value.
+    /// Publishes between density checks.
     pub check_interval: u64,
 }
 
@@ -469,9 +452,8 @@ impl Default for SummaryTuning {
 }
 
 /// Why a summary fast pass declined to decide a validation (the precise walk
-/// runs instead). The adaptive density controller keys off the split: dirty
-/// misses are cured by resetting more eagerly, in-flight misses are not —
-/// resetting *more* only produces more of them.
+/// runs instead). The executors count the split (`TmStats::summary_miss_*`):
+/// dirty misses are what a denser reset would cure, in-flight misses are not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FastMiss {
     /// The read signature intersected the summary words: the summary is too
@@ -552,19 +534,8 @@ pub struct RingSummary {
     since_reset: AtomicU64,
     /// CAS guard: at most one resetter at a time.
     resetting: AtomicU64,
-    /// Adaptive density threshold numerator on the `ctrl_den` grid (initially
-    /// `density_num * CTRL_SCALE`, i.e. exactly the configured ratio).
-    ctrl_num: AtomicU32,
-    /// Fixed denominator of the adaptive threshold: `density_den * CTRL_SCALE`.
-    ctrl_den: u32,
-    /// Adaptive publishes-between-density-checks.
-    ctrl_interval: AtomicU64,
-    /// Fast-pass misses since the last controller step whose cause a denser
-    /// reset would cure ([`FastMiss::Dirty`]).
-    miss_dirty: AtomicU64,
-    /// Fast-pass misses a reset would not have prevented
-    /// ([`FastMiss::Inflight`]).
-    miss_inflight: AtomicU64,
+    /// The density rule.
+    tuning: SummaryTuning,
     /// Per-thread epoch pins.
     pins: EpochRegistry,
     /// Highest commit timestamp whose publish has *completed its fold* into
@@ -617,11 +588,7 @@ impl RingSummary {
             completed: AtomicU64::new(0),
             since_reset: AtomicU64::new(0),
             resetting: AtomicU64::new(0),
-            ctrl_num: AtomicU32::new(tuning.density_num * CTRL_SCALE),
-            ctrl_den: tuning.density_den * CTRL_SCALE,
-            ctrl_interval: AtomicU64::new(tuning.check_interval),
-            miss_dirty: AtomicU64::new(0),
-            miss_inflight: AtomicU64::new(0),
+            tuning,
             pins: EpochRegistry::new(),
             folded_ts: AtomicU64::new(0),
             live_bits,
@@ -632,16 +599,6 @@ impl RingSummary {
     /// Geometry.
     pub fn spec(&self) -> SigSpec {
         self.spec
-    }
-
-    /// Current (adaptive) publishes-between-density-checks.
-    pub fn check_interval(&self) -> u64 {
-        self.ctrl_interval.load(SeqCst)
-    }
-
-    /// Current density threshold as a `(num, den)` ratio of the live bits.
-    pub fn density_threshold(&self) -> (u32, u32) {
-        (self.ctrl_num.load(SeqCst), self.ctrl_den)
     }
 
     /// Word `i` of bank `bank`.
@@ -707,7 +664,7 @@ impl RingSummary {
     /// `folded_ts` is the publish's commit timestamp (0 when the caller does not
     /// know it, e.g. the unmasked single-ring paths, which never consult the
     /// watermark). It is recorded strictly *before* `completed` is bumped: the
-    /// [`RingSummary::clean_since`] early-out relies on "counters balanced ⇒
+    /// [`RingSummary::clean_since_at`] early-out relies on "counters balanced ⇒
     /// the watermark covers every folded publish".
     pub fn complete_publish_masked(&self, sig: &Sig, word_mask: u64, folded_ts: u64) {
         loop {
@@ -793,8 +750,7 @@ impl RingSummary {
     /// [`RingSummary::try_fast_pass`] with the caller's thread id, pinning the
     /// probed epoch in the registry for the duration (resets defer
     /// around the pin instead of invalidating the probe) and reporting *why* a
-    /// miss missed — the executors feed the cause into `TmStats` and the
-    /// adaptive controller consumes the same split.
+    /// miss missed — the executors feed the cause into `TmStats`.
     pub fn try_fast_pass_at(
         &self,
         tid: usize,
@@ -805,9 +761,8 @@ impl RingSummary {
         self.probe(Some(tid), |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
     }
 
-    /// Run `pass` against the current epoch — pinned in the registry for the
-    /// duration when the caller gave its thread id — and record a miss for
-    /// the adaptive controller.
+    /// Run `pass` against the current epoch, pinned in the registry for the
+    /// duration when the caller gave its thread id.
     fn probe(
         &self,
         tid: Option<usize>,
@@ -820,9 +775,6 @@ impl RingSummary {
         let res = pass(e);
         if let Some(t) = tid {
             self.unpin(t);
-        }
-        if let Err(cause) = res {
-            self.note_miss(cause);
         }
         res
     }
@@ -857,15 +809,6 @@ impl RingSummary {
         Ok(ts)
     }
 
-    /// Record a fast-pass miss for the adaptive controller.
-    #[inline]
-    fn note_miss(&self, cause: FastMiss) {
-        match cause {
-            FastMiss::Dirty => self.miss_dirty.fetch_add(1, SeqCst),
-            FastMiss::Inflight => self.miss_inflight.fetch_add(1, SeqCst),
-        };
-    }
-
     /// The fold watermark: the highest commit timestamp whose publish has
     /// completed its fold into the summary words.
     ///
@@ -882,10 +825,11 @@ impl RingSummary {
         self.folded_ts.load(SeqCst)
     }
 
-    /// Timestamp-free variant of [`RingSummary::try_fast_pass`]: `Some(adv)`
+    /// Timestamp-free variant of [`RingSummary::try_fast_pass_at`]: `Ok(adv)`
     /// when `read_sig` provably collides with no entry published after
     /// `start_time`, with `adv` a timestamp the caller may advance its window
-    /// to (possibly below `start_time`; take the max).
+    /// to (possibly below `start_time`; take the max). `tid`'s epoch pin is
+    /// held across the probe, and a miss reports its cause.
     ///
     /// Because the ring timestamp is never read, the probe touches only the
     /// host-side summary atomics — no simulated-heap access at all. Two ways
@@ -908,14 +852,6 @@ impl RingSummary {
     ///
     /// In both cases a reset inside the window is rejected by the
     /// `start_time >= reset_ts` check, exactly as in the fast pass.
-    pub fn clean_since(&self, read_sig: &Sig, start_time: u64) -> Option<u64> {
-        self.probe(None, |e| self.clean_since_epoch(e, read_sig, start_time))
-            .ok()
-    }
-
-    /// [`RingSummary::clean_since`] with the caller's thread id (epoch pin held
-    /// across the probe) and the miss cause on failure — the timestamp-free
-    /// analogue of [`RingSummary::try_fast_pass_at`].
     pub fn clean_since_at(
         &self,
         tid: usize,
@@ -951,57 +887,26 @@ impl RingSummary {
     }
 
     /// True when the summary is due for a density check and more than the
-    /// controller's current threshold of its live bits are set (the full
+    /// density threshold of its live bits are set (the full
     /// geometry, or the shard's word range for a summary built with
     /// [`RingSummary::new_masked_tuned`]). A summary that dense intersects almost
     /// every read signature, so the fast path stops paying for itself.
     pub fn wants_reset(&self) -> bool {
-        self.since_reset.load(SeqCst) >= self.ctrl_interval.load(SeqCst)
-            && self.density_exceeded()
+        self.since_reset.load(SeqCst) >= self.tuning.check_interval && self.density_exceeded()
     }
 
-    /// Popcount of the current bank against the adaptive threshold.
+    /// Popcount of the current bank against the density threshold.
     fn density_exceeded(&self) -> bool {
         let bank = (self.gen.load(SeqCst) & 1) as usize;
         let pop = kernels::popcount_lines(self.bank_lines(bank), self.spec.words() as usize);
-        pop > self.live_bits as u64 * self.ctrl_num.load(SeqCst) as u64 / self.ctrl_den as u64
+        let t = self.tuning;
+        pop > self.live_bits as u64 * t.density_num as u64 / t.density_den as u64
     }
 
-    /// One adaptive-controller step, run under the reset guard at each density
-    /// check: harvest the miss-cause counters accumulated
-    /// since the last check and move the threshold/interval toward whichever
-    /// regime dominates. Dirty misses mean the filter is saturating — tighten
-    /// the threshold and check more often; in-flight misses mean resets are not
-    /// the problem (and churning resets *creates* more of them) — relax the
-    /// threshold and check less often. Mixed or sparse evidence moves nothing.
-    fn controller_step(&self) {
-        let dirty = self.miss_dirty.swap(0, SeqCst);
-        let inflight = self.miss_inflight.swap(0, SeqCst);
-        let num = self.ctrl_num.load(SeqCst);
-        let interval = self.ctrl_interval.load(SeqCst);
-        // One step = 1/CTRL_SCALE of full density, exactly representable on
-        // the ctrl_den grid. Threshold clamps to [1/8, 1/2] of the live bits.
-        let step = self.ctrl_den / CTRL_SCALE;
-        if dirty >= CTRL_MIN_EVIDENCE && dirty >= CTRL_DOMINANCE * inflight {
-            self.ctrl_num
-                .store(num.saturating_sub(step).max(self.ctrl_den / 8), SeqCst);
-            self.ctrl_interval
-                .store((interval / 2).max(CTRL_MIN_INTERVAL), SeqCst);
-        } else if inflight >= CTRL_MIN_EVIDENCE && inflight >= CTRL_DOMINANCE * dirty {
-            self.ctrl_num.store((num + step).min(self.ctrl_den / 2), SeqCst);
-            self.ctrl_interval
-                .store((interval * 2).min(CTRL_MAX_INTERVAL), SeqCst);
-        }
-    }
-
-    /// Attempt a reset: pacing-interval gate, resetter guard, adaptive
-    /// controller step, density check, then the reset protocol. `read_ts` reads the owning ring's timestamp (a closure because
-    /// the timestamp lives in the simulated heap while the summary does not).
-    /// `pre_clear` runs before any summary bits are dropped and `post_clear`
-    /// receives the new reset timestamp after the protocol completes — the
-    /// sharded ring threads its group-probe maintenance through them (sentinel
-    /// the floor and zero the probe word before the clear, publish the new
-    /// floor after); plain-ring callers pass no-ops.
+    /// Attempt a reset: pacing-interval gate, resetter guard, density check,
+    /// then the reset protocol. `read_ts` reads the owning ring's timestamp (a
+    /// closure because the timestamp lives in the simulated heap while the
+    /// summary does not).
     ///
     /// **The protocol** (two banks): if any registry pin is older than the
     /// current epoch the reset returns [`ResetAttempt::Deferred`] — the
@@ -1016,13 +921,8 @@ impl RingSummary {
     /// re-folds into the current bank), so its timestamp was visible before the
     /// post-clear `reset_ts` read, and `start_time >= reset_ts[bank]` excludes
     /// it from every window the flipped bank will ever vouch for.
-    pub fn maybe_reset_with(
-        &self,
-        read_ts: impl FnOnce() -> u64,
-        pre_clear: impl FnOnce(),
-        post_clear: impl FnOnce(u64),
-    ) -> ResetAttempt {
-        if self.since_reset.load(SeqCst) < self.ctrl_interval.load(SeqCst) {
+    pub fn maybe_reset_with(&self, read_ts: impl FnOnce() -> u64) -> ResetAttempt {
+        if self.since_reset.load(SeqCst) < self.tuning.check_interval {
             return ResetAttempt::Idle;
         }
         if self
@@ -1032,7 +932,6 @@ impl RingSummary {
         {
             return ResetAttempt::Idle;
         }
-        self.controller_step();
         if !self.density_exceeded() {
             // Below threshold: restart the pacing interval so the popcount is
             // not repeated on every subsequent commit.
@@ -1048,7 +947,6 @@ impl RingSummary {
             return ResetAttempt::Deferred;
         }
         let retired = ((e + 1) & 1) as usize;
-        pre_clear();
         for i in 0..self.spec.words() as usize {
             self.word(retired, i).store(0, SeqCst);
         }
@@ -1063,7 +961,6 @@ impl RingSummary {
         // fetch_add — only the guarded resetter ever moves the epoch.
         self.gen.store(e + 1, SeqCst);
         self.resetting.store(0, SeqCst);
-        post_clear(ts);
         ResetAttempt::Done
     }
 
@@ -1326,8 +1223,6 @@ mod tests {
         let (sys, ring) = setup(4096);
         let th = sys.thread(0);
         let summary = RingSummary::new(SigSpec::PAPER);
-        assert_eq!(summary.density_threshold(), (16, 48));
-        assert_eq!(summary.check_interval(), SUMMARY_CHECK_INTERVAL);
         saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
         assert!(summary.wants_reset());
         assert_eq!(summary.gen.load(SeqCst), 0);
@@ -1370,7 +1265,7 @@ mod tests {
         summary.pins.set(7, 0);
         saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
         assert_eq!(
-            summary.maybe_reset_with(|| ring.timestamp_nt(&th), || {}, |_| {}),
+            summary.maybe_reset_with(|| ring.timestamp_nt(&th)),
             ResetAttempt::Deferred
         );
         assert_eq!(summary.gen.load(SeqCst), 1, "no flip under a stale pin");
@@ -1396,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_probe_reports_dirty_and_feeds_the_controller() {
+    fn dirty_probe_reports_dirty() {
         let summary = RingSummary::new(SigSpec::PAPER);
         let mut wsig = Sig::new(SigSpec::PAPER);
         wsig.add(1000);
@@ -1408,66 +1303,10 @@ mod tests {
             summary.try_fast_pass_at(0, &rbad, 0, || 1),
             Err(FastMiss::Dirty)
         );
-        assert_eq!(summary.miss_dirty.load(SeqCst), 1);
         assert_eq!(
             summary.clean_since_at(0, &rbad, 0),
             Err(FastMiss::Dirty),
             "the timestamp-free probe classifies the same way"
         );
-        assert_eq!(summary.miss_dirty.load(SeqCst), 2);
-    }
-
-    #[test]
-    fn controller_tightens_on_dirty_and_relaxes_on_inflight() {
-        let tuning = SummaryTuning {
-            check_interval: 4,
-            ..SummaryTuning::default()
-        };
-        let summary = RingSummary::with_tuning(SigSpec::PAPER, tuning);
-        let (num0, den) = summary.density_threshold();
-        assert_eq!((num0, den), (16, 48), "1/3 exactly on the controller grid");
-
-        // Dominant dirty evidence: threshold tightens, interval halves (to the
-        // floor).
-        for _ in 0..32 {
-            summary.note_miss(FastMiss::Dirty);
-        }
-        summary.controller_step();
-        let (num1, _) = summary.density_threshold();
-        assert_eq!(num1, num0 - den / CTRL_SCALE);
-        assert_eq!(summary.check_interval(), CTRL_MIN_INTERVAL);
-
-        // Dominant in-flight evidence: both relax again.
-        for _ in 0..32 {
-            summary.note_miss(FastMiss::Inflight);
-        }
-        summary.controller_step();
-        assert_eq!(summary.density_threshold().0, num0);
-        assert_eq!(summary.check_interval(), CTRL_MIN_INTERVAL * 2);
-
-        // Mixed evidence moves nothing, and the counters were harvested.
-        summary.note_miss(FastMiss::Dirty);
-        summary.note_miss(FastMiss::Inflight);
-        summary.controller_step();
-        assert_eq!(summary.density_threshold().0, num0);
-        assert_eq!(summary.check_interval(), CTRL_MIN_INTERVAL * 2);
-
-        // Clamps: drive hard both ways and check the bounds.
-        for _ in 0..64 {
-            for _ in 0..32 {
-                summary.note_miss(FastMiss::Dirty);
-            }
-            summary.controller_step();
-        }
-        assert_eq!(summary.density_threshold().0, den / 8, "floor: 1/8");
-        assert_eq!(summary.check_interval(), CTRL_MIN_INTERVAL);
-        for _ in 0..64 {
-            for _ in 0..32 {
-                summary.note_miss(FastMiss::Inflight);
-            }
-            summary.controller_step();
-        }
-        assert_eq!(summary.density_threshold().0, den / 2, "ceiling: 1/2");
-        assert_eq!(summary.check_interval(), CTRL_MAX_INTERVAL);
     }
 }

@@ -24,12 +24,9 @@
 //! spelled out in `docs/ring-sharding.md` and summarised on
 //! [`ShardedRing::validate_summarized_nt`].
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-
 use htm_sim::abort::TxResult;
 use htm_sim::{HeapBuilder, HtmThread, HtmTx};
 
-use crate::align::CacheAligned;
 use crate::ring::{
     FastMiss, ResetAttempt, Ring, RingSummary, RingValidationError, SummaryTuning,
 };
@@ -263,7 +260,7 @@ impl ShardedRing {
         // Announce *before* any timestamp store can become visible (they publish
         // at commit, which is after this body step by construction).
         for s in bits(smask) {
-            summaries.begin_shard(s);
+            summaries.shards[s].begin_publish();
         }
         Ok((smask, times))
     }
@@ -280,7 +277,8 @@ impl ShardedRing {
         summaries: &ShardedSummary,
     ) {
         for s in bits(shard_mask) {
-            summaries.complete_shard(s, write_sig, self.shard_word_mask(s), times.t[s]);
+            let word_mask = self.shard_word_mask(s);
+            summaries.shards[s].complete_publish_masked(write_sig, word_mask, times.t[s]);
         }
     }
 
@@ -288,7 +286,7 @@ impl ShardedRing {
     /// summary in `shard_mask` (no timestamps became visible, nothing to fold).
     pub fn cancel_publish(&self, shard_mask: u32, summaries: &ShardedSummary) {
         for s in bits(shard_mask) {
-            summaries.cancel_shard(s);
+            summaries.shards[s].cancel_publish();
         }
     }
 
@@ -337,13 +335,14 @@ impl ShardedRing {
             let ring = &self.shards[s];
             let ts = ring.timestamp_nt(th) + 1;
             ring.write_entry_masked_nt(th, ts, sig, self.shard_word_mask(s));
-            summaries.begin_shard(s);
+            summaries.shards[s].begin_publish();
             th.nt_write(ring.timestamp_addr(), ts);
             th.nt_write(ring.lock_addr(), 0);
             times.t[s] = ts;
         }
         for s in bits(smask) {
-            summaries.complete_shard(s, sig, self.shard_word_mask(s), times.t[s]);
+            let word_mask = self.shard_word_mask(s);
+            summaries.shards[s].complete_publish_masked(sig, word_mask, times.t[s]);
         }
         (smask, times)
     }
@@ -424,18 +423,13 @@ impl ShardedRing {
     /// their `times` slot keeps the begin-time value, which is exactly the
     /// window start validation needs if `read_sig` later grows a bit there.
     ///
-    /// The touched shards first run the **combined group fast
-    /// pass** (`ShardedSummary::group_pass`): every per-shard decision reads
-    /// only the `GroupProbe` block — five small arrays packed into a handful
-    /// of cache lines shared by *all* shards — so a no-conflict validation
-    /// costs O(1) cache lines however many shards it touches, instead of
-    /// walking each shard's own (padded, line-spread) summary atomics. Shards
-    /// the group pass cannot decide fall back per shard to
+    /// Each touched shard, ascending, runs one fast pass,
     /// [`RingSummary::clean_since_at`] (which pins the probed epoch and
-    /// reports the miss cause) and then to the precise entry walk. A clean
-    /// probe never reads the shard timestamp — the window advances to the
-    /// fold-completion watermark (a host-side atomic) — so the common
-    /// no-conflict case touches no simulated memory at all.
+    /// reports the miss cause), and on a miss that shard's precise entry walk
+    /// before the next shard is probed. A clean probe never reads the shard
+    /// timestamp — the window advances to the fold-completion watermark (a
+    /// host-side atomic) — so the common no-conflict case touches no
+    /// simulated memory at all.
     pub fn validate_touched_nt(
         &self,
         th: &HtmThread<'_>,
@@ -452,16 +446,7 @@ impl ShardedRing {
             dirty_shards: 0,
             inflight_shards: 0,
         };
-        let mut pending = smask;
         for s in bits(smask) {
-            let fold = read_sig.fold_word_masked(self.shard_word_mask(s));
-            if let Some(adv) = summaries.group_pass(s, fold, times.t[s]) {
-                times.t[s] = times.t[s].max(adv);
-                v.fast_shards |= 1 << s;
-                pending &= !(1 << s);
-            }
-        }
-        for s in bits(pending) {
             match summaries.shards[s].clean_since_at(tid, read_sig, times.t[s]) {
                 Ok(adv) => {
                     times.t[s] = times.t[s].max(adv);
@@ -484,29 +469,15 @@ impl ShardedRing {
     }
 
     /// Run the density check on every shard summary and reset those that want
-    /// it (see [`RingSummary::maybe_reset_with`]), threading the shard's
-    /// `GroupProbe` maintenance through the reset hooks: before any bits are
-    /// dropped the shard's group floor is raised to the `u64::MAX` sentinel and
-    /// its probe word zeroed (so no group pass can vouch for a window across
-    /// the clear), and after the protocol completes the floor is published as
-    /// the new reset timestamp.
+    /// it (see [`RingSummary::maybe_reset_with`]).
     pub fn maybe_reset_summaries(
         &self,
         th: &HtmThread<'_>,
         summaries: &ShardedSummary,
     ) -> SummaryResetStats {
         let mut stats = SummaryResetStats::default();
-        for (s, ring) in self.shards.iter().enumerate() {
-            let sum = &summaries.shards[s];
-            let group = &summaries.group;
-            match sum.maybe_reset_with(
-                || ring.timestamp_nt(th),
-                || {
-                    group.floor[s].store(u64::MAX, SeqCst);
-                    group.probe[s].store(0, SeqCst);
-                },
-                |ts| group.floor[s].store(ts, SeqCst),
-            ) {
+        for (ring, sum) in self.shards.iter().zip(&summaries.shards) {
+            match sum.maybe_reset_with(|| ring.timestamp_nt(th)) {
                 ResetAttempt::Done => stats.resets += 1,
                 ResetAttempt::Deferred => stats.pinned_stalls += 1,
                 ResetAttempt::Idle => {}
@@ -523,73 +494,22 @@ impl ShardedRing {
     }
 
     /// [`ShardedRing::new_summary`] with explicit [`SummaryTuning`] — the
-    /// runtime sets the controller's initial check interval from `TmConfig`
-    /// through this.
+    /// runtime sets the check interval from `TmConfig` through this.
     pub fn new_summary_tuned(&self, tuning: SummaryTuning) -> ShardedSummary {
         ShardedSummary {
             shards: (0..self.shards.len())
                 .map(|s| RingSummary::new_masked_tuned(self.spec, self.shard_word_mask(s), tuning))
                 .collect(),
-            group: GroupProbe::default(),
         }
     }
 }
 
-/// The combined multi-shard fast-pass block: five per-shard `u64` arrays packed
-/// contiguously so one no-conflict validation across *any* number of shards
-/// reads a handful of shared cache lines instead of each shard's own padded
-/// summary atomics. Slot `s` of each array mirrors shard `s`'s summary state:
-///
-/// * `started` / `completed` — the announce/complete counters
-///   (publisher-in-flight detection, exactly as on [`RingSummary`]);
-/// * `floor` — the group analogue of `reset_ts`: windows starting below it
-///   cannot be decided here (raised to the `u64::MAX` sentinel for the
-///   duration of a reset's clear, then published as the post-clear timestamp);
-/// * `watermark` — the fold-completion watermark (mirror of
-///   [`RingSummary::folded_ts`]), the timestamp a clean pass advances to;
-/// * `probe` — the shard's summary words **folded to one word** (OR across
-///   word positions). A validator folds its read signature's shard range the
-///   same way; disjoint folds imply disjoint words (per-word intersection at
-///   position `i` survives the OR), so a zero intersection is a sound clean
-///   verdict — folding only ever *adds* false positives, which fall back.
-///
-/// The probe word is not banked: a reset zeroes it in place, and the
-/// floor-sentinel protocol (sentinel before zero, re-read after probe) plays
-/// the role the epoch re-check plays for the banked words. Bits a straggling
-/// publisher ORs in after the zero are false positives, never missed
-/// conflicts — its timestamp was visible before the post-clear floor read, so
-/// every window the group will vouch for already starts above it.
-/// Each array is wrapped in [`CacheAligned`] so it starts on its own cache
-/// line (a 16-shard array is exactly two lines): validators sweeping the
-/// `probe`/`watermark`/`floor` arrays never false-share with publishers
-/// hammering `started`/`completed`, while slots *within* an array stay packed
-/// — that contiguity is the point of the block (the const-assertions below pin
-/// the layout).
-#[derive(Debug, Default)]
-struct GroupProbe {
-    started: CacheAligned<[AtomicU64; MAX_RING_SHARDS]>,
-    completed: CacheAligned<[AtomicU64; MAX_RING_SHARDS]>,
-    floor: CacheAligned<[AtomicU64; MAX_RING_SHARDS]>,
-    watermark: CacheAligned<[AtomicU64; MAX_RING_SHARDS]>,
-    probe: CacheAligned<[AtomicU64; MAX_RING_SHARDS]>,
-}
-
-// Five arrays of two lines each, no hidden padding, block starts line-aligned.
-const _: () = {
-    use std::mem::{align_of, size_of};
-    assert!(size_of::<CacheAligned<[AtomicU64; MAX_RING_SHARDS]>>() == 2 * crate::align::CACHE_LINE);
-    assert!(size_of::<GroupProbe>() == 5 * 2 * crate::align::CACHE_LINE);
-    assert!(align_of::<GroupProbe>() == crate::align::CACHE_LINE);
-};
-
 /// Host-side companion to a [`ShardedRing`]: one [`RingSummary`] per shard, each
-/// masked to its shard's word range, plus the combined `GroupProbe` block.
-/// Built by [`ShardedRing::new_summary`] so the geometry can never drift from
+/// masked to its shard's word range. Built by [`ShardedRing::new_summary`] so the geometry can never drift from
 /// the ring's.
 #[derive(Debug)]
 pub struct ShardedSummary {
     shards: Vec<RingSummary>,
-    group: GroupProbe,
 }
 
 impl ShardedSummary {
@@ -601,70 +521,6 @@ impl ShardedSummary {
     /// Shard `s`'s summary.
     pub fn shard(&self, s: usize) -> &RingSummary {
         &self.shards[s]
-    }
-
-    /// Announce a publish to shard `s`: the group's `started` slot first, then
-    /// the shard summary — both strictly before the shard timestamp can become
-    /// visible, so either counter imbalance covers an in-flight publisher.
-    pub fn begin_shard(&self, s: usize) {
-        self.group.started[s].fetch_add(1, SeqCst);
-        self.shards[s].begin_publish();
-    }
-
-    /// Complete a publish to shard `s`: fold into the shard summary, then
-    /// maintain the group block — probe OR first, watermark second, `completed`
-    /// last. The order is load-bearing twice over: bits are in the probe word
-    /// before the watermark can name the publish (so a validator that read
-    /// `watermark >= ts` before the probe is guaranteed to see the bits), and
-    /// the watermark covers the publish before the counters can balance (the
-    /// empty-window pass relies on it, exactly as
-    /// [`RingSummary::complete_publish_masked`] does for `folded_ts`).
-    pub fn complete_shard(&self, s: usize, sig: &Sig, word_mask: u64, ts: u64) {
-        self.shards[s].complete_publish_masked(sig, word_mask, ts);
-        self.group.probe[s].fetch_or(sig.fold_word_masked(word_mask), SeqCst);
-        self.group.watermark[s].fetch_max(ts, SeqCst);
-        self.group.completed[s].fetch_add(1, SeqCst);
-    }
-
-    /// Retire an announced publish to shard `s` whose hardware transaction
-    /// aborted (nothing became visible, nothing to fold).
-    pub fn cancel_shard(&self, s: usize) {
-        self.shards[s].cancel_publish();
-        self.group.completed[s].fetch_add(1, SeqCst);
-    }
-
-    /// One shard's leg of the combined fast pass: `Some(adv)` when `fold` (the
-    /// read signature's shard-`s` word range folded to one word) provably
-    /// collides with nothing published in shard `s` after `since`. Touches only
-    /// the [`GroupProbe`] block. Read order is load-bearing, mirroring
-    /// [`RingSummary::clean_since`]: `completed` first, the floor (reject
-    /// windows predating the last clear, including the mid-clear sentinel),
-    /// the watermark *before* the probe word (every publish at or below the
-    /// watermark OR'd its fold in before the watermark reached it), then the
-    /// probe, and finally `started` and the floor again — counter balance
-    /// proves no publisher was in flight, floor stability proves no clear
-    /// raced the probe.
-    fn group_pass(&self, s: usize, fold: u64, since: u64) -> Option<u64> {
-        let g = &self.group;
-        let c1 = g.completed[s].load(SeqCst);
-        let f1 = g.floor[s].load(SeqCst);
-        if since < f1 {
-            return None;
-        }
-        let adv = g.watermark[s].load(SeqCst);
-        if adv <= since {
-            if g.started[s].load(SeqCst) == c1 && g.floor[s].load(SeqCst) == f1 {
-                return Some(since);
-            }
-            return None;
-        }
-        if fold & g.probe[s].load(SeqCst) != 0 {
-            return None;
-        }
-        if g.started[s].load(SeqCst) != c1 || g.floor[s].load(SeqCst) != f1 {
-            return None;
-        }
-        Some(adv)
     }
 
     /// Begin-time window snapshot from the fold watermarks alone — zero
@@ -950,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn group_pass_decides_disjoint_epoch_validation() {
+    fn touched_validation_decides_disjoint_reader_and_walks_dirty_miss() {
         let (sys, ring, summaries) = setup(8, 16);
         let th = sys.thread(0);
         let a = addr_in_shard(&ring, 3, 0);
@@ -958,16 +814,15 @@ mod tests {
         wsig.add(a);
         ring.publish_software_summarized(&th, &wsig, &summaries);
 
-        // A same-shard reader whose *folded* word is disjoint from the
-        // writer's: decided by the group probe alone (fast, no walk), window
+        // A same-shard reader whose bits are disjoint from the writer's:
+        // decided by the shard's clean probe alone (fast, no walk), window
         // advanced to the watermark.
-        let wfold = wsig.fold_word_masked(ring.shard_word_mask(3));
         let b = (1u32..)
             .map(|seed| addr_in_shard(&ring, 3, seed * 10_000))
             .find(|&b| {
                 let mut probe = Sig::new(ring.spec());
                 probe.add(b);
-                probe.fold_word_masked(ring.shard_word_mask(3)) & wfold == 0
+                !probe.intersects(&wsig)
             })
             .unwrap();
         let mut rsig = Sig::new(ring.spec());
@@ -978,11 +833,11 @@ mod tests {
         assert_eq!(v.result, Ok(()));
         assert_eq!(v.walked_shards, 0);
         assert_eq!(v.fast_shards, (1 << 3) | (1 << 5));
-        assert_eq!(times.get(3), 1, "group pass advances to the watermark");
+        assert_eq!(times.get(3), 1, "clean probe advances to the watermark");
         assert_eq!(times.get(5), 0, "empty shard 5 passes without advancing");
 
-        // The conflicting reader folds onto the writer's bits: the group probe
-        // declines, the per-shard walk rejects, and the miss is Dirty.
+        // The conflicting reader hits the writer's bits: the probe declines,
+        // the shard's walk rejects, and the miss is Dirty.
         let mut rbad = Sig::new(ring.spec());
         rbad.add(a);
         let mut times = ShardTimes::new();
@@ -994,28 +849,28 @@ mod tests {
     }
 
     #[test]
-    fn group_pass_declines_while_publisher_in_flight() {
+    fn touched_validation_walks_while_publisher_in_flight() {
         let (sys, ring, summaries) = setup(8, 16);
         let th = sys.thread(0);
         // Hand-announce without completing: an in-flight hardware publisher.
-        summaries.begin_shard(2);
+        summaries.shard(2).begin_publish();
         let mut rsig = Sig::new(ring.spec());
         rsig.add(addr_in_shard(&ring, 2, 50_000));
         let mut times = ShardTimes::new();
         let v = ring.validate_touched_nt(&th, &summaries, &rsig, &mut times);
-        // Counters are imbalanced: neither the group pass nor the per-shard
-        // probe may vouch; the walk decides (cleanly — nothing is published).
+        // Counters are imbalanced: the probe may not vouch; the walk decides
+        // (cleanly — nothing is published).
         assert_eq!(v.result, Ok(()));
         assert_eq!(v.walked_shards, 1 << 2);
         assert_eq!(v.inflight_shards, 1 << 2);
-        summaries.cancel_shard(2);
+        summaries.shard(2).cancel_publish();
         let mut times = ShardTimes::new();
         let v = ring.validate_touched_nt(&th, &summaries, &rsig, &mut times);
         assert_eq!(v.walked_shards, 0, "balanced counters fast-pass again");
     }
 
     #[test]
-    fn epoch_reset_publishes_group_floor() {
+    fn touched_validation_refuses_windows_before_a_reset() {
         // One shard of an 8-shard PAPER ring covers 4 words = 256 bits; a third
         // of that is ~85 bits, far below the full geometry's threshold — the
         // masked live-bit accounting must still trigger the reset.
@@ -1027,22 +882,23 @@ mod tests {
             sig.add(addr_in_shard(&ring, 2, i * 4099));
             ring.publish_software_summarized(&th, &sig, &summaries);
         }
-        let before = ring.shard(2).timestamp_nt(&th);
+        let reset_ts = ring.shard(2).timestamp_nt(&th);
         let stats = ring.maybe_reset_summaries(&th, &summaries);
         assert!(stats.resets >= 1);
         assert_eq!(stats.pinned_stalls, 0);
         assert!(summaries.shard(2).snapshot().is_empty());
-        // The reset raised shard 2's group floor to the post-clear timestamp:
-        // windows from before the reset are no longer decidable by the group…
-        let floor = summaries.group.floor[2].load(SeqCst);
-        assert_eq!(floor, before);
         let mut rsig = Sig::new(ring.spec());
         rsig.add(addr_in_shard(&ring, 2, 123));
-        assert_eq!(summaries.group_pass(2, 1, 0), None, "pre-reset window");
-        // …but a window at the floor is, and the probe word is clean again.
-        assert_eq!(summaries.group_pass(2, u64::MAX, floor), Some(floor));
+        // A window that starts before the reset cannot be vouched for by the
+        // cleared bank: the probe refuses it and the walk decides.
         let mut times = ShardTimes::new();
-        times.set(2, floor);
+        times.set(2, reset_ts - 1);
+        let v = ring.validate_touched_nt(&th, &summaries, &rsig, &mut times);
+        assert_eq!(v.walked_shards, 1 << 2, "pre-reset window");
+        assert_eq!(v.inflight_shards, 1 << 2);
+        // A window at the reset timestamp passes without a walk.
+        let mut times = ShardTimes::new();
+        times.set(2, reset_ts);
         let v = ring.validate_touched_nt(&th, &summaries, &rsig, &mut times);
         assert_eq!(v.result, Ok(()));
         assert_eq!(v.walked_shards, 0);

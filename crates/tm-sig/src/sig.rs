@@ -291,28 +291,6 @@ impl Sig {
         kernels::popcount(self.words()) as u32
     }
 
-    /// Conservative 64-bit fold of the whole signature: the OR of every word.
-    /// Two signatures whose folds are disjoint are themselves disjoint (bit `b`
-    /// of the fold is set iff *some* word has bit `b`), so a fold is a
-    /// one-word Bloom probe — false positives possible, false negatives not.
-    /// The sharded ring's combined group fast pass keys off this.
-    #[inline]
-    pub fn fold_word(&self) -> u64 {
-        kernels::fold_live(self.words(), u64::MAX, self.mask)
-    }
-
-    /// [`Sig::fold_word`] restricted to the words selected by `word_mask`
-    /// (the per-shard fold a publisher contributes to its shard's group probe
-    /// word). Words at index 64 and beyond — folded-geometry siblings — always
-    /// participate, exactly as before. Routed through the mask-guided
-    /// [`kernels::fold_live`]: `validate_touched_nt` issues this fold once per
-    /// touched shard per validation, so a sparse read signature must not pay a
-    /// full-geometry walk here.
-    #[inline]
-    pub fn fold_word_masked(&self, word_mask: u64) -> u64 {
-        kernels::fold_live(self.words(), word_mask, self.mask)
-    }
-
     /// Iterate the non-zero words as `(index, word)` pairs, driven by the mask.
     #[inline]
     pub fn nonzero_words(&self) -> NonzeroWords<'_> {

@@ -19,8 +19,7 @@ use tm_sig::{ResetAttempt, RingSummary, Sig, SigSpec, SummaryTuning};
 const SPEC_BITS: u32 = 512;
 
 /// Aggressive tuning so a handful of publishes is "sustained pressure":
-/// density check every 32 publishes (the controller's floor), reset once 1/8
-/// of the bits are live.
+/// density check every 32 publishes, reset once 1/8 of the bits are live.
 fn tuning() -> SummaryTuning {
     SummaryTuning {
         density_num: 1,
@@ -40,7 +39,7 @@ fn publish_and_sweep(sum: &RingSummary, round: u64, ts: &mut u64) -> ResetAttemp
     *ts += 1;
     sum.complete_publish(&sig);
     let t = *ts;
-    sum.maybe_reset_with(|| t, || (), |_| ())
+    sum.maybe_reset_with(|| t)
 }
 
 #[test]

@@ -22,7 +22,9 @@
 #      groups that microbench's `ablation/*` rows replaced; nor, with the same
 #      exceptions plus ROADMAP.md (which records the deletion), an identifier
 #      of the deleted Stretch-HTM executor or the POWER suspend/rollback-only
-#      surface only it used.
+#      surface only it used; nor, with the first exceptions, an identifier of
+#      the ring summary's deleted grouped multi-shard probe or adaptive density
+#      controller.
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -154,11 +156,14 @@ retired='\b((line|path|ring|mem|part|backend|server)bench|micro(prof))\b|BENCH_[
 retired+='|\bablation_(fast_path|inflight_validation|signature_bits|split_|sub_retries)'
 stretch='\bStretch(Htm|Ctx|Stats)\b|\bread_stretche[d]\b|\bsuspended_(read|work)\b'
 stretch+='|\bbegin_ro[t]\b|\bsupports_(suspend|rot)\b|\bPOWER_SUSPEND_COS[T]\b|\bpower-stretc[h]\b'
+summary='\bGroupProb[e]\b|\bgroup_pas[s]|\bcontroller_ste[p]\b|\bCTR[L]_[A-Z]|\bdensity_threshol[d]\b'
 # One scan of every non-exempt line as `file:line: text`; ROADMAP.md is exempt
 # from the stretch/suspend identifiers only.
 while IFS= read -r hit; do
   if grep -qE "$retired" <<<"$hit"; then
     err "retired bench name: ${hit:0:160}"
+  elif grep -qE "$summary" <<<"$hit"; then
+    err "retired ring-summary identifier: ${hit:0:160}"
   elif [[ $hit != ROADMAP.md:* ]]; then
     err "retired stretch/suspend identifier: ${hit:0:160}"
   fi
@@ -167,7 +172,7 @@ done < <(git ls-files -co --exclude-standard -- . ':!CHANGES.md' ':!ISSUE.md' ':
     /bench-history:begin/ { skip = 1 }
     /bench-history:end/ { skip = 0 }
     !skip { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
-  ' | grep -E "$retired|$stretch" || true)
+  ' | grep -E "$retired|$stretch|$summary" || true)
 
 if [ "$fail" -ne 0 ]; then
   echo "doc-check: FAILED" >&2
