@@ -26,12 +26,12 @@ use std::time::Instant;
 use tm_bench::{floor_misses, render, rows, Measured};
 use tm_harness::experiments::capacity_shape;
 use tm_harness::loadgen::ArrivalProcess;
-use tm_harness::{run_cell_virtual, Algo, RunResult};
+use tm_harness::{run_cell_virtual, run_threads_virtual, Algo, RunResult};
 use tm_server::service::{gen_requests, run_server, Request, ServeMode, ServeOpts};
 use tm_server::{AdmissionSpec, ServerReport, ServerSpec, ServerState, TrafficMix};
 use tm_sig::kernels::{scalar, unrolled};
 use tm_sig::{ShardTimes, ShardedRing, ShardedSummary, Sig, SigSpec};
-use tm_workloads::micro::{self, NrmwParams};
+use tm_workloads::micro::{self, NrmwParams, Scatter, SCATTER_ACCOUNTS};
 
 /// Simulated cores of every virtual cell, worker threads of every server cell.
 const CORES: usize = 4;
@@ -49,8 +49,9 @@ struct Scale {
     val_iters: u64,
     /// Publishes per repetition, shared by the committer threads.
     pub_target: u64,
-    /// Transactions per core: capacity-shape plans / hint-optimal plans /
-    /// rescue cells / ablation cells.
+    /// Transactions per core: summary-reset cell / capacity-shape plans /
+    /// hint-optimal plans / rescue cells / ablation cells.
+    reset_ops: usize,
     plan_ops: usize,
     hint_ops: usize,
     rescue_ops: usize,
@@ -69,6 +70,7 @@ impl Scale {
             kernel_iters: 200_000,
             val_iters: 100_000,
             pub_target: 240_000,
+            reset_ops: 400,
             plan_ops: 60,
             hint_ops: 200,
             rescue_ops: 60,
@@ -84,6 +86,7 @@ impl Scale {
             kernel_iters: 10_000,
             val_iters: 5_000,
             pub_target: 12_000,
+            reset_ops: 60,
             plan_ops: 6,
             hint_ops: 20,
             rescue_ops: 6,
@@ -374,6 +377,31 @@ fn publish(sc: &Scale, out: &mut Measured) {
             sharded / single,
         );
     }
+}
+
+/// The summaries' epoch reset at the default tuning: [`Scatter`] (12 writes
+/// in one L1 set, so every transaction commits on the partitioned path, whose
+/// software commit polices summary density) on 2 virtual cores. No perfbench
+/// workload resets a summary; this cell is the reset path's benchmark.
+fn resets(sc: &Scale, out: &mut Measured) {
+    let rt = TmRuntime::new(
+        HtmConfig::default(),
+        TmConfig::default(),
+        2,
+        SCATTER_ACCOUNTS * 8,
+    );
+    let (r, _) = run_threads_virtual::<PartHtm, _, _>(
+        &rt,
+        2,
+        sc.reset_ops,
+        SchedSpec::default(),
+        |_| Scatter::new(rt.app(0)),
+    );
+    out.put("validation/reset_tx_per_mwu", r.virtual_throughput());
+    out.put(
+        "validation/summary_resets_per_ktx",
+        1000.0 * r.tm.summary_resets as f64 / r.commits as f64,
+    );
 }
 
 // ---- virtual N-Reads-M-Writes cells: plan, rescue, ablation ----------------
@@ -717,7 +745,8 @@ fn measure_virtual(sc: &Scale) -> Measured {
             pin_to_one_cpu();
             let mut out = Measured::default();
             for (name, group) in [
-                ("plan", plan as fn(&Scale, &mut Measured)),
+                ("validation (virtual)", resets as fn(&Scale, &mut Measured)),
+                ("plan", plan),
                 ("rescue", rescue),
                 ("server (virtual)", server_batch_virtual),
                 ("ablation", ablation),

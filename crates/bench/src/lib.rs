@@ -129,6 +129,11 @@ pub const ROWS: &[RowDef] = &[
     wall("validation/sharded_over_single_1v", Lower),
     host("validation/sharded_ns_per_val_4v", "ns", Lower),
     wall("validation/sharded_over_single_4v", Lower),
+    // The summaries' epoch reset at the default tuning, 2 cores: its cell's
+    // throughput and its resets per 1000 commits, gated upward so that a
+    // reset path that stops firing reads as worse.
+    tput("validation/reset_tx_per_mwu"),
+    virt("validation/summary_resets_per_ktx", "count", Higher),
     // Mixed software + hardware disjoint publish: 8 shards vs one.
     host("publish/sharded_pub_per_s_1t", "1/s", Higher),
     wall("publish/sharded_over_single_1t", Higher),

@@ -1,6 +1,6 @@
 //! Per-path instrumentation contexts of the base protocol (Fig. 1) — Part-HTM-O
 //! wraps them with encounter-time lock checks (`crate::opaque`) — plus the contexts
-//! shared by every executor (slow path, software segments).
+//! shared by every executor (direct accesses, software segments).
 //!
 //! Each context implements [`TxCtx`], so the same workload code runs on any path:
 //!
@@ -8,8 +8,11 @@
 //!   read/write signature *before* touching memory, then do a plain HTM access.
 //! * [`SubCtx`] — sub-HTM transactions (Fig. 1 lines 21–25): like the fast path,
 //!   plus value logging into the undo-log before every write.
-//! * [`SlowCtx`] — global-lock path (Fig. 1 lines 63–64): uninstrumented direct
-//!   accesses (strongly atomic in the simulator).
+//! * [`SlowCtx`] — uninstrumented direct accesses, strongly atomic in the
+//!   simulator, for code that runs beside live hardware transactions under its
+//!   own exclusion (preloads, NOrec's inevitable runs). The global-lock holder
+//!   of Fig. 1 lines 63–64 needs no strong atomicity and uses a cheaper private
+//!   context (`commit_under_glock`).
 //! * [`SoftwareCtx`] — a partitioned-path segment that the static profiler marked as
 //!   touching no shared state: pure computation outside any hardware transaction.
 //!
@@ -267,8 +270,8 @@ impl TxCtx for RawCtx<'_, '_, '_> {
     }
 }
 
-/// Global-lock path context: direct, uninstrumented accesses (Fig. 1 lines 63–64).
-/// Runs in mutual exclusion with every other path.
+/// Direct, uninstrumented, strongly atomic accesses: each one dooms a hardware
+/// transaction that holds the line in a conflicting mode.
 pub struct SlowCtx<'c, 'r> {
     /// The executing thread.
     pub th: &'c HtmThread<'r>,

@@ -12,21 +12,22 @@
 //! segment plan with its split rule and planner feedback, shedding — exists
 //! once, here.
 //!
-//! The module also holds the two idioms every hardware-assisted executor in the
-//! workspace shares: [`hw_attempt`] (one whole-transaction hardware attempt
-//! subscribed to the global lock) and [`commit_under_glock`] (the slow path).
+//! The module also holds the three idioms every hardware-assisted executor in
+//! the workspace shares: [`hw_attempt`] (one whole-transaction hardware attempt
+//! subscribed to the global lock), [`fast_retries`] (the fast path's retry loop
+//! with the anti-lemming wait) and [`commit_under_glock`] (the slow path).
 
 use crate::api::{
-    spin_work, CommitPath, TmExecutor, TxCtx, Workload, XABORT_GLOCK, XABORT_NOT_QUIET,
-    XABORT_UNDO_FULL,
+    spin_work, CommitPath, TmExecutor, TxCtx, Workload, VALUE_MASK, XABORT_GLOCK,
+    XABORT_NOT_QUIET, XABORT_UNDO_FULL,
 };
-use crate::ctx::{software_work, FastCtx, RawCtx, SigPair, SlowCtx, SoftwareCtx, SubCtx};
+use crate::ctx::{software_work, FastCtx, RawCtx, SigPair, SoftwareCtx, SubCtx};
 use crate::planner::{build_plan, FastExit, FastRoute, PlanChange, PlanStep};
 use crate::runtime::{ThreadArena, TmConfig, TmRuntime, TmThread};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
-use htm_sim::vclock::yield_now;
-use htm_sim::{AbortCode, Addr, HtmThread, HtmTx};
+use htm_sim::vclock::{self, yield_now};
+use htm_sim::{AbortCode, Addr, Heap, HtmThread, HtmTx};
 use rand::Rng;
 use std::ops::Range;
 use tm_sig::{ShardTimes, ShardedValidation, Sig, SigJournal, SigSpec};
@@ -77,13 +78,14 @@ fn subscribe_zero(tx: &mut HtmTx<'_, '_>, addr: Addr, code: u8) -> TxResult<()> 
 }
 
 /// One whole-transaction hardware attempt: reset the workload, begin, subscribe
-/// the global lock (Fig. 1 lines 1–2) — and `active_tx` too when
+/// the global lock (Fig. 1 lines 1–2) — preceded by `active_tx` when
 /// `subscribe_active`, the *quiet* speculation that no partitioned-path
-/// transaction runs — then run `body` and commit. A failed attempt counts one
-/// [`crate::TmStats::fast_aborts`]. Shared by every executor with a hardware
-/// first path (Part-HTM, Part-HTM-O and the HTM-GL/SpHT baselines); `body`
-/// builds the path's instrumentation context around the transaction it is
-/// handed.
+/// transaction runs — then run `body` and commit. `active_tx` goes first so a
+/// quiet attempt beside a partitioned peer dies after one access. A failed
+/// attempt counts one [`crate::TmStats::fast_aborts`]. Shared by every executor
+/// with a hardware first path (Part-HTM, Part-HTM-O and the HTM-GL/SpHT
+/// baselines); `body` builds the path's instrumentation context around the
+/// transaction it is handed.
 pub fn hw_attempt<W: Workload, R>(
     th: &mut TmThread<'_>,
     w: &mut W,
@@ -93,10 +95,10 @@ pub fn hw_attempt<W: Workload, R>(
     w.reset();
     let (glock, active_tx) = (th.rt.glock(), th.rt.active_tx());
     let res = th.hw.attempt(|tx| {
-        subscribe_zero(tx, glock, XABORT_GLOCK)?;
         if subscribe_active {
             subscribe_zero(tx, active_tx, XABORT_NOT_QUIET)?;
         }
+        subscribe_zero(tx, glock, XABORT_GLOCK)?;
         body(tx, w)
     });
     if res.is_err() {
@@ -105,10 +107,92 @@ pub fn hw_attempt<W: Workload, R>(
     res
 }
 
+/// The fast path's retry loop (§7): up to [`FAST_RETRIES`] hardware attempts
+/// of `attempt`. The first starts at once — its subscription of the global
+/// lock is the check — and only a retry waits for the lock's release first
+/// (the anti-lemming rule). Returns the first commit or resource failure, or
+/// the last abort once the budget is spent. Shared by Part-HTM, Part-HTM-O,
+/// HTM-GL and SpHT's fast path, so every one pays the same entry price.
+pub fn fast_retries<'r>(
+    th: &mut TmThread<'r>,
+    mut attempt: impl FnMut(&mut TmThread<'r>) -> Result<(), AbortCode>,
+) -> Result<(), AbortCode> {
+    let mut fails = 0;
+    loop {
+        let res = attempt(th);
+        match res {
+            Err(code) if !code.is_resource_failure() => {
+                fails += 1;
+                if fails >= FAST_RETRIES {
+                    return res;
+                }
+                wait_glock_released(th);
+            }
+            _ => return res,
+        }
+    }
+}
+
+/// The lock holder's context (Fig. 1 lines 63–64): plain heap loads and
+/// stores at 1 wu each, the price of a non-transactional access. With `GLock`
+/// held and `active_tx` drained, every hardware transaction that could own a
+/// line subscribed the lock (fast paths, SpHT's split path) or has left the
+/// partitioned path, so it is doomed or finished: the line table's strongly
+/// atomic claim would resolve nothing. A doomed transaction re-checks its doom
+/// after each load, so it never returns a value stored here.
+struct HolderCtx<'c> {
+    heap: &'c Heap,
+    mask_values: bool,
+}
+
+impl<'c> HolderCtx<'c> {
+    /// Enter the context on `th`, which holds the global lock and has seen
+    /// `active_tx` drained. The `active_tx` check is exact under the virtual
+    /// clock only: on OS threads a peer's begin handshake may raise it for a
+    /// moment before it sees the lock and backs out.
+    fn enter(th: &'c TmThread<'_>, mask_values: bool) -> Self {
+        let heap = th.hw.system().heap();
+        debug_assert_eq!(heap.load(th.rt.glock()), 1, "the global lock is held");
+        debug_assert!(
+            !vclock::is_attached() || heap.load(th.rt.active_tx()) == 0,
+            "no partitioned-path transaction runs beside the lock holder"
+        );
+        Self { heap, mask_values }
+    }
+}
+
+impl TxCtx for HolderCtx<'_> {
+    #[inline]
+    fn read(&mut self, addr: Addr) -> TxResult<u64> {
+        vclock::charge(1);
+        let v = self.heap.load(addr);
+        Ok(if self.mask_values { v & VALUE_MASK } else { v })
+    }
+
+    #[inline]
+    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
+        debug_assert_eq!(
+            val & !VALUE_MASK,
+            0,
+            "application values must fit in 63 bits"
+        );
+        vclock::charge(1);
+        self.heap.store(addr, val);
+        Ok(())
+    }
+
+    #[inline]
+    fn work(&mut self, units: u64) -> TxResult<()> {
+        software_work(units);
+        Ok(())
+    }
+}
+
 /// Commit `w` under the global lock (the slow path, Fig. 1 lines 61–65):
 /// acquire `GLock`, wait for every partitioned-path transaction to drain
-/// (`active_tx == 0`), execute uninstrumented, release, record the commit.
-/// Shared by every executor whose last resort is the lock.
+/// (`active_tx == 0`), execute uninstrumented in the lock holder's context,
+/// release, record the commit. Shared by every executor whose last resort is
+/// the lock.
 ///
 /// The lock is held through a drop guard, so a workload segment that panics
 /// here releases it while unwinding: the panic fails its own thread instead of
@@ -134,10 +218,7 @@ pub fn commit_under_glock<W: Workload>(
             yield_now();
         }
         w.reset();
-        let mut ctx = SlowCtx {
-            th: &th.hw,
-            mask_values,
-        };
+        let mut ctx = HolderCtx::enter(th, mask_values);
         run_all(w, &mut ctx).expect("slow-path operations cannot abort");
     }
     w.after_commit();
@@ -145,8 +226,9 @@ pub fn commit_under_glock<W: Workload>(
     CommitPath::GlobalLock
 }
 
-/// Anti-lemming retry policy (§7, after the paper’s reference \[38\]): never retry in hardware while the
-/// global lock is held — wait for its release first.
+/// Anti-lemming retry policy (§7, after the paper’s reference \[38\]): never
+/// *retry* in hardware while the global lock is held — wait for its release
+/// first. A first attempt needs no wait: it subscribes the lock.
 pub fn wait_glock_released(th: &TmThread<'_>) {
     while th.hw.nt_read(th.rt.glock()) != 0 {
         yield_now();
@@ -306,71 +388,74 @@ pub struct PartExec<'r, V: Variant> {
     v: V,
 }
 
-impl<'r, V: Variant> PartExec<'r, V> {
-    /// Try the whole transaction as one hardware transaction (§5.2).
-    ///
-    /// When no partitioned-path transaction was active at begin, the *quiet*
-    /// variant runs first: with the subscribed `active_tx` counter at zero, the
-    /// signatures, the lock checks and the ring publish — which exist solely
-    /// to coordinate with sub-HTM transactions — are unnecessary and the fast
-    /// path is pure HTM plus two subscriptions. Sound because locks (signature
-    /// or embedded) are only held and the ring is only consulted while
-    /// `active_tx > 0` (release precedes the decrement), and any change to
-    /// either subscribed word dooms the hardware transaction.
-    fn try_fast<W: Workload>(&mut self, w: &mut W) -> Result<(), AbortCode> {
-        let rt = self.th.rt;
-        if self.th.hw.nt_read(rt.active_tx()) == 0 {
-            match hw_attempt(&mut self.th, w, true, |tx, w| {
-                run_all(w, &mut RawCtx { tx })
-            }) {
-                Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
-                other => return other,
-            }
-        }
-        // Fig. 1 lines 14–15 clear the local signatures after the commit; the
-        // mirrors are only read again after the next clear, so clearing at
-        // begin covers commits and aborts alike.
-        self.rmir.clear();
-        self.wmir.clear();
-        let a = self.arena;
-        let (rmir, wmir, v) = (&mut self.rmir, &mut self.wmir, &mut self.v);
-        // The announced publish's shard mask and per-shard commit timestamps
-        // (mask 0 = nothing announced).
-        let mut announced = (0u32, ShardTimes::new());
-        let res = hw_attempt(&mut self.th, w, false, |tx, w| {
-            let mut wrote = false;
-            let ctx = FastCtx {
-                tx: &mut *tx,
-                rsig: SigPair::new(a.read_sig, rmir),
-                wsig: SigPair::new(a.write_sig, wmir),
-                wrote: &mut wrote,
-            };
-            v.fast_body(w, rt, ctx)?;
-            // Writers publish their write signature to the shards it touches
-            // (Fig. 1 lines 9–11), announcing the publish to the touched shard
-            // summaries as the last body step.
-            if wrote {
-                announced = rt
-                    .sharded_ring()
-                    .publish_tx_summarized(tx, wmir, rt.summaries())?;
-            }
-            Ok(())
-        });
-        // An announced publish must be completed or cancelled depending on how
-        // the hardware commit resolved.
-        let (pub_mask, pub_times) = announced;
-        if pub_mask != 0 {
-            let ring = rt.sharded_ring();
-            if res.is_ok() {
-                ring.complete_publish(&self.wmir, pub_mask, &pub_times, rt.summaries());
-                self.th.stats.record_shard_publish(pub_mask);
-            } else {
-                ring.cancel_publish(pub_mask, rt.summaries());
-            }
-        }
-        res
+/// One fast-path attempt of Part-HTM (§5.2): the quiet attempt, then — if a
+/// partitioned-path transaction was active — the instrumented one.
+///
+/// The *quiet* attempt subscribes `active_tx` before the global lock: with the
+/// counter at zero, the signatures, the lock checks and the ring publish —
+/// which exist solely to coordinate with sub-HTM transactions — are
+/// unnecessary and the fast path is pure HTM plus two subscriptions. Sound
+/// because locks (signature or embedded) are only held and the ring is only
+/// consulted while `active_tx > 0` (release precedes the decrement), and any
+/// change to either subscribed word dooms the hardware transaction. With the
+/// counter above zero the quiet attempt aborts after that one access and the
+/// instrumented attempt runs at once.
+fn fast_attempt<V: Variant, W: Workload>(
+    th: &mut TmThread<'_>,
+    a: ThreadArena,
+    rmir: &mut Sig,
+    wmir: &mut Sig,
+    v: &mut V,
+    w: &mut W,
+) -> Result<(), AbortCode> {
+    let rt = th.rt;
+    match hw_attempt(th, w, true, |tx, w| run_all(w, &mut RawCtx { tx })) {
+        Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
+        other => return other,
     }
+    // Fig. 1 lines 14–15 clear the local signatures after the commit; the
+    // mirrors are only read again after the next clear, so clearing at
+    // begin covers commits and aborts alike.
+    rmir.clear();
+    wmir.clear();
+    // The announced publish's shard mask and per-shard commit timestamps
+    // (mask 0 = nothing announced).
+    let mut announced = (0u32, ShardTimes::new());
+    let res = hw_attempt(th, w, false, |tx, w| {
+        let mut wrote = false;
+        let ctx = FastCtx {
+            tx: &mut *tx,
+            rsig: SigPair::new(a.read_sig, rmir),
+            wsig: SigPair::new(a.write_sig, wmir),
+            wrote: &mut wrote,
+        };
+        v.fast_body(w, rt, ctx)?;
+        // Writers publish their write signature to the shards it touches
+        // (Fig. 1 lines 9–11), announcing the publish to the touched shard
+        // summaries as the last body step.
+        if wrote {
+            announced = rt
+                .sharded_ring()
+                .publish_tx_summarized(tx, wmir, rt.summaries())?;
+        }
+        Ok(())
+    });
+    // An announced publish must be completed or cancelled depending on how
+    // the hardware commit resolved.
+    let (pub_mask, pub_times) = announced;
+    if pub_mask != 0 {
+        let ring = rt.sharded_ring();
+        if res.is_ok() {
+            ring.complete_publish(wmir, pub_mask, &pub_times, rt.summaries());
+            th.stats.record_shard_publish(pub_mask);
+        } else {
+            ring.cancel_publish(pub_mask, rt.summaries());
+        }
+    }
+    res
+}
 
+impl<'r, V: Variant> PartExec<'r, V> {
     #[inline]
     fn dec_active(&self) {
         let hw = &self.th.hw;
@@ -660,34 +745,25 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
             return self.fall_back(w);
         }
         if route == FastRoute::Attempt {
-            let mut fails = 0;
-            loop {
-                wait_glock_released(&self.th);
-                match self.try_fast(w) {
-                    Ok(()) => {
-                        slot.record_fast_exit(FastExit::Commit);
-                        return self.committed(w, CommitPath::Htm);
-                    }
-                    Err(code) if code.is_resource_failure() => {
-                        // Capacity or quantum: this is the class Part-HTM exists
-                        // for — partition it, unless there is nothing to split.
-                        slot.record_fast_exit(FastExit::Resource);
-                        if one_segment {
-                            return self.fall_back(w);
-                        }
-                        self.th.stats.fallbacks_partitioned += 1;
-                        break;
-                    }
-                    Err(_) => {
-                        fails += 1;
-                        if fails >= FAST_RETRIES {
-                            // Persistent conflicts: the paper routes these to the
-                            // exit path, not to partitioning (§4 "Three-paths
-                            // Execution").
-                            return self.fall_back(w);
-                        }
-                    }
+            // The whole transaction as one hardware transaction (§5.2).
+            let (a, rmir, wmir, v) = (self.arena, &mut self.rmir, &mut self.wmir, &mut self.v);
+            match fast_retries(&mut self.th, |th| fast_attempt(th, a, rmir, wmir, v, w)) {
+                Ok(()) => {
+                    slot.record_fast_exit(FastExit::Commit);
+                    return self.committed(w, CommitPath::Htm);
                 }
+                Err(code) if code.is_resource_failure() => {
+                    // Capacity or quantum: this is the class Part-HTM exists
+                    // for — partition it, unless there is nothing to split.
+                    slot.record_fast_exit(FastExit::Resource);
+                    if one_segment {
+                        return self.fall_back(w);
+                    }
+                    self.th.stats.fallbacks_partitioned += 1;
+                }
+                // Persistent conflicts: the paper routes these to the exit
+                // path, not to partitioning (§4 "Three-paths Execution").
+                Err(_) => return self.fall_back(w),
             }
         }
         let mut gfails = 0;

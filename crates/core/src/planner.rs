@@ -128,11 +128,15 @@ impl SiteSlot {
     }
 
     /// Move `cell` toward 0 or [`EWMA_ONE`] by one α-step (lossy under races).
+    /// A step that changes nothing stores nothing: a stable site's line stays
+    /// shared between the cores that read it.
     fn ewma(cell: &AtomicU32, sample: bool) {
         let old = cell.load(Relaxed) as i64;
         let target = if sample { EWMA_ONE as i64 } else { 0 };
-        let new = old + ((target - old) >> EWMA_SHIFT);
-        cell.store(new.clamp(0, EWMA_ONE as i64) as u32, Relaxed);
+        let new = (old + ((target - old) >> EWMA_SHIFT)).clamp(0, EWMA_ONE as i64);
+        if new != old {
+            cell.store(new as u32, Relaxed);
+        }
     }
 
     /// Advance the site clock; returns the previous tick.

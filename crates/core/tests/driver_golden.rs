@@ -176,13 +176,20 @@ fn check(htm: fn() -> HtmConfig, shapes: [(usize, usize); CORES], s: Golden, o: 
 
 /// 100 % fast path; nothing is ever partitioned, so both variants take the same
 /// quiet (uninstrumented) attempts.
+///
+/// Both rows were re-recorded deliberately when the fast path stopped reading
+/// the global lock and `active_tx` outside the hardware before its first
+/// attempt. They were `golden(336, [24, 0, 0], [20, 0, 0, 0, 0], 0, 0, 0)`:
+/// the two pre-reads put the cores in lockstep on the shared counter, and 20
+/// attempts died of it. Each transaction now costs its 10 accesses and two
+/// subscriptions, and 2 attempts collide.
 #[test]
 fn fits_in_htm() {
     check(
         HtmConfig::default,
         [(4, 1); CORES],
-        golden(336, [24, 0, 0], [20, 0, 0, 0, 0], 0, 0, 0),
-        golden(336, [24, 0, 0], [20, 0, 0, 0, 0], 0, 0, 0),
+        golden(170, [24, 0, 0], [2, 0, 0, 0, 0], 0, 0, 0),
+        golden(170, [24, 0, 0], [2, 0, 0, 0, 0], 0, 0, 0),
     );
 }
 
@@ -202,13 +209,19 @@ fn fits_in_htm() {
 /// transactions per core the row is schedule noise, not a cost: over seeds
 /// 14, 1, 2 and 3 at 400 transactions per core the makespan rose 0.4 %
 /// (Part-HTM) and 3.6 % (Part-HTM-O) on average.
+///
+/// Both rows moved again when the fast path dropped its two pre-reads (the
+/// first attempt's quiet attempt now dies inside the hardware, one explicit
+/// abort, when the peer is partitioned). They were
+/// `golden(29569, [0, 24, 0], [97, 6, 1, 0, 0], 99, 10, 192)` (Part-HTM) and
+/// `golden(15679, [0, 24, 0], [24, 7, 22, 0, 0], 48, 4, 192)` (Part-HTM-O).
 #[test]
 fn capacity_limited_multi_segment() {
     check(
         mid_htm,
         [(96, 8); CORES],
-        golden(29569, [0, 24, 0], [97, 6, 1, 0, 0], 99, 10, 192),
-        golden(15679, [0, 24, 0], [24, 7, 22, 0, 0], 48, 4, 192),
+        golden(26783, [0, 24, 0], [78, 6, 6, 0, 0], 82, 8, 192),
+        golden(15648, [0, 24, 0], [24, 7, 25, 0, 0], 48, 4, 192),
     );
 }
 
@@ -222,25 +235,36 @@ fn capacity_limited_multi_segment() {
 /// `golden(26258, [0, 0, 24], [0, 145, 1, 0, 0], 139, 120, 0)` (Part-HTM-O),
 /// when every transaction spent all five partitioned attempts; the other six
 /// rows of this file did not move.
+///
+/// Both rows moved by 2 wu and one explicit abort when the fast path dropped
+/// its two pre-reads. They were
+/// `golden(8620, [0, 0, 24], [0, 30, 1, 0, 0], 24, 24, 0)` (Part-HTM) and
+/// `golden(8810, [0, 0, 24], [0, 30, 1, 0, 0], 24, 24, 0)` (Part-HTM-O).
 #[test]
 fn oversize_segment_takes_the_global_lock() {
     check(
         mid_htm,
         [(96, 2); CORES],
-        golden(8620, [0, 0, 24], [0, 30, 1, 0, 0], 24, 24, 0),
-        golden(8810, [0, 0, 24], [0, 30, 1, 0, 0], 24, 24, 0),
+        golden(8618, [0, 0, 24], [0, 30, 2, 0, 0], 24, 24, 0),
+        golden(8808, [0, 0, 24], [0, 30, 2, 0, 0], 24, 24, 0),
     );
 }
 
 /// Core 0 runs the capacity-limited shape (partitioned path), core 1 the small
 /// one: with `active_tx != 0` most of the time, core 1 takes the *instrumented*
 /// fast path (signatures, lock check, ring publish) rather than the quiet one.
+///
+/// Both rows were re-recorded deliberately when the fast path stopped
+/// pre-reading `active_tx`: the quiet attempt now finds the counter inside the
+/// hardware and dies of an explicit abort after that one access. They were
+/// `golden(13873, [12, 12, 0], [1, 8, 0, 0, 0], 2, 0, 108)` (Part-HTM) and
+/// `golden(13267, [11, 12, 1], [9, 8, 0, 0, 0], 6, 0, 96)` (Part-HTM-O).
 #[test]
 fn fast_path_beside_a_partitioned_peer() {
     check(
         mid_htm,
         [(96, 8), (4, 1)],
-        golden(13873, [12, 12, 0], [1, 8, 0, 0, 0], 2, 0, 108),
-        golden(13267, [11, 12, 1], [9, 8, 0, 0, 0], 6, 0, 96),
+        golden(13861, [12, 12, 0], [1, 8, 1, 0, 0], 2, 0, 100),
+        golden(13257, [11, 12, 1], [9, 8, 5, 0, 0], 6, 0, 96),
     );
 }

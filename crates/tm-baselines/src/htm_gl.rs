@@ -4,12 +4,12 @@
 //! transaction as pure hardware a bounded number of times (the paper uses 5, §7),
 //! then acquire the global lock. Hardware attempts subscribe the lock so a fallback
 //! acquisition aborts them; the anti-lemming policy waits for the lock to be free
-//! before retrying in hardware.
+//! before *retrying* in hardware (a first attempt's subscription is its check).
 
 use htm_sim::abort::TxResult;
 use htm_sim::{Addr, HtmTx};
 use part_htm_core::api::spin_work;
-use part_htm_core::{commit_under_glock, hw_attempt, run_all, wait_glock_released, FAST_RETRIES};
+use part_htm_core::{commit_under_glock, fast_retries, hw_attempt, run_all};
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 /// Completely uninstrumented hardware-transaction context: HTM-GL adds no software
@@ -59,22 +59,13 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
     }
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
-        if !w.is_irrevocable() {
-            for _ in 0..FAST_RETRIES {
-                wait_glock_released(&self.th);
-                match try_pure_htm(&mut self.th, w) {
-                    Ok(()) => {
-                        w.after_commit();
-                        self.th.stats.record_commit(CommitPath::Htm);
-                        return CommitPath::Htm;
-                    }
-                    // TSX clears the "retry may succeed" hint on capacity and
-                    // interrupt aborts: production fallback code takes the lock
-                    // immediately instead of burning the remaining retries.
-                    Err(code) if code.is_resource_failure() => break,
-                    Err(_) => {}
-                }
-            }
+        // TSX clears the "retry may succeed" hint on capacity and interrupt
+        // aborts: production fallback code takes the lock immediately instead
+        // of burning the remaining retries, and so does `fast_retries`.
+        if !w.is_irrevocable() && fast_retries(&mut self.th, |th| try_pure_htm(th, w)).is_ok() {
+            w.after_commit();
+            self.th.stats.record_commit(CommitPath::Htm);
+            return CommitPath::Htm;
         }
         self.th.stats.fallbacks_gl += 1;
         commit_under_glock(&mut self.th, w, false)

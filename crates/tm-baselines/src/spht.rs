@@ -26,7 +26,7 @@ use htm_sim::{AbortCode, Addr, HtmTx};
 use part_htm_core::api::{spin_work, XABORT_GLOCK};
 use part_htm_core::ctx::SoftwareCtx;
 use part_htm_core::{
-    commit_under_glock, wait_glock_released, BACKOFF_UNITS, FAST_RETRIES, PART_RETRIES,
+    commit_under_glock, fast_retries, wait_glock_released, BACKOFF_UNITS, PART_RETRIES,
 };
 use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
@@ -216,27 +216,19 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
             return commit_under_glock(&mut self.th, w, false);
         }
         if !cfg.skip_fast && w.profiled_resource_limited() != Some(true) {
-            let mut fails = 0;
-            loop {
-                wait_glock_released(&self.th);
-                match try_pure_htm(&mut self.th, w) {
-                    Ok(()) => {
-                        w.after_commit();
-                        self.th.stats.record_commit(CommitPath::Htm);
-                        return CommitPath::Htm;
-                    }
-                    // No-retry hint: resource failures split immediately.
-                    Err(code) if code.is_resource_failure() => {
-                        self.th.stats.fallbacks_partitioned += 1;
-                        break;
-                    }
-                    Err(_) => {
-                        fails += 1;
-                        if fails >= FAST_RETRIES {
-                            self.th.stats.fallbacks_gl += 1;
-                            return commit_under_glock(&mut self.th, w, false);
-                        }
-                    }
+            match fast_retries(&mut self.th, |th| try_pure_htm(th, w)) {
+                Ok(()) => {
+                    w.after_commit();
+                    self.th.stats.record_commit(CommitPath::Htm);
+                    return CommitPath::Htm;
+                }
+                // No-retry hint: resource failures split immediately.
+                Err(code) if code.is_resource_failure() => {
+                    self.th.stats.fallbacks_partitioned += 1;
+                }
+                Err(_) => {
+                    self.th.stats.fallbacks_gl += 1;
+                    return commit_under_glock(&mut self.th, w, false);
                 }
             }
         }

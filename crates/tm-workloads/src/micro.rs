@@ -20,6 +20,7 @@ use htm_sim::abort::TxResult;
 use htm_sim::Addr;
 use part_htm_core::{TmRuntime, TxCtx, Workload};
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Configuration of the N-Reads-M-Writes workload.
 #[derive(Clone, Copy, Debug)]
@@ -240,6 +241,75 @@ impl Workload for Nrmw {
             }
         }
         Ok(())
+    }
+}
+
+/// Accounts of the [`Scatter`] workload, one cache line each. Account `i`
+/// sits in L1 set `(base line + i) % 64`, so the 32 accounts with equal
+/// `i % 64` share one set of the default 8-way geometry.
+pub const SCATTER_ACCOUNTS: usize = 2048;
+const SCATTER_SETS: usize = 64;
+/// Accounts one [`Scatter`] transaction writes, all in one L1 set: more than
+/// its eight ways, so the fast path overflows and the partitioned path's
+/// software commit (where summary density is policed) runs.
+pub const SCATTER_WRITES: usize = 12;
+/// Balances live modulo 2^62 (application values must fit in 63 bits).
+pub const SCATTER_MOD: u64 = 1 << 62;
+
+/// The epoch-reset workload: adds one random delta to each of
+/// [`SCATTER_WRITES`] accounts of one L1 set, one account per segment. The
+/// deltas sum to zero modulo [`SCATTER_MOD`], so the sum of all
+/// [`SCATTER_ACCOUNTS`] accounts modulo `SCATTER_MOD` is conserved. Twelve
+/// fresh lines per commit cross the default summary-reset threshold within a
+/// few hundred commits.
+pub struct Scatter {
+    base: Addr,
+    accounts: [usize; SCATTER_WRITES],
+    deltas: [u64; SCATTER_WRITES],
+}
+
+impl Scatter {
+    /// The workload over accounts starting at `base`, one per 8 words.
+    pub fn new(base: Addr) -> Self {
+        Self {
+            base,
+            accounts: [0; SCATTER_WRITES],
+            deltas: [0; SCATTER_WRITES],
+        }
+    }
+}
+
+impl Workload for Scatter {
+    type Snap = ();
+
+    fn sample(&mut self, rng: &mut SmallRng) {
+        let set = rng.gen_range(0..SCATTER_SETS);
+        let per_set = SCATTER_ACCOUNTS / SCATTER_SETS;
+        let mut picked = 0u64;
+        for k in 0..SCATTER_WRITES {
+            let mut j = rng.gen_range(0..per_set);
+            while picked & (1 << j) != 0 {
+                j = (j + 1) % per_set;
+            }
+            picked |= 1 << j;
+            self.accounts[k] = set + j * SCATTER_SETS;
+        }
+        let mut sum = 0u64;
+        for d in &mut self.deltas[..SCATTER_WRITES - 1] {
+            *d = rng.gen_range(0..SCATTER_MOD);
+            sum = (sum + *d) % SCATTER_MOD;
+        }
+        self.deltas[SCATTER_WRITES - 1] = (SCATTER_MOD - sum) % SCATTER_MOD;
+    }
+
+    fn segments(&self) -> usize {
+        SCATTER_WRITES
+    }
+
+    fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
+        let a = self.base + (self.accounts[seg] * 8) as Addr;
+        let v = ctx.read(a)?;
+        ctx.write(a, (v + self.deltas[seg]) % SCATTER_MOD)
     }
 }
 

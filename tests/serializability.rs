@@ -1,10 +1,12 @@
 //! Cross-crate serializability tests: conserved-quantity invariants under every
 //! executor, thread count, and HTM geometry.
 
+use part_htm::baselines::{HtmGl, SpHt};
 use part_htm::core::{PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload};
-use part_htm::harness::{run_cell_with, run_threads_virtual, Algo, RunResult};
+use part_htm::harness::{run_cell_with, run_threads, run_threads_virtual, Algo, RunResult};
 use part_htm::htm::abort::TxResult;
-use part_htm::htm::{Addr, HtmConfig, SchedSpec};
+use part_htm::htm::{Addr, HtmConfig, SchedPolicy, SchedSpec};
+use part_htm::workloads::micro::{Scatter, SCATTER_ACCOUNTS, SCATTER_MOD};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -20,13 +22,16 @@ struct Bank {
 }
 
 /// Transfer between two accounts, in two segments (so the partitioned path splits
-/// it and the global-abort/undo machinery is exercised).
+/// it and the global-abort/undo machinery is exercised) or in one.
 struct Transfer {
     bank: Bank,
     from: usize,
     to: usize,
     amount: u64,
     moved: u64,
+    segs: usize,
+    /// Work units spent between each account's read and its write.
+    work: u64,
 }
 
 impl Workload for Transfer {
@@ -39,7 +44,7 @@ impl Workload for Transfer {
     }
 
     fn segments(&self) -> usize {
-        2
+        self.segs
     }
 
     fn snapshot(&self) -> u64 {
@@ -55,11 +60,23 @@ impl Workload for Transfer {
             let a = self.bank.base + (self.from * self.bank.stride) as Addr;
             let v = ctx.read(a)?;
             self.moved = self.amount.min(v);
+            self.spend(ctx)?;
             ctx.write(a, v - self.moved)?;
-        } else {
+        }
+        if seg == 1 || self.segs == 1 {
             let a = self.bank.base + (self.to * self.bank.stride) as Addr;
             let v = ctx.read(a)?;
+            self.spend(ctx)?;
             ctx.write(a, v + self.moved)?;
+        }
+        Ok(())
+    }
+}
+
+impl Transfer {
+    fn spend<C: TxCtx>(&self, ctx: &mut C) -> TxResult<()> {
+        if self.work > 0 {
+            ctx.work(self.work)?;
         }
         Ok(())
     }
@@ -72,6 +89,8 @@ fn transfer(bank: Bank, _thread: usize) -> Transfer {
         to: 1,
         amount: 0,
         moved: 0,
+        segs: 2,
+        work: 0,
     }
 }
 
@@ -243,69 +262,9 @@ fn adjacent_word_partitioned_writers_conserve_money() {
     }
 }
 
-/// Accounts of the summary-reset workload, one cache line each. Account `i`
-/// sits in L1 set `(base line + i) % 64`, so the 32 accounts with equal
-/// `i % 64` share one set of the default 8-way geometry.
-const SCATTER_ACCOUNTS: usize = 2048;
-const SCATTER_SETS: usize = 64;
-/// Accounts one transaction writes, all in one L1 set: more than its eight
-/// ways, so the fast path overflows and the partitioned path's software
-/// commit (where summary density is policed) runs.
-const SCATTER_WRITES: usize = 12;
-
-/// Balances live modulo 2^62 (application values must fit in 63 bits).
-const SCATTER_MOD: u64 = 1 << 62;
-
-/// Adds one random delta to each of `SCATTER_WRITES` accounts of one L1 set,
-/// one account per segment; the deltas sum to zero modulo `SCATTER_MOD`, so
-/// the sum of all accounts modulo `SCATTER_MOD` is conserved.
-struct Scatter {
-    base: Addr,
-    accounts: [usize; SCATTER_WRITES],
-    deltas: [u64; SCATTER_WRITES],
-}
-
-impl Workload for Scatter {
-    type Snap = ();
-
-    fn sample(&mut self, rng: &mut SmallRng) {
-        let set = rng.gen_range(0..SCATTER_SETS);
-        let per_set = SCATTER_ACCOUNTS / SCATTER_SETS;
-        let mut picked = 0u64;
-        for k in 0..SCATTER_WRITES {
-            let mut j = rng.gen_range(0..per_set);
-            while picked & (1 << j) != 0 {
-                j = (j + 1) % per_set;
-            }
-            picked |= 1 << j;
-            self.accounts[k] = set + j * SCATTER_SETS;
-        }
-        let mut sum = 0u64;
-        for d in &mut self.deltas[..SCATTER_WRITES - 1] {
-            *d = rng.gen_range(0..SCATTER_MOD);
-            sum = (sum + *d) % SCATTER_MOD;
-        }
-        self.deltas[SCATTER_WRITES - 1] = (SCATTER_MOD - sum) % SCATTER_MOD;
-    }
-
-    fn segments(&self) -> usize {
-        SCATTER_WRITES
-    }
-
-    fn segment<C: TxCtx>(&mut self, seg: usize, ctx: &mut C) -> TxResult<()> {
-        let a = self.base + (self.accounts[seg] * 8) as Addr;
-        let v = ctx.read(a)?;
-        ctx.write(a, (v + self.deltas[seg]) % SCATTER_MOD)
-    }
-}
-
 /// Two rounds of the scatter workload on one runtime, 2 virtual cores.
 fn scatter_rounds<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime, ops: usize) -> [RunResult; 2] {
-    let scatter = |_t| Scatter {
-        base: rt.app(0),
-        accounts: [0; SCATTER_WRITES],
-        deltas: [0; SCATTER_WRITES],
-    };
+    let scatter = |_t| Scatter::new(rt.app(0));
     [1, 2].map(|seed| {
         let spec = SchedSpec {
             seed,
@@ -358,5 +317,107 @@ fn summary_resets_at_production_tuning_conserve_money() {
             "{name}: no fast pass hit after a reset ({:?})",
             after.tm
         );
+    }
+}
+
+/// Quantum of the lock-holder workload's HTM: a few hundred work units.
+const MIXED_QUANTUM: u64 = 200;
+
+/// A transfer with a role: thread `t % 4` picks how its transactions end.
+/// - 0: one segment that outruns the quantum — nothing to split, so it
+///   commits under the global lock (every executor);
+/// - 1 and 2: two segments that fit the quantum apart but not together — the
+///   partitioned path (Part-HTM, SpHT's split path; HTM-GL takes the lock);
+/// - 3: plain transfers — quiet fast path, or instrumented while a
+///   partitioned transaction is in flight.
+///
+/// The work sits between each account's read and its write, so a lock holder
+/// that raced a live transaction would overwrite, or be overwritten by, a
+/// stale value.
+fn mixed(bank: Bank, thread: usize) -> Transfer {
+    let (segs, work) = match thread % 4 {
+        0 => (1, MIXED_QUANTUM),
+        1 | 2 => (2, MIXED_QUANTUM * 11 / 20),
+        _ => (2, 0),
+    };
+    Transfer {
+        segs,
+        work,
+        ..transfer(bank, thread)
+    }
+}
+
+/// Run the mixed workload under `E` on OS threads (`spec` `None`) or virtual
+/// cores, then check the total, that every path the executor has ran, and that
+/// no lock, counter or line-table entry leaked.
+fn mixed_conserves_money<'r, E: TmExecutor<'r>>(
+    rt: &'r TmRuntime,
+    spec: Option<SchedSpec>,
+    partitions: bool,
+) {
+    const THREADS: usize = 4;
+    const OPS: usize = 150;
+    for i in 0..ACCOUNTS {
+        rt.setup_write(i * 8, INITIAL);
+    }
+    let bank = Bank {
+        base: rt.app(0),
+        stride: 8,
+    };
+    let factory = |t| mixed(bank, t);
+    let clock = if spec.is_some() { "virtual" } else { "OS threads" };
+    let r = match spec {
+        None => run_threads::<E, _, _>(rt, THREADS, OPS, factory),
+        Some(spec) => run_threads_virtual::<E, _, _>(rt, THREADS, OPS, spec, factory).0,
+    };
+    let total: u64 = (0..ACCOUNTS).map(|i| rt.verify_read(i * 8)).sum();
+    assert_eq!(
+        total,
+        ACCOUNTS as u64 * INITIAL,
+        "{} ({clock}) lost or created money",
+        r.algo
+    );
+    assert_eq!(r.commits, (THREADS * OPS) as u64);
+    assert!(r.tm.commits_gl > 0, "{} ({clock}): no lock commit", r.algo);
+    assert!(r.tm.commits_htm > 0, "{} ({clock}): no fast commit", r.algo);
+    assert_eq!(
+        r.tm.commits_subhtm > 0,
+        partitions,
+        "{} ({clock}): partitioned commits {}",
+        r.algo,
+        r.tm.commits_subhtm
+    );
+    let sys = rt.system();
+    assert_eq!(sys.nt_read(rt.glock()), 0, "{}: glock leaked", r.algo);
+    assert_eq!(sys.nt_read(rt.active_tx()), 0, "{}: active_tx leaked", r.algo);
+    assert_eq!(
+        sys.live_line_entries(),
+        0,
+        "{} ({clock}): a line-table entry leaked",
+        r.algo
+    );
+}
+
+#[test]
+fn lock_holders_beside_quiet_instrumented_and_partitioned_traffic_conserve_money() {
+    // Lock commits run in the lock holder's context (plain heap accesses):
+    // every hardware transaction that could race one subscribed the lock or
+    // drained out of the partitioned path first. A holder that skips the
+    // drain loses money on OS threads and under both seeded schedules.
+    let htm = HtmConfig {
+        quantum: MIXED_QUANTUM,
+        ..HtmConfig::default()
+    };
+    let seeded = |seed| SchedSpec {
+        seed,
+        policy: SchedPolicy::Seeded,
+        forced: Vec::new(),
+    };
+    for spec in [None, Some(seeded(2)), Some(seeded(7))] {
+        let rt = || TmRuntime::new(htm.clone(), TmConfig::default(), 4, ACCOUNTS * 8);
+        mixed_conserves_money::<PartHtm>(&rt(), spec.clone(), true);
+        mixed_conserves_money::<PartHtmO>(&rt(), spec.clone(), true);
+        mixed_conserves_money::<HtmGl>(&rt(), spec.clone(), false);
+        mixed_conserves_money::<SpHt>(&rt(), spec, true);
     }
 }
