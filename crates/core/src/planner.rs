@@ -111,7 +111,10 @@ pub struct SiteSlot {
     /// Consecutive clean partitioned commits at the current plan.
     credit: AtomicU32,
     /// Transactions routed through this site (drives the demotion re-probe).
-    clock: AtomicU64,
+    /// Every transaction's `fetch_add` dirties it, so it has a line of its
+    /// own: the profile fields above stay shared between the cores that
+    /// read them.
+    clock: CacheAligned<AtomicU64>,
 }
 
 impl SiteSlot {
@@ -123,7 +126,7 @@ impl SiteSlot {
             group: AtomicU32::new(1),
             limit: AtomicU32::new(MAX_GROUP),
             credit: AtomicU32::new(0),
-            clock: AtomicU64::new(0),
+            clock: CacheAligned::new(AtomicU64::new(0)),
         }
     }
 
@@ -516,5 +519,21 @@ mod tests {
         let b = t.slot(1) as *const _;
         assert_ne!(a, b, "distinct sites get distinct slots");
         assert_eq!(a, t.slot(0) as *const _, "stable mapping");
+    }
+
+    #[test]
+    fn site_clock_has_a_line_of_its_own() {
+        let t = SiteTable::default();
+        let slot = t.slot(0);
+        let line = |p: *const u8| p as usize / tm_sig::CACHE_LINE;
+        let clock = line(&*slot.clock as *const AtomicU64 as *const u8);
+        for (name, p) in [
+            ("key", &slot.key as *const AtomicU32 as *const u8),
+            ("sampled", &slot.sampled as *const AtomicBool as *const u8),
+            ("res_ewma", &slot.res_ewma as *const AtomicU32 as *const u8),
+            ("group", &slot.group as *const AtomicU32 as *const u8),
+        ] {
+            assert_ne!(line(p), clock, "{name} shares the clock's line");
+        }
     }
 }

@@ -87,6 +87,17 @@ impl TxCtx for SpHtCtx<'_, '_, '_> {
     }
 }
 
+/// Why a split attempt aborted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SplitAbort {
+    /// Conflict, lock or validation driven: another split attempt may commit.
+    Retry,
+    /// The transaction's only hardware segment died of a resource failure:
+    /// there is nothing to split, so every further attempt would fail the
+    /// same way.
+    Futile,
+}
+
 /// The SpHT executor: fast path (pure HTM) → split path → global lock.
 pub struct SpHt<'r> {
     th: TmThread<'r>,
@@ -94,9 +105,9 @@ pub struct SpHt<'r> {
 }
 
 impl<'r> SpHt<'r> {
-    /// One attempt of the split path. `Err(())` aborts the whole transaction
+    /// One attempt of the split path. `Err` aborts the whole transaction
     /// (memory is already pristine — writes were hidden).
-    fn try_split<W: Workload>(&mut self, w: &mut W) -> Result<(), ()> {
+    fn try_split<W: Workload>(&mut self, w: &mut W) -> Result<(), SplitAbort> {
         let rt = self.th.rt;
         let glock = rt.glock();
         self.logs.clear();
@@ -187,11 +198,13 @@ impl<'r> SpHt<'r> {
                         self.logs.orig = orig_snapshot.into_iter().collect();
                         w.restore(snap.clone());
                         attempts += 1;
-                        let give_up = matches!(code, AbortCode::Explicit(x) if x == XABORT_INVALID)
+                        let futile = one_segment(w) && code.is_resource_failure();
+                        let give_up = futile
+                            || matches!(code, AbortCode::Explicit(x) if x == XABORT_INVALID)
                             || attempts >= rt.config().sub_retries;
                         if give_up {
                             self.th.stats.global_aborts += 1;
-                            return Err(());
+                            return Err(if futile { SplitAbort::Futile } else { SplitAbort::Retry });
                         }
                         htm_sim::vclock::yield_now();
                     }
@@ -200,6 +213,12 @@ impl<'r> SpHt<'r> {
         }
         Ok(())
     }
+}
+
+/// Does `w` run as a single hardware segment? Splitting cannot shrink such a
+/// transaction, so a resource failure sends it to the global lock.
+fn one_segment<W: Workload>(w: &W) -> bool {
+    w.segments() == 1 && !w.software_segment(0)
 }
 
 impl<'r> TmExecutor<'r> for SpHt<'r> {
@@ -222,8 +241,9 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
                     self.th.stats.record_commit(CommitPath::Htm);
                     return CommitPath::Htm;
                 }
-                // No-retry hint: resource failures split immediately.
-                Err(code) if code.is_resource_failure() => {
+                // No-retry hint: resource failures split immediately, unless
+                // there is nothing to split (Part-HTM's rule).
+                Err(code) if code.is_resource_failure() && !one_segment(w) => {
                     self.th.stats.fallbacks_partitioned += 1;
                 }
                 Err(_) => {
@@ -235,13 +255,16 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
         let mut gfails = 0;
         loop {
             wait_glock_released(&self.th);
-            if self.try_split(w).is_ok() {
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::SubHtm);
-                return CommitPath::SubHtm;
-            }
+            let abort = match self.try_split(w) {
+                Ok(()) => {
+                    w.after_commit();
+                    self.th.stats.record_commit(CommitPath::SubHtm);
+                    return CommitPath::SubHtm;
+                }
+                Err(abort) => abort,
+            };
             gfails += 1;
-            if gfails >= PART_RETRIES {
+            if abort == SplitAbort::Futile || gfails >= PART_RETRIES {
                 self.th.stats.fallbacks_gl += 1;
                 return commit_under_glock(&mut self.th, w, false);
             }
@@ -263,7 +286,7 @@ impl<'r> TmExecutor<'r> for SpHt<'r> {
 mod tests {
     use super::*;
     use htm_sim::HtmConfig;
-    use part_htm_core::TmConfig;
+    use part_htm_core::{TmConfig, TmStats};
     use rand::rngs::SmallRng;
 
     struct Incr {
@@ -296,6 +319,33 @@ mod tests {
         let mut w = Incr { n: 4, segs: 1, base: rt.app(0) };
         assert_eq!(e.execute(&mut w), CommitPath::Htm);
         assert_eq!(rt.verify_read(0), 1);
+    }
+
+    /// An oversize one-segment transaction: 96 counters on distinct lines
+    /// overflow a 64-line L1, so no hardware attempt can ever commit it.
+    fn oversize_one_segment(skip_fast: bool) -> TmStats {
+        let htm = HtmConfig { l1_sets: 16, l1_ways: 4, ..HtmConfig::default() };
+        let tm = TmConfig { skip_fast, ..TmConfig::default() };
+        let rt = TmRuntime::new(htm, tm, 1, 1024);
+        let mut e = SpHt::new(&rt, 0);
+        let mut w = Incr { n: 96, segs: 1, base: rt.app(0) };
+        assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
+        for i in 0..96 {
+            assert_eq!(rt.verify_read(i * 8), 1);
+        }
+        (*e.thread().stats).clone()
+    }
+
+    #[test]
+    fn oversize_one_segment_goes_straight_to_the_lock() {
+        // Nothing to split: the fast path's resource failure skips the split
+        // path, and a split attempt's stops retrying (Part-HTM's rule).
+        let s = oversize_one_segment(false);
+        assert_eq!((s.fast_aborts, s.fallbacks_partitioned, s.sub_aborts), (1, 0, 0));
+        assert_eq!((s.global_aborts, s.fallbacks_gl, s.commits_gl), (0, 1, 1));
+        let s = oversize_one_segment(true);
+        assert_eq!((s.fast_aborts, s.sub_aborts, s.global_aborts), (0, 1, 1));
+        assert_eq!((s.fallbacks_gl, s.commits_gl), (1, 1));
     }
 
     #[test]

@@ -13,10 +13,12 @@
 
 use htm_sim::vclock::{SchedPolicy, SchedSpec, VClock, VReport};
 use htm_sim::{BackendKind, HtmConfig, HtmSystem};
-use part_htm_core::{batch_site, PartHtm, TmConfig, TmRuntime, TxCtx, Workload};
+use part_htm_core::ctx::SlowCtx;
+use part_htm_core::{batch_site, PartHtm, TmConfig, TmRuntime, TmThread, TxCtx, Workload};
 use rand::rngs::SmallRng;
 use std::fmt::Write as _;
 use tm_sig::SigSpec;
+use tm_workloads::structures::{transfer, HeapHashMap};
 
 use crate::driver::run_threads_virtual;
 
@@ -98,6 +100,11 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
         "tm-server-shaped group commit: width-classed batch of per-request segments + hot line",
     ),
     (
+        "server-transfer",
+        2,
+        "tm-server-shaped transfers under the global lock at quantum 6, KV gets on the fast path",
+    ),
+    (
         "lock-sig-convoy",
         3,
         "3 symmetric partitioned writers locking bits on one write-locks line: no lockstep convoy",
@@ -117,6 +124,7 @@ pub const BOUNDED_SET: &[&str] = &[
     "ring-epoch",
     "power-split",
     "server-batch",
+    "server-transfer",
     "lock-sig-convoy",
 ];
 
@@ -195,6 +203,60 @@ impl Workload for BatchGroup {
         let hot = self.base + (Self::WIDTH as u32) * 8;
         let h = ctx.read(hot)?;
         ctx.write(hot, h + 1)
+    }
+}
+
+/// The `tm-server` request pair at the heart of `server_hot`: core 0 moves
+/// balances between `KEYS` preloaded accounts spread over two shard tables
+/// with the service's single-probe [`transfer`], core 1 reads them with
+/// [`HeapHashMap::get`]. Under a quantum of 6 work units a transfer (6
+/// accesses plus its subscriptions) never fits in hardware and, having one
+/// segment, commits under the global lock; a get (2 accesses) fits and runs
+/// on the fast path beside it, subscribed to the lock the holder writes past.
+struct ServerTransfer {
+    maps: [HeapHashMap; 2],
+    core: usize,
+    n: u64,
+}
+
+impl ServerTransfer {
+    const KEYS: u64 = 4;
+    const SLOTS: usize = 8;
+    const BALANCE: u64 = 100;
+    const AMOUNT: u64 = 30;
+
+    fn maps(rt: &TmRuntime) -> [HeapHashMap; 2] {
+        let words = HeapHashMap::words_needed(Self::SLOTS);
+        [0, 1].map(|m| HeapHashMap::new(rt.app(m * words), Self::SLOTS))
+    }
+
+    fn account(&self, i: u64) -> (&HeapHashMap, u64) {
+        let key = i % Self::KEYS;
+        (&self.maps[key as usize % 2], key)
+    }
+
+    /// Non-transactional sum of every stored balance.
+    fn total_nt(rt: &TmRuntime) -> u64 {
+        (0..2 * Self::SLOTS)
+            .filter(|&s| rt.verify_read(s * 8) != 0)
+            .map(|s| rt.verify_read(s * 8 + 1))
+            .sum()
+    }
+}
+
+impl Workload for ServerTransfer {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {
+        self.n += 1;
+    }
+    fn segment<C: TxCtx>(&mut self, _s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+        let (m, key) = self.account(self.n);
+        if self.core == 0 {
+            transfer(ctx, (m, key), self.account(self.n + 1), Self::AMOUNT)?;
+        } else {
+            std::hint::black_box(m.get(ctx, key)?);
+        }
+        Ok(())
     }
 }
 
@@ -404,6 +466,49 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
                 (0..BatchGroup::WIDTH).map(|i| (i * 8, 8)).collect();
             words.push((BatchGroup::WIDTH * 8, 8 * BatchGroup::WIDTH as u64));
             check_clean(&rt, &words, &mut bad);
+            finish(name, r, rep, bad)
+        }
+        "server-transfer" => {
+            const OPS: usize = 4;
+            let htm = HtmConfig {
+                quantum: 6,
+                ..HtmConfig::default()
+            };
+            let words = 2 * HeapHashMap::words_needed(ServerTransfer::SLOTS);
+            let rt = TmRuntime::new(htm, TmConfig::default(), 2, words);
+            let maps = ServerTransfer::maps(&rt);
+            {
+                let th = TmThread::new(&rt, 0);
+                let mut ctx = SlowCtx {
+                    th: &th.hw,
+                    mask_values: false,
+                };
+                for key in 0..ServerTransfer::KEYS {
+                    maps[key as usize % 2]
+                        .insert(&mut ctx, key, ServerTransfer::BALANCE)
+                        .expect("slow-path preload cannot abort");
+                }
+            }
+            let (r, rep) =
+                run_threads_virtual::<PartHtm, _, _>(&rt, 2, OPS, spec.clone(), |core| {
+                    ServerTransfer { maps, core, n: 0 }
+                });
+            let mut bad = Vec::new();
+            if r.commits != 2 * OPS as u64 {
+                bad.push(format!("expected {} commits, got {}", 2 * OPS, r.commits));
+            }
+            if r.tm.commits_gl < OPS as u64 {
+                bad.push(format!(
+                    "{} commits under the global lock: some of the {OPS} transfers did not take it",
+                    r.tm.commits_gl
+                ));
+            }
+            let total = ServerTransfer::total_nt(&rt);
+            let expect = ServerTransfer::KEYS * ServerTransfer::BALANCE;
+            if total != expect {
+                bad.push(format!("total balance {total}, expected {expect} (lost or phantom update)"));
+            }
+            check_clean(&rt, &[], &mut bad);
             finish(name, r, rep, bad)
         }
         "lock-sig-convoy" => {
@@ -733,6 +838,17 @@ mod tests {
         for name in BOUNDED_SET {
             let out = sample(name, 100, 3);
             assert!(out.violation.is_none(), "{name}: {:?}", out.violation);
+        }
+    }
+
+    /// `server-transfer` exercises what it names: under the default schedule
+    /// every transfer commits under the global lock and every get on the
+    /// fast path beside it.
+    #[test]
+    fn server_transfer_locks_transfers_beside_fast_gets() {
+        let (_, digest) = run_scenario("server-transfer", &SchedSpec::default()).unwrap();
+        for field in ["commits_htm: 4,", "commits_subhtm: 0,", "commits_gl: 4,"] {
+            assert!(digest.contains(field), "{field} not in {digest}");
         }
     }
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use tm_harness::driver::RunResult;
 use tm_harness::loadgen::LatencyHisto;
 use tm_harness::report::StatsReport;
-use tm_workloads::structures::{HeapHashMap, HeapQueue};
+use tm_workloads::structures::{transfer, HeapHashMap, HeapQueue};
 
 /// Geometry of the service heap.
 #[derive(Clone, Copy, Debug)]
@@ -253,15 +253,11 @@ impl ServerState {
                 to,
                 amount,
             } => {
-                let mf = &self.maps[self.spec.shard_of_key(tenant, from) as usize];
-                let mt = &self.maps[self.spec.shard_of_key(tenant, to) as usize];
-                let bal = mf.get(ctx, full_key(tenant, from))?.unwrap_or(0);
-                if bal < amount {
-                    return Ok(0);
-                }
-                mf.update(ctx, full_key(tenant, from), 0, |v| v - amount)?;
-                mt.update(ctx, full_key(tenant, to), 0, |v| v + amount)?;
-                Ok(1)
+                let account = |key| {
+                    let m = &self.maps[self.spec.shard_of_key(tenant, key) as usize];
+                    (m, full_key(tenant, key))
+                };
+                transfer(ctx, account(from), account(to), amount).map(u64::from)
             }
         }
     }
