@@ -19,8 +19,8 @@ pub const XABORT_TS_CHANGED: u8 = 0xA3;
 /// transaction must fall back.
 pub const XABORT_UNDO_FULL: u8 = 0xA4;
 /// Explicit-abort payload: the fast path speculated that no partitioned-path
-/// transaction was active but found `active_tx != 0` inside the transaction; it
-/// restarts with full instrumentation.
+/// transaction was active but found the gate word's count non-zero inside the
+/// transaction; it restarts with full instrumentation.
 pub const XABORT_NOT_QUIET: u8 = 0xA5;
 
 /// Part-HTM-O's address-embedded write lock: the stolen bit. The paper steals the

@@ -237,7 +237,7 @@ impl TxCtx for SubCtx<'_, '_, '_> {
 
 /// Uninstrumented hardware-transaction context: plain transactional accesses with
 /// no protocol metadata at all. Used by the *quiet* fast path — when the subscribed
-/// `active_tx` counter proves no partitioned-path transaction runs concurrently,
+/// gate word's count proves no partitioned-path transaction runs concurrently,
 /// Part-HTM's signatures, lock validation and ring publish exist for nobody, so the
 /// fast path degenerates to pure HTM (its design goal of "comparable performance
 /// between Part-HTM and pure HTM" in that regime, §4).

@@ -14,7 +14,7 @@
 //!
 //! The module also holds the three idioms every hardware-assisted executor in
 //! the workspace shares: [`hw_attempt`] (one whole-transaction hardware attempt
-//! subscribed to the global lock), [`fast_retries`] (the fast path's retry loop
+//! subscribed to the slow-path gate), [`fast_retries`] (the fast path's retry loop
 //! with the anti-lemming wait) and [`commit_under_glock`] (the slow path).
 
 use crate::api::{
@@ -23,7 +23,7 @@ use crate::api::{
 };
 use crate::ctx::{software_work, FastCtx, RawCtx, SigPair, SoftwareCtx, SubCtx};
 use crate::planner::{build_plan, FastExit, FastRoute, PlanChange, PlanStep};
-use crate::runtime::{ThreadArena, TmConfig, TmRuntime, TmThread};
+use crate::runtime::{ThreadArena, TmConfig, TmRuntime, TmThread, GATE_COUNT, GATE_LOCK};
 use crate::undo::UndoLog;
 use htm_sim::abort::TxResult;
 use htm_sim::vclock::{self, yield_now};
@@ -67,38 +67,30 @@ pub fn run_all<W: Workload, C: TxCtx>(w: &mut W, ctx: &mut C) -> TxResult<()> {
     run_segments(w, 0..n, ctx)
 }
 
-/// Read `addr` inside `tx` — subscribing its line, so any later store dooms the
-/// transaction — and explicitly abort with `code` unless it holds zero.
-#[inline]
-fn subscribe_zero(tx: &mut HtmTx<'_, '_>, addr: Addr, code: u8) -> TxResult<()> {
-    match tx.read(addr)? {
-        0 => Ok(()),
-        _ => Err(tx.xabort(code)),
-    }
-}
-
-/// One whole-transaction hardware attempt: reset the workload, begin, subscribe
-/// the global lock (Fig. 1 lines 1–2) — preceded by `active_tx` when
-/// `subscribe_active`, the *quiet* speculation that no partitioned-path
-/// transaction runs — then run `body` and commit. `active_tx` goes first so a
-/// quiet attempt beside a partitioned peer dies after one access. A failed
-/// attempt counts one [`crate::TmStats::fast_aborts`]. Shared by every executor
-/// with a hardware first path (Part-HTM, Part-HTM-O and the HTM-GL/SpHT
-/// baselines); `body` builds the path's instrumentation context around the
-/// transaction it is handed.
+/// One whole-transaction hardware attempt: reset the workload, begin,
+/// subscribe the gate (Fig. 1 lines 1–2: its lock bit aborts with
+/// [`XABORT_GLOCK`]), then run `body` and commit. A `quiet` attempt — the
+/// speculation that no partitioned-path transaction runs — also aborts, with
+/// [`XABORT_NOT_QUIET`], on a non-zero count: one read tests both fields. A
+/// failed attempt counts one [`crate::TmStats::fast_aborts`]. Shared by every
+/// executor with a hardware first path (Part-HTM, Part-HTM-O and the
+/// HTM-GL/SpHT baselines); `body` builds the path's instrumentation context
+/// around the transaction it is handed.
 pub fn hw_attempt<W: Workload, R>(
     th: &mut TmThread<'_>,
     w: &mut W,
-    subscribe_active: bool,
+    quiet: bool,
     body: impl FnOnce(&mut HtmTx<'_, '_>, &mut W) -> TxResult<R>,
 ) -> Result<R, AbortCode> {
     w.reset();
-    let (glock, active_tx) = (th.rt.glock(), th.rt.active_tx());
+    let gate = th.rt.gate();
     let res = th.hw.attempt(|tx| {
-        if subscribe_active {
-            subscribe_zero(tx, active_tx, XABORT_NOT_QUIET)?;
+        match tx.read(gate)? {
+            0 => {}
+            g if g & GATE_LOCK != 0 => return Err(tx.xabort(XABORT_GLOCK)),
+            _ if quiet => return Err(tx.xabort(XABORT_NOT_QUIET)),
+            _ => {}
         }
-        subscribe_zero(tx, glock, XABORT_GLOCK)?;
         body(tx, w)
     });
     if res.is_err() {
@@ -134,12 +126,12 @@ pub fn fast_retries<'r>(
 }
 
 /// The lock holder's context (Fig. 1 lines 63–64): plain heap loads and
-/// stores at 1 wu each, the price of a non-transactional access. With `GLock`
-/// held and `active_tx` drained, every hardware transaction that could own a
-/// line subscribed the lock (fast paths, SpHT's split path) or has left the
-/// partitioned path, so it is doomed or finished: the line table's strongly
-/// atomic claim would resolve nothing. A doomed transaction re-checks its doom
-/// after each load, so it never returns a value stored here.
+/// stores at 1 wu each, the price of a non-transactional access. With the
+/// gate's lock bit set and its count drained, every hardware transaction that
+/// could own a line subscribed the gate (fast paths, SpHT's split path) or has
+/// left the partitioned path, so it is doomed or finished: the line table's
+/// strongly atomic claim would resolve nothing. A doomed transaction re-checks
+/// its doom after each load, so it never returns a value stored here.
 struct HolderCtx<'c> {
     heap: &'c Heap,
     mask_values: bool,
@@ -147,14 +139,15 @@ struct HolderCtx<'c> {
 
 impl<'c> HolderCtx<'c> {
     /// Enter the context on `th`, which holds the global lock and has seen
-    /// `active_tx` drained. The `active_tx` check is exact under the virtual
-    /// clock only: on OS threads a peer's begin handshake may raise it for a
-    /// moment before it sees the lock and backs out.
+    /// the count drained. The count check is exact under the virtual clock
+    /// only: on OS threads an entrant's increment may raise it for a moment
+    /// before the entrant sees the lock bit and backs out.
     fn enter(th: &'c TmThread<'_>, mask_values: bool) -> Self {
         let heap = th.hw.system().heap();
-        debug_assert_eq!(heap.load(th.rt.glock()), 1, "the global lock is held");
+        let gate = heap.load(th.rt.gate());
+        debug_assert_ne!(gate & GATE_LOCK, 0, "the global lock is held");
         debug_assert!(
-            !vclock::is_attached() || heap.load(th.rt.active_tx()) == 0,
+            !vclock::is_attached() || gate & GATE_COUNT == 0,
             "no partitioned-path transaction runs beside the lock holder"
         );
         Self { heap, mask_values }
@@ -189,10 +182,16 @@ impl TxCtx for HolderCtx<'_> {
 }
 
 /// Commit `w` under the global lock (the slow path, Fig. 1 lines 61–65):
-/// acquire `GLock`, wait for every partitioned-path transaction to drain
-/// (`active_tx == 0`), execute uninstrumented in the lock holder's context,
+/// take the gate's lock bit, wait for every partitioned-path transaction to
+/// drain (count 0), execute uninstrumented in the lock holder's context,
 /// release, record the commit. Shared by every executor whose last resort is
 /// the lock.
+///
+/// On an empty gate one `CAS(0 → LOCK)` both acquires the lock and proves the
+/// drain. A non-zero count is announced with `CAS(v → v | LOCK)`, which turns
+/// every later entrant away, and then drained by reading. The release
+/// subtracts the bit rather than storing 0: an entrant that saw the lock may
+/// still have its increment in flight, and its decrement must find it.
 ///
 /// The lock is held through a drop guard, so a workload segment that panics
 /// here releases it while unwinding: the panic fails its own thread instead of
@@ -205,16 +204,27 @@ pub fn commit_under_glock<W: Workload>(
     struct Held<'a, 's>(&'a HtmThread<'s>, Addr);
     impl Drop for Held<'_, '_> {
         fn drop(&mut self) {
-            self.0.nt_write(self.1, 0);
+            let hw = self.0;
+            hw.system().nt_fetch_sub_by(hw.id(), self.1, GATE_LOCK);
         }
     }
-    let rt = th.rt;
-    while th.hw.nt_cas(rt.glock(), 0, 1).is_err() {
-        yield_now();
+    let gate = th.rt.gate();
+    let mut count = 0;
+    loop {
+        match th.hw.nt_cas(gate, count, count | GATE_LOCK) {
+            Ok(_) => break,
+            // Another holder: wait for an empty gate.
+            Err(g) if g & GATE_LOCK != 0 => {
+                count = 0;
+                yield_now();
+            }
+            // Partitioned transactions run: announce the lock over them.
+            Err(g) => count = g,
+        }
     }
     {
-        let _held = Held(&th.hw, rt.glock());
-        while th.hw.nt_read(rt.active_tx()) != 0 {
+        let _held = Held(&th.hw, gate);
+        while count != 0 && th.hw.nt_read(gate) & GATE_COUNT != 0 {
             yield_now();
         }
         w.reset();
@@ -230,7 +240,7 @@ pub fn commit_under_glock<W: Workload>(
 /// *retry* in hardware while the global lock is held — wait for its release
 /// first. A first attempt needs no wait: it subscribes the lock.
 pub fn wait_glock_released(th: &TmThread<'_>) {
-    while th.hw.nt_read(th.rt.glock()) != 0 {
+    while th.hw.nt_read(th.rt.gate()) & GATE_LOCK != 0 {
         yield_now();
     }
 }
@@ -391,15 +401,17 @@ pub struct PartExec<'r, V: Variant> {
 /// One fast-path attempt of Part-HTM (§5.2): the quiet attempt, then — if a
 /// partitioned-path transaction was active — the instrumented one.
 ///
-/// The *quiet* attempt subscribes `active_tx` before the global lock: with the
-/// counter at zero, the signatures, the lock checks and the ring publish —
+/// The *quiet* attempt finds the whole gate zero: with no partitioned-path
+/// transaction counted, the signatures, the lock checks and the ring publish —
 /// which exist solely to coordinate with sub-HTM transactions — are
-/// unnecessary and the fast path is pure HTM plus two subscriptions. Sound
-/// because locks (signature or embedded) are only held and the ring is only
-/// consulted while `active_tx > 0` (release precedes the decrement), and any
-/// change to either subscribed word dooms the hardware transaction. With the
-/// counter above zero the quiet attempt aborts after that one access and the
-/// instrumented attempt runs at once.
+/// unnecessary and the fast path is pure HTM plus one subscription, HTM-GL's
+/// price. Sound because locks (signature or embedded) are only held and the
+/// ring is only consulted while the count is above zero (release precedes the
+/// decrement), and any change to the subscribed gate dooms the hardware
+/// transaction. With the count above zero the quiet attempt aborts after that
+/// one access and the instrumented attempt runs at once. The instrumented
+/// attempt subscribes the same word, so a peer's partitioned begin or end
+/// dooms it too.
 fn fast_attempt<V: Variant, W: Workload>(
     th: &mut TmThread<'_>,
     a: ThreadArena,
@@ -459,8 +471,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
     #[inline]
     fn dec_active(&self) {
         let hw = &self.th.hw;
-        hw.system()
-            .nt_fetch_sub_by(hw.id(), self.th.rt.active_tx(), 1);
+        hw.system().nt_fetch_sub_by(hw.id(), self.th.rt.gate(), 1);
     }
 
     /// Clear the per-transaction metadata (partitioned-path begin and end).
@@ -577,12 +588,12 @@ impl<'r, V: Variant> PartExec<'r, V> {
     /// global attempt can help.
     fn try_partitioned<W: Workload>(&mut self, w: &mut W) -> Result<(), GlobalAbort> {
         let rt = self.th.rt;
-        // Global begin (Fig. 1 lines 16–19): the active_tx/GLock handshake gives
-        // mutual exclusion against the slow path.
+        // Global begin (Fig. 1 lines 16–19): count in on the gate. The old
+        // value says whether a holder took or announced the lock first, in
+        // which case the increment backs out and the entrant waits again.
         loop {
             wait_glock_released(&self.th);
-            self.th.hw.nt_fetch_add(rt.active_tx(), 1);
-            if self.th.hw.nt_read(rt.glock()) == 0 {
+            if self.th.hw.nt_fetch_add(rt.gate(), 1) & GATE_LOCK == 0 {
                 break;
             }
             self.dec_active();
@@ -896,8 +907,11 @@ mod tests {
             rt.write_locks().snapshot_nt(&th.hw).is_empty(),
             "all locks released"
         );
-        assert_eq!(rt.system().nt_read(rt.active_tx()), 0);
-        assert_eq!(rt.system().nt_read(rt.glock()), 0, "global lock released");
+        assert_eq!(
+            rt.system().nt_read(rt.gate()),
+            0,
+            "global lock released, count drained"
+        );
     }
 
     /// Mid-size HTM: 16 sets x 4 ways = 64 written lines — big enough for a
@@ -1168,6 +1182,36 @@ mod tests {
             }
         });
         check_sum(&rt, 16, (4 * TXS) as u64);
+        check_released(&rt);
+    }
+
+    /// An entrant that read the gate before the lock was taken counts itself
+    /// in during the hold and backs out after it: the release must leave its
+    /// increment for its decrement to find. (A release that stores 0 wipes
+    /// the increment, and the decrement wraps the gate into a held lock that
+    /// no one releases.)
+    #[test]
+    fn release_keeps_an_entrants_transient_increment() {
+        struct EntrantDuringHold<'r>(&'r TmRuntime);
+        impl Workload for EntrantDuringHold<'_> {
+            type Snap = ();
+            fn sample(&mut self, _rng: &mut SmallRng) {}
+            fn segment<C: TxCtx>(&mut self, _seg: usize, _ctx: &mut C) -> TxResult<()> {
+                let old = self.0.system().heap().fetch_add(self.0.gate(), 1);
+                assert_eq!(old, GATE_LOCK, "the entrant sees the held lock");
+                Ok(())
+            }
+        }
+        let rt = TmRuntime::with_defaults(2, 64);
+        let mut th = TmThread::new(&rt, 0);
+        let path = commit_under_glock(&mut th, &mut EntrantDuringHold(&rt), false);
+        assert_eq!(path, CommitPath::GlobalLock);
+        assert_eq!(
+            rt.system().nt_read(rt.gate()),
+            1,
+            "the entrant is still counted"
+        );
+        rt.system().nt_fetch_sub_by(1, rt.gate(), 1);
         check_released(&rt);
     }
 

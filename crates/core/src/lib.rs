@@ -44,5 +44,5 @@ pub use exec::{
 pub use opaque::PartHtmO;
 pub use parthtm::PartHtm;
 pub use planner::{batch_site, build_plan, FastRoute, PlanStep, SiteTable};
-pub use runtime::{Region, SigKind, TmConfig, TmRuntime, TmThread};
+pub use runtime::{Region, SigKind, TmConfig, TmRuntime, TmThread, GATE_COUNT, GATE_LOCK};
 pub use stats::TmStats;

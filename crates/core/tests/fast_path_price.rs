@@ -4,17 +4,17 @@
 //! of a wait costs work units; a hardware begin, commit or abort costs none.
 //! So a transaction's virtual cost is a count of the accesses its executor
 //! makes, and these tests pin that count. A quiet Part-HTM attempt (no
-//! partitioned-path transaction runs) subscribes `active_tx` and the global
-//! lock and does nothing else (Fig. 1 lines 1–2 plus the quiet speculation):
-//! an n-access transaction costs n + 2. HTM-GL subscribes the lock alone:
-//! n + 1. Neither reads a metadata word before its first hardware attempt;
-//! the anti-lemming wait (§7) runs before a *retry* only.
+//! partitioned-path transaction runs) subscribes the gate — the global lock
+//! and the partitioned-path count in one word — and does nothing else (Fig. 1
+//! lines 1–2 plus the quiet speculation): an n-access transaction costs
+//! n + 1, HTM-GL's price. Neither reads a metadata word before its first
+//! hardware attempt; the anti-lemming wait (§7) runs before a *retry* only.
 
 use htm_sim::abort::TxResult;
 use htm_sim::vclock::{self, SchedSpec, VClock};
 use htm_sim::{Addr, HtmConfig};
 use part_htm_core::{
-    CommitPath, PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload,
+    CommitPath, PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, TxCtx, Workload, GATE_LOCK,
 };
 use rand::rngs::SmallRng;
 use tm_baselines::HtmGl;
@@ -96,6 +96,9 @@ fn quiet<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) -> Price {
     price::<E>(rt, 1, || ())
 }
 
+/// Every executor pays one subscription, of the gate. Part-HTM and
+/// Part-HTM-O paid N + 2 while the lock and the count were two words, the
+/// quiet attempt subscribing both.
 #[test]
 fn a_quiet_transaction_pays_its_subscriptions_and_nothing_else() {
     let subscribed = |k| Price {
@@ -103,23 +106,25 @@ fn a_quiet_transaction_pays_its_subscriptions_and_nothing_else() {
         in_htm_wu: N + k,
         fast_aborts: 0,
     };
-    assert_eq!(quiet::<PartHtm>(&rt(1)), subscribed(2), "Part-HTM");
-    assert_eq!(quiet::<PartHtmO>(&rt(1)), subscribed(2), "Part-HTM-O");
+    assert_eq!(quiet::<PartHtm>(&rt(1)), subscribed(1), "Part-HTM");
+    assert_eq!(quiet::<PartHtmO>(&rt(1)), subscribed(1), "Part-HTM-O");
     assert_eq!(quiet::<HtmGl>(&rt(1)), subscribed(1), "HTM-GL");
 }
 
-/// `active_tx > 0`: a partitioned-path transaction is in flight.
+/// A gate count of 1: a partitioned-path transaction is in flight.
 fn beside_a_partitioned_peer<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) -> Price {
-    rt.system().nt_write(rt.active_tx(), 1);
+    rt.system().nt_write(rt.gate(), 1);
     price::<E>(rt, 1, || ())
 }
 
 /// Beside a partitioned peer the quiet attempt dies of its first access, the
-/// `active_tx` subscription — one access, as the non-transactional pre-read
-/// that used to precede it — and the instrumented attempt (signatures, lock
-/// check, ring publish) follows at once. An executor that also waited on the
-/// lock before its first attempt would pay 1 wu more (45 and 40). HTM-GL
-/// never looks at `active_tx`.
+/// gate subscription — one access, as the non-transactional pre-read that
+/// used to precede it — and the instrumented attempt (signatures, lock check,
+/// ring publish) follows at once. An executor that also waited on the lock
+/// before its first attempt would pay 1 wu more (45 and 40). HTM-GL reads the
+/// count with the lock bit and ignores it. (The same prices as with two
+/// words: the quiet attempt's one access was then the count's subscription,
+/// and the instrumented attempt's the lock's.)
 #[test]
 fn beside_a_partitioned_peer_the_quiet_attempt_costs_one_access() {
     let part_htm = beside_a_partitioned_peer::<PartHtm>(&rt(1));
@@ -138,17 +143,19 @@ fn beside_a_partitioned_peer_the_quiet_attempt_costs_one_access() {
 const HOLD: u64 = 40;
 
 fn against_a_held_lock<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime) -> Price {
-    rt.system().nt_write(rt.glock(), 1);
+    rt.system().nt_write(rt.gate(), GATE_LOCK);
     price::<E>(rt, 2, || {
         vclock::charge(HOLD);
-        rt.system().heap().store(rt.glock(), 0);
+        rt.system().heap().fetch_sub(rt.gate(), GATE_LOCK);
     })
 }
 
 /// The first attempt starts at once and dies on its subscription of the held
-/// lock — one access for HTM-GL, the quiet attempt's two for Part-HTM — and
-/// only then does the executor wait. The wait ends with the one read that
-/// sees the lock free, at `HOLD + 1`, and the retry pays the quiet price.
+/// lock — one access, the gate's, for every executor — and only then does the
+/// executor wait. The wait ends with the one read that sees the lock free, at
+/// `HOLD + 1`, and the retry pays the quiet price. Part-HTM and Part-HTM-O
+/// were `after_wait(2, N + 2)` while their quiet attempt subscribed the count
+/// and then the lock, two words.
 #[test]
 fn a_first_attempt_against_a_held_lock_pays_one_subscription_then_waits() {
     let after_wait = |first: u64, quiet: u64| Price {
@@ -158,12 +165,12 @@ fn a_first_attempt_against_a_held_lock_pays_one_subscription_then_waits() {
     };
     assert_eq!(
         against_a_held_lock::<PartHtm>(&rt(2)),
-        after_wait(2, N + 2),
+        after_wait(1, N + 1),
         "Part-HTM"
     );
     assert_eq!(
         against_a_held_lock::<PartHtmO>(&rt(2)),
-        after_wait(2, N + 2),
+        after_wait(1, N + 1),
         "Part-HTM-O"
     );
     assert_eq!(

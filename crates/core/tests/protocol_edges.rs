@@ -83,7 +83,7 @@ fn undo_restores_across_multiple_subs_on_global_abort() {
     // All metadata released.
     let th = part_htm_core::TmThread::new(&rt, 0);
     assert!(rt.write_locks().snapshot_nt(&th.hw).is_empty());
-    assert_eq!(rt.system().nt_read(rt.active_tx()), 0);
+    assert_eq!(rt.system().nt_read(rt.gate()), 0);
 }
 
 #[test]
@@ -107,7 +107,7 @@ fn oversize_segment_lands_on_global_lock_after_one_global_abort() {
     for i in 0..64 {
         assert_eq!(rt.verify_read(i * 8), 1);
     }
-    assert_eq!(rt.system().nt_read(rt.glock()), 0, "lock released");
+    assert_eq!(rt.system().nt_read(rt.gate()), 0, "lock released");
 }
 
 #[test]

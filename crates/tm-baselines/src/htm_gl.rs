@@ -142,7 +142,7 @@ mod tests {
         // Exactly one wasted hardware attempt: the capacity abort carries no
         // retry hint, so the fallback takes the lock immediately.
         assert_eq!(e.thread().stats.fast_aborts, 1);
-        assert_eq!(rt.system().nt_read(rt.glock()), 0);
+        assert_eq!(rt.system().nt_read(rt.gate()), 0);
     }
 
     #[test]

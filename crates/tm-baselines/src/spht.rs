@@ -17,8 +17,8 @@
 //! compares the two on a space-limited workload.
 //!
 //! Upsides SpHT keeps: aborting a split transaction needs no undo (memory is
-//! pristine between segments), and the slow path needs no `active_tx` handshake
-//! (between segments a split transaction holds no visible state).
+//! pristine between segments), and the slow path need not count it in on the
+//! gate (between segments a split transaction holds no visible state).
 
 use htm_sim::abort::TxResult;
 use htm_sim::util::FastMap;
@@ -28,7 +28,7 @@ use part_htm_core::ctx::SoftwareCtx;
 use part_htm_core::{
     commit_under_glock, fast_retries, wait_glock_released, BACKOFF_UNITS, PART_RETRIES,
 };
-use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
+use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload, GATE_LOCK};
 
 use crate::htm_gl::try_pure_htm;
 
@@ -92,9 +92,9 @@ impl TxCtx for SpHtCtx<'_, '_, '_> {
 enum SplitAbort {
     /// Conflict, lock or validation driven: another split attempt may commit.
     Retry,
-    /// The transaction's only hardware segment died of a resource failure:
-    /// there is nothing to split, so every further attempt would fail the
-    /// same way.
+    /// A sub-transaction died of a resource failure. SpHT cannot split a
+    /// segment further, and every retry replays the same redo log before it,
+    /// so every further attempt would fail the same way.
     Futile,
 }
 
@@ -109,7 +109,7 @@ impl<'r> SpHt<'r> {
     /// (memory is already pristine — writes were hidden).
     fn try_split<W: Workload>(&mut self, w: &mut W) -> Result<(), SplitAbort> {
         let rt = self.th.rt;
-        let glock = rt.glock();
+        let gate = rt.gate();
         self.logs.clear();
         w.reset();
         let nseg = w.segments();
@@ -141,11 +141,12 @@ impl<'r> SpHt<'r> {
                     self.logs.orig.iter().map(|(&a, &v)| (a, v)).collect();
                 let mut tx = self.th.hw.begin();
                 let body: TxResult<()> = 'b: {
-                    // Subscribe the global lock (the split path has no active_tx
-                    // handshake: between segments a split transaction holds no
-                    // visible state, so the slow path never has to wait for it).
-                    match tx.read(glock) {
-                        Ok(0) => {}
+                    // Subscribe the gate's lock bit (the split path does not
+                    // count itself in: between segments a split transaction
+                    // holds no visible state, so the slow path never has to
+                    // wait for it).
+                    match tx.read(gate) {
+                        Ok(g) if g & GATE_LOCK == 0 => {}
                         Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
                         Err(e) => break 'b Err(e),
                     }
@@ -198,7 +199,7 @@ impl<'r> SpHt<'r> {
                         self.logs.orig = orig_snapshot.into_iter().collect();
                         w.restore(snap.clone());
                         attempts += 1;
-                        let futile = one_segment(w) && code.is_resource_failure();
+                        let futile = code.is_resource_failure();
                         let give_up = futile
                             || matches!(code, AbortCode::Explicit(x) if x == XABORT_INVALID)
                             || attempts >= rt.config().sub_retries;
@@ -216,7 +217,8 @@ impl<'r> SpHt<'r> {
 }
 
 /// Does `w` run as a single hardware segment? Splitting cannot shrink such a
-/// transaction, so a resource failure sends it to the global lock.
+/// transaction, so a resource failure of its fast path sends it to the global
+/// lock.
 fn one_segment<W: Workload>(w: &W) -> bool {
     w.segments() == 1 && !w.software_segment(0)
 }
@@ -455,11 +457,22 @@ mod tests {
         // *write set* exceeds HTM capacity cannot be rescued by lazy splitting
         // (the last sub-transaction replays the whole redo log), so SpHT ends on
         // the global lock where Part-HTM commits on its partitioned path.
+        // The first sub-transaction that overflows ends the split path: a
+        // retry would replay the same redo log and overflow again. (It took
+        // 25 sub aborts and 5 global aborts while resource failures of a
+        // multi-segment split were retried.)
         let htm = HtmConfig { l1_sets: 16, l1_ways: 4, quantum: 100_000, ..HtmConfig::default() };
         let rt = TmRuntime::new(htm.clone(), TmConfig::default(), 1, 2048);
         let mut e = SpHt::new(&rt, 0);
         let mut w = Incr { n: 96, segs: 8, base: rt.app(0) };
         assert_eq!(e.execute(&mut w), CommitPath::GlobalLock);
+        let s = &e.thread().stats;
+        assert_eq!((s.fast_aborts, s.fallbacks_partitioned), (1, 1));
+        assert_eq!((s.sub_aborts, s.global_aborts), (1, 1));
+        assert_eq!((s.fallbacks_gl, s.commits_gl), (1, 1));
+        for i in 0..96 {
+            assert_eq!(rt.verify_read(i * 8), 1);
+        }
 
         let rt2 = TmRuntime::new(htm, TmConfig::default(), 1, 2048);
         let mut e2 = part_htm_core::PartHtm::new(&rt2, 0);

@@ -7,7 +7,7 @@ use crate::report::{StatsReport, Table, Unit};
 use htm_sim::registry::{AccessKind, DoomCause};
 use htm_sim::trace::Event;
 use htm_sim::vclock::SchedSpec;
-use htm_sim::{BackendKind, HtmConfig};
+use htm_sim::{AbortCode, BackendKind, HtmConfig};
 use part_htm_core::{PartHtm, PartHtmO, Region, TmConfig, TmExecutor, TmRuntime, Workload};
 use std::collections::BTreeMap;
 use tm_baselines::HtmGl;
@@ -613,7 +613,8 @@ pub fn capacity_shape() -> (micro::NrmwParams, HtmConfig) {
 
 /// One `explain` cell: run the capacity shape under `E` with the hardware
 /// trace on and append its conflict aborts, tallied by the doomer's region and
-/// access kind, to `out`.
+/// access kind, to `out`, then each core's warm-up: the hardware attempts that
+/// died before its first commit, which set the cell's tail latency.
 fn explain_cell<'r, E: TmExecutor<'r>>(
     rt: &'r TmRuntime,
     shared: micro::NrmwShared,
@@ -636,16 +637,31 @@ fn explain_cell<'r, E: TmExecutor<'r>>(
                     _ => None,
                 })
                 .collect();
-            (causes, trace.recorded() > trace.len() as u64)
+            let committed = trace.events().any(|ev| matches!(ev, Event::Commit { .. }));
+            let warmup: Option<Vec<(AbortCode, u64, Option<DoomCause>)>> = committed.then(|| {
+                trace
+                    .events()
+                    .take_while(|ev| !matches!(ev, Event::Commit { .. }))
+                    .filter_map(|ev| match ev {
+                        Event::Abort {
+                            code, work, cause, ..
+                        } => Some((*code, *work, *cause)),
+                        _ => None,
+                    })
+                    .collect()
+            });
+            (causes, warmup, trace.recorded() > trace.len() as u64)
         },
     );
     let mut tally: BTreeMap<(Region, AccessKind), u64> = BTreeMap::new();
     let mut overflowed = false;
-    for (causes, lost) in traces {
+    let mut warmups = Vec::new();
+    for (causes, warmup, lost) in traces {
         overflowed |= lost;
         for c in causes {
             *tally.entry((rt.region_of(c.line), c.kind)).or_default() += 1;
         }
+        warmups.push(warmup);
     }
     let mut rows: Vec<_> = tally.into_iter().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -666,6 +682,22 @@ fn explain_cell<'r, E: TmExecutor<'r>>(
     out.push_str(&format!("{:<24} {:<9} {:>7}\n", "doomed on", "by a", "aborts"));
     for ((region, kind), n) in rows {
         out.push_str(&format!("{:<24} {:<9} {:>7}\n", region.to_string(), kind.to_string(), n));
+    }
+    out.push_str("warm-up: aborted attempts before the core's first commit (code, wu, doomed on)\n");
+    for (core, warmup) in warmups.iter().enumerate() {
+        let Some(warmup) = warmup else {
+            out.push_str(&format!("core {core}: no hardware commit\n"));
+            continue;
+        };
+        let attempts: Vec<String> = warmup
+            .iter()
+            .map(|(code, work, cause)| match cause {
+                Some(c) => format!("{code} {work} {}", rt.region_of(c.line)),
+                None => format!("{code} {work}"),
+            })
+            .collect();
+        let wu: u64 = warmup.iter().map(|a| a.1).sum();
+        out.push_str(&format!("core {core}: {wu} wu: {}\n", attempts.join(", ")));
     }
 }
 

@@ -14,9 +14,12 @@
 use htm_sim::vclock::{SchedPolicy, SchedSpec, VClock, VReport};
 use htm_sim::{BackendKind, HtmConfig, HtmSystem};
 use part_htm_core::ctx::SlowCtx;
-use part_htm_core::{batch_site, PartHtm, TmConfig, TmRuntime, TmThread, TxCtx, Workload};
+use part_htm_core::{
+    batch_site, PartHtm, TmConfig, TmRuntime, TmThread, TxCtx, Workload, GATE_COUNT, GATE_LOCK,
+};
 use rand::rngs::SmallRng;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use tm_sig::SigSpec;
 use tm_workloads::structures::{transfer, HeapHashMap};
 
@@ -105,6 +108,11 @@ pub const SCENARIOS: &[(&str, usize, &str)] = &[
         "tm-server-shaped transfers under the global lock at quantum 6, KV gets on the fast path",
     ),
     (
+        "gate-drain",
+        3,
+        "a lock holder announces over an in-flight partitioned transaction, drains it; a late entrant backs off",
+    ),
+    (
         "lock-sig-convoy",
         3,
         "3 symmetric partitioned writers locking bits on one write-locks line: no lockstep convoy",
@@ -125,6 +133,7 @@ pub const BOUNDED_SET: &[&str] = &[
     "power-split",
     "server-batch",
     "server-transfer",
+    "gate-drain",
     "lock-sig-convoy",
 ];
 
@@ -299,6 +308,109 @@ impl Workload for ConvoyWriter {
     }
 }
 
+/// The slow-path gate under its three protocol steps at once. Core 0 runs a
+/// multi-segment bank transfer on the partitioned path. Core 1 arrives while
+/// it is in flight with an irrevocable transfer, so it must commit under the
+/// lock by announcing the lock bit over a non-zero count and draining it.
+/// Core 2 starts a partitioned transfer as the lock is announced: it backs
+/// out (of the lock bit it sees before or after its increment) and retries
+/// once the holder releases. Every transaction moves money between accounts
+/// on distinct lines, so the bank's total is conserved.
+struct GateDrain<'r> {
+    rt: &'r TmRuntime,
+    core: usize,
+    /// Virtual time this core waits before its transaction starts.
+    arrive: u64,
+    /// What the cores observed, shared.
+    seen: &'r GateSeen,
+}
+
+/// The `gate-drain` observations.
+#[derive(Default)]
+struct GateSeen {
+    /// The holder arrived while the count was non-zero (the announce branch).
+    over_count: AtomicBool,
+    /// The holder is inside its body.
+    in_body: AtomicBool,
+    /// Broken steps: a holder body entered with the lock bit clear or the
+    /// count non-zero, or a partitioned segment ran beside a holder body.
+    bad: AtomicU64,
+}
+
+impl GateDrain<'_> {
+    const ACCOUNTS: usize = 6;
+    const BALANCE: u64 = 100;
+    const SEGS: usize = 3;
+    /// When core 1 reaches the lock: core 0 is counted in by then.
+    const HOLDER_ARRIVES: u64 = 10;
+
+    fn account(&self, i: usize) -> htm_sim::Addr {
+        self.rt.app(i * 8)
+    }
+
+    /// The gate by a raw load: no simulated access, so no peer runs between
+    /// this core's last access and the check. The holder checks it where its
+    /// body starts only: later in the body an entrant that read the gate
+    /// before the lock was taken may count itself in for one access while it
+    /// backs out.
+    fn raw_gate(&self) -> u64 {
+        self.rt.system().heap().load(self.rt.gate())
+    }
+
+    fn total_nt(rt: &TmRuntime) -> u64 {
+        (0..Self::ACCOUNTS).map(|i| rt.verify_read(i * 8)).sum()
+    }
+}
+
+impl Workload for GateDrain<'_> {
+    type Snap = ();
+    fn sample(&mut self, _r: &mut SmallRng) {
+        htm_sim::vclock::charge(std::mem::take(&mut self.arrive));
+        if self.core == 1 && self.raw_gate() & GATE_COUNT != 0 {
+            self.seen.over_count.store(true, Ordering::Relaxed);
+        }
+    }
+    fn segments(&self) -> usize {
+        if self.core == 1 {
+            1
+        } else {
+            Self::SEGS
+        }
+    }
+    fn is_irrevocable(&self) -> bool {
+        self.core == 1
+    }
+    fn segment<C: TxCtx>(&mut self, s: usize, ctx: &mut C) -> htm_sim::abort::TxResult<()> {
+        // Core 0 moves money up its half of the bank, core 2 up the other
+        // half, and the holder from the first account to the last.
+        let (from, to) = match self.core {
+            1 => (0, Self::ACCOUNTS - 1),
+            c => {
+                let base = if c == 0 { 0 } else { Self::ACCOUNTS / 2 };
+                (base + s, base + (s + 1) % (Self::ACCOUNTS / 2))
+            }
+        };
+        let (from, to) = (self.account(from), self.account(to));
+        let seen = self.seen;
+        if self.core == 1 {
+            if self.raw_gate() != GATE_LOCK {
+                seen.bad.fetch_add(1, Ordering::Relaxed);
+            }
+            seen.in_body.store(true, Ordering::Relaxed);
+        } else if seen.in_body.load(Ordering::Relaxed) {
+            seen.bad.fetch_add(1, Ordering::Relaxed);
+        }
+        let f = ctx.read(from)?;
+        let t = ctx.read(to)?;
+        ctx.write(from, f - 1)?;
+        ctx.write(to, t + 1)?;
+        if self.core == 1 {
+            seen.in_body.store(false, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
 /// Read past the POWER read budget in `SEGS` declared segments, then
 /// increment `HOT` shared counters in the last one. The whole transaction
 /// overflows the budget, so it is rescued by the partitioned path; conflicts
@@ -348,13 +460,14 @@ fn check_clean(rt: &TmRuntime, words: &[(usize, u64)], out: &mut Vec<String>) {
             out.push(format!("word {i}: expected {expect}, found {got} (lost or phantom update)"));
         }
     }
-    let glock = rt.system().nt_read(rt.glock());
-    if glock != 0 {
-        out.push(format!("global lock still held (value {glock})"));
+    let gate = rt.system().nt_read(rt.gate());
+    if gate & GATE_LOCK != 0 {
+        out.push(format!("global lock still held (gate {gate:#x})"));
     }
-    let active = rt.system().nt_read(rt.active_tx());
-    if active != 0 {
-        out.push(format!("active_tx counter not drained (value {active})"));
+    if gate & GATE_COUNT != 0 {
+        out.push(format!(
+            "partitioned-path count not drained (gate {gate:#x})"
+        ));
     }
     let live = rt.system().live_line_entries();
     if live != 0 {
@@ -507,6 +620,49 @@ pub fn run_scenario(name: &str, spec: &SchedSpec) -> Result<(VReport, String), S
             let expect = ServerTransfer::KEYS * ServerTransfer::BALANCE;
             if total != expect {
                 bad.push(format!("total balance {total}, expected {expect} (lost or phantom update)"));
+            }
+            check_clean(&rt, &[], &mut bad);
+            finish(name, r, rep, bad)
+        }
+        "gate-drain" => {
+            let tm = TmConfig {
+                skip_fast: true,
+                ..TmConfig::default()
+            };
+            let rt = TmRuntime::new(HtmConfig::default(), tm, 3, GateDrain::ACCOUNTS * 8);
+            for i in 0..GateDrain::ACCOUNTS {
+                rt.setup_write(i * 8, GateDrain::BALANCE);
+            }
+            let seen = GateSeen::default();
+            let (r, rep) = run_threads_virtual::<PartHtm, _, _>(&rt, 3, 1, spec.clone(), |core| {
+                GateDrain {
+                    rt: &rt,
+                    core,
+                    // Core 2 reads the gate as core 1 announces the lock.
+                    arrive: if core == 0 { 0 } else { GateDrain::HOLDER_ARRIVES },
+                    seen: &seen,
+                }
+            });
+            let mut bad = Vec::new();
+            if r.commits != 3 || r.tm.commits_gl == 0 {
+                bad.push(format!(
+                    "expected 3 commits, the holder's under the lock; got {} ({} under the lock)",
+                    r.commits, r.tm.commits_gl
+                ));
+            }
+            let broken = seen.bad.load(Ordering::Relaxed);
+            if broken != 0 {
+                bad.push(format!(
+                    "{broken} lock-holder body steps beside a counted or unlocked gate"
+                ));
+            }
+            let total = GateDrain::total_nt(&rt);
+            let expect = GateDrain::ACCOUNTS as u64 * GateDrain::BALANCE;
+            if total != expect {
+                bad.push(format!("total balance {total}, expected {expect} (lost or phantom update)"));
+            }
+            if !seen.over_count.load(Ordering::Relaxed) {
+                bad.push("the holder found no partitioned transaction to drain".to_string());
             }
             check_clean(&rt, &[], &mut bad);
             finish(name, r, rep, bad)
@@ -848,6 +1004,18 @@ mod tests {
     fn server_transfer_locks_transfers_beside_fast_gets() {
         let (_, digest) = run_scenario("server-transfer", &SchedSpec::default()).unwrap();
         for field in ["commits_htm: 4,", "commits_subhtm: 0,", "commits_gl: 4,"] {
+            assert!(digest.contains(field), "{field} not in {digest}");
+        }
+    }
+
+    /// `gate-drain` exercises what it names under the default schedule: the
+    /// two partitioned transfers commit on the sub-HTM path and the holder's
+    /// under the lock, after announcing over core 0 and draining it (the
+    /// scenario checks that itself).
+    #[test]
+    fn gate_drain_holder_drains_two_partitioned_transfers() {
+        let (_, digest) = run_scenario("gate-drain", &SchedSpec::default()).unwrap();
+        for field in ["commits_htm: 0,", "commits_subhtm: 2,", "commits_gl: 1,"] {
             assert!(digest.contains(field), "{field} not in {digest}");
         }
     }

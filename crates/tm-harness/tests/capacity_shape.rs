@@ -51,14 +51,9 @@ fn check<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime, want: &[u64], name: &str) {
         r.commits
     );
     assert_eq!(
-        rt.system().nt_read(rt.glock()),
+        rt.system().nt_read(rt.gate()),
         0,
-        "{name}: global lock released"
-    );
-    assert_eq!(
-        rt.system().nt_read(rt.active_tx()),
-        0,
-        "{name}: active_tx drained"
+        "{name}: global lock released, partitioned-path count drained"
     );
     assert_eq!(
         rt.system().live_line_entries(),

@@ -32,7 +32,7 @@
 //!    ([`tm_sig::RingSummary::inflight_publishes`]); high occupancy counts
 //!    as a trouble sample even if this worker's own groups still commit.
 
-use part_htm_core::{CommitPath, TmRuntime, TmThread};
+use part_htm_core::{CommitPath, TmRuntime, TmThread, GATE_LOCK};
 
 /// Fixed-point one for the trouble EWMA (like the planner's profiles).
 pub const EWMA_ONE: u32 = 1024;
@@ -128,7 +128,7 @@ impl Admission {
         for s in 0..summaries.shard_count() {
             inflight += summaries.shard(s).inflight_publishes();
         }
-        if th.hw.nt_read(rt.glock()) != 0 {
+        if th.hw.nt_read(rt.gate()) & GATE_LOCK != 0 {
             inflight += 4;
         }
         inflight

@@ -7,9 +7,10 @@
 //!   probe walks a chain: absent keys, `amount == 0` and `from == to`
 //!   included.
 //! * **Price**: under the global lock every access costs 1 wu, so a
-//!   transfer's hold is its access count plus the lock's acquire, drain and
-//!   release. Between two present keys with no collisions the body is 6
-//!   accesses (8 for the two-lookup transfer).
+//!   transfer's hold is its access count plus the lock's acquire and release
+//!   (on an empty gate the acquiring CAS also proves the drain). Between two
+//!   present keys with no collisions the body is 6 accesses (8 for the
+//!   two-lookup transfer).
 
 use htm_sim::vclock::{self, SchedSpec, VClock};
 use htm_sim::HtmConfig;
@@ -148,13 +149,15 @@ fn price(
     })
 }
 
-/// One hold of the global lock: acquire, drain and release cost 1 wu each.
+/// One hold of the global lock: the acquire and the release cost 1 wu each.
+/// With the lock and the partitioned-path count in two words the hold also
+/// paid a drain read, and this subtracted 3.
 fn hold_price(op: Op) -> u64 {
     let (rt, state) = priced_server(HtmConfig::default());
     let mut th = TmThread::new(&rt, 0);
     let (wu, path, _) = price(&state, op, |g| commit_under_glock(&mut th, g, false));
     assert_eq!(path, CommitPath::GlobalLock);
-    wu - 3
+    wu - 2
 }
 
 const TRANSFER: Op = Op::Transfer {
@@ -183,7 +186,9 @@ fn a_present_key_transfer_costs_six_lock_holder_accesses() {
 
 /// `server_hot`'s shape: at quantum 6 a transfer never fits in hardware, so
 /// its first attempt runs into the timer and, with one segment, it commits
-/// under the lock at once — Part-HTM and HTM-GL alike.
+/// under the lock at once — Part-HTM and HTM-GL alike. Both cost
+/// `6 + 3 + 6` = 15 wu while the hold paid a drain read of a separate
+/// partitioned-path counter.
 #[test]
 fn at_quantum_six_a_transfer_pays_one_timer_abort_and_one_hold() {
     let htm = HtmConfig {
@@ -194,10 +199,10 @@ fn at_quantum_six_a_transfer_pays_one_timer_abort_and_one_hold() {
     let mut e = PartHtm::new(&rt, 0);
     let (wu, path, resp) = price(&state, TRANSFER, |g| e.execute(g));
     assert_eq!((path, resp), (CommitPath::GlobalLock, 1));
-    assert_eq!(wu, 6 + 3 + 6, "Part-HTM: the quantum, then one hold");
+    assert_eq!(wu, 6 + 2 + 6, "Part-HTM: the quantum, then one hold");
     let (rt, state) = priced_server(htm);
     let mut e = HtmGl::new(&rt, 0);
     let (wu, path, resp) = price(&state, TRANSFER, |g| e.execute(g));
     assert_eq!((path, resp), (CommitPath::GlobalLock, 1));
-    assert_eq!(wu, 6 + 3 + 6, "HTM-GL: the quantum, then one hold");
+    assert_eq!(wu, 6 + 2 + 6, "HTM-GL: the quantum, then one hold");
 }

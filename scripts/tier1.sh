@@ -98,7 +98,7 @@ case "${1:-}" in
     echo "== tier1: schedx --seeds soak (seeded schedule sampling) =="
     # Complements the bounded-exhaustive gate above: 32 seeded schedules per
     # CI scenario reach interleavings past the exhaustive depth horizon.
-    for s in counter2 planner ring-epoch power-split server-batch server-transfer lock-sig-convoy; do
+    for s in counter2 planner ring-epoch power-split server-batch server-transfer gate-drain lock-sig-convoy; do
         ( ulimit -v 4194304; timeout 120 ./target/release/schedx \
             --scenario "$s" --seeds 32 )
     done

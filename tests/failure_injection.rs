@@ -170,8 +170,7 @@ fn panic_under_glock_fails_one_thread_only<'r, E: TmExecutor<'r>>(rt: &'r TmRunt
     assert_eq!(commits, (PEERS * OPS) as u64, "{}", E::NAME);
     let total: u64 = (0..COUNTERS).map(|i| rt.verify_read(8 + i * 8)).sum();
     assert_eq!(total, (PEERS * OPS * 6) as u64, "{}", E::NAME);
-    assert_eq!(rt.system().nt_read(rt.glock()), 0, "{}: global lock leaked", E::NAME);
-    assert_eq!(rt.system().nt_read(rt.active_tx()), 0, "{}", E::NAME);
+    assert_eq!(rt.system().nt_read(rt.gate()), 0, "{}: gate leaked", E::NAME);
     assert_eq!(rt.system().live_line_entries(), 0, "{}", E::NAME);
 }
 

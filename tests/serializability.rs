@@ -211,13 +211,13 @@ fn adjacent_word_partitioned_writers_conserve_money() {
     // Accounts one word apart: sixteen of them fill two cache lines, and
     // signatures are keyed on the line, so two threads' partitioned writers
     // on neighbouring accounts contend on one write-lock bit. The total must
-    // stay exact, and no lock bit, line entry or `active_tx` count may leak.
+    // stay exact, and no lock bit, line entry or gate count may leak.
     let tm = TmConfig {
         skip_fast: true,
         ..TmConfig::default()
     };
     for algo in [Algo::PartHtm, Algo::PartHtmO] {
-        let (r, (total, locks_released, active_tx, live_lines)) = run_cell_with(
+        let (r, (total, locks_released, gate, live_lines)) = run_cell_with(
             algo,
             2,
             1_000,
@@ -239,7 +239,7 @@ fn adjacent_word_partitioned_writers_conserve_money() {
                 (
                     (0..ACCOUNTS).map(|i| rt.verify_read(i)).sum::<u64>(),
                     rt.write_locks().snapshot_nt(&th).is_empty(),
-                    rt.system().nt_read(rt.active_tx()),
+                    rt.system().nt_read(rt.gate()),
                     rt.system().live_line_entries(),
                 )
             },
@@ -257,7 +257,7 @@ fn adjacent_word_partitioned_writers_conserve_money() {
             r.algo
         );
         assert!(locks_released, "{}: a write-lock bit leaked", r.algo);
-        assert_eq!(active_tx, 0, "{}: active_tx leaked", r.algo);
+        assert_eq!(gate, 0, "{}: gate leaked", r.algo);
         assert_eq!(live_lines, 0, "{}: a line-table entry leaked", r.algo);
     }
 }
@@ -388,8 +388,7 @@ fn mixed_conserves_money<'r, E: TmExecutor<'r>>(
         r.tm.commits_subhtm
     );
     let sys = rt.system();
-    assert_eq!(sys.nt_read(rt.glock()), 0, "{}: glock leaked", r.algo);
-    assert_eq!(sys.nt_read(rt.active_tx()), 0, "{}: active_tx leaked", r.algo);
+    assert_eq!(sys.nt_read(rt.gate()), 0, "{}: gate leaked", r.algo);
     assert_eq!(
         sys.live_line_entries(),
         0,
