@@ -167,46 +167,19 @@ fn bench_kernel(
     out.put(format!("kernels/{name}_speedup"), s / u);
 }
 
-/// The predicate kernel over dense disjoint operands (no early exit),
-/// the masked update kernels over a write-set-shaped operand (three non-zero
-/// words, mask computed once outside the timed loop, as `Sig` maintains it).
+/// The predicate kernel over dense disjoint operands (no early exit).
 fn kernels(sc: &Scale, out: &mut Measured) {
     use std::hint::black_box as bb;
-    let words = (SigSpec::PAPER.bits() / 64) as usize;
-    let dense = |phase: u64| -> Vec<u64> {
-        (0..words as u64)
-            .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | phase)
-            .collect()
-    };
-    let a = dense(0xAAAA_AAAA_AAAA_AAAA);
+    let a: Vec<u64> = (0..u64::from(SigSpec::PAPER.words()))
+        .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 0xAAAA_AAAA_AAAA_AAAA)
+        .collect();
     let b: Vec<u64> = a.iter().map(|w| !w).collect();
-    let mut sparse = vec![0u64; words];
-    for k in 0..3 {
-        sparse[k * (words - 1) / 2] = 0x8000_0000_0000_0001u64.rotate_left(k as u32 * 17);
-    }
-    let mask = scalar::mask_of(&sparse);
-    let (mut d1, mut d2) = (dense(0), dense(0));
-
     bench_kernel(
         sc,
         out,
         "intersect_dense",
         || assert!(!bb(scalar::intersect_any(bb(&a), bb(&b)))),
         || assert!(!bb(unrolled::intersect_any(bb(&a), bb(&b)))),
-    );
-    bench_kernel(
-        sc,
-        out,
-        "or_into_masked",
-        || scalar::or_into_masked(bb(&mut d1), bb(&sparse), bb(mask)),
-        || unrolled::or_into_masked(bb(&mut d2), bb(&sparse), bb(mask)),
-    );
-    bench_kernel(
-        sc,
-        out,
-        "and_not_masked",
-        || assert!(bb(scalar::and_not_masked(bb(&mut d1), bb(&sparse), bb(mask))) == 0),
-        || assert!(bb(unrolled::and_not_masked(bb(&mut d2), bb(&sparse), bb(mask))) == 0),
     );
 }
 

@@ -117,13 +117,9 @@ pub const ROWS: &[RowDef] = &[
     // registered line, and a first read with its registration and release.
     host("sim/read_hit_ns_per_word", "ns", Lower),
     host("sim/read_first_ns_per_line", "ns", Lower),
-    // Unrolled word kernels vs the by-name `kernels::scalar` reference, 2048 bits.
+    // The unrolled intersect kernel vs the by-name `kernels::scalar` reference, 2048 bits.
     host("kernels/intersect_dense_ns_per_word", "ns", Lower),
     wall("kernels/intersect_dense_speedup", Higher),
-    host("kernels/or_into_masked_ns_per_word", "ns", Lower),
-    wall("kernels/or_into_masked_speedup", Higher),
-    host("kernels/and_not_masked_ns_per_word", "ns", Lower),
-    wall("kernels/and_not_masked_speedup", Higher),
     // No-conflict validation, lag 48: 8 shards vs `ShardedRing` with one.
     host("validation/sharded_ns_per_val_1v", "ns", Lower),
     wall("validation/sharded_over_single_1v", Lower),

@@ -476,7 +476,7 @@ mod tests {
         let mut wmir = Sig::new(SigSpec::PAPER);
         let mut undo = UndoLog::new(a.undo_base, a.undo_words);
         let mut journal = SigJournal::new();
-        journal.begin(SigSpec::PAPER);
+        journal.begin();
         let mut wrote = false;
         rt.setup_write(0, 5);
 

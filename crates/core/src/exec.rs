@@ -524,7 +524,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
         loop {
             // Zero-clone retries: each attempt journals the mirror words it dirties
             // instead of saving full signature clones up front.
-            self.journal.begin(self.rmir.spec());
+            self.journal.begin();
             let work_before = self.th.hw.stats.work_units;
             let res = self.th.hw.attempt(|tx| {
                 let ctx = SubCtx {

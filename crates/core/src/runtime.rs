@@ -7,7 +7,7 @@ use htm_sim::{line_of, Addr, HeapBuilder, HtmConfig, HtmSystem, HtmThread, Line}
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tm_sig::{
-    CacheAligned, HeapSig, Ring, RingSummary, ShardedRing, ShardedSummary, SigSpec, SummaryTuning,
+    CacheAligned, HeapSig, Ring, ShardedRing, ShardedSummary, SigSpec, SummaryTuning,
 };
 
 /// Per-thread undo-log arena size in words (2 words per logged write).
@@ -305,11 +305,6 @@ impl TmRuntime {
     /// the pre-sharding behaviour is recovered exactly.
     pub fn ring(&self) -> &Ring {
         self.ring.shard(0)
-    }
-
-    /// Shard 0's host-side summary (single-ring view; see [`TmRuntime::ring`]).
-    pub fn summary(&self) -> &RingSummary {
-        self.summaries.shard(0)
     }
 
     /// The global write-locks signature.

@@ -117,12 +117,6 @@ impl TmStats {
         Self::bump_shards(&mut self.shard_publishes, shard_mask);
     }
 
-    /// Credit one validation decision to every shard set in `shard_mask`.
-    #[inline]
-    pub fn record_shard_validation(&mut self, shard_mask: u32) {
-        Self::bump_shards(&mut self.shard_validations, shard_mask);
-    }
-
     /// Credit a sharded validation outcome: the fast/walked split, the
     /// per-shard decision counts and the fast-pass miss causes.
     #[inline]

@@ -80,7 +80,7 @@ proptest! {
 
         let mut journal = SigJournal::new();
         for round in 0..2 {
-            journal.begin(spec);
+            journal.begin();
             th.hw.attempt(|tx| {
                 let mut rsig = SigPair::new(a.read_sig, &mut rmir);
                 let mut wsig = SigPair::new(a.write_sig, &mut wmir);

@@ -52,13 +52,6 @@ impl AbortCode {
         matches!(self, AbortCode::Capacity | AbortCode::Timer)
     }
 
-    /// True for conflict aborts (data contention), which are retried in place rather
-    /// than partitioned.
-    #[inline]
-    pub fn is_conflict(self) -> bool {
-        matches!(self, AbortCode::Conflict)
-    }
-
     /// The explicit payload, if this was an `xabort`.
     #[inline]
     pub fn explicit_code(self) -> Option<u8> {

@@ -150,11 +150,6 @@ impl HeapBuilder {
     pub fn used(&self) -> usize {
         self.next as usize
     }
-
-    /// Words still available.
-    pub fn remaining(&self) -> usize {
-        (self.limit - self.next) as usize
-    }
 }
 
 #[cfg(test)]

@@ -10,12 +10,10 @@
 //! else), and success discards the journal. All storage is reused across segments
 //! and transactions, so a warmed-up executor performs no heap allocation here.
 //!
-//! Deduplication uses one exact dirty bitmap per signature (not the folded
-//! [`Sig::nonzero_mask`]): for geometries beyond 64 words a folded bitmap would
-//! alias two words onto one bit and silently drop the second word's old value.
+//! Deduplication uses one dirty bitmap word per signature: a geometry has at most
+//! 64 words ([`SigSpec::MAX_WORDS`](crate::SigSpec::MAX_WORDS)), so bit `w` names word `w`.
 
 use crate::sig::Sig;
-use crate::spec::SigSpec;
 
 /// Which of the two per-transaction signatures a journal entry belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,9 +29,8 @@ pub enum SigSlot {
 pub struct SigJournal {
     /// `(slot, word index, old value)`, in first-dirty order.
     entries: Vec<(SigSlot, u32, u64)>,
-    /// Exact per-slot dirty bitmaps (index `w` lives at bit `w % 64` of word
-    /// `w / 64`), sized to the current geometry by [`SigJournal::begin`].
-    dirty: [Vec<u64>; 2],
+    /// Per-slot dirty bitmaps: bit `w` is set once word `w` is journalled.
+    dirty: [u64; 2],
 }
 
 impl SigJournal {
@@ -42,18 +39,10 @@ impl SigJournal {
         Self::default()
     }
 
-    /// Start journalling a segment for signatures of geometry `spec`. The journal
-    /// must be empty (the previous segment ended in [`SigJournal::rollback`] or
-    /// [`SigJournal::discard`]).
-    pub fn begin(&mut self, spec: SigSpec) {
+    /// Start journalling a segment. The journal must be empty (the previous
+    /// segment ended in [`SigJournal::rollback`] or [`SigJournal::discard`]).
+    pub fn begin(&mut self) {
         debug_assert!(self.entries.is_empty(), "journal not closed");
-        let need = (spec.words() as usize).div_ceil(64);
-        for d in &mut self.dirty {
-            if d.len() != need {
-                d.clear();
-                d.resize(need, 0);
-            }
-        }
     }
 
     /// Record `old` as the pre-segment value of `slot`'s word `w`, once per
@@ -61,8 +50,8 @@ impl SigJournal {
     /// first (correct) old value.
     #[inline]
     pub fn note(&mut self, slot: SigSlot, w: u32, old: u64) {
-        let d = &mut self.dirty[slot as usize][w as usize / 64];
-        let bit = 1u64 << (w % 64);
+        let d = &mut self.dirty[slot as usize];
+        let bit = 1u64 << w;
         if *d & bit == 0 {
             *d |= bit;
             self.entries.push((slot, w, old));
@@ -75,36 +64,30 @@ impl SigJournal {
     /// [`note`](Self::note) keeps exactly one entry per `(slot, word)` — the
     /// first (correct) old value — so replay order is irrelevant and each word
     /// can be restored *raw*, with one kernel-driven mask rebuild per touched
-    /// signature instead of `set_word`'s per-word mask bookkeeping (which for
-    /// folded geometries re-scans sibling words on every zero restore).
+    /// signature instead of `set_word`'s per-word mask bookkeeping.
     pub fn rollback(&mut self, rsig: &mut Sig, wsig: &mut Sig) {
-        let mut touched = [false; 2];
         while let Some((slot, w, old)) = self.entries.pop() {
             let sig = match slot {
                 SigSlot::Read => &mut *rsig,
                 SigSlot::Write => &mut *wsig,
             };
             sig.raw_words_mut()[w as usize] = old;
-            touched[slot as usize] = true;
-            self.dirty[slot as usize][w as usize / 64] &= !(1u64 << (w % 64));
         }
-        if touched[SigSlot::Read as usize] {
+        if self.dirty[SigSlot::Read as usize] != 0 {
             rsig.rebuild_mask();
         }
-        if touched[SigSlot::Write as usize] {
+        if self.dirty[SigSlot::Write as usize] != 0 {
             wsig.rebuild_mask();
         }
+        self.dirty = [0; 2];
         rsig.assert_mask_invariant();
         wsig.assert_mask_invariant();
     }
 
     /// The segment committed: forget the journal (keeping its storage).
     pub fn discard(&mut self) {
-        let Self { entries, dirty } = self;
-        for &(slot, w, _) in entries.iter() {
-            dirty[slot as usize][w as usize / 64] &= !(1u64 << (w % 64));
-        }
-        entries.clear();
+        self.entries.clear();
+        self.dirty = [0; 2];
     }
 
     /// Number of journalled words (diagnostics).
@@ -152,6 +135,7 @@ impl CloneSaved {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SigSpec;
 
     fn spec() -> SigSpec {
         SigSpec::PAPER
@@ -177,7 +161,7 @@ mod tests {
         let w0 = w.clone();
 
         let mut j = SigJournal::new();
-        j.begin(spec());
+        j.begin();
         for a in 0..50u32 {
             journaled_add(&mut j, &mut r, SigSlot::Read, 1000 + a);
             journaled_add(&mut j, &mut w, SigSlot::Write, 2000 + a);
@@ -194,13 +178,13 @@ mod tests {
         let mut r = Sig::new(spec());
         let mut w = Sig::new(spec());
         let mut j = SigJournal::new();
-        j.begin(spec());
+        j.begin();
         journaled_add(&mut j, &mut r, SigSlot::Read, 7);
         j.discard();
         assert!(r.contains(7));
         assert!(j.is_empty());
         // The next segment can roll back without resurrecting old entries.
-        j.begin(spec());
+        j.begin();
         journaled_add(&mut j, &mut w, SigSlot::Write, 8);
         j.rollback(&mut r, &mut w);
         assert!(r.contains(7), "committed segment survives later rollbacks");
@@ -212,7 +196,7 @@ mod tests {
         let mut r = Sig::new(spec());
         let mut w = Sig::new(spec());
         let mut j = SigJournal::new();
-        j.begin(spec());
+        j.begin();
         // Two adds landing in the same word: only the first old value matters.
         let (word, _) = spec().slot_of(3);
         let before = r.word(word);
@@ -229,7 +213,7 @@ mod tests {
         let mut w = Sig::new(spec());
         let mut j = SigJournal::new();
         for round in 0..10 {
-            j.begin(spec());
+            j.begin();
             for a in 0..32u32 {
                 journaled_add(&mut j, &mut r, SigSlot::Read, round * 100 + a);
             }
@@ -237,35 +221,11 @@ mod tests {
         }
         assert!(r.is_empty());
         let cap = j.entries.capacity();
-        j.begin(spec());
+        j.begin();
         for a in 0..32u32 {
             journaled_add(&mut j, &mut r, SigSlot::Read, a);
         }
         assert_eq!(j.entries.capacity(), cap, "no growth after warm-up");
         j.discard();
-    }
-
-    #[test]
-    fn matches_clone_reference_on_folded_geometry() {
-        // 128-word geometry: exercises the exact (unfolded) dirty bitmaps.
-        let big = SigSpec::new(8192);
-        let mut r = Sig::new(big);
-        let mut w = Sig::new(big);
-        for a in (0..10_000).step_by(37) {
-            r.add(a);
-        }
-        let saved = CloneSaved::save(&r, &w);
-        let mut j = SigJournal::new();
-        j.begin(big);
-        for a in (0..60_000).step_by(11) {
-            journaled_add(&mut j, &mut r, SigSlot::Read, a);
-            journaled_add(&mut j, &mut w, SigSlot::Write, a + 1);
-        }
-        let mut r_ref = r.clone();
-        let mut w_ref = w.clone();
-        j.rollback(&mut r, &mut w);
-        saved.restore(&mut r_ref, &mut w_ref);
-        assert_eq!(r, r_ref);
-        assert_eq!(w, w_ref);
     }
 }

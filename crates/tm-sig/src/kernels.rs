@@ -1,7 +1,7 @@
 //! Explicitly 4-wide-unrolled word kernels for every signature hot loop.
 //!
 //! PRs 1–4 made *which* words the hot loops touch sparse; this module cuts the
-//! cost *per word*. Each kernel exists twice with an identical slice-level
+//! cost *per word*. Most kernels exist twice with an identical slice-level
 //! contract:
 //!
 //! * [`unrolled`] — the production implementation, re-exported at this
@@ -11,13 +11,18 @@
 //!   with one branch per 4 words. Sparse inputs stay cheap two ways: the bulk
 //!   kernels *chunk-skip* (a chunk whose source words OR to zero is passed
 //!   over without touching the destination or, for the atomic kernels,
-//!   issuing a single atomic access), and the `*_masked` kernels take the
+//!   issuing a single atomic access), and the masked predicates take the
 //!   signature's non-zero-word mask and cut over between a mask-guided walk
-//!   (below half-live words: index only the live words, as the pre-pass
-//!   sparse loops did) and the bulk 4-wide walk.
+//!   (below half-live words: index only the live words) and the bulk 4-wide
+//!   walk.
 //! * [`scalar`] — the one-word-at-a-time loops the unrolled forms replaced:
 //!   the reference the kernel tests and `microbench`'s `kernels` rows
-//!   compare against, always called by name.
+//!   compare against, always called by name. Two of them are also the
+//!   production body, re-exported at the root: [`or_into_masked`] and
+//!   [`and_not_masked`], each one mask-bit loop. Their unrolled twins (that
+//!   loop plus a dense cut-over to the bulk walk) won on a dense operand but
+//!   lost to this loop on the write-set-shaped sparse one, so they were
+//!   deleted.
 //!
 //! Both flavours are *pure word kernels*: they know nothing about signature
 //! masks, banks, epochs or ring protocol. Callers keep every protocol
@@ -28,6 +33,7 @@
 
 use std::sync::atomic::AtomicU64;
 
+pub use scalar::{and_not_masked, or_into_masked};
 pub use unrolled::*;
 
 /// One cache line of atomic summary-bank storage: eight `u64` words, padded
@@ -36,18 +42,15 @@ pub use unrolled::*;
 /// and the line kernels below walk word `i` at `lines[i / 8][i % 8]`.
 pub type BankLine = crate::align::CacheAligned<[AtomicU64; 8]>;
 
-/// Whether word `i` participates under `word_mask` (bit `i` for the first 64
-/// words; words beyond 64 — folded-geometry siblings — always participate,
-/// matching `RingSummary::complete_publish_masked`).
+/// Whether word `i` participates under `word_mask` (bit `i` set).
 #[inline]
 fn in_mask(i: usize, word_mask: u64) -> bool {
-    i >= 64 || word_mask & (1u64 << i) != 0
+    word_mask & (1u64 << i) != 0
 }
 
-/// Restrict a non-zero-word mask to the group bits a `len`-word slice can
-/// populate (every bit stays relevant at 64+ words, where bit `b` names the
-/// folded group `b, b+64, …`). The masked kernels apply this up front so a
-/// stray high bit can never index out of bounds.
+/// Restrict a non-zero-word mask to the bits a `len`-word slice (at most 64
+/// words) can populate. The masked kernels apply this up front so a stray
+/// high bit can never index out of bounds.
 #[inline]
 fn live_bits(mask: u64, len: usize) -> u64 {
     if len >= 64 {
@@ -74,13 +77,13 @@ pub mod scalar {
         }
     }
 
-    /// Recompute the non-zero-word mask (bit `i % 64` set iff some word `i`
-    /// congruent to it is non-zero).
+    /// Recompute the non-zero-word mask (bit `i` set iff word `i` is
+    /// non-zero).
     pub fn mask_of(words: &[u64]) -> u64 {
         let mut m = 0u64;
         for (i, &w) in words.iter().enumerate() {
             if w != 0 {
-                m |= 1u64 << (i % 64);
+                m |= 1u64 << i;
             }
         }
         m
@@ -91,64 +94,47 @@ pub mod scalar {
         words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
-    /// [`or_into`] guided by the source's non-zero-word mask: only the word
-    /// groups named by `src_mask` are visited (bit `b` covers words `b`,
-    /// `b + 64`, …). `src_mask` must cover every non-zero `src` word — the
-    /// `Sig` mask invariant — so the result equals the unguided kernel's.
+    /// [`or_into`] guided by the source's non-zero-word mask: only the words
+    /// named by `src_mask` are visited. `src_mask` must cover every non-zero
+    /// `src` word — the `Sig` mask invariant — so the result equals the
+    /// unguided kernel's.
     pub fn or_into_masked(dst: &mut [u64], src: &[u64], src_mask: u64) {
-        let n = dst.len().min(src.len());
-        let mut m = super::live_bits(src_mask, n);
+        let mut m = super::live_bits(src_mask, dst.len().min(src.len()));
         while m != 0 {
-            let b = m.trailing_zeros() as usize;
+            let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            let mut i = b;
-            while i < n {
-                dst[i] |= src[i];
-                i += 64;
-            }
+            dst[i] |= src[i];
         }
     }
 
-    /// `dst &= !src` over the word groups named by `shared_mask`; returns the
-    /// bits of `shared_mask` whose whole group came out zero, so the caller
-    /// clears exactly those bits from its maintained mask. `shared_mask` must
-    /// cover every word index where *both* operands are non-zero.
+    /// `dst &= !src` over the words named by `shared_mask`; returns the bits
+    /// of `shared_mask` whose word came out zero, so the caller clears exactly
+    /// those bits from its maintained mask. `shared_mask` must cover every
+    /// word index where *both* operands are non-zero.
     pub fn and_not_masked(dst: &mut [u64], src: &[u64], shared_mask: u64) -> u64 {
-        let n = dst.len().min(src.len());
         let mut emptied = 0u64;
-        let mut m = super::live_bits(shared_mask, n);
+        let mut m = super::live_bits(shared_mask, dst.len().min(src.len()));
         while m != 0 {
-            let b = m.trailing_zeros() as usize;
+            let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            let mut any = false;
-            let mut i = b;
-            while i < n {
-                dst[i] &= !src[i];
-                any |= dst[i] != 0;
-                i += 64;
-            }
-            if !any {
-                emptied |= 1u64 << b;
+            dst[i] &= !src[i];
+            if dst[i] == 0 {
+                emptied |= 1u64 << i;
             }
         }
         emptied
     }
 
     /// [`intersect_any`] guided by the operands' shared non-zero-word mask:
-    /// only groups live in *both* signatures are read. `shared_mask` must
+    /// only words live in *both* signatures are read. `shared_mask` must
     /// cover every word index where both operands are non-zero.
     pub fn intersect_any_masked(a: &[u64], b: &[u64], shared_mask: u64) -> bool {
-        let n = a.len().min(b.len());
-        let mut m = super::live_bits(shared_mask, n);
+        let mut m = super::live_bits(shared_mask, a.len().min(b.len()));
         while m != 0 {
-            let bit = m.trailing_zeros() as usize;
+            let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            let mut i = bit;
-            while i < n {
-                if a[i] & b[i] != 0 {
-                    return true;
-                }
-                i += 64;
+            if a[i] & b[i] != 0 {
+                return true;
             }
         }
         false
@@ -167,21 +153,16 @@ pub mod scalar {
     }
 
     /// [`probe_lines`] guided by the probing signature's non-zero-word mask:
-    /// only groups named by `sig_mask` are walked, and a bank word is only
+    /// only words named by `sig_mask` are walked, and a bank word is only
     /// loaded when the matching `sig` word is non-zero (the pre-pass summary
     /// probe). `sig_mask` must cover every non-zero `sig` word.
     pub fn probe_lines_masked(lines: &[super::BankLine], sig: &[u64], sig_mask: u64) -> bool {
-        let n = sig.len();
-        let mut m = super::live_bits(sig_mask, n);
+        let mut m = super::live_bits(sig_mask, sig.len());
         while m != 0 {
-            let b = m.trailing_zeros() as usize;
+            let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            let mut i = b;
-            while i < n {
-                if sig[i] != 0 && lines[i / 8].0[i % 8].load(SeqCst) & sig[i] != 0 {
-                    return true;
-                }
-                i += 64;
+            if sig[i] != 0 && lines[i / 8].0[i % 8].load(SeqCst) & sig[i] != 0 {
+                return true;
             }
         }
         false
@@ -254,9 +235,9 @@ pub mod unrolled {
         }
     }
 
-    /// Recompute the non-zero-word mask, four lanes at a time. Word `i`
-    /// contributes bit `i % 64`; for the practical geometries (≤ 64 words) the
-    /// chunk base is the bit base and the four lane bits are consecutive.
+    /// Recompute the non-zero-word mask, four lanes at a time: word `i`
+    /// contributes bit `i`, so the chunk base is the bit base and the four
+    /// lane bits are consecutive.
     pub fn mask_of(words: &[u64]) -> u64 {
         let (c, t) = words.split_at(words.len() & !3);
         let mut m = 0u64;
@@ -265,15 +246,15 @@ pub mod unrolled {
                 continue;
             }
             let base = ci * 4;
-            m |= ((w[0] != 0) as u64) << (base % 64)
-                | ((w[1] != 0) as u64) << ((base + 1) % 64)
-                | ((w[2] != 0) as u64) << ((base + 2) % 64)
-                | ((w[3] != 0) as u64) << ((base + 3) % 64);
+            m |= ((w[0] != 0) as u64) << base
+                | ((w[1] != 0) as u64) << (base + 1)
+                | ((w[2] != 0) as u64) << (base + 2)
+                | ((w[3] != 0) as u64) << (base + 3);
         }
         let base = c.len();
         for (i, &w) in t.iter().enumerate() {
             if w != 0 {
-                m |= 1u64 << ((base + i) % 64);
+                m |= 1u64 << (base + i);
             }
         }
         m
@@ -292,99 +273,12 @@ pub mod unrolled {
         n + t.iter().map(|w| w.count_ones() as u64).sum::<u64>()
     }
 
-    /// Density cutover for the masked kernels: at half-live words and above
-    /// the 4-wide bulk walk wins (one branch per chunk, straight-line lanes);
-    /// below it the mask-guided walk touches only live words — `microbench`'s
-    /// `or_into_masked`/`and_not_masked` rows are exactly the regime this guards.
+    /// Density cutover for the masked predicates: at half-live words and
+    /// above the 4-wide bulk walk wins (one branch per chunk, straight-line
+    /// lanes); below it the mask-guided walk touches only live words.
     #[inline]
     fn mask_is_dense(live: u64, len: usize) -> bool {
         2 * live.count_ones() as usize >= len
-    }
-
-    /// [`or_into`][super::scalar::or_into_masked] guided by the source's
-    /// non-zero-word mask. Dense sources (and folded geometries, where a mask
-    /// bit names a whole word group) take the bulk 4-wide walk; sparse
-    /// sources index only the live words. Same contract as the scalar
-    /// oracle: `src_mask` must cover every non-zero `src` word.
-    pub fn or_into_masked(dst: &mut [u64], src: &[u64], src_mask: u64) {
-        let n = dst.len().min(src.len());
-        let m = super::live_bits(src_mask, n);
-        if n > 64 || mask_is_dense(m, n) {
-            return or_into(dst, src);
-        }
-        let mut m = m;
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            dst[b] |= src[b];
-        }
-    }
-
-    /// [`and_not_masked`][super::scalar::and_not_masked]: `dst &= !src` over
-    /// the groups named by `shared_mask`, returning the mask bits whose group
-    /// came out zero. Dense operands take the 4-wide walk (computing per-lane
-    /// emptiness as it goes); sparse operands — the common write-lock release
-    /// of a few-word write set — touch only the shared words. `shared_mask`
-    /// must cover every word index where both operands are non-zero.
-    pub fn and_not_masked(dst: &mut [u64], src: &[u64], shared_mask: u64) -> u64 {
-        let n = dst.len().min(src.len());
-        let m = super::live_bits(shared_mask, n);
-        if n > 64 {
-            // A mask bit names a folded word group here; walk groups exactly
-            // as the scalar oracle (no unroll axis across a 64-word stride).
-            let mut emptied = 0u64;
-            let mut mm = m;
-            while mm != 0 {
-                let b = mm.trailing_zeros() as usize;
-                mm &= mm - 1;
-                let mut any = false;
-                let mut i = b;
-                while i < n {
-                    dst[i] &= !src[i];
-                    any |= dst[i] != 0;
-                    i += 64;
-                }
-                if !any {
-                    emptied |= 1u64 << b;
-                }
-            }
-            return emptied;
-        }
-        if mask_is_dense(m, n) {
-            let (dc, dt) = dst[..n].split_at_mut(n & !3);
-            let (sc, st) = src[..n].split_at(n & !3);
-            let mut zero = 0u64;
-            for (ci, (d, s)) in dc.chunks_exact_mut(4).zip(sc.chunks_exact(4)).enumerate() {
-                if s[0] | s[1] | s[2] | s[3] != 0 {
-                    d[0] &= !s[0];
-                    d[1] &= !s[1];
-                    d[2] &= !s[2];
-                    d[3] &= !s[3];
-                }
-                let base = ci * 4;
-                zero |= ((d[0] == 0) as u64) << base
-                    | ((d[1] == 0) as u64) << (base + 1)
-                    | ((d[2] == 0) as u64) << (base + 2)
-                    | ((d[3] == 0) as u64) << (base + 3);
-            }
-            let base = dc.len();
-            for (j, (d, &s)) in dt.iter_mut().zip(st).enumerate() {
-                *d &= !s;
-                zero |= ((*d == 0) as u64) << (base + j);
-            }
-            return m & zero;
-        }
-        let mut emptied = 0u64;
-        let mut mm = m;
-        while mm != 0 {
-            let b = mm.trailing_zeros() as usize;
-            mm &= mm - 1;
-            dst[b] &= !src[b];
-            if dst[b] == 0 {
-                emptied |= 1u64 << b;
-            }
-        }
-        emptied
     }
 
     /// [`intersect_any`][super::scalar::intersect_any_masked] guided by the
@@ -395,7 +289,7 @@ pub mod unrolled {
     pub fn intersect_any_masked(a: &[u64], b: &[u64], shared_mask: u64) -> bool {
         let n = a.len().min(b.len());
         let m = super::live_bits(shared_mask, n);
-        if n > 64 || mask_is_dense(m, n) {
+        if mask_is_dense(m, n) {
             return intersect_any(a, b);
         }
         let mut m = m;
@@ -418,7 +312,7 @@ pub mod unrolled {
     pub fn probe_lines_masked(lines: &[super::BankLine], sig: &[u64], sig_mask: u64) -> bool {
         let n = sig.len();
         let m = super::live_bits(sig_mask, n);
-        if n > 64 || mask_is_dense(m, n) {
+        if mask_is_dense(m, n) {
             return probe_lines(lines, sig);
         }
         let mut m = m;
@@ -530,7 +424,7 @@ mod tests {
             vec![0; 32],
             (0..32).map(|i| if i % 5 == 0 { 1 << i } else { 0 }).collect(),
             (0..33).map(|i| i as u64).collect(),
-            (0..130).map(|i| (i as u64).wrapping_mul(0x9E37)).collect(),
+            (0..64).map(|i| (i as u64).wrapping_mul(0x9E37)).collect(),
         ]
     }
 
@@ -552,17 +446,16 @@ mod tests {
 
                 // The masked tier, under the exact-mask contract.
                 let (ma, mb) = (scalar::mask_of(&a), scalar::mask_of(&b));
-                let (mut d1, mut d2) = (a.clone(), a.clone());
-                unrolled::or_into_masked(&mut d1, &b, mb);
-                scalar::or_into_masked(&mut d2, &b, mb);
-                assert_eq!(d1, d2);
+                let mut d1 = a.clone();
+                scalar::or_into_masked(&mut d1, &b, mb);
                 let mut bulk = a.clone();
                 unrolled::or_into(&mut bulk, &b);
                 assert_eq!(d1, bulk, "masked OR must equal the unguided kernel");
-                let (mut d1, mut d2) = (a.clone(), a.clone());
-                let r1 = unrolled::and_not_masked(&mut d1, &b, ma & mb);
-                let r2 = scalar::and_not_masked(&mut d2, &b, ma & mb);
-                assert_eq!((d1, r1), (d2, r2));
+                let mut d1 = a.clone();
+                let emptied = scalar::and_not_masked(&mut d1, &b, ma & mb);
+                let full: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x & !y).collect();
+                assert_eq!(d1, full, "masked AND-NOT must equal the full-width one");
+                assert_eq!(emptied, ma & mb & !scalar::mask_of(&full));
                 assert_eq!(
                     unrolled::intersect_any_masked(&a, &b, ma & mb),
                     scalar::intersect_any(&a, &b),

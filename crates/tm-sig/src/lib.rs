@@ -5,7 +5,8 @@
 //! paper): 2048-bit bit-arrays (4 cache lines) with a single hash function. This
 //! crate provides:
 //!
-//! * [`SigSpec`] — geometry (bit count) and the address-to-bit hash;
+//! * [`SigSpec`] — geometry (bit count, at most 64 words) and the
+//!   address-to-bit hash;
 //! * [`Sig`] — a signature value held in ordinary software memory (used by the
 //!   software framework: in-flight validation, lock release);
 //! * [`HeapSig`] — a handle to a signature resident in the simulated heap, with
@@ -13,10 +14,10 @@
 //!   updates consume HTM capacity and produce the false-conflict behaviour the paper
 //!   analyses) and strongly atomic non-transactional accessors (used by the software
 //!   framework);
-//! * [`Ring`] — the RingSTM-style global ring of committed write signatures used for
-//!   in-flight validation, with both a hardware (in-HTM) and a software publish path,
-//!   plus [`RingSummary`] — the host-side summary signature backing the validation
-//!   fast path;
+//! * [`Ring`] — the RingSTM-style ring of committed write signatures used for
+//!   in-flight validation, with both a hardware (in-HTM) and a software publish path
+//!   and the plain entry walk, plus [`RingSummary`] — the host-side summary
+//!   signature backing the validation fast passes;
 //! * [`ShardedRing`] — the ring split into N address-region shards (keyed by
 //!   signature word range), each with its own lock, timestamp and summary, so
 //!   disjoint-region commits stop serialising on one global word (see

@@ -2,34 +2,41 @@
 //! commit timestamp, used to validate in-flight transactions against transactions
 //! that committed after they started (RingSTM-style; §5.1 "global-ring").
 //!
+//! The executors reach each [`Ring`] through one shard of a
+//! [`ShardedRing`](crate::ShardedRing), which pairs it with a [`RingSummary`].
 //! Two publish paths exist because Part-HTM commits writers from two worlds:
 //!
-//! * **Hardware** ([`Ring::publish_tx`]): the fast path increments the timestamp and
-//!   stores its write signature into the ring *inside* its hardware transaction
-//!   (Fig. 1 lines 9–11); HTM conflict detection on the timestamp line serialises
-//!   concurrent hardware publishers.
-//! * **Software** ([`Ring::publish_software`]): the partitioned path's global commit
-//!   must bump the timestamp and publish atomically *outside* any hardware
-//!   transaction (Fig. 1 lines 45–47, the paper's "atomic" block). We implement the
-//!   atomic block with a ring lock that hardware publishers subscribe to: acquiring
-//!   it (a non-transactional CAS) dooms every hardware transaction that already read
-//!   the lock word — strong atomicity makes the two worlds mutually exclusive.
+//! * **Hardware** ([`Ring::publish_tx_masked`]): the fast path increments the
+//!   timestamp and stores its write signature into the ring *inside* its hardware
+//!   transaction (Fig. 1 lines 9–11); HTM conflict detection on the timestamp line
+//!   serialises concurrent hardware publishers.
+//! * **Software** ([`Ring::write_entry_masked_nt`] under the ring lock): the
+//!   partitioned path's global commit must bump the timestamp and publish
+//!   atomically *outside* any hardware transaction (Fig. 1 lines 45–47, the paper's
+//!   "atomic" block). We implement the atomic block with a ring lock that hardware
+//!   publishers subscribe to: acquiring it (a non-transactional CAS) dooms every
+//!   hardware transaction that already read the lock word — strong atomicity makes
+//!   the two worlds mutually exclusive. [`Ring::publish_software`] is the whole
+//!   block for one full-signature entry: the plain reference the tests publish
+//!   through.
 //!
 //! # The summary fast path
 //!
 //! [`Ring::validate_nt`] walks every entry between the validator's start time and
 //! the current timestamp — O(ts-delta × words) strongly-atomic heap reads, the worst
-//! scaling term of the software framework. [`RingSummary`] collapses the common
-//! no-conflict case to O(live words): it maintains, in *host* memory (deliberately
-//! outside the simulated heap, so summary reads never doom in-flight hardware
-//! publishers), the OR of every signature published since the summary's last reset.
-//! A validator whose read signature is disjoint from the summary — checked under the
-//! publish-counter/epoch fence of [`RingSummary::try_fast_pass`] — has nothing
-//! to conflict with and skips the walk entirely; any doubt falls back to the precise
-//! walk. False positives only cost the fallback; false negatives cannot happen (the
-//! correctness argument lives with `try_fast_pass` and in `docs/hot-path.md`).
-//! A summary pass is valid even across ring rollover: the OR covers every publish
-//! since the reset, whether or not its slot has been overwritten.
+//! scaling term of the software framework, and the plain reference every fast pass
+//! is tested against. [`RingSummary`] collapses the common no-conflict case to
+//! O(live words): it maintains, in *host* memory (deliberately outside the simulated
+//! heap, so summary reads never doom in-flight hardware publishers), the OR of every
+//! signature published since the summary's last reset. A validator whose read
+//! signature is disjoint from the summary — checked under the publish-counter/epoch
+//! fence of [`RingSummary::try_fast_pass_at`] or [`RingSummary::clean_since_at`] —
+//! has nothing to conflict with and skips the walk entirely; any doubt falls back
+//! to the precise walk. False positives only cost the fallback; false negatives
+//! cannot happen (the correctness argument lives with the fast passes and in
+//! `docs/hot-path.md`). A summary pass is valid even across ring rollover: the OR
+//! covers every publish since the reset, whether or not its slot has been
+//! overwritten.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
@@ -88,7 +95,6 @@ impl Ring {
     /// false-conflict with bumps of the other.
     pub fn alloc(b: &mut HeapBuilder, size: usize, spec: SigSpec) -> Self {
         assert!(size.is_power_of_two(), "ring size must be a power of two");
-        assert!(spec.words() <= 64, "entry mask is a single word");
         let lock = b.alloc_lines(1);
         let timestamp = b.alloc_lines(1);
         let entries = b.alloc_aligned(size * Self::entry_words(spec) as usize);
@@ -104,11 +110,6 @@ impl Ring {
     /// Number of entries.
     pub fn size(&self) -> u64 {
         self.size
-    }
-
-    /// Signature geometry.
-    pub fn spec(&self) -> SigSpec {
-        self.spec
     }
 
     /// Heap address of the ring lock word.
@@ -151,7 +152,7 @@ impl Ring {
     /// entry's non-zero-word mask (words outside the mask hold stale content from an
     /// earlier lap and are never read) and `sig`'s own mask (only its live words can
     /// intersect anything).
-    pub fn entry_intersects_nt(&self, th: &HtmThread<'_>, ts: u64, sig: &Sig) -> bool {
+    fn entry_intersects_nt(&self, th: &HtmThread<'_>, ts: u64, sig: &Sig) -> bool {
         let base = self.entry_mask_addr(ts);
         let mword = th.nt_read(base);
         // Both layouts gather the overlapping entry words and `sig` words into
@@ -182,18 +183,10 @@ impl Ring {
         }
         let entry = self.entry(ts);
         for (i, w) in sig.nonzero_words() {
-            if mword & (1 << (i % 64)) != 0 {
+            if mword & (1 << i) != 0 {
                 ewords[n] = th.nt_read(entry.word_addr(i));
                 swords[n] = w;
                 n += 1;
-                if n == 64 {
-                    // Full buffers (folded geometries can overlap on > 64
-                    // words): settle this batch before gathering more.
-                    if kernels::intersect_any(&ewords, &swords) {
-                        return true;
-                    }
-                    n = 0;
-                }
             }
         }
         kernels::intersect_any(&ewords[..n], &swords[..n])
@@ -212,22 +205,16 @@ impl Ring {
         tx.read(self.timestamp)
     }
 
-    /// Hardware publish (fast path commit, Fig. 1 lines 9–11): subscribe the ring
-    /// lock (explicitly aborting if a software committer holds it), bump the
-    /// timestamp and store `write_sig` into the new entry — all inside `tx`, hence
-    /// atomic with the transaction's own commit. The signature is supplied as its
-    /// software value (the caller's mirror tracks the heap copy exactly), so the
-    /// publish is write-only and visits only the live words. Returns the new
-    /// timestamp.
-    pub fn publish_tx(&self, tx: &mut HtmTx<'_, '_>, write_sig: &Sig) -> TxResult<u64> {
-        self.publish_tx_masked(tx, write_sig, u64::MAX)
-    }
-
-    /// [`Ring::publish_tx`] restricted to the words selected by `word_mask` (bit
-    /// `i` set ⇔ word `i` is stored): only `write_sig`'s non-zero words inside the
-    /// mask are written and the entry mask records exactly that subset. The
-    /// sharded ring ([`crate::ShardedRing`]) uses this so each shard's entries
-    /// carry only the words of the shard's own word range.
+    /// Hardware publish (fast path commit, Fig. 1 lines 9–11) of the words
+    /// selected by `word_mask` (bit `i` set ⇔ word `i` is stored): subscribe the
+    /// ring lock (explicitly aborting if a software committer holds it), bump the
+    /// timestamp and store `write_sig`'s non-zero words inside the mask into the
+    /// new entry — all inside `tx`, hence atomic with the transaction's own
+    /// commit. The signature is supplied as its software value (the caller's
+    /// mirror tracks the heap copy exactly), so the publish is write-only, and the
+    /// entry mask records exactly the stored subset. The sharded ring
+    /// ([`crate::ShardedRing`]) passes each shard's word range, so each shard's
+    /// entries carry only its own words. Returns the new timestamp.
     pub fn publish_tx_masked(
         &self,
         tx: &mut HtmTx<'_, '_>,
@@ -264,30 +251,13 @@ impl Ring {
         Ok(ts)
     }
 
-    /// [`Ring::publish_tx`] plus summary accounting: announces the publish to
-    /// `summary` at the point of no return (the last body step before commit), so
-    /// validators running concurrently with this transaction's commit cannot take
-    /// the fast path past it. The *caller* must finish the hand-shake after the
-    /// hardware transaction resolves: [`RingSummary::complete_publish`] with the
-    /// same signature on commit, [`RingSummary::cancel_publish`] on abort.
-    pub fn publish_tx_summarized(
-        &self,
-        tx: &mut HtmTx<'_, '_>,
-        write_sig: &Sig,
-        summary: &RingSummary,
-    ) -> TxResult<u64> {
-        let ts = self.publish_tx(tx, write_sig)?;
-        // Announce *before* the timestamp store can become visible (it publishes at
-        // commit, which is after this body step by construction).
-        summary.begin_publish();
-        Ok(ts)
-    }
-
     /// Software publish (partitioned path global commit, Fig. 1 lines 45–47):
     /// acquire the ring lock — the CAS dooms hardware publishers that subscribed the
     /// lock word — then write the entry, then bump the timestamp (entry-before-bump
     /// so validators that read timestamp `ts` always see complete entries `<= ts`).
-    /// Returns the new timestamp.
+    /// Returns the new timestamp. The plain reference: it keeps no summary, and
+    /// [`ShardedRing::publish_software_summarized`](crate::ShardedRing::publish_software_summarized)
+    /// is the same block per shard with the summary hand-shake.
     pub fn publish_software(&self, th: &HtmThread<'_>, sig: &Sig) -> u64 {
         while th.nt_cas(self.lock, 0, 1).is_err() {
             htm_sim::vclock::yield_now();
@@ -296,28 +266,6 @@ impl Ring {
         self.write_entry_nt(th, ts, sig);
         th.nt_write(self.timestamp, ts);
         th.nt_write(self.lock, 0);
-        ts
-    }
-
-    /// [`Ring::publish_software`] plus the full summary hand-shake: the publish is
-    /// announced before the timestamp bump makes it visible and completed right
-    /// after (a software committer cannot abort past this point, so no cancel path
-    /// exists here).
-    pub fn publish_software_summarized(
-        &self,
-        th: &HtmThread<'_>,
-        sig: &Sig,
-        summary: &RingSummary,
-    ) -> u64 {
-        while th.nt_cas(self.lock, 0, 1).is_err() {
-            htm_sim::vclock::yield_now();
-        }
-        let ts = th.nt_read(self.timestamp) + 1;
-        self.write_entry_nt(th, ts, sig);
-        summary.begin_publish();
-        th.nt_write(self.timestamp, ts);
-        th.nt_write(self.lock, 0);
-        summary.complete_publish(sig);
         ts
     }
 
@@ -388,34 +336,6 @@ impl Ring {
         }
         Ok(ts)
     }
-
-    /// [`Ring::validate_nt`] behind the summary fast path: if `read_sig` provably
-    /// misses everything published since `start_time`, skip the per-entry walk.
-    /// The second return value reports whether the fast path decided the call
-    /// (true) or the precise walk ran (false) — the executors feed it into their
-    /// statistics.
-    pub fn validate_summarized_nt(
-        &self,
-        th: &HtmThread<'_>,
-        summary: &RingSummary,
-        read_sig: &Sig,
-        start_time: u64,
-    ) -> (Result<u64, RingValidationError>, bool) {
-        if let Some(ts) = summary.try_fast_pass(read_sig, start_time, || self.timestamp_nt(th)) {
-            return (Ok(ts), true);
-        }
-        (self.validate_nt(th, read_sig, start_time), false)
-    }
-
-    /// Reset the summary when it has grown dense enough to stop filtering (see
-    /// [`RingSummary::wants_reset`]). At most one resetter runs at a time; the
-    /// summary's epoch-bank reset protocol keeps concurrent publishers and
-    /// validators correct (the interleaving arguments are spelled out in
-    /// `docs/hot-path.md` and `docs/ring-sharding.md`). Returns true when a
-    /// reset was performed.
-    pub fn maybe_reset_summary(&self, th: &HtmThread<'_>, summary: &RingSummary) -> bool {
-        summary.maybe_reset_with(|| self.timestamp_nt(th)) == ResetAttempt::Done
-    }
 }
 
 /// Default density threshold: reset once more than a third of the summary's bits
@@ -479,9 +399,9 @@ pub enum ResetAttempt {
     Done,
 }
 
-/// The global summary signature: host-side companion to a [`Ring`] (the ring itself
-/// is a plain-old-data heap handle; the summary holds atomics and therefore lives
-/// in the runtime). See the module docs for the protocol overview.
+/// The summary signature: host-side companion to one [`Ring`] shard (the ring
+/// itself is a plain-old-data heap handle; the summary holds atomics and therefore
+/// lives in the runtime). See the module docs for the protocol overview.
 ///
 /// Soundness hinges on three rules, in concert:
 ///
@@ -546,36 +466,19 @@ pub struct RingSummary {
     /// probe just read. May lag the ring timestamp while folds are in flight —
     /// lagging is safe, it only advances windows less.
     folded_ts: AtomicU64,
-    /// Bits the density check measures against: the full geometry for a whole-ring
-    /// summary, or 64 × the covered word count for a shard-masked summary.
+    /// Bits the density check measures against: 64 × the covered word count.
     live_bits: u32,
     spec: SigSpec,
 }
 
 impl RingSummary {
-    /// An empty summary for signatures of geometry `spec` (default tuning).
-    pub fn new(spec: SigSpec) -> Self {
-        Self::with_tuning(spec, SummaryTuning::default())
-    }
-
-    /// An empty summary with explicit [`SummaryTuning`].
-    pub fn with_tuning(spec: SigSpec, tuning: SummaryTuning) -> Self {
-        Self::build(spec, spec.bits(), tuning)
-    }
-
     /// An empty summary whose density accounting covers only the words selected by
     /// `word_mask` (a shard of the sharded ring only ever folds in its own word
-    /// range, so measuring density against the full geometry would make
-    /// [`RingSummary::wants_reset`] unreachable).
+    /// range, so measuring density against the full geometry would make a reset
+    /// unreachable).
     pub fn new_masked_tuned(spec: SigSpec, word_mask: u64, tuning: SummaryTuning) -> Self {
-        let covered = (0..spec.words().min(64))
-            .filter(|i| word_mask & (1 << i) != 0)
-            .count() as u32;
-        Self::build(spec, covered * 64, tuning)
-    }
-
-    fn build(spec: SigSpec, live_bits: u32, tuning: SummaryTuning) -> Self {
         assert!(tuning.density_den > 0, "density threshold needs a denominator");
+        let covered = (0..spec.words()).filter(|i| word_mask & (1 << i) != 0).count() as u32;
         let lines_per_bank = (spec.words() as usize).div_ceil(WORDS_PER_LINE);
         Self {
             lines: (0..2 * lines_per_bank)
@@ -591,14 +494,9 @@ impl RingSummary {
             tuning,
             pins: EpochRegistry::new(),
             folded_ts: AtomicU64::new(0),
-            live_bits,
+            live_bits: covered * 64,
             spec,
         }
-    }
-
-    /// Geometry.
-    pub fn spec(&self) -> SigSpec {
-        self.spec
     }
 
     /// Word `i` of bank `bank`.
@@ -642,30 +540,25 @@ impl RingSummary {
     }
 
     /// Announce a publish whose timestamp is about to become visible. Every
-    /// `begin_publish` must be matched by exactly one [`RingSummary::complete_publish`]
-    /// or [`RingSummary::cancel_publish`].
+    /// `begin_publish` must be matched by exactly one
+    /// [`RingSummary::complete_publish_masked`] or [`RingSummary::cancel_publish`].
     #[inline]
     pub fn begin_publish(&self) {
         self.started.fetch_add(1, SeqCst);
     }
 
-    /// Fold a committed publish's signature into the summary. The epoch
-    /// re-check makes the OR effectively atomic against resets: if the epoch
-    /// flips mid-OR, the loop runs again and re-ORs into the new current bank.
-    pub fn complete_publish(&self, sig: &Sig) {
-        self.complete_publish_masked(sig, u64::MAX, 0)
-    }
-
-    /// [`RingSummary::complete_publish`] restricted to the words selected by
-    /// `word_mask`: only `sig`'s non-zero words inside the mask are folded in. A
-    /// shard summary of the sharded ring folds in only its own word range, keeping
-    /// each shard's density (and therefore its reset cadence) independent.
+    /// Fold a committed publish's signature into the summary, restricted to the
+    /// words selected by `word_mask`: only `sig`'s non-zero words inside the mask
+    /// are folded in. A shard summary of the sharded ring folds in only its own
+    /// word range, keeping each shard's density (and therefore its reset cadence)
+    /// independent. The epoch re-check makes the OR effectively atomic against
+    /// resets: if the epoch flips mid-OR, the loop runs again and re-ORs into the
+    /// new current bank.
     ///
-    /// `folded_ts` is the publish's commit timestamp (0 when the caller does not
-    /// know it, e.g. the unmasked single-ring paths, which never consult the
-    /// watermark). It is recorded strictly *before* `completed` is bumped: the
-    /// [`RingSummary::clean_since_at`] early-out relies on "counters balanced ⇒
-    /// the watermark covers every folded publish".
+    /// `folded_ts` is the publish's commit timestamp. It is recorded strictly
+    /// *before* `completed` is bumped: the [`RingSummary::clean_since_at`]
+    /// early-out relies on "counters balanced ⇒ the watermark covers every
+    /// folded publish".
     pub fn complete_publish_masked(&self, sig: &Sig, word_mask: u64, folded_ts: u64) {
         loop {
             let g1 = self.gen.load(SeqCst);
@@ -720,11 +613,13 @@ impl RingSummary {
         s.saturating_sub(self.completed.load(SeqCst))
     }
 
-    /// The summary fast path: `Some(ts)` when `read_sig` provably conflicts with
+    /// The summary fast path: `Ok(ts)` when `read_sig` provably conflicts with
     /// nothing published after `start_time` (with `ts` the timestamp the caller may
-    /// advance to), `None` when the precise walk must decide. `read_ts` reads the
-    /// ring timestamp; it is taken as a closure because the timestamp lives in the
-    /// simulated heap while the summary does not.
+    /// advance to), `Err` with the miss cause when the precise walk must decide.
+    /// `read_ts` reads the ring timestamp; it is taken as a closure because the
+    /// timestamp lives in the simulated heap while the summary does not. `tid`'s
+    /// epoch pin is held for the duration (resets defer around the pin instead of
+    /// invalidating the probe); the executors feed the miss cause into `TmStats`.
     ///
     /// Read order is load-bearing (see the type-level docs): `completed` first,
     /// epoch + reset window, the timestamp, the summary words, then
@@ -737,20 +632,6 @@ impl RingSummary {
     /// this validator did not observe would balance the counters while its bits
     /// are absent from the old bank being probed — any such publish implies the
     /// epoch moved, which the re-check turns into a fallback.
-    pub fn try_fast_pass(
-        &self,
-        read_sig: &Sig,
-        start_time: u64,
-        read_ts: impl FnOnce() -> u64,
-    ) -> Option<u64> {
-        self.probe(None, |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
-            .ok()
-    }
-
-    /// [`RingSummary::try_fast_pass`] with the caller's thread id, pinning the
-    /// probed epoch in the registry for the duration (resets defer
-    /// around the pin instead of invalidating the probe) and reporting *why* a
-    /// miss missed — the executors feed the cause into `TmStats`.
     pub fn try_fast_pass_at(
         &self,
         tid: usize,
@@ -758,24 +639,18 @@ impl RingSummary {
         start_time: u64,
         read_ts: impl FnOnce() -> u64,
     ) -> Result<u64, FastMiss> {
-        self.probe(Some(tid), |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
+        self.probe(tid, |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
     }
 
-    /// Run `pass` against the current epoch, pinned in the registry for the
-    /// duration when the caller gave its thread id.
+    /// Run `pass` against the current epoch, pinned in the registry for `tid`
+    /// for the duration.
     fn probe(
         &self,
-        tid: Option<usize>,
+        tid: usize,
         pass: impl FnOnce(u64) -> Result<u64, FastMiss>,
     ) -> Result<u64, FastMiss> {
-        let e = match tid {
-            Some(t) => self.pin_epoch(t),
-            None => self.gen.load(SeqCst),
-        };
-        let res = pass(e);
-        if let Some(t) = tid {
-            self.unpin(t);
-        }
+        let res = pass(self.pin_epoch(tid));
+        self.unpin(tid);
         res
     }
 
@@ -848,7 +723,7 @@ impl RingSummary {
     ///   The watermark is loaded *before* the words, so every publish at or
     ///   below it folded its bits into what the probe then read — advancing
     ///   to it is strictly weaker than the advance
-    ///   [`RingSummary::try_fast_pass`] proves sound from the real timestamp.
+    ///   [`RingSummary::try_fast_pass_at`] proves sound from the real timestamp.
     ///
     /// In both cases a reset inside the window is rejected by the
     /// `start_time >= reset_ts` check, exactly as in the fast pass.
@@ -858,7 +733,7 @@ impl RingSummary {
         read_sig: &Sig,
         start_time: u64,
     ) -> Result<u64, FastMiss> {
-        self.probe(Some(tid), |e| self.clean_since_epoch(e, read_sig, start_time))
+        self.probe(tid, |e| self.clean_since_epoch(e, read_sig, start_time))
     }
 
     /// The clean probe against pinned epoch `e`'s bank; same structure
@@ -886,16 +761,10 @@ impl RingSummary {
         Ok(adv)
     }
 
-    /// True when the summary is due for a density check and more than the
-    /// density threshold of its live bits are set (the full
-    /// geometry, or the shard's word range for a summary built with
-    /// [`RingSummary::new_masked_tuned`]). A summary that dense intersects almost
-    /// every read signature, so the fast path stops paying for itself.
-    pub fn wants_reset(&self) -> bool {
-        self.since_reset.load(SeqCst) >= self.tuning.check_interval && self.density_exceeded()
-    }
-
-    /// Popcount of the current bank against the density threshold.
+    /// Popcount of the current bank against the density threshold: more than
+    /// `density_num/density_den` of the live bits (the shard's word range) set.
+    /// A summary that dense intersects almost every read signature, so the fast
+    /// path stops paying for itself.
     fn density_exceeded(&self) -> bool {
         let bank = (self.gen.load(SeqCst) & 1) as usize;
         let pop = kernels::popcount_lines(self.bank_lines(bank), self.spec.words() as usize);
@@ -978,6 +847,7 @@ impl RingSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::{ShardTimes, ShardedRing, ShardedSummary};
     use htm_sim::{AbortCode, HeapBuilder, HtmConfig, HtmSystem};
 
     const HEAP: usize = 1 << 18;
@@ -1025,7 +895,7 @@ mod tests {
         let mut s = Sig::new(SigSpec::PAPER);
         s.add(777);
 
-        let ts = th.attempt(|tx| ring.publish_tx(tx, &s)).unwrap();
+        let ts = th.attempt(|tx| ring.publish_tx_masked(tx, &s, u64::MAX)).unwrap();
         assert_eq!(ts, 1);
         assert_eq!(ring.timestamp_nt(&th), 1);
         assert!(ring.entry(1).snapshot_nt(&th).contains(777));
@@ -1037,7 +907,7 @@ mod tests {
         let mut th = sys.thread(0);
         let wsig = Sig::new(SigSpec::PAPER);
         sys.nt_write(ring.lock_addr(), 1);
-        let r = th.attempt(|tx| ring.publish_tx(tx, &wsig));
+        let r = th.attempt(|tx| ring.publish_tx_masked(tx, &wsig, u64::MAX));
         assert_eq!(r, Err(AbortCode::Explicit(XABORT_RING_LOCKED)));
     }
 
@@ -1047,14 +917,14 @@ mod tests {
         let wsig = Sig::new(SigSpec::PAPER);
         let mut hw = sys.thread(0);
         let mut tx = hw.begin();
-        // Subscribe the lock word (first step of publish_tx).
+        // Subscribe the lock word (first step of publish_tx_masked).
         assert_eq!(tx.read(ring.lock_addr()), Ok(0));
         // Software committer on another thread takes the lock.
         let sw = sys.thread(1);
         let sig = Sig::new(SigSpec::PAPER);
         ring.publish_software(&sw, &sig);
         // The hardware publisher is doomed before it can bump the timestamp.
-        let r = ring.publish_tx(&mut tx, &wsig);
+        let r = ring.publish_tx_masked(&mut tx, &wsig, u64::MAX);
         assert_eq!(r, Err(AbortCode::Conflict));
     }
 
@@ -1115,31 +985,54 @@ mod tests {
         );
     }
 
-    // ---- summary fast path ----
+    // ---- summary fast path (one shard: the summary production runs) ----
+
+    /// A 1-shard sharded ring: shard 0 is a whole [`Ring`] paired with its
+    /// summary, in the default tuning.
+    fn one_shard(ring_size: usize) -> (HtmSystem, ShardedRing, ShardedSummary) {
+        let sys = HtmSystem::new(HtmConfig::default(), HEAP);
+        let mut b = HeapBuilder::new(HEAP);
+        let ring = ShardedRing::alloc(&mut b, 1, ring_size, SigSpec::PAPER);
+        let sums = ring.new_summary();
+        (sys, ring, sums)
+    }
+
+    /// A lone summary over the whole paper geometry, default tuning.
+    fn summary() -> RingSummary {
+        RingSummary::new_masked_tuned(SigSpec::PAPER, u64::MAX, SummaryTuning::default())
+    }
+
+    fn sig_of(addrs: &[u32]) -> Sig {
+        let mut s = Sig::new(SigSpec::PAPER);
+        addrs.iter().for_each(|&a| s.add(a));
+        s
+    }
 
     #[test]
     fn summary_fast_pass_on_disjoint_reader() {
-        let (sys, ring) = setup(64);
+        let (sys, sh, sums) = one_shard(64);
         let th = sys.thread(0);
-        let summary = RingSummary::new(SigSpec::PAPER);
-        let mut wsig = Sig::new(SigSpec::PAPER);
-        wsig.add(1000);
+        let wsig = sig_of(&[1000]);
         for _ in 0..5 {
-            ring.publish_software_summarized(&th, &wsig, &summary);
+            sh.publish_software_summarized(&th, &wsig, &sums);
         }
-        // Disjoint reader: fast pass, advances to the current timestamp.
-        let mut rsig = Sig::new(SigSpec::PAPER);
-        rsig.add(2000);
+        // Disjoint reader: fast pass, advances to the current timestamp, the
+        // same verdict as the plain walk.
+        let rsig = sig_of(&[2000]);
         assert!(!rsig.intersects(&wsig), "test addresses must not collide");
-        let (res, fast) = ring.validate_summarized_nt(&th, &summary, &rsig, 0);
-        assert_eq!(res, Ok(5));
-        assert!(fast, "disjoint reader must take the fast path");
-        // Intersecting reader: falls back and is rejected.
-        let mut rbad = Sig::new(SigSpec::PAPER);
-        rbad.add(1000);
-        let (res, fast) = ring.validate_summarized_nt(&th, &summary, &rbad, 0);
-        assert_eq!(res, Err(RingValidationError::Invalid));
-        assert!(!fast);
+        let walk = sh.shard(0).validate_nt(&th, &rsig, 0);
+        assert_eq!(walk, Ok(5));
+        let mut times = ShardTimes::new();
+        let v = sh.validate_summarized_nt(&th, &sums, &rsig, &mut times);
+        assert_eq!((v.result, times.get(0)), (Ok(()), 5));
+        assert_eq!(v.fast_shards, 1, "disjoint reader must take the fast path");
+        // Intersecting reader: falls back and is rejected, as the walk is.
+        let rbad = sig_of(&[1000]);
+        let mut times = ShardTimes::new();
+        let v = sh.validate_summarized_nt(&th, &sums, &rbad, &mut times);
+        assert_eq!(v.result, Err(RingValidationError::Invalid));
+        assert_eq!(sh.shard(0).validate_nt(&th, &rbad, 0), Err(RingValidationError::Invalid));
+        assert_eq!((v.fast_shards, v.dirty_shards), (0, 1));
     }
 
     #[test]
@@ -1147,144 +1040,120 @@ mod tests {
         // 8-entry ring, 20 publishes: the precise walk from 0 reports Rollover, but
         // the summary (which covers every publish since reset, regardless of slot
         // overwrites) still passes a disjoint reader.
-        let (sys, ring) = setup(8);
+        let (sys, sh, sums) = one_shard(8);
         let th = sys.thread(0);
-        let summary = RingSummary::new(SigSpec::PAPER);
-        let mut wsig = Sig::new(SigSpec::PAPER);
-        wsig.add(1000);
+        let wsig = sig_of(&[1000]);
         for _ in 0..20 {
-            ring.publish_software_summarized(&th, &wsig, &summary);
+            sh.publish_software_summarized(&th, &wsig, &sums);
         }
-        let mut rsig = Sig::new(SigSpec::PAPER);
-        rsig.add(2000);
+        let (ring, summary) = (sh.shard(0), sums.shard(0));
+        let rsig = sig_of(&[2000]);
+        assert_eq!(ring.validate_nt(&th, &rsig, 0), Err(RingValidationError::Rollover));
         assert_eq!(
-            ring.validate_nt(&th, &rsig, 0),
-            Err(RingValidationError::Rollover)
+            summary.try_fast_pass_at(0, &rsig, 0, || ring.timestamp_nt(&th)),
+            Ok(20),
+            "summary pass avoids the spurious rollover abort"
         );
-        let (res, fast) = ring.validate_summarized_nt(&th, &summary, &rsig, 0);
-        assert_eq!(res, Ok(20), "summary pass avoids the spurious rollover abort");
-        assert!(fast);
+        assert_eq!(summary.clean_since_at(0, &rsig, 0), Ok(20));
     }
 
     #[test]
     fn hardware_publish_hand_shake() {
-        let (sys, ring) = setup(64);
+        let (sys, sh, sums) = one_shard(64);
         let mut th = sys.thread(0);
-        let summary = RingSummary::new(SigSpec::PAPER);
-        let mut s = Sig::new(SigSpec::PAPER);
-        s.add(777);
-
-        let ts = th
-            .attempt(|tx| ring.publish_tx_summarized(tx, &s, &summary))
+        let s = sig_of(&[777]);
+        let (mask, times) = th
+            .attempt(|tx| sh.publish_tx_summarized(tx, &s, &sums))
             .unwrap();
-        summary.complete_publish(&s);
-        assert_eq!(ts, 1);
+        // Announced, not yet folded: nobody may fast-pass.
+        let summary = sums.shard(0);
+        let rok = sig_of(&[4242]);
+        assert!(!rok.intersects(&s));
+        assert_eq!(summary.try_fast_pass_at(0, &rok, 0, || 1), Err(FastMiss::Inflight));
+        sh.complete_publish(&s, mask, &times, &sums);
+        assert_eq!(times.get(0), 1);
         assert!(summary.snapshot().contains(777));
         // A reader of 777 must not fast-pass; a disjoint one must.
-        let mut rbad = Sig::new(SigSpec::PAPER);
-        rbad.add(777);
-        assert_eq!(summary.try_fast_pass(&rbad, 0, || 1), None);
-        let mut rok = Sig::new(SigSpec::PAPER);
-        rok.add(4242);
-        assert!(!rok.intersects(&s));
-        assert_eq!(summary.try_fast_pass(&rok, 0, || 1), Some(1));
-    }
-
-    #[test]
-    fn incomplete_publish_blocks_fast_pass() {
-        let summary = RingSummary::new(SigSpec::PAPER);
-        summary.begin_publish();
-        // A publish is in flight (announced, not completed): nobody may fast-pass.
-        let rsig = {
-            let mut s = Sig::new(SigSpec::PAPER);
-            s.add(1);
-            s
-        };
-        assert_eq!(summary.try_fast_pass(&rsig, 0, || 5), None);
-        summary.cancel_publish();
-        assert_eq!(summary.try_fast_pass(&rsig, 0, || 5), Some(5));
+        let rbad = sig_of(&[777]);
+        assert_eq!(summary.try_fast_pass_at(0, &rbad, 0, || 1), Err(FastMiss::Dirty));
+        assert_eq!(summary.try_fast_pass_at(0, &rok, 0, || 1), Ok(1));
+        assert_eq!(summary.clean_since_at(0, &rok, 0), Ok(1));
     }
 
     // ---- resets ----
 
-    fn saturate(ring: &Ring, th: &htm_sim::HtmThread<'_>, summary: &RingSummary, n: u64) {
+    fn saturate(sh: &ShardedRing, th: &htm_sim::HtmThread<'_>, sums: &ShardedSummary, n: u64) {
         let mut wsig = Sig::new(SigSpec::PAPER);
         for a in 0..n {
             wsig.clear();
             wsig.add((a * 4099) as u32);
             wsig.add((a * 7919 + 13) as u32);
             wsig.add((a * 104_729 + 7) as u32);
-            ring.publish_software_summarized(th, &wsig, summary);
+            sh.publish_software_summarized(th, &wsig, sums);
         }
     }
 
     #[test]
     fn epoch_reset_flips_bank_and_redirects_old_windows() {
-        let (sys, ring) = setup(4096);
+        let (sys, sh, sums) = one_shard(4096);
         let th = sys.thread(0);
-        let summary = RingSummary::new(SigSpec::PAPER);
-        saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
-        assert!(summary.wants_reset());
+        let (ring, summary) = (sh.shard(0), sums.shard(0));
+        let reset = || summary.maybe_reset_with(|| ring.timestamp_nt(&th));
+        saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
+        assert!(summary.density_exceeded());
         assert_eq!(summary.gen.load(SeqCst), 0);
-        assert!(ring.maybe_reset_summary(&th, &summary));
+        assert_eq!(reset(), ResetAttempt::Done);
         assert_eq!(summary.gen.load(SeqCst), 1, "reset flips the epoch");
         assert!(summary.snapshot().is_empty(), "the new current bank is clean");
         let rts = ring.timestamp_nt(&th);
         assert_eq!(summary.reset_ts[1].load(SeqCst), rts);
         // A validator that started before the flip must not fast-pass on the
         // new bank; one at/after the reset timestamp may.
-        let mut rsig = Sig::new(SigSpec::PAPER);
-        rsig.add(1);
-        assert_eq!(summary.try_fast_pass(&rsig, rts - 1, || rts), None);
-        assert_eq!(summary.try_fast_pass(&rsig, rts, || rts), Some(rts));
+        let rsig = sig_of(&[1]);
+        assert_eq!(summary.try_fast_pass_at(0, &rsig, rts - 1, || rts), Err(FastMiss::Inflight));
+        assert_eq!(summary.clean_since_at(0, &rsig, rts - 1), Err(FastMiss::Inflight));
+        assert_eq!(summary.try_fast_pass_at(0, &rsig, rts, || rts), Ok(rts));
         // A second reset attempt is a no-op until the interval elapses again.
-        assert!(!ring.maybe_reset_summary(&th, &summary));
+        assert_eq!(reset(), ResetAttempt::Idle);
         // Publishes after the flip fold into the new current bank.
-        let mut wsig = Sig::new(SigSpec::PAPER);
-        wsig.add(31_337);
-        ring.publish_software_summarized(&th, &wsig, &summary);
+        sh.publish_software_summarized(&th, &sig_of(&[31_337]), &sums);
         assert!(summary.snapshot().contains(31_337));
     }
 
     #[test]
     fn epoch_reset_defers_while_a_reader_is_pinned() {
-        let (sys, ring) = setup(4096);
+        let (sys, sh, sums) = one_shard(4096);
         let th = sys.thread(0);
-        let summary = RingSummary::new(SigSpec::PAPER);
-        saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
+        let (ring, summary) = (sh.shard(0), sums.shard(0));
+        let reset = || summary.maybe_reset_with(|| ring.timestamp_nt(&th));
+        saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
         // A pin at the *current* epoch never blocks: the reset clears the
         // retired bank, which that reader is not probing.
         let e = summary.pin_epoch(7);
         assert_eq!(e, 0);
-        assert!(ring.maybe_reset_summary(&th, &summary));
+        assert_eq!(reset(), ResetAttempt::Done);
         assert_eq!(summary.gen.load(SeqCst), 1);
         // Simulate a long-running reader that pinned before the flip and is
         // still mid-probe on the old bank (pin_epoch would re-pin at 1, so
         // plant the stale pin directly). The next reset would clear exactly
         // that bank, so it must defer — without blocking anyone.
         summary.pins.set(7, 0);
-        saturate(&ring, &th, &summary, SUMMARY_CHECK_INTERVAL + 10);
-        assert_eq!(
-            summary.maybe_reset_with(|| ring.timestamp_nt(&th)),
-            ResetAttempt::Deferred
-        );
+        saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
+        assert_eq!(reset(), ResetAttempt::Deferred);
         assert_eq!(summary.gen.load(SeqCst), 1, "no flip under a stale pin");
         // The reader finishes and unpins: the deferred reset now proceeds.
         summary.unpin(7);
-        assert!(ring.maybe_reset_summary(&th, &summary));
+        assert_eq!(reset(), ResetAttempt::Done);
         assert_eq!(summary.gen.load(SeqCst), 2);
     }
 
     #[test]
-    fn epoch_mode_probe_with_publisher_in_flight_reports_inflight() {
-        let summary = RingSummary::new(SigSpec::PAPER);
+    fn probe_with_publisher_in_flight_reports_inflight() {
+        let summary = summary();
         summary.begin_publish();
-        let mut rsig = Sig::new(SigSpec::PAPER);
-        rsig.add(1);
-        assert_eq!(
-            summary.try_fast_pass_at(0, &rsig, 0, || 5),
-            Err(FastMiss::Inflight)
-        );
+        // A publish is in flight (announced, not completed): nobody may fast-pass.
+        let rsig = sig_of(&[1]);
+        assert_eq!(summary.try_fast_pass_at(0, &rsig, 0, || 5), Err(FastMiss::Inflight));
         assert_eq!(summary.pins.pinned(0), None, "probe unpins on exit");
         summary.cancel_publish();
         assert_eq!(summary.try_fast_pass_at(0, &rsig, 0, || 5), Ok(5));
@@ -1292,17 +1161,11 @@ mod tests {
 
     #[test]
     fn dirty_probe_reports_dirty() {
-        let summary = RingSummary::new(SigSpec::PAPER);
-        let mut wsig = Sig::new(SigSpec::PAPER);
-        wsig.add(1000);
+        let summary = summary();
         summary.begin_publish();
-        summary.complete_publish_masked(&wsig, u64::MAX, 1);
-        let mut rbad = Sig::new(SigSpec::PAPER);
-        rbad.add(1000);
-        assert_eq!(
-            summary.try_fast_pass_at(0, &rbad, 0, || 1),
-            Err(FastMiss::Dirty)
-        );
+        summary.complete_publish_masked(&sig_of(&[1000]), u64::MAX, 1);
+        let rbad = sig_of(&[1000]);
+        assert_eq!(summary.try_fast_pass_at(0, &rbad, 0, || 1), Err(FastMiss::Dirty));
         assert_eq!(
             summary.clean_since_at(0, &rbad, 0),
             Err(FastMiss::Dirty),

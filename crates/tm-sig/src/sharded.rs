@@ -138,7 +138,6 @@ impl ShardedRing {
             shard_count >= 1 && shard_count.is_power_of_two(),
             "shard count must be a power of two"
         );
-        assert!(spec.words() <= 64, "sharding keys off the non-zero-word mask");
         let words = spec.words() as usize;
         let mut n = shard_count.min(MAX_RING_SHARDS).min(words);
         // Every shard must own the same whole number of words.

@@ -6,13 +6,10 @@
 //!
 //! Protocol signatures are *sparse*: a transaction touching a handful of lines sets
 //! a handful of bits in a 2048-bit filter. Every [`Sig`] therefore carries a 64-bit
-//! **non-zero-word mask** (bit `i % 64` set iff some word `i` is non-zero), kept
-//! exact by every mutator, so the filter kernels — intersection, union, subtraction,
-//! ring publishing — iterate the few live words via the mask instead of scanning all
-//! of them. For geometries of at most 64 words (every practical configuration,
-//! including the paper's 32-word filters) the mask identifies words one-to-one; the
-//! group fold for larger sweep geometries only ever costs extra word visits, never a
-//! missed one.
+//! **non-zero-word mask** (bit `i` set iff word `i` is non-zero; a geometry has at
+//! most [`SigSpec::MAX_WORDS`] words), kept exact by every mutator, so the filter
+//! kernels — intersection, union, subtraction, ring publishing — iterate the few
+//! live words via the mask instead of scanning all of them.
 
 use crate::align::CacheAligned;
 use crate::kernels;
@@ -35,16 +32,15 @@ use htm_sim::Addr;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sig {
     spec: SigSpec,
-    /// Non-zero-word mask: bit `i % 64` is set iff some word `i` congruent to it is
-    /// non-zero. A pure function of the words, so the derived `PartialEq` stays
-    /// consistent.
+    /// Non-zero-word mask: bit `i` is set iff word `i` is non-zero. A pure
+    /// function of the words, so the derived `PartialEq` stays consistent.
     mask: u64,
     storage: Storage,
 }
 
 /// Word count covered by the inline representation: 32 words = 2048 bits, exactly
-/// [`SigSpec::PAPER`]. Protocol signatures therefore never allocate; only larger
-/// experimental geometries (e.g. the 8192-bit sweeps in the ablation tests) spill.
+/// [`SigSpec::PAPER`]. Protocol signatures therefore never allocate; only the
+/// 4096-bit geometry (the `ablation/nofast_sig_4096` row) spills.
 const INLINE_WORDS: usize = 32;
 
 /// Signature bit storage. Both variants keep the invariant that words beyond
@@ -61,7 +57,7 @@ enum Storage {
     /// `[u64; 32]` (4 whole lines, never straddling a fifth) the compiler can
     /// fully unroll/vectorise.
     Inline(CacheAligned<[u64; INLINE_WORDS]>),
-    /// Larger geometries fall back to a heap slice.
+    /// The 4096-bit geometry falls back to a heap slice.
     Heap(Box<[u64]>),
 }
 
@@ -146,9 +142,8 @@ impl Sig {
         );
     }
 
-    /// The non-zero-word mask (bit `i % 64` set iff some word `i` is non-zero).
-    /// For geometries of at most 64 words this identifies the live words exactly —
-    /// the ring stores it verbatim as the entry mask.
+    /// The non-zero-word mask (bit `i` set iff word `i` is non-zero) — the ring
+    /// stores it verbatim as the entry mask.
     #[inline]
     pub fn nonzero_mask(&self) -> u64 {
         self.mask
@@ -163,27 +158,12 @@ impl Sig {
     /// Overwrite word `i`, maintaining the mask (the journal's rollback path).
     #[inline]
     pub fn set_word(&mut self, i: u32, v: u64) {
-        let bit = 1u64 << (i % 64);
+        let bit = 1u64 << i;
         self.raw_words_mut()[i as usize] = v;
         if v != 0 {
             self.mask |= bit;
-        } else if self.spec.words() <= 64 {
-            self.mask &= !bit;
         } else {
-            // Folded group: the bit stays only if a sibling word is non-zero.
-            let n = self.spec.words() as usize;
-            let mut j = (i % 64) as usize;
-            let mut any = false;
-            while j < n {
-                if self.words()[j] != 0 {
-                    any = true;
-                    break;
-                }
-                j += 64;
-            }
-            if !any {
-                self.mask &= !bit;
-            }
+            self.mask &= !bit;
         }
     }
 
@@ -196,7 +176,7 @@ impl Sig {
         let word = &mut self.raw_words_mut()[w as usize];
         let newly = *word & m != m;
         *word |= m;
-        self.mask |= 1u64 << (w % 64);
+        self.mask |= 1u64 << w;
         newly
     }
 
@@ -225,22 +205,16 @@ impl Sig {
     #[inline]
     pub fn clear(&mut self) {
         let mut m = self.mask;
-        let n = self.spec.words() as usize;
         while m != 0 {
-            let b = m.trailing_zeros() as usize;
+            self.raw_words_mut()[m.trailing_zeros() as usize] = 0;
             m &= m - 1;
-            let mut i = b;
-            while i < n {
-                self.raw_words_mut()[i] = 0;
-                i += 64;
-            }
         }
         self.mask = 0;
     }
 
     /// `self |= other`. Routed through the mask-guided OR kernel (sparse
     /// sources touch only their live words; dense sources take the 4-wide
-    /// bulk walk); the mask union is exact (a group is non-zero afterwards
+    /// bulk walk); the mask union is exact (a word is non-zero afterwards
     /// iff it was non-zero in either operand).
     #[inline]
     pub fn union_with(&mut self, other: &Sig) {
@@ -254,9 +228,9 @@ impl Sig {
     }
 
     /// `self &= !other` (remove the other signature's bits). Routed through
-    /// the mask-guided AND-NOT kernel: only groups live in both operands are
+    /// the mask-guided AND-NOT kernel: only words live in both operands are
     /// touched (the common write-lock release of a few-word write set costs a
-    /// word or two), and the kernel reports exactly which groups emptied, so
+    /// word or two), and the kernel reports exactly which words emptied, so
     /// the mask is maintained incrementally — no full-width rebuild.
     #[inline]
     pub fn subtract(&mut self, other: &Sig) {
@@ -272,7 +246,7 @@ impl Sig {
     /// True if the two signatures share any bit (the "bitwise AND" conflict test of
     /// the paper's commit validations). The mask AND settles the common
     /// disjoint case without reading a word; live pairs fall to the
-    /// mask-guided intersect kernel, which reads only groups live in both
+    /// mask-guided intersect kernel, which reads only words live in both
     /// operands (or the 4-wide bulk test when they are dense).
     #[inline]
     pub fn intersects(&self, other: &Sig) -> bool {
@@ -297,7 +271,6 @@ impl Sig {
         NonzeroWords {
             words: self.words(),
             mask: self.mask,
-            cursor: usize::MAX,
         }
     }
 }
@@ -308,12 +281,10 @@ fn mask_of(words: &[u64]) -> u64 {
 }
 
 /// Iterator over a signature's non-zero `(index, word)` pairs (see
-/// [`Sig::nonzero_words`]). For folded geometries (> 64 words) a group may contain
-/// zero words, which are filtered out here — the mask never hides a non-zero word.
+/// [`Sig::nonzero_words`]), ascending: one step per mask bit.
 pub struct NonzeroWords<'a> {
     words: &'a [u64],
     mask: u64,
-    cursor: usize,
 }
 
 impl Iterator for NonzeroWords<'_> {
@@ -321,22 +292,12 @@ impl Iterator for NonzeroWords<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(u32, u64)> {
-        loop {
-            if self.cursor < self.words.len() {
-                let i = self.cursor;
-                self.cursor += 64;
-                let w = self.words[i];
-                if w != 0 {
-                    return Some((i as u32, w));
-                }
-                continue;
-            }
-            if self.mask == 0 {
-                return None;
-            }
-            self.cursor = self.mask.trailing_zeros() as usize;
-            self.mask &= self.mask - 1;
+        if self.mask == 0 {
+            return None;
         }
+        let i = self.mask.trailing_zeros();
+        self.mask &= self.mask - 1;
+        Some((i, self.words[i as usize]))
     }
 }
 
@@ -415,12 +376,12 @@ mod tests {
         // PAPER (2048 bits) fits the inline array exactly.
         let a = Sig::new(SigSpec::PAPER);
         assert_eq!(a.words().len(), 32);
-        // An 8192-bit sweep geometry spills to the heap transparently.
-        let mut big = Sig::new(SigSpec::new(8192));
-        assert_eq!(big.words().len(), 128);
+        // The 4096-bit geometry spills to the heap transparently.
+        let mut big = Sig::new(SigSpec::new(4096));
+        assert_eq!(big.words().len(), 64);
         big.add(12345);
         assert!(big.contains(12345));
-        let round = Sig::from_words(SigSpec::new(8192), big.words().to_vec());
+        let round = Sig::from_words(SigSpec::new(4096), big.words().to_vec());
         assert_eq!(round, big);
         // Sub-inline specs expose only their active slice.
         let mut small = Sig::new(SigSpec::new(64));
@@ -490,55 +451,5 @@ mod tests {
         s.set_word(5, 0);
         assert!(s.is_empty());
         assert_mask_exact(&s);
-    }
-
-    #[test]
-    fn folded_mask_never_hides_words() {
-        // 128-word geometry: words 3 and 67 share mask bit 3. Clearing one must
-        // keep the group live until both are zero.
-        let big = SigSpec::new(8192);
-        let mut s = Sig::new(big);
-        s.set_word(3, 7);
-        s.set_word(67, 9);
-        assert_eq!(s.nonzero_mask(), 1 << 3);
-        let seen: Vec<(u32, u64)> = s.nonzero_words().collect();
-        assert_eq!(seen, vec![(3, 7), (67, 9)]);
-        s.set_word(3, 0);
-        assert_eq!(s.nonzero_mask(), 1 << 3, "sibling word 67 keeps the group");
-        assert_eq!(s.nonzero_words().collect::<Vec<_>>(), vec![(67, 9)]);
-        s.set_word(67, 0);
-        assert!(s.is_empty());
-        assert_mask_exact(&s);
-    }
-
-    #[test]
-    fn sparse_ops_match_dense_on_folded_geometry() {
-        let big = SigSpec::new(8192);
-        let mut a = Sig::new(big);
-        let mut b = Sig::new(big);
-        for addr in (0..40_000).step_by(613) {
-            a.add(addr);
-        }
-        for addr in (0..40_000).step_by(917) {
-            b.add(addr);
-        }
-        assert_mask_exact(&a);
-        assert_mask_exact(&b);
-        let dense_hit = a
-            .words()
-            .iter()
-            .zip(b.words())
-            .any(|(&x, &y)| x & y != 0);
-        assert_eq!(a.intersects(&b), dense_hit);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_mask_exact(&u);
-        u.subtract(&b);
-        assert_mask_exact(&u);
-        let mut diff = a.clone();
-        diff.subtract(&b);
-        for (i, (&x, &y)) in a.words().iter().zip(b.words()).enumerate() {
-            assert_eq!(diff.words()[i], x & !y);
-        }
     }
 }

@@ -2,8 +2,8 @@
 
 use htm_sim::{Addr, WORDS_PER_LINE};
 
-/// Geometry of all signatures in a runtime: number of bits (a power of two, at least
-/// one 64-bit word) and the derived word count.
+/// Geometry of all signatures in a runtime: number of bits (a power of two from
+/// one to [`SigSpec::MAX_WORDS`] 64-bit words) and the derived word count.
 ///
 /// The paper's configuration is **2048 bits = 4 cache lines, single hash function**
 /// (§5.1): large enough that two hardware transactions updating different bits rarely
@@ -17,11 +17,20 @@ impl SigSpec {
     /// The paper's default: 2048 bits (4 cache lines).
     pub const PAPER: SigSpec = SigSpec { bits: 2048 };
 
-    /// Create a spec with `bits` bits. Panics unless `bits` is a power of two >= 64.
+    /// The widest geometry: 64 words (4096 bits), so a signature's
+    /// non-zero-word mask is one `u64` whose bit `i` names word `i`.
+    pub const MAX_WORDS: u32 = 64;
+
+    /// Create a spec with `bits` bits. Panics unless `bits` is a power of two
+    /// from 64 to 4096 (one to [`SigSpec::MAX_WORDS`] words).
     pub fn new(bits: u32) -> Self {
         assert!(
             bits.is_power_of_two() && bits >= 64,
             "signature bits must be a power of two >= 64"
+        );
+        assert!(
+            bits / 64 <= Self::MAX_WORDS,
+            "signature bits must be at most 4096: the 64-word limit of the one-word non-zero-word mask"
         );
         Self { bits }
     }
@@ -90,7 +99,7 @@ mod tests {
 
     #[test]
     fn bit_of_in_range() {
-        for &bits in &[64u32, 512, 2048, 8192] {
+        for &bits in &[64u32, 512, 2048, 4096] {
             let s = SigSpec::new(bits);
             for addr in (0..100_000).step_by(97) {
                 assert!(s.bit_of(addr) < bits);
@@ -116,7 +125,7 @@ mod tests {
 
     #[test]
     fn words_of_one_line_share_one_bit() {
-        for &bits in &[64u32, 512, 2048, 8192] {
+        for &bits in &[64u32, 512, 2048, 4096] {
             let s = SigSpec::new(bits);
             for base in (0..50_000u32).step_by(8 * 37) {
                 for word in base..base + WORDS_PER_LINE as Addr {
@@ -134,7 +143,7 @@ mod tests {
             let h = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             (h >> (64 - s.bits().trailing_zeros())) as u32
         };
-        for &bits in &[64u32, 512, 2048, 8192] {
+        for &bits in &[64u32, 512, 2048, 4096] {
             let s = SigSpec::new(bits);
             for k in (0..200_000u32).step_by(13) {
                 let addr = k * WORDS_PER_LINE as Addr;
@@ -153,5 +162,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_pow2() {
         SigSpec::new(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-word limit")]
+    fn rejects_more_than_64_words() {
+        SigSpec::new(8192);
     }
 }

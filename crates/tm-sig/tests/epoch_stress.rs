@@ -28,6 +28,12 @@ fn tuning() -> SummaryTuning {
     }
 }
 
+/// A shard summary over the whole geometry, as `ShardedRing::new_summary_tuned`
+/// builds it for a 1-shard ring.
+fn summary() -> RingSummary {
+    RingSummary::new_masked_tuned(SigSpec::new(SPEC_BITS), u64::MAX, tuning())
+}
+
 /// One publisher step: announce, fold a signature of eight fresh addresses,
 /// then attempt the post-commit reset sweep exactly like the executors do.
 fn publish_and_sweep(sum: &RingSummary, round: u64, ts: &mut u64) -> ResetAttempt {
@@ -37,14 +43,14 @@ fn publish_and_sweep(sum: &RingSummary, round: u64, ts: &mut u64) -> ResetAttemp
         sig.add((round * 8 + i) as u32 * 97);
     }
     *ts += 1;
-    sum.complete_publish(&sig);
     let t = *ts;
+    sum.complete_publish_masked(&sig, u64::MAX, t);
     sum.maybe_reset_with(|| t)
 }
 
 #[test]
 fn sustained_publishes_retire_epochs() {
-    let sum = RingSummary::with_tuning(SigSpec::new(SPEC_BITS), tuning());
+    let sum = summary();
     let mut ts = 0u64;
     let mut done = 0u64;
     for round in 0..1024 {
@@ -65,7 +71,7 @@ fn sustained_publishes_retire_epochs() {
 
 #[test]
 fn pinned_validator_defers_resets_without_leaking() {
-    let sum = RingSummary::with_tuning(SigSpec::new(SPEC_BITS), tuning());
+    let sum = summary();
     let mut ts = 0u64;
     let mut round = 0u64;
 

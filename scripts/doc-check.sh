@@ -24,7 +24,8 @@
 #      of the deleted Stretch-HTM executor or the POWER suspend/rollback-only
 #      surface only it used; nor, with the first exceptions, an identifier of
 #      the ring summary's deleted grouped multi-shard probe or adaptive density
-#      controller.
+#      controller, of the deleted single-ring summary API, or of the deleted
+#      transactional `HeapSig` accessors.
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -157,6 +158,8 @@ retired+='|\bablation_(fast_path|inflight_validation|signature_bits|split_|sub_r
 stretch='\bStretch(Htm|Ctx|Stats)\b|\bread_stretche[d]\b|\bsuspended_(read|work)\b'
 stretch+='|\bbegin_ro[t]\b|\bsupports_(suspend|rot)\b|\bPOWER_SUSPEND_COS[T]\b|\bpower-stretc[h]\b'
 summary='\bGroupProb[e]\b|\bgroup_pas[s]|\bcontroller_ste[p]\b|\bCTR[L]_[A-Z]|\bdensity_threshol[d]\b'
+summary+='|\bmaybe_reset_summar[y]\b|RingSummary::with_tunin[g]|RingSummary::try_fast_pas[s]\b'
+summary+='|\bunion_from_t[x]\b|\bintersects_masked_t[x]\b|\bcontains_t[x]\b'
 # One scan of every non-exempt line as `file:line: text`; ROADMAP.md is exempt
 # from the stretch/suspend identifiers only.
 while IFS= read -r hit; do
