@@ -240,7 +240,8 @@ impl TxCtx for SubCtx<'_, '_, '_> {
 /// gate word's count proves no partitioned-path transaction runs concurrently,
 /// Part-HTM's signatures, lock validation and ring publish exist for nobody, so the
 /// fast path degenerates to pure HTM (its design goal of "comparable performance
-/// between Part-HTM and pure HTM" in that regime, §4).
+/// between Part-HTM and pure HTM" in that regime, §4) — and by every baseline's
+/// pure-hardware attempt (HTM-GL, SpHT's fast path, NOrecRH's first path).
 pub struct RawCtx<'c, 'a, 's> {
     /// The enclosing hardware transaction.
     pub tx: &'c mut HtmTx<'a, 's>,

@@ -67,13 +67,25 @@ pub fn run_all<W: Workload, C: TxCtx>(w: &mut W, ctx: &mut C) -> TxResult<()> {
     run_segments(w, 0..n, ctx)
 }
 
-/// One whole-transaction hardware attempt: reset the workload, begin,
-/// subscribe the gate (Fig. 1 lines 1–2: its lock bit aborts with
-/// [`XABORT_GLOCK`]), then run `body` and commit. A `quiet` attempt — the
+/// Subscribe the slow-path gate word `gate` inside `tx` (Fig. 1 lines 1–2):
+/// its lock bit aborts with [`XABORT_GLOCK`]. A `quiet` subscription — the
 /// speculation that no partitioned-path transaction runs — also aborts, with
-/// [`XABORT_NOT_QUIET`], on a non-zero count: one read tests both fields. A
-/// failed attempt counts one [`crate::TmStats::fast_aborts`]. Shared by every
-/// executor with a hardware first path (Part-HTM, Part-HTM-O and the
+/// [`XABORT_NOT_QUIET`], on a non-zero count: one read tests both fields.
+/// Shared by [`hw_attempt`] and SpHT's split path (which is never quiet).
+#[inline]
+pub fn subscribe_gate(tx: &mut HtmTx<'_, '_>, gate: Addr, quiet: bool) -> TxResult<()> {
+    match tx.read(gate)? {
+        0 => Ok(()),
+        g if g & GATE_LOCK != 0 => Err(tx.xabort(XABORT_GLOCK)),
+        _ if quiet => Err(tx.xabort(XABORT_NOT_QUIET)),
+        _ => Ok(()),
+    }
+}
+
+/// One whole-transaction hardware attempt: reset the workload, begin,
+/// [`subscribe_gate`], then run `body` and commit. A failed attempt counts
+/// one [`crate::TmStats::fast_aborts`]. Shared by every executor with a
+/// hardware first path subscribed to the gate (Part-HTM, Part-HTM-O and the
 /// HTM-GL/SpHT baselines); `body` builds the path's instrumentation context
 /// around the transaction it is handed.
 pub fn hw_attempt<W: Workload, R>(
@@ -85,12 +97,7 @@ pub fn hw_attempt<W: Workload, R>(
     w.reset();
     let gate = th.rt.gate();
     let res = th.hw.attempt(|tx| {
-        match tx.read(gate)? {
-            0 => {}
-            g if g & GATE_LOCK != 0 => return Err(tx.xabort(XABORT_GLOCK)),
-            _ if quiet => return Err(tx.xabort(XABORT_NOT_QUIET)),
-            _ => {}
-        }
+        subscribe_gate(tx, gate, quiet)?;
         body(tx, w)
     });
     if res.is_err() {

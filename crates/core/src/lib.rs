@@ -38,8 +38,8 @@ pub use api::{
     XABORT_LOCKED, XABORT_NOT_QUIET, XABORT_TS_CHANGED, XABORT_UNDO_FULL,
 };
 pub use exec::{
-    commit_under_glock, fast_retries, hw_attempt, run_all, wait_glock_released, PartExec,
-    BACKOFF_UNITS, FAST_RETRIES, PART_RETRIES,
+    commit_under_glock, fast_retries, hw_attempt, run_all, subscribe_gate, wait_glock_released,
+    PartExec, BACKOFF_UNITS, FAST_RETRIES, PART_RETRIES,
 };
 pub use opaque::PartHtmO;
 pub use parthtm::PartHtm;

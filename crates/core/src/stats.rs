@@ -24,8 +24,6 @@ pub struct TmStats {
     /// Global (partitioned-path) transactions aborted by validation or lock
     /// conflicts after at least one sub-HTM transaction committed.
     pub global_aborts: u64,
-    /// STM attempts that aborted (baselines).
-    pub stm_aborts: u64,
     /// Transactions that gave up on the fast path and entered the partitioned path.
     pub fallbacks_partitioned: u64,
     /// Transactions that fell all the way back to the global lock.
@@ -152,7 +150,6 @@ impl TmStats {
         self.fast_aborts += o.fast_aborts;
         self.sub_aborts += o.sub_aborts;
         self.global_aborts += o.global_aborts;
-        self.stm_aborts += o.stm_aborts;
         self.fallbacks_partitioned += o.fallbacks_partitioned;
         self.fallbacks_gl += o.fallbacks_gl;
         self.val_fast_hits += o.val_fast_hits;

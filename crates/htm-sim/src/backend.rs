@@ -8,7 +8,7 @@
 //! one [`CapacityModel`] by [`BackendKind::model`]:
 //!
 //! * [`BackendKind::Tsx`] — the default TSX/Haswell model. Its geometry comes
-//!   from the [`HtmConfig`] `l1_*` / `l2_*` / `read_lines_max` fields, so it
+//!   from the [`HtmConfig`] `l1_*` / `read_lines_max` fields, so it
 //!   is per-experiment.
 //! * [`BackendKind::Power`] — an IBM POWER8-style model: a flat 64-entry
 //!   write set and a 128-line read set ("Stretching the capacity of HTM in
@@ -75,8 +75,6 @@ impl BackendKind {
                 write_sets: cfg.l1_sets,
                 write_ways: cfg.l1_ways,
                 read_lines_max: cfg.read_lines_max,
-                l2_sets: cfg.l2_sets,
-                l2_ways: cfg.l2_ways,
                 spill_budget: 0,
                 spill_charge: 0,
             },
@@ -85,8 +83,6 @@ impl BackendKind {
                 write_sets: 1,
                 write_ways: POWER_WRITE_LINES,
                 read_lines_max: POWER_READ_LINES,
-                l2_sets: 0,
-                l2_ways: 0,
                 spill_budget: 0,
                 spill_charge: 0,
             },
@@ -95,8 +91,6 @@ impl BackendKind {
                 write_sets: LIMITED_WRITE_SETS,
                 write_ways: LIMITED_WRITE_WAYS,
                 read_lines_max: LIMITED_READ_LINES,
-                l2_sets: 0,
-                l2_ways: 0,
                 spill_budget: LIMITED_SPILL_BUDGET,
                 spill_charge: LIMITED_SPILL_CHARGE,
             },
@@ -137,10 +131,6 @@ pub struct CapacityModel {
     pub write_ways: usize,
     /// Flat budget of distinct read lines.
     pub read_lines_max: usize,
-    /// Optional set-associative read model (0 = flat budget only).
-    pub l2_sets: usize,
-    /// Ways of the optional read model.
-    pub l2_ways: usize,
     /// Lines one transaction may spill to software tracking (0 = overflow
     /// aborts immediately, as on TSX and POWER).
     pub spill_budget: usize,
@@ -176,8 +166,6 @@ pub enum CapOutcome {
 pub struct TxCap {
     /// Written-line occupancy model.
     l1: L1Model,
-    /// Optional read-set associativity model.
-    l2: Option<L1Model>,
     /// Distinct lines whose *first* access was a read.
     read_lines: usize,
     /// Lines spilled by this transaction (reads + writes).
@@ -188,7 +176,6 @@ impl TxCap {
     pub(crate) fn new(m: &CapacityModel) -> Self {
         Self {
             l1: L1Model::new(m.write_sets, m.write_ways),
-            l2: (m.l2_sets > 0).then(|| L1Model::new(m.l2_sets, m.l2_ways)),
             read_lines: 0,
             spilled_lines: 0,
         }
@@ -197,9 +184,6 @@ impl TxCap {
     /// Forget all per-transaction state (transaction ended).
     pub(crate) fn reset(&mut self) {
         self.l1.reset();
-        if let Some(l2) = self.l2.as_mut() {
-            l2.reset();
-        }
         self.read_lines = 0;
         self.spilled_lines = 0;
     }
@@ -219,14 +203,12 @@ impl TxCap {
         self.spilled_lines
     }
 
-    /// A transaction registered a **new** read line: count it, then check
-    /// the flat budget before the optional associative read model.
+    /// A transaction registered a **new** read line: count it against the
+    /// flat budget.
     #[inline]
-    pub(crate) fn on_read_line(&mut self, m: &CapacityModel, line: Line) -> CapOutcome {
+    pub(crate) fn on_read_line(&mut self, m: &CapacityModel) -> CapOutcome {
         self.read_lines += 1;
-        if self.read_lines <= m.read_lines_max
-            && self.l2.as_mut().is_none_or(|l2| l2.insert_line(line))
-        {
+        if self.read_lines <= m.read_lines_max {
             return CapOutcome::Fits;
         }
         self.spill(m)
@@ -275,7 +257,6 @@ mod tests {
         let m = cfg.backend.model(&cfg);
         assert_eq!(m.kind, BackendKind::Tsx);
         assert_eq!((m.write_sets, m.write_ways), (cfg.l1_sets, cfg.l1_ways));
-        assert_eq!((m.l2_sets, m.l2_ways), (cfg.l2_sets, cfg.l2_ways));
         assert_eq!(m.read_lines_max, cfg.read_lines_max);
     }
 
@@ -330,35 +311,15 @@ mod tests {
     fn limited_read_spills_past_the_flat_budget() {
         let m = BackendKind::Limited.model(&HtmConfig::default());
         let mut cap = TxCap::new(&m);
-        for l in 0..m.read_lines_max as u32 {
-            assert_eq!(cap.on_read_line(&m, l), CapOutcome::Fits);
+        for _ in 0..m.read_lines_max {
+            assert_eq!(cap.on_read_line(&m), CapOutcome::Fits);
         }
         assert_eq!(
-            cap.on_read_line(&m, m.read_lines_max as u32),
+            cap.on_read_line(&m),
             CapOutcome::Spilled {
                 charge: m.spill_charge
             }
         );
         assert_eq!(cap.read_lines(), m.read_lines_max + 1, "spills count");
-    }
-
-    #[test]
-    fn tsx_checks_flat_budget_before_l2() {
-        // TSX checks the flat budget (counting the new line) before the l2
-        // model, and never spills.
-        let cfg = HtmConfig {
-            read_lines_max: 2,
-            l2_sets: 2,
-            l2_ways: 1,
-            ..HtmConfig::tiny()
-        };
-        let m = BackendKind::Tsx.model(&cfg);
-        let mut cap = TxCap::new(&m);
-        assert_eq!(cap.on_read_line(&m, 0), CapOutcome::Fits);
-        // Line 2 maps to l2 set 0, already holding line 0: l2 overflow.
-        assert_eq!(cap.on_read_line(&m, 2), CapOutcome::Overflow);
-        // Flat budget exceeded: line 1's l2 set is empty, yet it overflows.
-        assert_eq!(cap.on_read_line(&m, 1), CapOutcome::Overflow);
-        assert_eq!(cap.spilled_lines(), 0);
     }
 }

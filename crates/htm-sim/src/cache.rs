@@ -1,11 +1,10 @@
-//! Set-associative transactional-capacity models.
+//! The set-associative write-capacity model.
 //!
 //! TSX buffers transactional writes in the L1 data cache: evicting a written line
 //! aborts the transaction (§2 of the paper). We model the L1 as `sets x ways`; a
 //! transaction may hold at most `ways` distinct *written* lines per set. Reads have
-//! either a flat budget (TSX tracks read lines beyond L1 in a "specialized buffer")
-//! or, optionally, a second set-associative model standing in for the L2
-//! ([`crate::HtmConfig::l2_sets`]); the same [`L1Model`] machinery serves both.
+//! a flat budget (TSX tracks read lines beyond L1 in a "specialized buffer"), kept
+//! by [`crate::backend::TxCap`].
 
 use crate::heap::Line;
 
@@ -18,8 +17,7 @@ pub struct L1Model {
     occupancy: Box<[u8]>,
     /// Sets touched this transaction, for O(touched) reset.
     touched: Vec<u32>,
-    /// Lines currently tracked (kept as a counter so [`L1Model::forget_line`]
-    /// stays O(1); always equals the sum of `occupancy`).
+    /// Lines currently tracked (always equals the sum of `occupancy`).
     live: u32,
 }
 
@@ -37,10 +35,11 @@ impl L1Model {
         }
     }
 
-    /// Record that `line` (not previously tracked by this transaction) enters the
-    /// modelled cache. Returns `false` if the set overflows — a capacity abort.
+    /// Record that written `line` (not previously tracked by this transaction)
+    /// enters the modelled cache. Returns `false` if the set overflows — a
+    /// capacity abort.
     #[inline]
-    pub fn insert_line(&mut self, line: Line) -> bool {
+    pub fn insert_written_line(&mut self, line: Line) -> bool {
         let set = (line & self.sets_mask) as usize;
         let occ = &mut self.occupancy[set];
         if *occ == self.ways {
@@ -54,23 +53,6 @@ impl L1Model {
         true
     }
 
-    /// Remove one previously inserted line from the modelled cache without
-    /// ending the transaction — the software-spill primitive: the line's
-    /// conflict-table registration is untouched (isolation is unaffected),
-    /// only its capacity slot is released. Returns `false` if the line's set
-    /// holds nothing to forget.
-    #[inline]
-    pub fn forget_line(&mut self, line: Line) -> bool {
-        let set = (line & self.sets_mask) as usize;
-        let occ = &mut self.occupancy[set];
-        if *occ == 0 {
-            return false;
-        }
-        *occ -= 1;
-        self.live -= 1;
-        true
-    }
-
     /// Forget all occupancy (transaction ended).
     pub fn reset(&mut self) {
         for &s in &self.touched {
@@ -78,13 +60,6 @@ impl L1Model {
         }
         self.touched.clear();
         self.live = 0;
-    }
-
-    /// Record a written line (alias of [`L1Model::insert_line`], named for the
-    /// write-capacity call sites).
-    #[inline]
-    pub fn insert_written_line(&mut self, line: Line) -> bool {
-        self.insert_line(line)
     }
 
     /// Number of lines currently tracked.
@@ -128,21 +103,6 @@ mod tests {
         l1.reset();
         assert!(l1.insert_written_line(4));
         assert_eq!(l1.written_lines(), 1);
-    }
-
-    #[test]
-    fn forget_line_frees_a_way() {
-        let mut l1 = L1Model::new(4, 2);
-        assert!(l1.insert_written_line(0));
-        assert!(l1.insert_written_line(4));
-        assert!(!l1.insert_written_line(8), "set 0 full");
-        assert!(l1.forget_line(0), "spill one line out of set 0");
-        assert_eq!(l1.written_lines(), 1);
-        assert!(l1.insert_written_line(8), "freed way is reusable");
-        assert_eq!(l1.written_lines(), 2);
-        l1.reset();
-        assert_eq!(l1.written_lines(), 0);
-        assert!(!l1.forget_line(0), "nothing tracked after reset");
     }
 
     #[test]

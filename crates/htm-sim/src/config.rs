@@ -21,13 +21,6 @@ pub struct HtmConfig {
     /// lines beyond L1 (the paper, §2: "read operations can go beyond the L1 cache
     /// capacity by exploiting the L2 cache"), so this is larger than the write budget.
     pub read_lines_max: usize,
-    /// Optional set-associative model for the read set (the L2): when `l2_sets > 0`,
-    /// read lines must additionally fit `l2_sets x l2_ways`, so pathological set
-    /// conflicts can abort a read set well below `read_lines_max` — as on real
-    /// hardware. 0 (the default) keeps the flat budget only.
-    pub l2_sets: usize,
-    /// Associativity of the optional L2 read model.
-    pub l2_ways: usize,
     /// Virtual work units of the simulated timer quantum: the timer fires once
     /// cumulative work *reaches* the quantum (consuming exactly `quantum` units
     /// aborts with [`crate::AbortCode::Timer`]). Each transactional read/write
@@ -47,7 +40,7 @@ pub struct HtmConfig {
     /// 0 (the default) disables tracing entirely.
     pub trace_capacity: usize,
     /// Capacity model (see [`crate::backend`]). `Tsx` (the default) takes its
-    /// geometry from the `l1_*`/`l2_*`/`read_lines_max` fields above; `Power`
+    /// geometry from the `l1_*`/`read_lines_max` fields above; `Power`
     /// and `Limited` select the alternative capacity models, whose fixed
     /// geometries override those fields.
     pub backend: BackendKind,
@@ -59,8 +52,6 @@ impl Default for HtmConfig {
             l1_sets: 64,
             l1_ways: 8,
             read_lines_max: 4096,
-            l2_sets: 0,
-            l2_ways: 8,
             quantum: 50_000,
             interrupt_prob: 0.0,
             max_threads: crate::registry::MAX_THREADS,
@@ -84,8 +75,6 @@ impl HtmConfig {
             l1_sets: 4,
             l1_ways: 2,
             read_lines_max: 16,
-            l2_sets: 0,
-            l2_ways: 8,
             quantum: 1000,
             interrupt_prob: 0.0,
             max_threads: 8,
@@ -101,10 +90,6 @@ impl HtmConfig {
             "l1_sets must be a power of two"
         );
         assert!(self.l1_ways >= 1, "l1_ways must be >= 1");
-        if self.l2_sets > 0 {
-            assert!(self.l2_sets.is_power_of_two(), "l2_sets must be a power of two");
-            assert!(self.l2_ways >= 1, "l2_ways must be >= 1");
-        }
         assert!(
             self.max_threads >= 1 && self.max_threads <= crate::registry::MAX_THREADS,
             "max_threads must be in 1..={} (packed line-table reader bitmap)",

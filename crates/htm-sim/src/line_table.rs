@@ -139,14 +139,21 @@ fn reader_bit(t: ThreadId) -> u64 {
 /// competing claim backs off on `0xFE` — so only the reader bits can have
 /// changed.
 ///
-/// If a displaced writer unregistered *during* the claim (its `unregister`
-/// sees a byte that is not its own and leaves it), the restore briefly
-/// resurrects a stale byte; the next access observes `DoomOutcome::Gone` and
-/// clears it, exactly like any other stale-entry case — including when that
-/// next access is a non-transactional one by the displaced thread itself
-/// ([`doom_writer`]).
+/// A displaced writer may unregister *during* the claim (its `unregister`
+/// sees a byte that is not its own and leaves it). Its byte is dropped here
+/// when its thread is `Inactive`: checked under the claim, that proves the
+/// byte stale, since the thread cannot register on the line meanwhile. A
+/// thread that already began its next transaction keeps the restored byte
+/// (it could otherwise have adopted it without changing the word); if that
+/// transaction never touches the line, the next access finds the byte
+/// stale (`DoomOutcome::Gone`) and clears it — including when that access is
+/// a non-transactional one by the displaced thread itself ([`doom_writer`]).
 #[inline]
-fn release_claim(w: &AtomicU64, saved_writer: u64) {
+fn release_claim(w: &AtomicU64, reg: &TxRegistry, saved_writer: u64) {
+    let saved_writer = match writer_of(saved_writer) {
+        Writer::Thread(t) if reg.status(t) == TxStatus::Inactive => 0,
+        _ => saved_writer,
+    };
     let mut cur = w.load(Ordering::SeqCst);
     loop {
         debug_assert_eq!(cur & WRITER_MASK, NT_CLAIM);
@@ -197,26 +204,18 @@ fn doom_readers(reg: &TxRegistry, mut readers: u64, cause: DoomCause) -> bool {
     true
 }
 
-/// Drop the stale writer byte of `cur` (it names `owner`, which a doom just
-/// found inactive). The byte is only provably stale while `owner` cannot
+/// Drop the stale writer byte of `cur` (a doom just found its owner
+/// inactive). The byte is only provably stale while its owner cannot
 /// register — it could otherwise begin a transaction and adopt the byte as its
-/// own registration without changing the word — so the check is repeated under
-/// the claim, which keeps the byte if `owner` is in a transaction again.
-/// `Err` carries the observed word when `cur` was out of date.
+/// own registration without changing the word — so the claim is taken and
+/// [`release_claim`] repeats the check under it, keeping the byte if the
+/// owner is in a transaction again. `Err` carries the observed word when
+/// `cur` was out of date.
 #[inline]
-fn clear_stale_writer(
-    w: &AtomicU64,
-    reg: &TxRegistry,
-    cur: u64,
-    owner: ThreadId,
-) -> Result<(), u64> {
+fn clear_stale_writer(w: &AtomicU64, reg: &TxRegistry, cur: u64) -> Result<(), u64> {
     let claimed = (cur & READERS_MASK) | NT_CLAIM;
     w.compare_exchange(cur, claimed, Ordering::SeqCst, Ordering::SeqCst)?;
-    let keep = match reg.status(owner) {
-        TxStatus::Inactive => 0,
-        _ => cur & WRITER_MASK,
-    };
-    release_claim(w, keep);
+    release_claim(w, reg, cur & WRITER_MASK);
     Ok(())
 }
 
@@ -303,7 +302,7 @@ impl LineTable {
                 DoomOutcome::Doomed => {}
                 // Stale byte from a finished incarnation: clear it ourselves.
                 DoomOutcome::Gone => {
-                    let _ = clear_stale_writer(w, reg, new, owner);
+                    let _ = clear_stale_writer(w, reg, new);
                 }
                 DoomOutcome::MustWait => {
                     if new != cur {
@@ -364,10 +363,10 @@ impl LineTable {
             let doomed = owner.is_none_or(|o| reg.doom(o, cause) != DoomOutcome::MustWait)
                 && doom_readers(reg, readers, cause);
             if !doomed {
-                release_claim(w, cur & WRITER_MASK);
+                release_claim(w, reg, cur & WRITER_MASK);
                 return AccessOutcome::Wait;
             }
-            release_claim(w, mine);
+            release_claim(w, reg, mine);
             return AccessOutcome::Ok;
         }
     }
@@ -432,7 +431,7 @@ impl LineTable {
                         None | Some(DoomOutcome::Doomed) => break,
                         Some(DoomOutcome::Gone) => {
                             // Tidy the stale byte so later accesses skip the doom.
-                            match clear_stale_writer(w, reg, cur, owner) {
+                            match clear_stale_writer(w, reg, cur) {
                                 Ok(()) => break,
                                 Err(observed) => cur = observed,
                             }
@@ -475,19 +474,20 @@ impl LineTable {
         // Phase 2 (claim held): doom the writer and the readers the replaced
         // word named, run `op`, release. A doomed writer stays registered (its
         // own rollback unregisters it), so its displaced byte is restored when
-        // the claim is released; a stale byte (`Gone`) is dropped instead.
+        // the claim is released unless it rolled back meanwhile; a stale byte
+        // (`Gone`) is dropped instead.
         let saved_writer = match writer_of(cur) {
             Writer::None | Writer::NtClaim => 0,
             Writer::Thread(owner) => match doom_writer(reg, owner, cause) {
                 Some(DoomOutcome::Doomed) => cur & WRITER_MASK,
                 Some(DoomOutcome::Gone) => 0,
                 Some(DoomOutcome::MustWait) => {
-                    release_claim(w, cur & WRITER_MASK);
+                    release_claim(w, reg, cur & WRITER_MASK);
                     return Err(());
                 }
                 None => {
                     // Invalid state; degrade to an unclaimed store.
-                    release_claim(w, cur & WRITER_MASK);
+                    release_claim(w, reg, cur & WRITER_MASK);
                     return Ok(op());
                 }
             },
@@ -498,11 +498,11 @@ impl LineTable {
         };
         if !doom_readers(reg, cur & READERS_MASK & !self_bit, cause) {
             // A reader is mid-commit: back off entirely and retry.
-            release_claim(w, saved_writer);
+            release_claim(w, reg, saved_writer);
             return Err(());
         }
         let out = op();
-        release_claim(w, saved_writer);
+        release_claim(w, reg, saved_writer);
         Ok(out)
     }
 
@@ -793,11 +793,39 @@ mod tests {
         assert_eq!(tab.live_entries(), 0, "no leaked claims or registrations");
     }
 
-    /// The displaced writer rolls back *during* a foreign claim, so the claim's
-    /// release resurrects its byte; the next access being a non-transactional
-    /// one by that very thread must treat the byte as stale (it used to trip
-    /// the own-write-set assert — under the global lock, wedging every peer —
-    /// and, in release, skip the write claim and its reader dooms).
+    /// The displaced writer rolls back *during* a foreign claim: the claim's
+    /// release must drop its byte, or the line ends the run registered to a
+    /// thread with no transaction (the "line-table entry leaked" failure of
+    /// the serializability tests on OS threads).
+    #[test]
+    fn writer_unregistered_during_claim_loses_its_byte() {
+        let (tab, reg) = setup();
+        reg.begin(0);
+        reg.begin(2);
+        tab.tx_read(&reg, 5, 2);
+        tab.tx_write(&reg, 5, 0);
+        tab.nt_execute(&reg, 5, true, Requester::Thread(1), || {
+            tab.unregister(5, 0);
+            reg.finish(0);
+        })
+        .unwrap();
+        assert!(reg.is_doomed(2));
+        assert_eq!(
+            tab.raw_word(5),
+            reader_bit(2),
+            "reader bits kept, writer byte dropped"
+        );
+        tab.unregister(5, 2);
+        assert_eq!(tab.live_entries(), 0);
+    }
+
+    /// The displaced writer rolls back *and begins again* during a foreign
+    /// claim, so the claim's release keeps its byte; once that transaction
+    /// ends without touching the line, the next access being a
+    /// non-transactional one by that very thread must treat the byte as
+    /// stale (it used to trip the own-write-set assert — under the global
+    /// lock, wedging every peer — and, in release, skip the write claim and
+    /// its reader dooms).
     #[test]
     fn stale_own_byte_after_rollback_during_claim_is_cleared() {
         for is_write in [false, true] {
@@ -807,9 +835,15 @@ mod tests {
             tab.nt_execute(&reg, 5, true, Requester::Thread(1), || {
                 tab.unregister(5, 0);
                 reg.finish(0);
+                reg.begin(0);
             })
             .unwrap();
-            assert_ne!(tab.raw_word(5), 0, "release restored the displaced byte");
+            assert_ne!(
+                tab.raw_word(5),
+                0,
+                "release kept the byte of a thread in a transaction"
+            );
+            reg.finish(0);
             assert_eq!(
                 tab.nt_access(&reg, 5, is_write, Requester::Thread(0)),
                 AccessOutcome::Ok

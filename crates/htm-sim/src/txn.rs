@@ -16,7 +16,7 @@
 //!   (sequential consistency of the doom flag and the publish stores guarantees the
 //!   check catches any racing commit).
 //! * Capacity: distinct written lines must fit the simulated L1 sets/ways; distinct
-//!   read lines must fit the flat read budget (and the optional L2 model). A
+//!   read lines must fit the flat read budget. A
 //!   backend with a spill budget moves an overflowing line to software
 //!   tracking at a work-unit charge instead ([`crate::backend`]).
 //! * Time: each operation costs work units; reaching the quantum raises the
@@ -244,7 +244,7 @@ impl<'a, 's> HtmTx<'a, 's> {
             head: CHAIN_END,
         };
         self.th.touched.push(line);
-        match self.th.cap.on_read_line(&self.th.sys.model, line) {
+        match self.th.cap.on_read_line(&self.th.sys.model) {
             CapOutcome::Fits => Ok(()),
             CapOutcome::Spilled { charge } => self.charge(charge),
             CapOutcome::Overflow => Err(self.fail(AbortCode::Capacity)),

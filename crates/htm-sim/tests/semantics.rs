@@ -264,27 +264,3 @@ fn trace_disabled_by_default() {
     th.attempt(|tx| tx.write(0, 1)).unwrap();
     assert!(th.trace.is_empty());
 }
-
-#[test]
-fn l2_read_associativity_aborts_on_set_conflicts() {
-    // 4 sets x 2 ways for reads: three reads striding the same set abort even
-    // though the flat budget (4096) is nowhere near exhausted.
-    let cfg = HtmConfig { l2_sets: 4, l2_ways: 2, ..HtmConfig::default() };
-    let s = HtmSystem::new(cfg, 8192);
-    let mut th = s.thread(0);
-    let r = th.attempt(|tx| {
-        tx.read(0)?; // line 0 -> set 0
-        tx.read(4 * 8)?; // line 4 -> set 0
-        tx.read(8 * 8)?; // line 8 -> set 0: evicts
-        Ok(())
-    });
-    assert_eq!(r, Err(AbortCode::Capacity));
-    // Distinct sets are fine, and the model resets between attempts.
-    th.attempt(|tx| {
-        tx.read(0)?;
-        tx.read(8)?;
-        tx.read(16)?;
-        Ok(())
-    })
-    .unwrap();
-}

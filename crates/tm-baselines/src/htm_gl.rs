@@ -7,41 +7,15 @@
 //! before *retrying* in hardware (a first attempt's subscription is its check).
 
 use htm_sim::abort::TxResult;
-use htm_sim::{Addr, HtmTx};
-use part_htm_core::api::spin_work;
+use part_htm_core::ctx::RawCtx;
 use part_htm_core::{commit_under_glock, fast_retries, hw_attempt, run_all};
-use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
-
-/// Completely uninstrumented hardware-transaction context: HTM-GL adds no software
-/// metadata at all — that is its appeal and its limitation.
-pub struct PureHtmCtx<'c, 'a, 's> {
-    /// The enclosing hardware transaction.
-    pub tx: &'c mut HtmTx<'a, 's>,
-}
-
-impl TxCtx for PureHtmCtx<'_, '_, '_> {
-    #[inline]
-    fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        self.tx.read(addr)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        self.tx.write(addr, val)
-    }
-
-    #[inline]
-    fn work(&mut self, units: u64) -> TxResult<()> {
-        self.tx.work(units)?;
-        spin_work(units);
-        Ok(())
-    }
-}
+use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, Workload};
 
 /// One uninstrumented hardware attempt of the whole transaction, subscribed to
-/// the global lock (HTM-GL's only hardware path, SpHT's fast path).
+/// the global lock (HTM-GL's only hardware path, SpHT's fast path): HTM-GL adds
+/// no software metadata at all — that is its appeal and its limitation.
 pub fn try_pure_htm<W: Workload>(th: &mut TmThread<'_>, w: &mut W) -> TxResult<()> {
-    hw_attempt(th, w, false, |tx, w| run_all(w, &mut PureHtmCtx { tx }))
+    hw_attempt(th, w, false, |tx, w| run_all(w, &mut RawCtx { tx }))
 }
 
 /// The HTM-GL executor.
@@ -83,8 +57,8 @@ impl<'r> TmExecutor<'r> for HtmGl<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htm_sim::HtmConfig;
-    use part_htm_core::TmConfig;
+    use htm_sim::{Addr, HtmConfig};
+    use part_htm_core::{TmConfig, TxCtx};
     use rand::rngs::SmallRng;
 
     struct Incr {

@@ -7,14 +7,22 @@
 //! * [`RingStm`] — Spear/Michael/von Praun's STM: Bloom-filter signatures validated
 //!   against a global ring of committed write signatures (Part-HTM borrows its ring
 //!   from this design, so both share the same ring geometry, as in the paper's setup).
-//! * [`NOrecRh`] — Matveev/Shavit's Reduced-Hardware NOrec: transactions try pure
-//!   HTM first; the software fallback is NOrec whose commit (validate + write-back +
-//!   sequence bump) executes inside a small hardware transaction.
+//! * [`NOrecRh`] — Matveev/Shavit's Reduced-Hardware NOrec: a [`NOrec`] whose
+//!   transactions try pure HTM first, and whose software writer commit (sequence
+//!   check + write-back + sequence bump) executes inside a small hardware
+//!   transaction; NOrec's own software commit is the final fallback.
+//! * [`SpHt`] — Lev/Maessen's Split Hardware Transactions: the lazy
+//!   transaction-splitting alternative of the paper's §3.
 //! * [`Sequential`] — uninstrumented single-threaded execution, the denominator of
 //!   the paper's speedup figures (Figs. 5 and 6).
 //!
 //! All executors run against the same [`part_htm_core::TmRuntime`] and implement
-//! [`part_htm_core::TmExecutor`], so the harness swaps protocols freely. The
+//! [`part_htm_core::TmExecutor`], so the harness swaps protocols freely. Each
+//! idiom is written once: the hardware attempts go through
+//! `HtmThread::attempt` (the gate-subscribed ones through
+//! [`part_htm_core::hw_attempt`] or [`part_htm_core::subscribe_gate`]) under
+//! `core`'s uninstrumented [`part_htm_core::ctx::RawCtx`], and NOrecRH reuses
+//! NOrec's speculative run, software commit and inevitable mode. The
 //! anti-lemming policy (never retry in hardware while a lock is held) is applied
 //! throughout, as the paper prescribes.
 

@@ -88,58 +88,62 @@ impl TxCtx for NorecCtx<'_, '_> {
     }
 }
 
-/// The NOrec executor.
+/// The NOrec executor. NOrecRH ([`crate::NOrecRh`]) runs on it, swapping in
+/// its reduced hardware commit for the software writer commit.
 pub struct NOrec<'r> {
-    th: TmThread<'r>,
-    reads: Vec<(Addr, u64)>,
-    redo: RedoLog,
+    pub(crate) th: TmThread<'r>,
+    pub(crate) reads: Vec<(Addr, u64)>,
+    pub(crate) redo: RedoLog,
 }
 
+/// A writer commit: publish the redo log of a speculative run that read
+/// consistently at `snapshot`, or `Err` when revalidation fails.
+pub(crate) type WriterCommit<'r> = fn(&mut NOrec<'r>, u64) -> Result<(), ()>;
+
 impl<'r> NOrec<'r> {
-    fn try_once<W: Workload>(&mut self, w: &mut W) -> Result<(), ()> {
+    /// The speculative run: snapshot the sequence lock, execute every segment
+    /// against the value log and the redo log. `Ok(None)` is a read-only
+    /// transaction, already committed (it never touches the sequence lock);
+    /// `Ok(Some(snapshot))` leaves the redo log to a writer commit.
+    fn speculate<W: Workload>(&mut self, w: &mut W) -> Result<Option<u64>, ()> {
         let seqlock = self.th.rt.seqlock();
         w.reset();
         self.reads.clear();
         self.redo.clear();
         let mut snapshot = wait_even(&self.th, seqlock);
-
-        {
-            let mut ctx = NorecCtx {
-                th: &self.th,
-                seqlock,
-                snapshot: &mut snapshot,
-                reads: &mut self.reads,
-                redo: &mut self.redo,
-            };
-            for seg in 0..w.segments() {
-                if w.software_segment(seg) {
-                    // Non-transactional code (STAMP's unmonitored blocks): plain
-                    // loads, no instrumentation — same treatment every runtime
-                    // gives it.
-                    let mut sctx = part_htm_core::ctx::SoftwareCtx {
-                        th: &ctx.th.hw,
-                        mask_values: false,
-                    };
-                    w.segment(seg, &mut sctx)
-                        .expect("software segments cannot abort");
-                    continue;
-                }
-                if w.segment(seg, &mut ctx).is_err() {
-                    return Err(());
-                }
+        let mut ctx = NorecCtx {
+            th: &self.th,
+            seqlock,
+            snapshot: &mut snapshot,
+            reads: &mut self.reads,
+            redo: &mut self.redo,
+        };
+        for seg in 0..w.segments() {
+            if w.software_segment(seg) {
+                // Non-transactional code (STAMP's unmonitored blocks): plain
+                // loads, no instrumentation — same treatment every runtime
+                // gives it.
+                let mut sctx = part_htm_core::ctx::SoftwareCtx {
+                    th: &ctx.th.hw,
+                    mask_values: false,
+                };
+                w.segment(seg, &mut sctx)
+                    .expect("software segments cannot abort");
+                continue;
+            }
+            if w.segment(seg, &mut ctx).is_err() {
+                return Err(());
             }
         }
+        Ok((!self.redo.is_empty()).then_some(snapshot))
+    }
 
-        // Read-only transactions commit without touching the sequence lock.
-        if self.redo.is_empty() {
-            return Ok(());
-        }
-        // Writer commit: acquire the sequence lock (odd), write back, release (even).
+    /// The software writer commit: acquire the sequence lock (odd), write
+    /// back, release (even).
+    pub(crate) fn commit_writes(&mut self, mut snapshot: u64) -> Result<(), ()> {
+        let seqlock = self.th.rt.seqlock();
         while self.th.hw.nt_cas(seqlock, snapshot, snapshot + 1).is_err() {
-            match validate(&self.th, seqlock, &self.reads) {
-                Ok(ts) => snapshot = ts,
-                Err(()) => return Err(()),
-            }
+            snapshot = validate(&self.th, seqlock, &self.reads)?;
         }
         for (a, v) in self.redo.iter() {
             self.th.hw.nt_write(a, v);
@@ -169,6 +173,35 @@ impl<'r> NOrec<'r> {
             }
         }
     }
+
+    /// One speculative run of `w`, a writer's published by `commit`.
+    fn try_once<W: Workload>(&mut self, w: &mut W, commit: WriterCommit<'r>) -> Result<(), ()> {
+        match self.speculate(w)? {
+            Some(snapshot) => commit(self, snapshot),
+            None => Ok(()),
+        }
+    }
+
+    /// Commit `w` in software: inevitably if it is irrevocable, else by
+    /// speculative runs until one commits. `commit` publishes a writer's
+    /// redo log: [`NOrec::commit_writes`], or NOrecRH's reduced hardware
+    /// commit.
+    pub(crate) fn execute_with<W: Workload>(
+        &mut self,
+        w: &mut W,
+        commit: WriterCommit<'r>,
+    ) -> CommitPath {
+        if w.is_irrevocable() {
+            self.run_inevitable(w);
+        } else {
+            while self.try_once(w, commit).is_err() {
+                htm_sim::vclock::yield_now();
+            }
+        }
+        w.after_commit();
+        self.th.stats.record_commit(CommitPath::Stm);
+        CommitPath::Stm
+    }
 }
 
 impl<'r> TmExecutor<'r> for NOrec<'r> {
@@ -183,21 +216,7 @@ impl<'r> TmExecutor<'r> for NOrec<'r> {
     }
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
-        if w.is_irrevocable() {
-            self.run_inevitable(w);
-            w.after_commit();
-            self.th.stats.record_commit(CommitPath::Stm);
-            return CommitPath::Stm;
-        }
-        loop {
-            if self.try_once(w).is_ok() {
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::Stm);
-                return CommitPath::Stm;
-            }
-            self.th.stats.stm_aborts += 1;
-            htm_sim::vclock::yield_now();
-        }
+        self.execute_with(w, Self::commit_writes)
     }
 
     fn thread(&self) -> &TmThread<'r> {

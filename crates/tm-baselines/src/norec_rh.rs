@@ -1,204 +1,90 @@
 //! Reduced-Hardware NOrec (Matveev & Shavit — SPAA'13 / TRANSACT'14 "NOrecRH"):
 //! the Hybrid-TM competitor of the paper's evaluation.
 //!
-//! Transactions first try pure HTM (subscribing NOrec's sequence lock so software
-//! commits abort them, and bumping it on hardware commit so software transactions
-//! revalidate). Transactions that fail in hardware fall back to NOrec — but the
-//! commit procedure (validate + write back + sequence bump) executes as a *small*
-//! hardware transaction, the "reduced hardware transaction", which removes the
-//! software commit's lock acquisition from the common case. If even the reduced
-//! transaction cannot commit in hardware (e.g. the redo log exceeds HTM capacity),
-//! the plain software NOrec commit is the final fallback.
+//! NOrecRH is [`NOrec`] plus two hardware steps. Transactions first try pure
+//! HTM (subscribing NOrec's sequence lock so software commits abort them, and
+//! bumping it on hardware commit so software transactions revalidate).
+//! Transactions that fail in hardware run NOrec's speculative software path,
+//! but the writer commit (sequence check + write back + sequence bump)
+//! executes as a *small* hardware transaction, the "reduced hardware
+//! transaction", which removes the software commit's lock acquisition from the
+//! common case. If even the reduced transaction cannot commit in hardware
+//! (e.g. the redo log exceeds HTM capacity), NOrec's software commit is the
+//! final fallback. Irrevocable transactions run NOrec's inevitable mode.
 
 use htm_sim::abort::TxResult;
-use htm_sim::{AbortCode, Addr};
-use part_htm_core::api::spin_work;
-use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload, FAST_RETRIES};
+use part_htm_core::ctx::RawCtx;
+use part_htm_core::{run_all, CommitPath, TmExecutor, TmRuntime, TmThread, Workload, FAST_RETRIES};
 
-use crate::htm_gl::PureHtmCtx;
-use crate::norec::{validate, wait_even};
-use crate::redo::RedoLog;
+use crate::norec::{validate, wait_even, NOrec};
 
-/// Explicit-abort payload: the sequence lock moved under the reduced hardware
-/// commit; software revalidation is required.
+/// Explicit-abort payload: the sequence lock moved under a hardware attempt;
+/// software revalidation is required.
 const XABORT_SEQ_CHANGED: u8 = 0xB0;
 
-struct RhStmCtx<'c, 'r> {
-    th: &'c TmThread<'r>,
-    seqlock: Addr,
-    snapshot: &'c mut u64,
-    reads: &'c mut Vec<(Addr, u64)>,
-    redo: &'c mut RedoLog,
+/// Pure-hardware attempt: subscribe the sequence lock; a writer bumps it (by 2,
+/// staying even) inside the transaction so concurrent software transactions
+/// revalidate their value-based read logs. A failed attempt counts one
+/// [`part_htm_core::TmStats::fast_aborts`].
+fn try_htm<W: Workload>(th: &mut TmThread<'_>, w: &mut W) -> TxResult<()> {
+    w.reset();
+    let seqlock = th.rt.seqlock();
+    let res = th.hw.attempt(|tx| {
+        let snap = tx.read(seqlock)?;
+        if snap & 1 != 0 {
+            return Err(tx.xabort(XABORT_SEQ_CHANGED));
+        }
+        let wbefore = tx.write_lines();
+        run_all(w, &mut RawCtx { tx })?;
+        if tx.write_lines() > wbefore {
+            tx.write(seqlock, snap + 2)?;
+        }
+        Ok(())
+    });
+    if res.is_err() {
+        th.stats.fast_aborts += 1;
+    }
+    res
 }
 
-impl TxCtx for RhStmCtx<'_, '_> {
-    fn read(&mut self, addr: Addr) -> TxResult<u64> {
-        spin_work(crate::STM_READ_COST);
-        if let Some(v) = self.redo.get(addr) {
-            return Ok(v);
+/// The reduced hardware commit: {check the sequence lock unchanged, write the
+/// redo log back, bump} as one small hardware transaction, retried up to
+/// [`FAST_RETRIES`] times; a resource failure or the spent budget falls back
+/// to [`NOrec::commit_writes`].
+fn reduced_commit(stm: &mut NOrec<'_>, mut snapshot: u64) -> Result<(), ()> {
+    let seqlock = stm.th.rt.seqlock();
+    let mut hw_attempts = 0u32;
+    loop {
+        // Software revalidation first, so the hardware part only has to compare
+        // the sequence number.
+        while snapshot != stm.th.hw.nt_read(seqlock) {
+            snapshot = validate(&stm.th, seqlock, &stm.reads)?;
         }
-        let mut v = self.th.hw.nt_read(addr);
-        while *self.snapshot != self.th.hw.nt_read(self.seqlock) {
-            match validate(self.th, self.seqlock, self.reads) {
-                Ok(ts) => *self.snapshot = ts,
-                Err(()) => return Err(AbortCode::Conflict),
+        let redo = &stm.redo;
+        let commit = stm.th.hw.attempt(|tx| {
+            if tx.read(seqlock)? != snapshot {
+                return Err(tx.xabort(XABORT_SEQ_CHANGED));
             }
-            v = self.th.hw.nt_read(addr);
-        }
-        self.reads.push((addr, v));
-        Ok(v)
-    }
-
-    fn write(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        spin_work(crate::STM_WRITE_COST);
-        self.redo.insert(addr, val);
-        Ok(())
-    }
-
-    fn work(&mut self, units: u64) -> TxResult<()> {
-        spin_work(units);
-        Ok(())
-    }
-
-    fn nt_work(&mut self, units: u64) -> TxResult<()> {
-        spin_work(units);
-        Ok(())
-    }
-}
-
-/// The NOrecRH executor.
-pub struct NOrecRh<'r> {
-    th: TmThread<'r>,
-    reads: Vec<(Addr, u64)>,
-    redo: RedoLog,
-}
-
-impl<'r> NOrecRh<'r> {
-    /// Pure-hardware attempt: subscribe the sequence lock; a writer bumps it (by 2,
-    /// staying even) inside the transaction so concurrent software transactions
-    /// revalidate their value-based read logs.
-    fn try_htm<W: Workload>(&mut self, w: &mut W) -> TxResult<()> {
-        w.reset();
-        let seqlock = self.th.rt.seqlock();
-        let mut tx = self.th.hw.begin();
-        let body: TxResult<()> = 'b: {
-            let snap = match tx.read(seqlock) {
-                Ok(s) if s & 1 == 0 => s,
-                Ok(_) => break 'b Err(tx.xabort(XABORT_SEQ_CHANGED)),
-                Err(e) => break 'b Err(e),
-            };
-            let wbefore = tx.write_lines();
-            {
-                let mut ctx = PureHtmCtx { tx: &mut tx };
-                for seg in 0..w.segments() {
-                    if let Err(e) = w.segment(seg, &mut ctx) {
-                        break 'b Err(e);
-                    }
-                }
+            for (a, v) in redo.iter() {
+                tx.write(a, v)?;
             }
-            if tx.write_lines() > wbefore {
-                if let Err(e) = tx.write(seqlock, snap + 2) {
-                    break 'b Err(e);
-                }
-            }
-            Ok(())
-        };
-        let res = match body {
-            Ok(()) => tx.commit(),
-            Err(code) => {
-                drop(tx);
-                Err(code)
-            }
-        };
-        if res.is_err() {
-            self.th.stats.fast_aborts += 1;
-        }
-        res
-    }
-
-    /// One STM attempt with the reduced-hardware commit.
-    fn try_stm<W: Workload>(&mut self, w: &mut W) -> Result<(), ()> {
-        let seqlock = self.th.rt.seqlock();
-        w.reset();
-        self.reads.clear();
-        self.redo.clear();
-        let mut snapshot = wait_even(&self.th, seqlock);
-
-        {
-            let mut ctx = RhStmCtx {
-                th: &self.th,
-                seqlock,
-                snapshot: &mut snapshot,
-                reads: &mut self.reads,
-                redo: &mut self.redo,
-            };
-            for seg in 0..w.segments() {
-                if w.software_segment(seg) {
-                    let mut sctx = part_htm_core::ctx::SoftwareCtx {
-                        th: &ctx.th.hw,
-                        mask_values: false,
-                    };
-                    w.segment(seg, &mut sctx)
-                        .expect("software segments cannot abort");
-                    continue;
-                }
-                if w.segment(seg, &mut ctx).is_err() {
-                    return Err(());
-                }
-            }
-        }
-        if self.redo.is_empty() {
+            tx.write(seqlock, snapshot + 2)
+        });
+        let Err(code) = commit else {
             return Ok(());
+        };
+        hw_attempts += 1;
+        if code.is_resource_failure() || hw_attempts >= FAST_RETRIES {
+            return stm.commit_writes(snapshot);
         }
-
-        // Reduced hardware commit: {check sequence unchanged, write everything back,
-        // bump} as one small hardware transaction.
-        let mut hw_attempts = 0u32;
-        loop {
-            // Software revalidation first, so the hardware part only has to compare
-            // the sequence number.
-            while snapshot != self.th.hw.nt_read(seqlock) {
-                match validate(&self.th, seqlock, &self.reads) {
-                    Ok(ts) => snapshot = ts,
-                    Err(()) => return Err(()),
-                }
-            }
-            let redo = &self.redo;
-            let commit = self.th.hw.attempt(|tx| {
-                match tx.read(seqlock) {
-                    Ok(s) if s == snapshot => {}
-                    Ok(_) => return Err(tx.xabort(XABORT_SEQ_CHANGED)),
-                    Err(e) => return Err(e),
-                }
-                for (a, v) in redo.iter() {
-                    tx.write(a, v)?;
-                }
-                tx.write(seqlock, snapshot + 2)
-            });
-            match commit {
-                Ok(()) => return Ok(()),
-                Err(code) => {
-                    hw_attempts += 1;
-                    let out_of_hw = code.is_resource_failure() || hw_attempts >= FAST_RETRIES;
-                    if out_of_hw {
-                        // Final fallback: the plain software NOrec commit.
-                        while self.th.hw.nt_cas(seqlock, snapshot, snapshot + 1).is_err() {
-                            match validate(&self.th, seqlock, &self.reads) {
-                                Ok(ts) => snapshot = ts,
-                                Err(()) => return Err(()),
-                            }
-                        }
-                        for (a, v) in self.redo.iter() {
-                            self.th.hw.nt_write(a, v);
-                        }
-                        self.th.hw.nt_write(seqlock, snapshot + 2);
-                        return Ok(());
-                    }
-                    htm_sim::vclock::yield_now();
-                }
-            }
-        }
+        htm_sim::vclock::yield_now();
     }
+}
+
+/// The NOrecRH executor: a [`NOrec`] with a hardware first path and a reduced
+/// hardware writer commit.
+pub struct NOrecRh<'r> {
+    stm: NOrec<'r>,
 }
 
 impl<'r> TmExecutor<'r> for NOrecRh<'r> {
@@ -206,22 +92,20 @@ impl<'r> TmExecutor<'r> for NOrecRh<'r> {
 
     fn new(rt: &'r TmRuntime, thread_id: usize) -> Self {
         Self {
-            th: TmThread::new(rt, thread_id),
-            reads: Vec::new(),
-            redo: RedoLog::default(),
+            stm: NOrec::new(rt, thread_id),
         }
     }
 
     fn execute<W: Workload>(&mut self, w: &mut W) -> CommitPath {
-        let seqlock = self.th.rt.seqlock();
+        let th = &mut self.stm.th;
         if !w.is_irrevocable() {
             for _ in 0..FAST_RETRIES {
                 // Anti-lemming: wait for any software committer to drain.
-                wait_even(&self.th, seqlock);
-                match self.try_htm(w) {
+                wait_even(th, th.rt.seqlock());
+                match try_htm(th, w) {
                     Ok(()) => {
                         w.after_commit();
-                        self.th.stats.record_commit(CommitPath::Htm);
+                        th.stats.record_commit(CommitPath::Htm);
                         return CommitPath::Htm;
                     }
                     // No-retry hint: capacity/interrupt aborts go straight to the
@@ -231,51 +115,23 @@ impl<'r> TmExecutor<'r> for NOrecRh<'r> {
                 }
             }
         }
-        loop {
-            if w.is_irrevocable() {
-                // Inevitable software execution under the sequence lock.
-                let ts = wait_even(&self.th, seqlock);
-                if self.th.hw.nt_cas(seqlock, ts, ts + 1).is_err() {
-                    continue;
-                }
-                w.reset();
-                let mut ctx = part_htm_core::ctx::SlowCtx {
-                    th: &self.th.hw,
-                    mask_values: false,
-                };
-                for seg in 0..w.segments() {
-                    w.segment(seg, &mut ctx)
-                        .expect("direct execution cannot abort");
-                }
-                self.th.hw.nt_write(seqlock, ts + 2);
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::Stm);
-                return CommitPath::Stm;
-            }
-            if self.try_stm(w).is_ok() {
-                w.after_commit();
-                self.th.stats.record_commit(CommitPath::Stm);
-                return CommitPath::Stm;
-            }
-            self.th.stats.stm_aborts += 1;
-            htm_sim::vclock::yield_now();
-        }
+        self.stm.execute_with(w, reduced_commit)
     }
 
     fn thread(&self) -> &TmThread<'r> {
-        &self.th
+        &self.stm.th
     }
 
     fn thread_mut(&mut self) -> &mut TmThread<'r> {
-        &mut self.th
+        &mut self.stm.th
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htm_sim::HtmConfig;
-    use part_htm_core::TmConfig;
+    use htm_sim::{Addr, HtmConfig};
+    use part_htm_core::{TmConfig, TxCtx};
     use rand::rngs::SmallRng;
 
     struct Incr {
@@ -335,6 +191,67 @@ mod tests {
             assert_eq!(rt.verify_read(i * 8), 1);
         }
         assert_eq!(rt.system().nt_read(rt.seqlock()) & 1, 0);
+    }
+
+    #[test]
+    fn read_limited_tx_commits_through_the_reduced_hardware_commit() {
+        // 32 read lines overflow the 16-line read budget, so the pure-hardware
+        // attempt dies of capacity; the 2 written lines plus the sequence lock
+        // fit, so the reduced hardware transaction commits them.
+        struct ReadMany(Addr);
+        impl Workload for ReadMany {
+            type Snap = ();
+            fn sample(&mut self, _r: &mut SmallRng) {}
+            fn segment<C: TxCtx>(&mut self, _s: usize, ctx: &mut C) -> TxResult<()> {
+                let mut sum = 0;
+                for i in 0..32 {
+                    sum += ctx.read(self.0 + (i * 8) as Addr)?;
+                }
+                ctx.write(self.0, sum + 1)?;
+                ctx.write(self.0 + 8, sum + 2)
+            }
+        }
+        let rt = TmRuntime::new(
+            HtmConfig {
+                read_lines_max: 16,
+                ..HtmConfig::default()
+            },
+            TmConfig::default(),
+            1,
+            4096,
+        );
+        let mut e = NOrecRh::new(&rt, 0);
+        assert_eq!(e.execute(&mut ReadMany(rt.app(0))), CommitPath::Stm);
+        assert_eq!((rt.verify_read(0), rt.verify_read(8)), (1, 2));
+        let hw = &e.thread().hw.stats;
+        assert_eq!((hw.begins, hw.aborts_capacity, hw.commits), (2, 1, 1));
+        assert_eq!(e.thread().stats.fast_aborts, 1);
+        // One writer commit bumped the sequence lock.
+        assert_eq!(rt.system().nt_read(rt.seqlock()), 2);
+    }
+
+    #[test]
+    fn irrevocable_tx_runs_inevitably_without_hardware() {
+        struct Irrev(Addr);
+        impl Workload for Irrev {
+            type Snap = ();
+            fn sample(&mut self, _r: &mut SmallRng) {}
+            fn is_irrevocable(&self) -> bool {
+                true
+            }
+            fn segment<C: TxCtx>(&mut self, _s: usize, ctx: &mut C) -> TxResult<()> {
+                let v = ctx.read(self.0)?;
+                ctx.write(self.0, v + 1)
+            }
+        }
+        let rt = TmRuntime::with_defaults(1, 64);
+        let mut e = NOrecRh::new(&rt, 0);
+        assert_eq!(e.execute(&mut Irrev(rt.app(0))), CommitPath::Stm);
+        assert_eq!(rt.verify_read(0), 1);
+        assert_eq!(e.thread().hw.stats.begins, 0, "no hardware attempt");
+        assert_eq!(e.thread().stats.commits_stm, 1);
+        // Held odd for the whole execution, released even.
+        assert_eq!(rt.system().nt_read(rt.seqlock()), 2);
     }
 
     #[test]

@@ -206,7 +206,6 @@ impl<'r> TmExecutor<'r> for RingStm<'r> {
                 self.th.stats.record_commit(CommitPath::Stm);
                 return CommitPath::Stm;
             }
-            self.th.stats.stm_aborts += 1;
             htm_sim::vclock::yield_now();
         }
     }

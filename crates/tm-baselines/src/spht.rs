@@ -23,12 +23,13 @@
 use htm_sim::abort::TxResult;
 use htm_sim::util::FastMap;
 use htm_sim::{AbortCode, Addr, HtmTx};
-use part_htm_core::api::{spin_work, XABORT_GLOCK};
+use part_htm_core::api::spin_work;
 use part_htm_core::ctx::SoftwareCtx;
 use part_htm_core::{
-    commit_under_glock, fast_retries, wait_glock_released, BACKOFF_UNITS, PART_RETRIES,
+    commit_under_glock, fast_retries, subscribe_gate, wait_glock_released, BACKOFF_UNITS,
+    PART_RETRIES,
 };
-use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload, GATE_LOCK};
+use part_htm_core::{CommitPath, TmExecutor, TmRuntime, TmThread, TxCtx, Workload};
 
 use crate::htm_gl::try_pure_htm;
 
@@ -139,56 +140,34 @@ impl<'r> SpHt<'r> {
                     self.logs.redo.iter().map(|(&a, &v)| (a, v)).collect();
                 let orig_snapshot: Vec<(Addr, u64)> =
                     self.logs.orig.iter().map(|(&a, &v)| (a, v)).collect();
-                let mut tx = self.th.hw.begin();
-                let body: TxResult<()> = 'b: {
+                let logs = &mut self.logs;
+                let res = self.th.hw.attempt(|tx| {
                     // Subscribe the gate's lock bit (the split path does not
                     // count itself in: between segments a split transaction
                     // holds no visible state, so the slow path never has to
                     // wait for it).
-                    match tx.read(gate) {
-                        Ok(g) if g & GATE_LOCK == 0 => {}
-                        Ok(_) => break 'b Err(tx.xabort(XABORT_GLOCK)),
-                        Err(e) => break 'b Err(e),
-                    }
+                    subscribe_gate(tx, gate, false)?;
                     // Revalidate every logged read (isolation across the gap).
-                    for &(a, v) in &self.logs.reads {
-                        match tx.read(a) {
-                            Ok(cur) if cur == v => {}
-                            Ok(_) => break 'b Err(tx.xabort(XABORT_INVALID)),
-                            Err(e) => break 'b Err(e),
+                    for &(a, v) in &logs.reads {
+                        if tx.read(a)? != v {
+                            return Err(tx.xabort(XABORT_INVALID));
                         }
                     }
                     // Replay the redo log: this is the step whose footprint grows
                     // with every segment (the paper's criticism of lazy splitting).
                     for &(a, v) in &redo_snapshot {
-                        if let Err(e) = tx.write(a, v) {
-                            break 'b Err(e);
-                        }
+                        tx.write(a, v)?;
                     }
-                    {
-                        let mut ctx = SpHtCtx { tx: &mut tx, logs: &mut self.logs };
-                        if let Err(e) = w.segment(seg, &mut ctx) {
-                            break 'b Err(e);
-                        }
-                    }
+                    w.segment(seg, &mut SpHtCtx { tx, logs })?;
                     if seg != last_htm_seg {
                         // Hide phase: restore original values so nothing is visible
                         // when this sub-transaction commits.
-                        for (a, v) in self.logs.orig.iter() {
-                            if let Err(e) = tx.write(*a, *v) {
-                                break 'b Err(e);
-                            }
+                        for (&a, &v) in logs.orig.iter() {
+                            tx.write(a, v)?;
                         }
                     }
                     Ok(())
-                };
-                let res = match body {
-                    Ok(()) => tx.commit(),
-                    Err(code) => {
-                        drop(tx);
-                        Err(code)
-                    }
-                };
+                });
                 match res {
                     Ok(()) => break,
                     Err(code) => {

@@ -25,7 +25,6 @@ use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use tm_harness::driver::RunResult;
 use tm_harness::loadgen::LatencyHisto;
-use tm_harness::report::StatsReport;
 use tm_workloads::structures::{transfer, HeapHashMap, HeapQueue};
 
 /// Geometry of the service heap.
@@ -425,15 +424,6 @@ pub struct ServeOpts {
     /// Admission control tuning ([`AdmissionSpec::off`] pins the
     /// no-controller baseline).
     pub admission: AdmissionSpec,
-    /// Print the merged [`StatsReport`] JSON snapshot to stdout after the
-    /// run.
-    pub stats_stdout: bool,
-    /// Write the stats snapshot JSON to this path: worker 0 overwrites it
-    /// every [`ServeOpts::stats_every`] groups mid-run (its own counters),
-    /// and the merged final snapshot replaces it after the run.
-    pub stats_dump: Option<String>,
-    /// Groups between periodic dumps (0 = final dump only).
-    pub stats_every: u64,
     /// Collect every `(seq, response)` pair into the report — the join key
     /// for the batched-vs-unbatched differential oracles (costs memory
     /// proportional to the stream; off for benchmarks).
@@ -445,9 +435,6 @@ impl Default for ServeOpts {
         Self {
             batch_max: 8,
             admission: AdmissionSpec::default(),
-            stats_stdout: false,
-            stats_dump: None,
-            stats_every: 0,
             collect_responses: false,
         }
     }
@@ -533,13 +520,11 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
     stream: &[u32],
     opts: &ServeOpts,
     clock: &WorkerClock,
-    periodic_dump: bool,
 ) -> WorkerOut {
     let mut batcher = Batcher::new(state.spec().shards, opts.batch_max);
     let mut admission = Admission::new(opts.admission);
     let mut histo = LatencyHisto::new();
     let mut served = 0u64;
-    let mut groups = 0u64;
     let mut responses: Vec<(u64, u64)> = Vec::new();
     let mut ready: Vec<ReqGroup<'_>> = Vec::new();
     let arrival = |i: usize| requests[stream[i] as usize].arrival;
@@ -567,7 +552,6 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
                      histo: &mut LatencyHisto,
                      responses: &mut Vec<(u64, u64)>,
                      served: &mut u64,
-                     groups: &mut u64,
                      backlog: u64| {
         let n = group.len() as u64;
         let admit = admission.admit(backlog, exec.thread());
@@ -598,14 +582,6 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
             );
         }
         *served += n;
-        *groups += 1;
-        if periodic_dump && opts.stats_every > 0 && (*groups).is_multiple_of(opts.stats_every) {
-            if let Some(path) = &opts.stats_dump {
-                let th = exec.thread();
-                let snap = worker_snapshot::<E>(&th.stats, &th.hw.stats);
-                let _ = std::fs::write(path, snap.to_json());
-            }
-        }
     };
 
     while next < stream.len() || !batcher.is_empty() {
@@ -627,7 +603,6 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
                     &mut histo,
                     &mut responses,
                     &mut served,
-                    &mut groups,
                     backlog,
                 );
                 batcher.recycle(g);
@@ -643,7 +618,6 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
                 &mut histo,
                 &mut responses,
                 &mut served,
-                &mut groups,
                 backlog,
             );
             batcher.recycle(g);
@@ -660,19 +634,6 @@ fn serve_worker<'r, E: TmExecutor<'r>>(
         elapsed: t0.elapsed(),
         responses,
     }
-}
-
-/// Build a [`StatsReport`] for one worker's (or the merged) counters.
-fn worker_snapshot<'r, E: TmExecutor<'r>>(tm: &TmStats, hw: &HtmStats) -> StatsReport {
-    StatsReport::from_run(&RunResult {
-        algo: E::NAME,
-        threads: 1,
-        elapsed: Duration::ZERO,
-        commits: tm.commits_total(),
-        makespan: 0,
-        tm: tm.clone(),
-        hw: hw.clone(),
-    })
 }
 
 /// Serve `requests` (sorted by arrival) on `workers` worker threads under
@@ -730,8 +691,7 @@ pub fn run_server<'r, E: TmExecutor<'r>>(
                         Some(vc) => (WorkerClock::Virtual, Some(vc.attach(wid))),
                         None => (WorkerClock::Wall(Instant::now()), None),
                     };
-                    let out =
-                        serve_worker(&mut exec, state, requests, stream, opts, &clock, wid == 0);
+                    let out = serve_worker(&mut exec, state, requests, stream, opts, &clock);
                     drop(guard);
                     out
                 })
@@ -758,13 +718,6 @@ pub fn run_server<'r, E: TmExecutor<'r>>(
         tm,
         hw,
     };
-    let snap = StatsReport::from_run(&run);
-    if opts.stats_stdout {
-        print!("{}", snap.to_json());
-    }
-    if let Some(path) = &opts.stats_dump {
-        let _ = std::fs::write(path, snap.to_json());
-    }
     ServerReport {
         run,
         served,

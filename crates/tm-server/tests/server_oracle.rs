@@ -48,7 +48,6 @@ fn run_once(
         batch_max,
         admission,
         collect_responses: true,
-        ..ServeOpts::default()
     };
     let report = if opaque {
         run_server::<PartHtmO>(&rt, &state, threads, requests, &ServeMode::Wall, &opts)

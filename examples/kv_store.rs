@@ -15,6 +15,7 @@
 //! ```
 
 use part_htm::core::{PartHtm, TmConfig, TmRuntime};
+use part_htm::harness::report::StatsReport;
 use part_htm::htm::HtmConfig;
 use part_htm::server::service::{run_server, ServeMode, ServeOpts, ServerState};
 use part_htm::server::{gen_requests, AdmissionSpec, ServerSpec, TrafficMix};
@@ -35,8 +36,9 @@ fn preload_items() -> Vec<(u32, u32, u64)> {
 }
 
 /// One server run: fresh runtime and heap, saturated arrivals, the given
-/// worker count and batching/admission configuration. Returns (goodput,
-/// p99 ns, batched requests, final KV total).
+/// worker count and batching/admission configuration; `stats` prints the
+/// run's merged stats snapshot. Returns (goodput, p99 ns, batched requests,
+/// final KV total).
 fn serve(
     workers: usize,
     n: usize,
@@ -61,11 +63,13 @@ fn serve(
     let opts = ServeOpts {
         batch_max,
         admission,
-        stats_stdout: stats,
         ..ServeOpts::default()
     };
     let rep = run_server::<PartHtm>(&rt, &state, workers, &reqs, &ServeMode::Wall, &opts);
     assert_eq!(rep.served, n as u64, "open-loop server serves all");
+    if stats {
+        print!("{}", StatsReport::from_run(&rep.run).to_json());
+    }
     (
         rep.goodput_wall(),
         rep.latency.p99(),

@@ -24,8 +24,11 @@
 #      of the deleted Stretch-HTM executor or the POWER suspend/rollback-only
 #      surface only it used; nor, with the first exceptions, an identifier of
 #      the ring summary's deleted grouped multi-shard probe or adaptive density
-#      controller, of the deleted single-ring summary API, or of the deleted
-#      transactional `HeapSig` accessors.
+#      controller, of the deleted single-ring summary API, of the deleted
+#      transactional `HeapSig` accessors, or of a deleted duplicate or unset
+#      knob: NOrecRH's copied read context, HTM-GL's copy of the raw hardware
+#      context, the optional L2 read model, tm-server's stats-dump options and
+#      the write-only STM abort counter.
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -160,6 +163,8 @@ stretch+='|\bbegin_ro[t]\b|\bsupports_(suspend|rot)\b|\bPOWER_SUSPEND_COS[T]\b|\
 summary='\bGroupProb[e]\b|\bgroup_pas[s]|\bcontroller_ste[p]\b|\bCTR[L]_[A-Z]|\bdensity_threshol[d]\b'
 summary+='|\bmaybe_reset_summar[y]\b|RingSummary::with_tunin[g]|RingSummary::try_fast_pas[s]\b'
 summary+='|\bunion_from_t[x]\b|\bintersects_masked_t[x]\b|\bcontains_t[x]\b'
+knobs='\bRhStmCt[x]\b|\bPureHtmCt[x]\b|\bl2_set[s]\b|\bl2_way[s]\b|\bforget_lin[e]\b'
+knobs+='|\bstats_dum[p]\b|\bstats_ever[y]\b|\bstats_stdou[t]\b|\bstm_abort[s]\b'
 # One scan of every non-exempt line as `file:line: text`; ROADMAP.md is exempt
 # from the stretch/suspend identifiers only.
 while IFS= read -r hit; do
@@ -167,6 +172,8 @@ while IFS= read -r hit; do
     err "retired bench name: ${hit:0:160}"
   elif grep -qE "$summary" <<<"$hit"; then
     err "retired ring-summary identifier: ${hit:0:160}"
+  elif grep -qE "$knobs" <<<"$hit"; then
+    err "retired duplicate or unset knob: ${hit:0:160}"
   elif [[ $hit != ROADMAP.md:* ]]; then
     err "retired stretch/suspend identifier: ${hit:0:160}"
   fi
@@ -175,7 +182,7 @@ done < <(git ls-files -co --exclude-standard -- . ':!CHANGES.md' ':!ISSUE.md' ':
     /bench-history:begin/ { skip = 1 }
     /bench-history:end/ { skip = 0 }
     !skip { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
-  ' | grep -E "$retired|$stretch|$summary" || true)
+  ' | grep -E "$retired|$stretch|$summary|$knobs" || true)
 
 if [ "$fail" -ne 0 ]; then
   echo "doc-check: FAILED" >&2

@@ -104,19 +104,6 @@ fn extended_algos_survive_the_same_chaos() {
     }
 }
 
-#[test]
-fn part_htm_survives_interrupts_with_l2_associativity() {
-    let htm = HtmConfig {
-        interrupt_prob: 0.01,
-        l2_sets: 16,
-        l2_ways: 2,
-        ..HtmConfig::default()
-    };
-    for algo in [Algo::PartHtm, Algo::PartHtmO] {
-        total_increments_exact(algo, htm.clone());
-    }
-}
-
 /// An irrevocable transaction (global-lock path) whose segment panics after its
 /// first write.
 struct PanicsUnderLock(Addr);
