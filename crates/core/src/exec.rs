@@ -689,8 +689,7 @@ impl<'r, V: Variant> PartExec<'r, V> {
                 .release_locks(rt, &self.th.hw, &self.undo, &self.wmir, true);
             // Software commits are the cheap place to police summary density: no
             // hardware transaction is in flight here.
-            let resets = ring.maybe_reset_summaries(&self.th.hw, rt.summaries());
-            self.th.stats.record_summary_resets(&resets);
+            self.th.stats.summary_resets += ring.maybe_reset_summaries(&self.th.hw, rt.summaries());
         }
         self.clear_local();
         self.dec_active();

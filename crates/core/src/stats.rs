@@ -4,7 +4,7 @@
 //! [`htm_sim::HtmStats`]; together they regenerate the paper's Table 1.
 
 use crate::api::CommitPath;
-use tm_sig::{ShardedValidation, SummaryResetStats, MAX_RING_SHARDS};
+use tm_sig::{ShardedValidation, MAX_RING_SHARDS};
 
 /// Per-thread protocol counters; merged across threads by the harness.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,9 +43,6 @@ pub struct TmStats {
     /// publisher, epoch movement, window predating the last reset;
     /// eager resets only create more of these).
     pub summary_miss_inflight: u64,
-    /// Due epoch resets deferred because a validator held an older epoch pin
-    /// (the grace-period rule).
-    pub epoch_pinned_stalls: u64,
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
     /// Transactions the abort-profile controller routed straight to the
@@ -126,13 +123,6 @@ impl TmStats {
         Self::bump_shards(&mut self.shard_validations, v.fast_shards | v.walked_shards);
     }
 
-    /// Credit one summary reset sweep's outcome.
-    #[inline]
-    pub fn record_summary_resets(&mut self, r: &SummaryResetStats) {
-        self.summary_resets += r.resets;
-        self.epoch_pinned_stalls += r.pinned_stalls;
-    }
-
     fn bump_shards(arr: &mut [u64; MAX_RING_SHARDS], mut mask: u32) {
         while mask != 0 {
             let s = mask.trailing_zeros() as usize;
@@ -157,7 +147,6 @@ impl TmStats {
         self.summary_resets += o.summary_resets;
         self.summary_miss_dirty += o.summary_miss_dirty;
         self.summary_miss_inflight += o.summary_miss_inflight;
-        self.epoch_pinned_stalls += o.epoch_pinned_stalls;
         self.journal_rollbacks += o.journal_rollbacks;
         self.site_demotions += o.site_demotions;
         self.plan_merges += o.plan_merges;

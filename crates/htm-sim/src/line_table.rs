@@ -67,10 +67,15 @@
 //!   could register a read between the doom sweep and the store and keep a stale
 //!   value). The claim byte `0xFE` provides that window: while it is held, every
 //!   transactional registration and every other claim backs
-//!   off ([`AccessOutcome::Wait`]); readers can only *leave* (unregister). A
-//!   non-transactional *read* needs no claim — it dooms a conflicting writer
-//!   (whose buffered stores can then never be published) and performs one atomic
-//!   heap load.
+//!   off ([`AccessOutcome::Wait`]), and [`LineTable::unregister`] waits until
+//!   it is released. The release restores exactly the writer byte the claim
+//!   displaced, so a doomed writer that rolls back meanwhile still finds, and
+//!   clears, its own byte: no byte outlives its transaction. A claim holder
+//!   never waits while it holds the claim, so the wait is bounded; under a
+//!   virtual clock a claim is taken and released within one access, so no core
+//!   ever observes another's. A non-transactional *read* needs no claim — it
+//!   dooms a conflicting writer (whose buffered stores can then never be
+//!   published) and performs one atomic heap load.
 //!
 //! The 56-bit reader bitmap caps the machine at
 //! [`crate::registry::MAX_THREADS`] = 56 simulated hardware
@@ -83,8 +88,9 @@
 use crate::align::CacheAligned;
 use crate::heap::{Line, WORDS_PER_LINE};
 use crate::registry::{
-    AccessKind, DoomCause, DoomOutcome, Requester, ThreadId, TxRegistry, TxStatus, MAX_THREADS,
+    AccessKind, DoomCause, DoomOutcome, Requester, ThreadId, TxRegistry, MAX_THREADS,
 };
+use crate::util::Backoff;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of attempting to register an access.
@@ -136,24 +142,11 @@ fn reader_bit(t: ThreadId) -> u64 {
 /// Swap the claim byte for `saved_writer`: the (possibly displaced doomed)
 /// writer byte it replaced, the claim holder's own byte, or none. While the
 /// claim is held no other writer byte can appear — every registration and
-/// competing claim backs off on `0xFE` — so only the reader bits can have
-/// changed.
-///
-/// A displaced writer may unregister *during* the claim (its `unregister`
-/// sees a byte that is not its own and leaves it). Its byte is dropped here
-/// when its thread is `Inactive`: checked under the claim, that proves the
-/// byte stale, since the thread cannot register on the line meanwhile. A
-/// thread that already began its next transaction keeps the restored byte
-/// (it could otherwise have adopted it without changing the word); if that
-/// transaction never touches the line, the next access finds the byte
-/// stale (`DoomOutcome::Gone`) and clears it — including when that access is
-/// a non-transactional one by the displaced thread itself ([`doom_writer`]).
+/// competing claim backs off on `0xFE`, and a displaced writer's
+/// [`LineTable::unregister`] waits for this release — so only a reader
+/// undoing its own `Wait` can have changed the reader bits.
 #[inline]
-fn release_claim(w: &AtomicU64, reg: &TxRegistry, saved_writer: u64) {
-    let saved_writer = match writer_of(saved_writer) {
-        Writer::Thread(t) if reg.status(t) == TxStatus::Inactive => 0,
-        _ => saved_writer,
-    };
+fn release_claim(w: &AtomicU64, saved_writer: u64) {
     let mut cur = w.load(Ordering::SeqCst);
     loop {
         debug_assert_eq!(cur & WRITER_MASK, NT_CLAIM);
@@ -165,28 +158,37 @@ fn release_claim(w: &AtomicU64, reg: &TxRegistry, saved_writer: u64) {
     }
 }
 
-/// Resolve the writer byte `owner` for the non-transactional access `cause`.
-///
-/// A foreign owner is doomed as usual. A byte naming the requester itself is
-/// *stale* when the requester has no transaction in flight: [`release_claim`]
-/// restored it after that transaction had already rolled back, so it reports
-/// [`DoomOutcome::Gone`] like any other leftover of a finished incarnation.
-/// `None` is the invalid state — a non-transactional access to a line in the
-/// caller's own *active* write set — which callers degrade to an unresolved
-/// access rather than displacing the caller's registration.
+/// Resolve the writer byte `owner` for the non-transactional access `cause`:
+/// a foreign owner is doomed as usual. `None` is the invalid state — a
+/// non-transactional access to a line in the caller's own write set — which
+/// callers degrade to an unresolved access rather than displacing the
+/// caller's registration.
 #[inline]
 fn doom_writer(reg: &TxRegistry, owner: ThreadId, cause: DoomCause) -> Option<DoomOutcome> {
     if Requester::Thread(owner) != cause.by {
         return Some(reg.doom(owner, cause));
-    }
-    if reg.status(owner) == TxStatus::Inactive {
-        return Some(DoomOutcome::Gone);
     }
     debug_assert!(
         false,
         "non-transactional access to a line in the caller's own active write set"
     );
     None
+}
+
+/// Snooze until `w` holds no claim; returns the word first seen without
+/// one. Out of line: [`LineTable::unregister`] runs once per touched line of
+/// every commit and abort, and almost never finds a claim.
+#[cold]
+#[inline(never)]
+fn wait_out_claim(w: &AtomicU64) -> u64 {
+    let mut backoff = Backoff::new();
+    loop {
+        backoff.snooze();
+        let cur = w.load(Ordering::SeqCst);
+        if writer_of(cur) != Writer::NtClaim {
+            return cur;
+        }
+    }
 }
 
 /// Doom every thread in the reader bitmap `readers`. Stops and returns
@@ -202,21 +204,6 @@ fn doom_readers(reg: &TxRegistry, mut readers: u64, cause: DoomCause) -> bool {
         }
     }
     true
-}
-
-/// Drop the stale writer byte of `cur` (a doom just found its owner
-/// inactive). The byte is only provably stale while its owner cannot
-/// register — it could otherwise begin a transaction and adopt the byte as its
-/// own registration without changing the word — so the claim is taken and
-/// [`release_claim`] repeats the check under it, keeping the byte if the
-/// owner is in a transaction again. `Err` carries the observed word when
-/// `cur` was out of date.
-#[inline]
-fn clear_stale_writer(w: &AtomicU64, reg: &TxRegistry, cur: u64) -> Result<(), u64> {
-    let claimed = (cur & READERS_MASK) | NT_CLAIM;
-    w.compare_exchange(cur, claimed, Ordering::SeqCst, Ordering::SeqCst)?;
-    release_claim(w, reg, cur & WRITER_MASK);
-    Ok(())
 }
 
 /// Direct-indexed table mapping every heap line to its packed owner word.
@@ -298,12 +285,9 @@ impl LineTable {
                 return AccessOutcome::Ok;
             };
             match reg.doom(owner, cause) {
-                // The doomed victim clears its own byte during rollback.
-                DoomOutcome::Doomed => {}
-                // Stale byte from a finished incarnation: clear it ourselves.
-                DoomOutcome::Gone => {
-                    let _ = clear_stale_writer(w, reg, new);
-                }
+                // The doomed victim clears its own byte during rollback; a
+                // finished one (`Gone`) already has.
+                DoomOutcome::Doomed | DoomOutcome::Gone => {}
                 DoomOutcome::MustWait => {
                     if new != cur {
                         w.fetch_and(!me, Ordering::SeqCst);
@@ -363,10 +347,10 @@ impl LineTable {
             let doomed = owner.is_none_or(|o| reg.doom(o, cause) != DoomOutcome::MustWait)
                 && doom_readers(reg, readers, cause);
             if !doomed {
-                release_claim(w, reg, cur & WRITER_MASK);
+                release_claim(w, cur & WRITER_MASK);
                 return AccessOutcome::Wait;
             }
-            release_claim(w, reg, mine);
+            release_claim(w, mine);
             return AccessOutcome::Ok;
         }
     }
@@ -421,22 +405,13 @@ impl LineTable {
         let cause = DoomCause { line, by, kind };
         if !is_write {
             // Read path: doom a conflicting writer, then load.
-            let mut cur = w.load(Ordering::SeqCst);
-            loop {
-                match writer_of(cur) {
-                    Writer::None => break,
-                    Writer::NtClaim => return Err(()),
-                    Writer::Thread(owner) => match doom_writer(reg, owner, cause) {
-                        Some(DoomOutcome::MustWait) => return Err(()),
-                        None | Some(DoomOutcome::Doomed) => break,
-                        Some(DoomOutcome::Gone) => {
-                            // Tidy the stale byte so later accesses skip the doom.
-                            match clear_stale_writer(w, reg, cur) {
-                                Ok(()) => break,
-                                Err(observed) => cur = observed,
-                            }
-                        }
-                    },
+            match writer_of(w.load(Ordering::SeqCst)) {
+                Writer::None => {}
+                Writer::NtClaim => return Err(()),
+                Writer::Thread(owner) => {
+                    if doom_writer(reg, owner, cause) == Some(DoomOutcome::MustWait) {
+                        return Err(());
+                    }
                 }
             }
             return Ok(op());
@@ -473,36 +448,34 @@ impl LineTable {
 
         // Phase 2 (claim held): doom the writer and the readers the replaced
         // word named, run `op`, release. A doomed writer stays registered (its
-        // own rollback unregisters it), so its displaced byte is restored when
-        // the claim is released unless it rolled back meanwhile; a stale byte
-        // (`Gone`) is dropped instead.
-        let saved_writer = match writer_of(cur) {
-            Writer::None | Writer::NtClaim => 0,
-            Writer::Thread(owner) => match doom_writer(reg, owner, cause) {
-                Some(DoomOutcome::Doomed) => cur & WRITER_MASK,
-                Some(DoomOutcome::Gone) => 0,
+        // own rollback unregisters it, waiting for this claim to go), so its
+        // displaced byte is restored when the claim is released.
+        let saved_writer = cur & WRITER_MASK;
+        if let Writer::Thread(owner) = writer_of(cur) {
+            match doom_writer(reg, owner, cause) {
+                Some(DoomOutcome::Doomed | DoomOutcome::Gone) => {}
                 Some(DoomOutcome::MustWait) => {
-                    release_claim(w, reg, cur & WRITER_MASK);
+                    release_claim(w, saved_writer);
                     return Err(());
                 }
                 None => {
                     // Invalid state; degrade to an unclaimed store.
-                    release_claim(w, reg, cur & WRITER_MASK);
+                    release_claim(w, saved_writer);
                     return Ok(op());
                 }
-            },
-        };
+            }
+        }
         let self_bit = match by {
             Requester::Thread(b) => reader_bit(b),
             Requester::External => 0,
         };
         if !doom_readers(reg, cur & READERS_MASK & !self_bit, cause) {
             // A reader is mid-commit: back off entirely and retry.
-            release_claim(w, reg, saved_writer);
+            release_claim(w, saved_writer);
             return Err(());
         }
         let out = op();
-        release_claim(w, reg, saved_writer);
+        release_claim(w, saved_writer);
         Ok(out)
     }
 
@@ -511,13 +484,18 @@ impl LineTable {
     /// for every touched line.
     ///
     /// The writer byte is cleared only if it still belongs to `t` — a requester
-    /// or claim holder may have displaced it after dooming `t`.
+    /// may have displaced it after dooming `t`. A claim may be hiding `t`'s
+    /// byte until its release restores it, so a claimed word is waited out
+    /// first.
     pub fn unregister(&self, line: Line, t: ThreadId) {
         let w = self.word(line);
         let me_bit = reader_bit(t);
         let me_writer = writer_word(t);
         let mut cur = w.load(Ordering::SeqCst);
         loop {
+            if writer_of(cur) == Writer::NtClaim {
+                cur = wait_out_claim(w);
+            }
             let mut new = cur & !me_bit;
             if cur & WRITER_MASK == me_writer {
                 new &= !WRITER_MASK;
@@ -793,62 +771,79 @@ mod tests {
         assert_eq!(tab.live_entries(), 0, "no leaked claims or registrations");
     }
 
-    /// The displaced writer rolls back *during* a foreign claim: the claim's
-    /// release must drop its byte, or the line ends the run registered to a
-    /// thread with no transaction (the "line-table entry leaked" failure of
-    /// the serializability tests on OS threads).
-    #[test]
-    fn writer_unregistered_during_claim_loses_its_byte() {
-        let (tab, reg) = setup();
+    /// Thread 1 claims line 5 from writer 0 (and reader 2) for a
+    /// non-transactional write; while the claim is held, thread 0 rolls back
+    /// (`unregister`, `finish`) and, if `begin_again`, begins a transaction
+    /// that never touches the line. The claim holder gives the rollback 200 ms
+    /// before it releases; returns whether the rollback's `unregister` had
+    /// returned by then.
+    fn writer_rolls_back_during_claim(tab: &LineTable, reg: &TxRegistry, begin_again: bool) -> bool {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
         reg.begin(0);
         reg.begin(2);
-        tab.tx_read(&reg, 5, 2);
-        tab.tx_write(&reg, 5, 0);
-        tab.nt_execute(&reg, 5, true, Requester::Thread(1), || {
-            tab.unregister(5, 0);
-            reg.finish(0);
-        })
-        .unwrap();
+        tab.tx_read(reg, 5, 2);
+        tab.tx_write(reg, 5, 0);
+        let (claimed, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let mut done_in_claim = false;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !claimed.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                tab.unregister(5, 0);
+                reg.finish(0);
+                if begin_again {
+                    reg.begin(0);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            tab.nt_execute(reg, 5, true, Requester::Thread(1), || {
+                claimed.store(true, Ordering::SeqCst);
+                let t0 = Instant::now();
+                while !done.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_millis(200) {
+                    std::thread::yield_now();
+                }
+                done_in_claim = done.load(Ordering::SeqCst);
+            })
+            .unwrap();
+        });
         assert!(reg.is_doomed(2));
-        assert_eq!(
-            tab.raw_word(5),
-            reader_bit(2),
-            "reader bits kept, writer byte dropped"
+        done_in_claim
+    }
+
+    /// A writer rolling back during a foreign claim waits for its release,
+    /// which restores the writer's byte for the rollback to clear.
+    #[test]
+    fn writer_unregister_waits_out_a_claim() {
+        let (tab, reg) = setup();
+        assert!(
+            !writer_rolls_back_during_claim(&tab, &reg, false),
+            "unregister returned while a claim hid its byte"
         );
+        assert_eq!(tab.raw_word(5), reader_bit(2), "reader bits kept, writer byte cleared");
         tab.unregister(5, 2);
         assert_eq!(tab.live_entries(), 0);
     }
 
-    /// The displaced writer rolls back *and begins again* during a foreign
-    /// claim, so the claim's release keeps its byte; once that transaction
-    /// ends without touching the line, the next access being a
-    /// non-transactional one by that very thread must treat the byte as
-    /// stale (it used to trip the own-write-set assert — under the global
-    /// lock, wedging every peer — and, in release, skip the write claim and
-    /// its reader dooms).
+    /// The writer also begins its next transaction before the claim is
+    /// released, and that transaction never touches the line: its byte must
+    /// not outlive the rolled-back transaction (the "line-table entry leaked"
+    /// failure of the serializability tests on OS threads, where the release
+    /// restored the byte after the rollback had already unregistered).
     #[test]
-    fn stale_own_byte_after_rollback_during_claim_is_cleared() {
+    fn writer_beginning_again_during_claim_leaves_no_byte() {
+        let (tab, reg) = setup();
+        writer_rolls_back_during_claim(&tab, &reg, true);
+        reg.finish(0);
+        tab.unregister(5, 2);
+        assert_eq!(tab.raw_word(5), 0, "the rolled-back writer's byte leaked");
         for is_write in [false, true] {
-            let (tab, reg) = setup();
-            reg.begin(0);
-            tab.tx_write(&reg, 5, 0);
-            tab.nt_execute(&reg, 5, true, Requester::Thread(1), || {
-                tab.unregister(5, 0);
-                reg.finish(0);
-                reg.begin(0);
-            })
-            .unwrap();
-            assert_ne!(
-                tab.raw_word(5),
-                0,
-                "release kept the byte of a thread in a transaction"
-            );
-            reg.finish(0);
             assert_eq!(
                 tab.nt_access(&reg, 5, is_write, Requester::Thread(0)),
                 AccessOutcome::Ok
             );
-            assert_eq!(tab.raw_word(5), 0, "stale byte cleared (write={is_write})");
+            assert_eq!(tab.raw_word(5), 0);
         }
     }
 

@@ -171,8 +171,6 @@ pub struct StatsReport {
     pub summary_miss_inflight: u64,
     /// Ring-summary resets performed (each retires one epoch bank).
     pub summary_resets: u64,
-    /// Due epoch resets deferred behind a pinned validator.
-    pub epoch_pinned_stalls: u64,
     /// Sub-HTM segment failures rolled back through the signature journal.
     pub journal_rollbacks: u64,
     /// Fast-path attempts the adaptive planner demoted straight to the
@@ -219,7 +217,6 @@ impl StatsReport {
             summary_miss_dirty: r.tm.summary_miss_dirty,
             summary_miss_inflight: r.tm.summary_miss_inflight,
             summary_resets: r.tm.summary_resets,
-            epoch_pinned_stalls: r.tm.epoch_pinned_stalls,
             journal_rollbacks: r.tm.journal_rollbacks,
             site_demotions: r.tm.site_demotions,
             plan_merges: r.tm.plan_merges,
@@ -260,7 +257,6 @@ impl StatsReport {
             ("summary_miss_dirty", self.summary_miss_dirty),
             ("summary_miss_inflight", self.summary_miss_inflight),
             ("summary_resets", self.summary_resets),
-            ("epoch_pinned_stalls", self.epoch_pinned_stalls),
             ("journal_rollbacks", self.journal_rollbacks),
             ("site_demotions", self.site_demotions),
             ("plan_merges", self.plan_merges),
@@ -302,12 +298,6 @@ impl StatsReport {
             self.summary_resets,
             self.journal_rollbacks,
         );
-        if self.epoch_pinned_stalls != 0 {
-            line.push_str(&format!(
-                " | resets deferred behind a pin {}",
-                self.epoch_pinned_stalls
-            ));
-        }
         if self.site_demotions != 0 || self.plan_merges != 0 || self.plan_splits != 0 {
             line.push_str(&format!(
                 " | planner: {} demotions, {} merges, {} splits",
@@ -390,7 +380,6 @@ mod tests {
             summary_miss_dirty: 0,
             summary_miss_inflight: 0,
             summary_resets: 0,
-            epoch_pinned_stalls: 0,
             journal_rollbacks: 0,
             site_demotions: 0,
             plan_merges: 0,
@@ -430,7 +419,6 @@ mod tests {
             summary_miss_dirty: 1,
             summary_miss_inflight: 0,
             summary_resets: 2,
-            epoch_pinned_stalls: 0,
             journal_rollbacks: 0,
             site_demotions: 0,
             plan_merges: 1,

@@ -17,16 +17,14 @@
 //! * [`Ring`] — the RingSTM-style ring of committed write signatures used for
 //!   in-flight validation, with both a hardware (in-HTM) and a software publish path
 //!   and the plain entry walk, plus [`RingSummary`] — the host-side summary
-//!   signature backing the validation fast passes;
+//!   signature backing the validation fast passes, reset by flipping between
+//!   two banks (no reader registers anywhere; see `docs/ring-sharding.md` §5);
 //! * [`ShardedRing`] — the ring split into N address-region shards (keyed by
 //!   signature word range), each with its own lock, timestamp and summary, so
 //!   disjoint-region commits stop serialising on one global word (see
 //!   `docs/ring-sharding.md`);
 //! * [`SigJournal`] — the word-level undo journal that makes sub-HTM segment retries
 //!   allocation- and clone-free;
-//! * [`EpochRegistry`] — the per-thread epoch pin registry behind the summary's
-//!   stall-free epoch-bank reset protocol (see `docs/ring-sharding.md`,
-//!   "Epoch-based resets");
 //! * [`kernels`] — 4-wide-unrolled `u64` word kernels backing every signature
 //!   hot loop, with the original scalar loops kept as the reference the
 //!   kernel tests and `microbench` compare against; [`CacheAligned`] — the
@@ -36,7 +34,6 @@
 #![deny(missing_docs)]
 
 pub mod align;
-pub mod epoch;
 pub mod heap_sig;
 pub mod journal;
 pub mod kernels;
@@ -46,14 +43,11 @@ pub mod sig;
 pub mod spec;
 
 pub use align::{CacheAligned, CACHE_LINE};
-pub use epoch::{EpochRegistry, MAX_EPOCH_THREADS};
 pub use heap_sig::HeapSig;
 pub use journal::{CloneSaved, SigJournal, SigSlot};
-pub use ring::{
-    FastMiss, ResetAttempt, Ring, RingSummary, RingValidationError, SummaryTuning,
-};
+pub use ring::{FastMiss, Ring, RingSummary, RingValidationError, SummaryTuning};
 pub use sharded::{
-    ShardTimes, ShardedRing, ShardedSummary, ShardedValidation, SummaryResetStats, MAX_RING_SHARDS,
+    ShardTimes, ShardedRing, ShardedSummary, ShardedValidation, MAX_RING_SHARDS,
 };
 pub use sig::Sig;
 pub use spec::SigSpec;

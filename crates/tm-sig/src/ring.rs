@@ -37,10 +37,14 @@
 //! `docs/hot-path.md`). A summary pass is valid even across ring rollover: the OR
 //! covers every publish since the reset, whether or not its slot has been
 //! overwritten.
+//!
+//! A reset never waits for readers and readers never wait for it: the summary
+//! keeps two banks, a reset clears the one no probe of the current epoch
+//! reads, and a probe that straddles a flip sees the epoch move at its final
+//! re-check and falls back (`docs/ring-sharding.md` §5).
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-use crate::epoch::EpochRegistry;
 use crate::heap_sig::HeapSig;
 use crate::kernels::{self, BankLine};
 use crate::sig::Sig;
@@ -385,20 +389,6 @@ pub enum FastMiss {
     Inflight,
 }
 
-/// Outcome of a [`RingSummary::maybe_reset_with`] attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResetAttempt {
-    /// No reset due: pacing interval not elapsed, density below threshold, or
-    /// another resetter holds the guard.
-    Idle,
-    /// The summary is due for a reset but a validator is still
-    /// pinned to an older epoch; the reset is deferred to a later committer
-    /// instead of invalidating the reader mid-probe (grace-period rule).
-    Deferred,
-    /// A reset was performed.
-    Done,
-}
-
 /// The summary signature: host-side companion to one [`Ring`] shard (the ring
 /// itself is a plain-old-data heap handle; the summary holds atomics and therefore
 /// lives in the runtime). See the module docs for the protocol overview.
@@ -408,7 +398,7 @@ pub enum ResetAttempt {
 /// 1. **Announce-then-bump**: a publisher increments `started` *before* its
 ///    timestamp store can become visible, and increments `completed` only after its
 ///    bits are in the summary (or the publish aborted). A validator reads
-///    `completed` first and `started` last and requires them equal — any publish it
+///    `completed` right after the epoch and `started` last and requires them equal — any publish it
 ///    could be missing bits from is then provably either fully summarised or not
 ///    yet visible in the timestamp it validated against.
 /// 2. **Stability across the probe**: publishers OR their bits under an epoch
@@ -422,11 +412,11 @@ pub enum ResetAttempt {
 ///    the fast path makes the dropped bits irrelevant (those publishes are
 ///    before the validator's window).
 ///
-/// The summary additionally keeps an [`EpochRegistry`]:
-/// validators entering through the `*_at` probes pin the epoch they read, and
-/// [`RingSummary::maybe_reset_with`] defers (never blocks) while any pin is
-/// older than the current epoch — see `docs/ring-sharding.md` for the
-/// grace-period argument.
+/// A reset at epoch `e` clears bank `(e + 1) & 1`, never the bank an epoch-`e`
+/// probe reads; only a second reset clears that bank, and it moves the epoch
+/// past `e` first, so the probe's final re-check (rule 2) already sends it to
+/// the walk. Validators therefore register nowhere, and a due reset always
+/// runs.
 #[derive(Debug)]
 pub struct RingSummary {
     /// OR of every signature published since the last reset, stored as whole
@@ -456,8 +446,6 @@ pub struct RingSummary {
     resetting: AtomicU64,
     /// The density rule.
     tuning: SummaryTuning,
-    /// Per-thread epoch pins.
-    pins: EpochRegistry,
     /// Highest commit timestamp whose publish has *completed its fold* into
     /// `words` (recorded by [`RingSummary::complete_publish_masked`] just
     /// before it bumps `completed`; monotone). A validator whose clean probe
@@ -492,7 +480,6 @@ impl RingSummary {
             since_reset: AtomicU64::new(0),
             resetting: AtomicU64::new(0),
             tuning,
-            pins: EpochRegistry::new(),
             folded_ts: AtomicU64::new(0),
             live_bits: covered * 64,
             spec,
@@ -509,34 +496,6 @@ impl RingSummary {
     #[inline]
     fn bank_lines(&self, bank: usize) -> &[BankLine] {
         &self.lines[bank * self.lines_per_bank..(bank + 1) * self.lines_per_bank]
-    }
-
-    /// Pin `tid` to the current epoch (hazard-pointer handshake: publish the
-    /// pin, then confirm the epoch did not move; retry if it did). Returns the
-    /// pinned epoch. Long-running readers may hold a pin across several probes
-    /// — resets defer rather than invalidate them — but MUST
-    /// [`RingSummary::unpin`] promptly or shard resets starve into
-    /// [`ResetAttempt::Deferred`] forever.
-    pub fn pin_epoch(&self, tid: usize) -> u64 {
-        loop {
-            let e = self.gen.load(SeqCst);
-            self.pins.set(tid, e);
-            if self.gen.load(SeqCst) == e {
-                return e;
-            }
-        }
-    }
-
-    /// Drop `tid`'s epoch pin.
-    pub fn unpin(&self, tid: usize) {
-        self.pins.clear(tid);
-    }
-
-    /// The pin registry, exposed so crate-internal tests can plant a stale pin
-    /// (simulating a reader caught mid-probe across a flip).
-    #[cfg(test)]
-    pub(crate) fn pins_for_tests(&self) -> &EpochRegistry {
-        &self.pins
     }
 
     /// Announce a publish whose timestamp is about to become visible. Every
@@ -617,12 +576,11 @@ impl RingSummary {
     /// nothing published after `start_time` (with `ts` the timestamp the caller may
     /// advance to), `Err` with the miss cause when the precise walk must decide.
     /// `read_ts` reads the ring timestamp; it is taken as a closure because the
-    /// timestamp lives in the simulated heap while the summary does not. `tid`'s
-    /// epoch pin is held for the duration (resets defer around the pin instead of
-    /// invalidating the probe); the executors feed the miss cause into `TmStats`.
+    /// timestamp lives in the simulated heap while the summary does not. The
+    /// executors feed the miss cause into `TmStats`.
     ///
-    /// Read order is load-bearing (see the type-level docs): `completed` first,
-    /// epoch + reset window, the timestamp, the summary words, then
+    /// Read order is load-bearing (see the type-level docs): the epoch,
+    /// `completed`, the reset window, the timestamp, the summary words, then
     /// `started` and the epoch again. Equality of the two counters
     /// proves every publish visible in `ts` had completed before the first read —
     /// and was therefore either in the bank words read afterwards, or dropped by
@@ -634,31 +592,18 @@ impl RingSummary {
     /// epoch moved, which the re-check turns into a fallback.
     pub fn try_fast_pass_at(
         &self,
-        tid: usize,
         read_sig: &Sig,
         start_time: u64,
         read_ts: impl FnOnce() -> u64,
     ) -> Result<u64, FastMiss> {
-        self.probe(tid, |e| self.fast_pass_epoch(e, read_sig, start_time, read_ts))
+        self.fast_pass_epoch(self.gen.load(SeqCst), read_sig, start_time, read_ts)
     }
 
-    /// Run `pass` against the current epoch, pinned in the registry for `tid`
-    /// for the duration.
-    fn probe(
-        &self,
-        tid: usize,
-        pass: impl FnOnce(u64) -> Result<u64, FastMiss>,
-    ) -> Result<u64, FastMiss> {
-        let res = pass(self.pin_epoch(tid));
-        self.unpin(tid);
-        res
-    }
-
-    /// The fast pass against the bank of pinned epoch `e`. There is no "reset
-    /// in progress" bail-out: a concurrent reset clears the *retired* bank,
-    /// not the one this probe reads, so validators keep deciding at full speed
-    /// for the whole clear and only a probe that actually straddles the flip
-    /// (final `gen != e`) falls back.
+    /// The fast pass against the bank of epoch `e`, read by the caller before
+    /// anything else. There is no "reset in progress" bail-out: a concurrent
+    /// reset clears the *retired* bank, not the one this probe reads, so
+    /// validators keep deciding at full speed for the whole clear and only a
+    /// probe that actually straddles the flip (final `gen != e`) falls back.
     fn fast_pass_epoch(
         &self,
         e: u64,
@@ -703,8 +648,8 @@ impl RingSummary {
     /// Timestamp-free variant of [`RingSummary::try_fast_pass_at`]: `Ok(adv)`
     /// when `read_sig` provably collides with no entry published after
     /// `start_time`, with `adv` a timestamp the caller may advance its window
-    /// to (possibly below `start_time`; take the max). `tid`'s epoch pin is
-    /// held across the probe, and a miss reports its cause.
+    /// to (possibly below `start_time`; take the max). A miss reports its
+    /// cause.
     ///
     /// Because the ring timestamp is never read, the probe touches only the
     /// host-side summary atomics — no simulated-heap access at all. Two ways
@@ -727,16 +672,11 @@ impl RingSummary {
     ///
     /// In both cases a reset inside the window is rejected by the
     /// `start_time >= reset_ts` check, exactly as in the fast pass.
-    pub fn clean_since_at(
-        &self,
-        tid: usize,
-        read_sig: &Sig,
-        start_time: u64,
-    ) -> Result<u64, FastMiss> {
-        self.probe(tid, |e| self.clean_since_epoch(e, read_sig, start_time))
+    pub fn clean_since_at(&self, read_sig: &Sig, start_time: u64) -> Result<u64, FastMiss> {
+        self.clean_since_epoch(self.gen.load(SeqCst), read_sig, start_time)
     }
 
-    /// The clean probe against pinned epoch `e`'s bank; same structure
+    /// The clean probe against epoch `e`'s bank; same structure
     /// as [`RingSummary::fast_pass_epoch`] with the fold watermark in place of
     /// the ring timestamp.
     fn clean_since_epoch(&self, e: u64, read_sig: &Sig, start_time: u64) -> Result<u64, FastMiss> {
@@ -773,14 +713,12 @@ impl RingSummary {
     }
 
     /// Attempt a reset: pacing-interval gate, resetter guard, density check,
-    /// then the reset protocol. `read_ts` reads the owning ring's timestamp (a
-    /// closure because the timestamp lives in the simulated heap while the
-    /// summary does not).
+    /// then the reset protocol. Returns whether it reset. `read_ts` reads the
+    /// owning ring's timestamp (a closure because the timestamp lives in the
+    /// simulated heap while the summary does not).
     ///
-    /// **The protocol** (two banks): if any registry pin is older than the
-    /// current epoch the reset returns [`ResetAttempt::Deferred`] — the
-    /// grace-period rule; nobody blocks. Otherwise the *retired* bank (the one
-    /// validators are not reading) is cleared off to the side, its `reset_ts`
+    /// **The protocol** (two banks): the *retired* bank (the one validators
+    /// of the current epoch are not reading) is cleared off to the side, its `reset_ts`
     /// slot set from a timestamp read after the clear, and only then does the
     /// epoch flip make it current — validators and publishers run at full
     /// speed throughout, and the only ones that fall back are probes straddling
@@ -790,31 +728,25 @@ impl RingSummary {
     /// re-folds into the current bank), so its timestamp was visible before the
     /// post-clear `reset_ts` read, and `start_time >= reset_ts[bank]` excludes
     /// it from every window the flipped bank will ever vouch for.
-    pub fn maybe_reset_with(&self, read_ts: impl FnOnce() -> u64) -> ResetAttempt {
+    pub fn maybe_reset_with(&self, read_ts: impl FnOnce() -> u64) -> bool {
         if self.since_reset.load(SeqCst) < self.tuning.check_interval {
-            return ResetAttempt::Idle;
+            return false;
         }
         if self
             .resetting
             .compare_exchange(0, 1, SeqCst, SeqCst)
             .is_err()
         {
-            return ResetAttempt::Idle;
+            return false;
         }
         if !self.density_exceeded() {
             // Below threshold: restart the pacing interval so the popcount is
             // not repeated on every subsequent commit.
             self.since_reset.store(0, SeqCst);
             self.resetting.store(0, SeqCst);
-            return ResetAttempt::Idle;
+            return false;
         }
         let e = self.gen.load(SeqCst);
-        if !self.pins.drained(e) {
-            // Grace period: a reader is still pinned to the bank this
-            // reset would clear. Defer; the next committer retries.
-            self.resetting.store(0, SeqCst);
-            return ResetAttempt::Deferred;
-        }
         let retired = ((e + 1) & 1) as usize;
         for i in 0..self.spec.words() as usize {
             self.word(retired, i).store(0, SeqCst);
@@ -830,7 +762,7 @@ impl RingSummary {
         // fetch_add — only the guarded resetter ever moves the epoch.
         self.gen.store(e + 1, SeqCst);
         self.resetting.store(0, SeqCst);
-        ResetAttempt::Done
+        true
     }
 
     /// Snapshot of the current bank's summary bits (diagnostics and tests).
@@ -1050,11 +982,11 @@ mod tests {
         let rsig = sig_of(&[2000]);
         assert_eq!(ring.validate_nt(&th, &rsig, 0), Err(RingValidationError::Rollover));
         assert_eq!(
-            summary.try_fast_pass_at(0, &rsig, 0, || ring.timestamp_nt(&th)),
+            summary.try_fast_pass_at(&rsig, 0, || ring.timestamp_nt(&th)),
             Ok(20),
             "summary pass avoids the spurious rollover abort"
         );
-        assert_eq!(summary.clean_since_at(0, &rsig, 0), Ok(20));
+        assert_eq!(summary.clean_since_at(&rsig, 0), Ok(20));
     }
 
     #[test]
@@ -1069,15 +1001,15 @@ mod tests {
         let summary = sums.shard(0);
         let rok = sig_of(&[4242]);
         assert!(!rok.intersects(&s));
-        assert_eq!(summary.try_fast_pass_at(0, &rok, 0, || 1), Err(FastMiss::Inflight));
+        assert_eq!(summary.try_fast_pass_at(&rok, 0, || 1), Err(FastMiss::Inflight));
         sh.complete_publish(&s, mask, &times, &sums);
         assert_eq!(times.get(0), 1);
         assert!(summary.snapshot().contains(777));
         // A reader of 777 must not fast-pass; a disjoint one must.
         let rbad = sig_of(&[777]);
-        assert_eq!(summary.try_fast_pass_at(0, &rbad, 0, || 1), Err(FastMiss::Dirty));
-        assert_eq!(summary.try_fast_pass_at(0, &rok, 0, || 1), Ok(1));
-        assert_eq!(summary.clean_since_at(0, &rok, 0), Ok(1));
+        assert_eq!(summary.try_fast_pass_at(&rbad, 0, || 1), Err(FastMiss::Dirty));
+        assert_eq!(summary.try_fast_pass_at(&rok, 0, || 1), Ok(1));
+        assert_eq!(summary.clean_since_at(&rok, 0), Ok(1));
     }
 
     // ---- resets ----
@@ -1102,7 +1034,7 @@ mod tests {
         saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
         assert!(summary.density_exceeded());
         assert_eq!(summary.gen.load(SeqCst), 0);
-        assert_eq!(reset(), ResetAttempt::Done);
+        assert!(reset());
         assert_eq!(summary.gen.load(SeqCst), 1, "reset flips the epoch");
         assert!(summary.snapshot().is_empty(), "the new current bank is clean");
         let rts = ring.timestamp_nt(&th);
@@ -1110,41 +1042,72 @@ mod tests {
         // A validator that started before the flip must not fast-pass on the
         // new bank; one at/after the reset timestamp may.
         let rsig = sig_of(&[1]);
-        assert_eq!(summary.try_fast_pass_at(0, &rsig, rts - 1, || rts), Err(FastMiss::Inflight));
-        assert_eq!(summary.clean_since_at(0, &rsig, rts - 1), Err(FastMiss::Inflight));
-        assert_eq!(summary.try_fast_pass_at(0, &rsig, rts, || rts), Ok(rts));
+        assert_eq!(summary.try_fast_pass_at(&rsig, rts - 1, || rts), Err(FastMiss::Inflight));
+        assert_eq!(summary.clean_since_at(&rsig, rts - 1), Err(FastMiss::Inflight));
+        assert_eq!(summary.try_fast_pass_at(&rsig, rts, || rts), Ok(rts));
         // A second reset attempt is a no-op until the interval elapses again.
-        assert_eq!(reset(), ResetAttempt::Idle);
+        assert!(!reset());
         // Publishes after the flip fold into the new current bank.
         sh.publish_software_summarized(&th, &sig_of(&[31_337]), &sums);
         assert!(summary.snapshot().contains(31_337));
     }
 
     #[test]
-    fn epoch_reset_defers_while_a_reader_is_pinned() {
+    fn probe_whose_bank_is_cleared_mid_probe_falls_back() {
         let (sys, sh, sums) = one_shard(4096);
         let th = sys.thread(0);
         let (ring, summary) = (sh.shard(0), sums.shard(0));
-        let reset = || summary.maybe_reset_with(|| ring.timestamp_nt(&th));
+        let start = ring.timestamp_nt(&th);
+        let rsig = sig_of(&[31_337]);
+        // The timestamp read happens mid-probe, after the probe took its
+        // epoch (0) and `completed`: saturate and reset twice there, so the
+        // second reset clears bank 0, the bank the probe then reads, and the
+        // window holds a publish of the reader's own address.
+        let res = summary.try_fast_pass_at(&rsig, start, || {
+            sh.publish_software_summarized(&th, &rsig, &sums);
+            for _ in 0..2 {
+                saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
+                assert!(summary.maybe_reset_with(|| ring.timestamp_nt(&th)));
+            }
+            ring.timestamp_nt(&th)
+        });
+        assert_eq!(summary.gen.load(SeqCst), 2, "both resets ran");
+        assert_eq!(res, Err(FastMiss::Inflight));
+        assert_eq!(
+            sh.shard(0).validate_nt(&th, &rsig, start),
+            Err(RingValidationError::Invalid),
+            "the window holds a real conflict"
+        );
+    }
+
+    /// A probe that read epoch `e`, then saw a flip and a publish fold into
+    /// the new bank before it read `completed`: the counters balance and the
+    /// probed bank lacks the publish's bits, so only the final epoch
+    /// re-check sends it to the walk. Replayed by handing the stale epoch to
+    /// the pass directly, for both fast passes.
+    #[test]
+    fn flip_between_epoch_and_counter_reads_is_caught_by_the_final_recheck() {
+        let (sys, sh, sums) = one_shard(4096);
+        let th = sys.thread(0);
+        let (ring, summary) = (sh.shard(0), sums.shard(0));
         saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
-        // A pin at the *current* epoch never blocks: the reset clears the
-        // retired bank, which that reader is not probing.
-        let e = summary.pin_epoch(7);
-        assert_eq!(e, 0);
-        assert_eq!(reset(), ResetAttempt::Done);
-        assert_eq!(summary.gen.load(SeqCst), 1);
-        // Simulate a long-running reader that pinned before the flip and is
-        // still mid-probe on the old bank (pin_epoch would re-pin at 1, so
-        // plant the stale pin directly). The next reset would clear exactly
-        // that bank, so it must defer — without blocking anyone.
-        summary.pins.set(7, 0);
-        saturate(&sh, &th, &sums, SUMMARY_CHECK_INTERVAL + 10);
-        assert_eq!(reset(), ResetAttempt::Deferred);
-        assert_eq!(summary.gen.load(SeqCst), 1, "no flip under a stale pin");
-        // The reader finishes and unpins: the deferred reset now proceeds.
-        summary.unpin(7);
-        assert_eq!(reset(), ResetAttempt::Done);
-        assert_eq!(summary.gen.load(SeqCst), 2);
+        let old = summary.snapshot();
+        let a = (0u32..).find(|&a| !old.intersects(&sig_of(&[a]))).unwrap();
+        let rsig = sig_of(&[a]);
+        let e = summary.gen.load(SeqCst);
+        assert!(summary.maybe_reset_with(|| ring.timestamp_nt(&th)));
+        let start = ring.timestamp_nt(&th);
+        sh.publish_software_summarized(&th, &rsig, &sums);
+        let ts = ring.timestamp_nt(&th);
+        assert_eq!(sh.shard(0).validate_nt(&th, &rsig, start), Err(RingValidationError::Invalid));
+        assert_eq!(
+            summary.fast_pass_epoch(e, &rsig, start, || ts),
+            Err(FastMiss::Inflight)
+        );
+        assert_eq!(summary.clean_since_epoch(e, &rsig, start), Err(FastMiss::Inflight));
+        // At the current epoch both passes see the publish's bits.
+        assert_eq!(summary.try_fast_pass_at(&rsig, start, || ts), Err(FastMiss::Dirty));
+        assert_eq!(summary.clean_since_at(&rsig, start), Err(FastMiss::Dirty));
     }
 
     #[test]
@@ -1153,10 +1116,9 @@ mod tests {
         summary.begin_publish();
         // A publish is in flight (announced, not completed): nobody may fast-pass.
         let rsig = sig_of(&[1]);
-        assert_eq!(summary.try_fast_pass_at(0, &rsig, 0, || 5), Err(FastMiss::Inflight));
-        assert_eq!(summary.pins.pinned(0), None, "probe unpins on exit");
+        assert_eq!(summary.try_fast_pass_at(&rsig, 0, || 5), Err(FastMiss::Inflight));
         summary.cancel_publish();
-        assert_eq!(summary.try_fast_pass_at(0, &rsig, 0, || 5), Ok(5));
+        assert_eq!(summary.try_fast_pass_at(&rsig, 0, || 5), Ok(5));
     }
 
     #[test]
@@ -1165,9 +1127,9 @@ mod tests {
         summary.begin_publish();
         summary.complete_publish_masked(&sig_of(&[1000]), u64::MAX, 1);
         let rbad = sig_of(&[1000]);
-        assert_eq!(summary.try_fast_pass_at(0, &rbad, 0, || 1), Err(FastMiss::Dirty));
+        assert_eq!(summary.try_fast_pass_at(&rbad, 0, || 1), Err(FastMiss::Dirty));
         assert_eq!(
-            summary.clean_since_at(0, &rbad, 0),
+            summary.clean_since_at(&rbad, 0),
             Err(FastMiss::Dirty),
             "the timestamp-free probe classifies the same way"
         );

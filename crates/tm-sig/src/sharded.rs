@@ -27,9 +27,7 @@
 use htm_sim::abort::TxResult;
 use htm_sim::{HeapBuilder, HtmThread, HtmTx};
 
-use crate::ring::{
-    FastMiss, ResetAttempt, Ring, RingSummary, RingValidationError, SummaryTuning,
-};
+use crate::ring::{FastMiss, Ring, RingSummary, RingValidationError, SummaryTuning};
 use crate::sig::Sig;
 use crate::spec::SigSpec;
 
@@ -84,17 +82,6 @@ pub struct ShardedValidation {
     /// (publisher mid-flight or reset churn; a denser-reset policy would not
     /// have prevented the walk).
     pub inflight_shards: u32,
-}
-
-/// Totals of one [`ShardedRing::maybe_reset_summaries`] sweep, split the way
-/// the executors' statistics want them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SummaryResetStats {
-    /// Shards whose summary was reset (each reset retires one epoch bank).
-    pub resets: u64,
-    /// Due resets deferred because a validator was pinned to an older epoch
-    /// (the grace-period rule).
-    pub pinned_stalls: u64,
 }
 
 /// Iterate the set bit positions of a shard mask, ascending.
@@ -375,7 +362,6 @@ impl ShardedRing {
         times: &mut ShardTimes,
     ) -> ShardedValidation {
         let smask = self.shard_mask(read_sig);
-        let tid = th.id() as usize;
         let mut v = ShardedValidation {
             result: Ok(()),
             fast_shards: 0,
@@ -388,9 +374,8 @@ impl ShardedRing {
                 times.t[s] = ring.timestamp_nt(th);
                 continue;
             }
-            match summaries.shards[s].try_fast_pass_at(tid, read_sig, times.t[s], || {
-                ring.timestamp_nt(th)
-            }) {
+            let sum = &summaries.shards[s];
+            match sum.try_fast_pass_at(read_sig, times.t[s], || ring.timestamp_nt(th)) {
                 Ok(ts) => {
                     times.t[s] = ts;
                     v.fast_shards |= 1 << s;
@@ -423,8 +408,8 @@ impl ShardedRing {
     /// window start validation needs if `read_sig` later grows a bit there.
     ///
     /// Each touched shard, ascending, runs one fast pass,
-    /// [`RingSummary::clean_since_at`] (which pins the probed epoch and
-    /// reports the miss cause), and on a miss that shard's precise entry walk
+    /// [`RingSummary::clean_since_at`] (which reports the miss cause), and on
+    /// a miss that shard's precise entry walk
     /// before the next shard is probed. A clean probe never reads the shard
     /// timestamp — the window advances to the fold-completion watermark (a
     /// host-side atomic) — so the common no-conflict case touches no
@@ -437,7 +422,6 @@ impl ShardedRing {
         times: &mut ShardTimes,
     ) -> ShardedValidation {
         let smask = self.shard_mask(read_sig);
-        let tid = th.id() as usize;
         let mut v = ShardedValidation {
             result: Ok(()),
             fast_shards: 0,
@@ -446,7 +430,7 @@ impl ShardedRing {
             inflight_shards: 0,
         };
         for s in bits(smask) {
-            match summaries.shards[s].clean_since_at(tid, read_sig, times.t[s]) {
+            match summaries.shards[s].clean_since_at(read_sig, times.t[s]) {
                 Ok(adv) => {
                     times.t[s] = times.t[s].max(adv);
                     v.fast_shards |= 1 << s;
@@ -468,21 +452,13 @@ impl ShardedRing {
     }
 
     /// Run the density check on every shard summary and reset those that want
-    /// it (see [`RingSummary::maybe_reset_with`]).
-    pub fn maybe_reset_summaries(
-        &self,
-        th: &HtmThread<'_>,
-        summaries: &ShardedSummary,
-    ) -> SummaryResetStats {
-        let mut stats = SummaryResetStats::default();
-        for (ring, sum) in self.shards.iter().zip(&summaries.shards) {
-            match sum.maybe_reset_with(|| ring.timestamp_nt(th)) {
-                ResetAttempt::Done => stats.resets += 1,
-                ResetAttempt::Deferred => stats.pinned_stalls += 1,
-                ResetAttempt::Idle => {}
-            }
-        }
-        stats
+    /// it (see [`RingSummary::maybe_reset_with`]). Returns how many reset.
+    pub fn maybe_reset_summaries(&self, th: &HtmThread<'_>, summaries: &ShardedSummary) -> u64 {
+        self.shards
+            .iter()
+            .zip(&summaries.shards)
+            .filter(|(ring, sum)| sum.maybe_reset_with(|| ring.timestamp_nt(th)))
+            .count() as u64
     }
 
     /// Build the matching host-side summary set: one word-range-masked
@@ -882,9 +858,7 @@ mod tests {
             ring.publish_software_summarized(&th, &sig, &summaries);
         }
         let reset_ts = ring.shard(2).timestamp_nt(&th);
-        let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert!(stats.resets >= 1);
-        assert_eq!(stats.pinned_stalls, 0);
+        assert!(ring.maybe_reset_summaries(&th, &summaries) >= 1);
         assert!(summaries.shard(2).snapshot().is_empty());
         let mut rsig = Sig::new(ring.spec());
         rsig.add(addr_in_shard(&ring, 2, 123));
@@ -901,38 +875,5 @@ mod tests {
         let v = ring.validate_touched_nt(&th, &summaries, &rsig, &mut times);
         assert_eq!(v.result, Ok(()));
         assert_eq!(v.walked_shards, 0);
-    }
-
-    #[test]
-    fn stale_pin_defers_sharded_reset_and_counts_stall() {
-        let (sys, ring, summaries) = setup(8, 256);
-        let th = sys.thread(0);
-        let mut sig = Sig::new(ring.spec());
-        // Saturate shard 2 past the density threshold.
-        for i in 0..300u32 {
-            sig.clear();
-            sig.add(addr_in_shard(&ring, 2, i * 4099));
-            ring.publish_software_summarized(&th, &sig, &summaries);
-        }
-        // First reset flips shard 2's summary to epoch 1.
-        let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert!(stats.resets >= 1);
-        assert_eq!(summaries.shard(2).pin_epoch(0), 1);
-        summaries.shard(2).unpin(0);
-        // Saturate again, then pin a reader to the *old* epoch 0 (a validator
-        // still mid-probe from before the flip): the due reset must defer.
-        for i in 0..300u32 {
-            sig.clear();
-            sig.add(addr_in_shard(&ring, 2, 7 + i * 4099));
-            ring.publish_software_summarized(&th, &sig, &summaries);
-        }
-        summaries.shard(2).pins_for_tests().set(9, 0);
-        let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert_eq!(stats.resets, 0);
-        assert!(stats.pinned_stalls >= 1, "stale pin defers the reset");
-        // Unpin: the next sweep retires the bank.
-        summaries.shard(2).pins_for_tests().clear(9);
-        let stats = ring.maybe_reset_summaries(&th, &summaries);
-        assert!(stats.resets >= 1);
     }
 }

@@ -71,7 +71,7 @@ fn validate_one_shard(
 /// hardware publisher commit three-address signatures through a `shards`-shard
 /// ring (no rollover) while a validator runs `validate` 400 times — and, when
 /// `tuning` is given, a resetter hammers [`ShardedRing::maybe_reset_summaries`]
-/// under it so bank flips race the validator's pins. Every publish deposits its
+/// under it so bank flips race the validator's probes. Every publish deposits its
 /// signature in per-shard shadow tables keyed by that shard's commit timestamp.
 /// Whenever the validator's fast pass admits a window in a shard, every
 /// signature published in that window must be disjoint from the read signature
@@ -376,9 +376,8 @@ proptest! {
 
     /// Ground truth for the fast passes on one shard, the summary production
     /// runs for a `ring_shards: 1` runtime: alternate validations go through
-    /// [`ShardedRing::validate_summarized_nt`] (the pinned
-    /// `RingSummary::try_fast_pass_at`) and [`ShardedRing::validate_touched_nt`]
-    /// (the pinned `RingSummary::clean_since_at`).
+    /// [`ShardedRing::validate_summarized_nt`] (`RingSummary::try_fast_pass_at`)
+    /// and [`ShardedRing::validate_touched_nt`] (`RingSummary::clean_since_at`).
     #[test]
     fn summary_fast_path_never_admits_a_conflict(seed in 0u64..(1 << 48)) {
         fast_pass_never_admits_a_conflict(seed, 1, None, |i, ring, th, sums, rsig, times| {

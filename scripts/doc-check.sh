@@ -28,7 +28,9 @@
 #      transactional `HeapSig` accessors, or of a deleted duplicate or unset
 #      knob: NOrecRH's copied read context, HTM-GL's copy of the raw hardware
 #      context, the optional L2 read model, tm-server's stats-dump options and
-#      the write-only STM abort counter.
+#      the write-only STM abort counter; nor, with the first exceptions, an
+#      identifier of the summary's deleted epoch-pin registry, its deferred
+#      reset and stall counter, or the line table's stale-writer cleanup.
 #
 # Stale references were how the docs drifted before this gate existed (the
 # pre-split `AbortCode::Other` taxonomy survived two PRs in DESIGN.md).
@@ -165,6 +167,8 @@ summary+='|\bmaybe_reset_summar[y]\b|RingSummary::with_tunin[g]|RingSummary::try
 summary+='|\bunion_from_t[x]\b|\bintersects_masked_t[x]\b|\bcontains_t[x]\b'
 knobs='\bRhStmCt[x]\b|\bPureHtmCt[x]\b|\bl2_set[s]\b|\bl2_way[s]\b|\bforget_lin[e]\b'
 knobs+='|\bstats_dum[p]\b|\bstats_ever[y]\b|\bstats_stdou[t]\b|\bstm_abort[s]\b'
+pins='\bEpochRegistr[y]\b|\bMAX_EPOCH_THREAD[S]\b|\bpin_epoc[h]\b|\bpins_for_test[s]\b'
+pins+='|\b(epoch_)?pinned_stall[s]\b|ResetAttempt::Deferre[d]\b|\bclear_stale_write[r]\b'
 # One scan of every non-exempt line as `file:line: text`; ROADMAP.md is exempt
 # from the stretch/suspend identifiers only.
 while IFS= read -r hit; do
@@ -174,6 +178,8 @@ while IFS= read -r hit; do
     err "retired ring-summary identifier: ${hit:0:160}"
   elif grep -qE "$knobs" <<<"$hit"; then
     err "retired duplicate or unset knob: ${hit:0:160}"
+  elif grep -qE "$pins" <<<"$hit"; then
+    err "retired epoch-pin or stale-writer identifier: ${hit:0:160}"
   elif [[ $hit != ROADMAP.md:* ]]; then
     err "retired stretch/suspend identifier: ${hit:0:160}"
   fi
@@ -182,7 +188,7 @@ done < <(git ls-files -co --exclude-standard -- . ':!CHANGES.md' ':!ISSUE.md' ':
     /bench-history:begin/ { skip = 1 }
     /bench-history:end/ { skip = 0 }
     !skip { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
-  ' | grep -E "$retired|$stretch|$summary|$knobs" || true)
+  ' | grep -E "$retired|$stretch|$summary|$knobs|$pins" || true)
 
 if [ "$fail" -ne 0 ]; then
   echo "doc-check: FAILED" >&2

@@ -371,28 +371,31 @@ fn mixed_conserves_money<'r, E: TmExecutor<'r>>(
         Some(spec) => run_threads_virtual::<E, _, _>(rt, THREADS, OPS, spec, factory).0,
     };
     let total: u64 = (0..ACCOUNTS).map(|i| rt.verify_read(i * 8)).sum();
+    // Every failure prints the run's counters, so a rare OS-thread failure
+    // says which paths the run took.
+    let counters = format!("\n  tm {:?}\n  hw {:?}", r.tm, r.hw);
     assert_eq!(
         total,
         ACCOUNTS as u64 * INITIAL,
-        "{} ({clock}) lost or created money",
+        "{} ({clock}) lost or created money{counters}",
         r.algo
     );
-    assert_eq!(r.commits, (THREADS * OPS) as u64);
-    assert!(r.tm.commits_gl > 0, "{} ({clock}): no lock commit", r.algo);
-    assert!(r.tm.commits_htm > 0, "{} ({clock}): no fast commit", r.algo);
+    assert_eq!(r.commits, (THREADS * OPS) as u64, "{}{counters}", r.algo);
+    assert!(r.tm.commits_gl > 0, "{} ({clock}): no lock commit{counters}", r.algo);
+    assert!(r.tm.commits_htm > 0, "{} ({clock}): no fast commit{counters}", r.algo);
     assert_eq!(
         r.tm.commits_subhtm > 0,
         partitions,
-        "{} ({clock}): partitioned commits {}",
+        "{} ({clock}): partitioned commits {}{counters}",
         r.algo,
         r.tm.commits_subhtm
     );
     let sys = rt.system();
-    assert_eq!(sys.nt_read(rt.gate()), 0, "{}: gate leaked", r.algo);
+    assert_eq!(sys.nt_read(rt.gate()), 0, "{}: gate leaked{counters}", r.algo);
     assert_eq!(
         sys.live_line_entries(),
         0,
-        "{} ({clock}): a line-table entry leaked",
+        "{} ({clock}): a line-table entry leaked{counters}",
         r.algo
     );
 }
