@@ -110,8 +110,11 @@ pub fn hw_attempt<W: Workload, R>(
 /// of `attempt`. The first starts at once — its subscription of the global
 /// lock is the check — and only a retry waits for the lock's release first
 /// (the anti-lemming rule). Returns the first commit or resource failure, or
-/// the last abort once the budget is spent. Shared by Part-HTM, Part-HTM-O,
-/// HTM-GL and SpHT's fast path, so every one pays the same entry price.
+/// the last abort once the budget is spent. An [`XABORT_NOT_QUIET`] abort
+/// reaches the loop only when `attempt` chose to leave the fast path for the
+/// partitioned one, so it is returned at once without spending a retry.
+/// Shared by Part-HTM, Part-HTM-O, HTM-GL and SpHT's fast path, so every one
+/// pays the same entry price.
 pub fn fast_retries<'r>(
     th: &mut TmThread<'r>,
     mut attempt: impl FnMut(&mut TmThread<'r>) -> Result<(), AbortCode>,
@@ -120,7 +123,7 @@ pub fn fast_retries<'r>(
     loop {
         let res = attempt(th);
         match res {
-            Err(code) if !code.is_resource_failure() => {
+            Err(code) if !code.is_resource_failure() && code != NOT_QUIET => {
                 fails += 1;
                 if fails >= FAST_RETRIES {
                     return res;
@@ -405,21 +408,44 @@ pub struct PartExec<'r, V: Variant> {
     v: V,
 }
 
-/// One fast-path attempt of Part-HTM (§5.2): the quiet attempt, then — if a
-/// partitioned-path transaction was active — the instrumented one.
-///
-/// The *quiet* attempt finds the whole gate zero: with no partitioned-path
-/// transaction counted, the signatures, the lock checks and the ring publish —
-/// which exist solely to coordinate with sub-HTM transactions — are
-/// unnecessary and the fast path is pure HTM plus one subscription, HTM-GL's
-/// price. Sound because locks (signature or embedded) are only held and the
-/// ring is only consulted while the count is above zero (release precedes the
+/// The quiet attempt's abort when partitioned peers are counted on the gate.
+const NOT_QUIET: AbortCode = AbortCode::Explicit(XABORT_NOT_QUIET);
+
+/// The *quiet* fast attempt of Part-HTM (§5.2): the whole transaction as pure
+/// HTM plus one subscription of the gate, which it finds zero. With no
+/// partitioned-path transaction counted, the signatures, the lock checks and
+/// the ring publish — which exist solely to coordinate with sub-HTM
+/// transactions — are unnecessary, and the fast path costs HTM-GL's price.
+/// Sound because locks (signature or embedded) are only held and the ring is
+/// only consulted while the count is above zero (release precedes the
 /// decrement), and any change to the subscribed gate dooms the hardware
-/// transaction. With the count above zero the quiet attempt aborts after that
-/// one access and the instrumented attempt runs at once. The instrumented
-/// attempt subscribes the same word, so a peer's partitioned begin or end
-/// dooms it too.
-fn fast_attempt<V: Variant, W: Workload>(
+/// transaction. With the count above zero it aborts with `NOT_QUIET` after
+/// that one access.
+///
+/// `done` counts the declared segments the attempt completed: after a
+/// resource failure, a footprint that fits in hardware without metadata
+/// ([`crate::planner::SiteSlot::seed_plan`]).
+fn quiet_attempt<W: Workload>(
+    th: &mut TmThread<'_>,
+    w: &mut W,
+    done: &mut u32,
+) -> Result<(), AbortCode> {
+    *done = 0;
+    hw_attempt(th, w, true, |tx, w| {
+        let mut ctx = RawCtx { tx };
+        for seg in 0..w.segments() {
+            w.segment(seg, &mut ctx)?;
+            *done += 1;
+        }
+        Ok(())
+    })
+}
+
+/// The *instrumented* fast attempt of Part-HTM (Fig. 1 lines 1–15, Fig. 2
+/// lines 1–15), run when the quiet attempt found partitioned peers counted:
+/// signatures, the variant's lock check and the ring publish. It subscribes
+/// the same gate word, so a peer's partitioned begin or end dooms it too.
+fn instrumented_attempt<V: Variant, W: Workload>(
     th: &mut TmThread<'_>,
     a: ThreadArena,
     rmir: &mut Sig,
@@ -428,10 +454,6 @@ fn fast_attempt<V: Variant, W: Workload>(
     w: &mut W,
 ) -> Result<(), AbortCode> {
     let rt = th.rt;
-    match hw_attempt(th, w, true, |tx, w| run_all(w, &mut RawCtx { tx })) {
-        Err(AbortCode::Explicit(XABORT_NOT_QUIET)) => {} // re-run instrumented
-        other => return other,
-    }
     // Fig. 1 lines 14–15 clear the local signatures after the commit; the
     // mirrors are only read again after the next clear, so clearing at
     // begin covers commits and aborts alike.
@@ -472,6 +494,15 @@ fn fast_attempt<V: Variant, W: Workload>(
         }
     }
     res
+}
+
+/// More than one declared segment runs in hardware: the partitioned path has
+/// something to split.
+fn partitionable<W: Workload>(w: &W) -> bool {
+    (0..w.segments())
+        .filter(|&s| !w.software_segment(s))
+        .nth(1)
+        .is_some()
 }
 
 impl<'r, V: Variant> PartExec<'r, V> {
@@ -762,12 +793,28 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
             return self.fall_back(w);
         }
         if route == FastRoute::Attempt {
-            // The whole transaction as one hardware transaction (§5.2).
+            // The whole transaction as one hardware transaction (§5.2): the
+            // quiet attempt, then — if partitioned peers are counted — the
+            // instrumented one. A partitionable transaction whose site has
+            // failed for resources recently skips the instrumented attempt
+            // and leaves for the partitioned path: the gate word would doom
+            // it at the next partitioned begin or end, and its footprint
+            // would most likely fail it anyway.
             let (a, rmir, wmir, v) = (self.arena, &mut self.rmir, &mut self.wmir, &mut self.v);
-            match fast_retries(&mut self.th, |th| fast_attempt(th, a, rmir, wmir, v, w)) {
+            let mut done = 0;
+            let res = fast_retries(&mut self.th, |th| match quiet_attempt(th, w, &mut done) {
+                Err(NOT_QUIET) if slot.resource_ewma() > 0 && partitionable(w) => Err(NOT_QUIET),
+                Err(NOT_QUIET) => instrumented_attempt(th, a, rmir, wmir, v, w),
+                other => other,
+            });
+            match res {
                 Ok(()) => {
                     slot.record_fast_exit(FastExit::Commit);
                     return self.committed(w, CommitPath::Htm);
+                }
+                Err(NOT_QUIET) => {
+                    slot.record_routed_exit();
+                    self.th.stats.fallbacks_partitioned += 1;
                 }
                 Err(code) if code.is_resource_failure() => {
                     // Capacity or quantum: this is the class Part-HTM exists
@@ -775,6 +822,11 @@ impl<'r, V: Variant> TmExecutor<'r> for PartExec<'r, V> {
                     slot.record_fast_exit(FastExit::Resource);
                     if one_segment {
                         return self.fall_back(w);
+                    }
+                    // The segments a failed quiet attempt completed fit in
+                    // hardware: an unlearned site plans from them.
+                    if cfg.plan_group.is_none() {
+                        slot.seed_plan(done);
                     }
                     self.th.stats.fallbacks_partitioned += 1;
                 }
@@ -829,6 +881,7 @@ mod tests {
     use super::*;
     use crate::opaque::Opaque;
     use crate::parthtm::Serializable;
+    use crate::stats::TmStats;
     use htm_sim::HtmConfig;
     use rand::rngs::SmallRng;
 
@@ -1032,6 +1085,63 @@ mod tests {
         assert_eq!(s.site_demotions, 1);
         assert_eq!(s.fast_aborts, 0);
         assert_eq!(s.fallbacks_partitioned, 0);
+    }
+
+    /// Run `w` once beside a partitioned peer (a count held on the gate) on
+    /// a site with `history` resource failures recorded.
+    fn beside_a_partitioned_peer<V: Variant>(
+        segs: usize,
+        history: bool,
+    ) -> (CommitPath, TmStats, u64) {
+        let rt = TmRuntime::with_defaults(2, 1024);
+        let mut e = PartExec::<V>::new(&rt, 0);
+        let mut w = Incr::new(&rt, 4, segs);
+        let slot = rt.sites().slot(w.site());
+        if history {
+            slot.record_fast_exit(FastExit::Resource);
+        }
+        rt.system().nt_fetch_add_by(1, rt.gate(), 1);
+        let path = e.execute(&mut w);
+        rt.system().nt_fetch_sub_by(1, rt.gate(), 1);
+        check_sum(&rt, 4, 1);
+        check_released(&rt);
+        (path, e.thread().stats.0.clone(), slot.routed_exits())
+    }
+
+    fn partitionable_tx_beside_partitioned_peers_leaves_the_fast_path<V: Variant>() {
+        // Resource history and two segments: the quiet probe's abort routes
+        // the transaction to the partitioned path without an instrumented
+        // attempt or a spent retry.
+        let (path, s, routed) = beside_a_partitioned_peer::<V>(2, true);
+        assert_eq!(path, CommitPath::SubHtm);
+        assert_eq!((s.fast_aborts, s.fallbacks_partitioned, routed), (1, 1, 1));
+        // No resource history, or one segment: the instrumented attempt runs
+        // and commits in hardware.
+        for (segs, history) in [(2, false), (1, true)] {
+            let (path, s, routed) = beside_a_partitioned_peer::<V>(segs, history);
+            assert_eq!(path, CommitPath::Htm, "{segs} segments, history {history}");
+            assert_eq!((s.fast_aborts, s.fallbacks_partitioned, routed), (1, 0, 0));
+        }
+    }
+
+    fn failed_quiet_attempt_seeds_only_a_learning_plan<V: Variant>() {
+        // The quiet attempt fits some of the eight 12-line segments before
+        // its capacity abort; a learning site plans from them, a pinned
+        // `plan_group` ignores them.
+        for (plan_group, seeded) in [(None, true), (Some(1), false)] {
+            let tm = TmConfig {
+                plan_group,
+                ..TmConfig::default()
+            };
+            let rt = mid_rt(tm, 1, 2048);
+            let mut e = PartExec::<V>::new(&rt, 0);
+            let mut w = Incr::new(&rt, 96, 8);
+            assert_eq!(e.execute(&mut w), CommitPath::SubHtm);
+            check_sum(&rt, 96, 1);
+            let slot = rt.sites().slot(w.site());
+            assert_eq!(slot.seed() > 1, seeded, "plan_group {plan_group:?}");
+            assert_eq!(slot.plan_group() > 1, seeded, "plan_group {plan_group:?}");
+        }
     }
 
     fn skip_fast_one_segment_commits_sub_htm<V: Variant>() {
@@ -1239,6 +1349,8 @@ mod tests {
         oversize_segments_fall_back_to_global_lock,
         one_segment_overrun_commits_under_the_lock,
         demoted_one_segment_site_goes_straight_to_the_lock,
+        partitionable_tx_beside_partitioned_peers_leaves_the_fast_path,
+        failed_quiet_attempt_seeds_only_a_learning_plan,
         skip_fast_one_segment_commits_sub_htm,
         conflict_global_aborts_spend_every_part_retry,
         interrupts_retry_in_place,

@@ -110,6 +110,12 @@ pub struct SiteSlot {
     limit: AtomicU32,
     /// Consecutive clean partitioned commits at the current plan.
     credit: AtomicU32,
+    /// The merge factor [`SiteSlot::seed_plan`] started the plan at (0 =
+    /// never seeded).
+    seed: AtomicU32,
+    /// Fast-path exits routed to the partitioned path because partitioned
+    /// peers ran ([`SiteSlot::record_routed_exit`]).
+    routed: AtomicU64,
     /// Transactions routed through this site (drives the demotion re-probe).
     /// Every transaction's `fetch_add` dirties it, so it has a line of its
     /// own: the profile fields above stay shared between the cores that
@@ -126,6 +132,8 @@ impl SiteSlot {
             group: AtomicU32::new(1),
             limit: AtomicU32::new(MAX_GROUP),
             credit: AtomicU32::new(0),
+            seed: AtomicU32::new(0),
+            routed: AtomicU64::new(0),
             clock: CacheAligned::new(AtomicU64::new(0)),
         }
     }
@@ -187,10 +195,72 @@ impl SiteSlot {
         }
     }
 
+    /// A fast attempt left for the partitioned path because partitioned peers
+    /// ran: one resource sample, so demotion still engages, and one routed
+    /// exit.
+    pub fn record_routed_exit(&self) {
+        self.record_fast_exit(FastExit::Resource);
+        self.routed.fetch_add(1, Relaxed);
+    }
+
     /// The merge factor the executor should plan with right now.
     #[inline]
     pub fn plan_group(&self) -> u32 {
         self.group.load(Relaxed)
+    }
+
+    /// Largest group not known to split.
+    pub fn plan_limit(&self) -> u32 {
+        self.limit.load(Relaxed)
+    }
+
+    /// The merge factor the footprint seed set (0 = never seeded).
+    pub fn seed(&self) -> u32 {
+        self.seed.load(Relaxed)
+    }
+
+    /// The resource-failure EWMA, in `0..=EWMA_ONE`. Non-zero means a fast
+    /// attempt of this site died of a resource failure recently: the driver
+    /// then sends a partitionable transaction that finds partitioned peers
+    /// running to the partitioned path instead of into an instrumented
+    /// attempt the gate would doom.
+    #[inline]
+    pub fn resource_ewma(&self) -> u32 {
+        self.res_ewma.load(Relaxed)
+    }
+
+    /// Transactions routed through this site so far.
+    pub fn ticks(&self) -> u64 {
+        self.clock.load(Relaxed)
+    }
+
+    /// Fast-path exits routed to the partitioned path because partitioned
+    /// peers ran.
+    pub fn routed_exits(&self) -> u64 {
+        self.routed.load(Relaxed)
+    }
+
+    /// A failed quiet fast attempt completed `done` declared segments: they
+    /// fit in hardware without any metadata. An unlearned site (group 1,
+    /// limit [`MAX_GROUP`], never seeded) starts its plan at `done / 2`,
+    /// capped at [`MAX_GROUP`], instead of one segment; the halving leaves
+    /// room for the sub-HTM's signature and lock lines, and a split still
+    /// halves a seed that is too large. Returns true when the plan grew.
+    pub fn seed_plan(&self, done: u32) -> bool {
+        let seed = (done / 2).min(MAX_GROUP);
+        if seed < 2 || self.seed.load(Relaxed) != 0 || self.limit.load(Relaxed) != MAX_GROUP {
+            return false;
+        }
+        if self
+            .group
+            .compare_exchange(1, seed, Relaxed, Relaxed)
+            .is_err()
+        {
+            return false;
+        }
+        self.seed.store(seed, Relaxed);
+        self.credit.store(0, Relaxed);
+        true
     }
 
     /// A group of `used` segments died of a capacity-class abort: halve the
@@ -252,6 +322,14 @@ impl Default for SiteTable {
 }
 
 impl SiteTable {
+    /// Every claimed slot with its site id, in table order.
+    pub fn claimed(&self) -> impl Iterator<Item = (u32, &SiteSlot)> + '_ {
+        self.slots.iter().filter_map(|s| match s.key.load(Relaxed) {
+            0 => None,
+            k => Some((k - 1, &**s)),
+        })
+    }
+
     /// The profile slot for `site` (claiming an empty slot on first sight).
     pub fn slot(&self, site: u32) -> &SiteSlot {
         let key = site.wrapping_add(1);
@@ -455,6 +533,76 @@ mod tests {
     }
 
     #[test]
+    fn footprint_seed_starts_an_unlearned_plan_once() {
+        let t = SiteTable::default();
+        let s = t.slot(21);
+        // Too few completed segments to merge anything: no seed.
+        assert!(!s.seed_plan(3));
+        assert_eq!((s.plan_group(), s.seed()), (1, 0));
+        // 20 segments fit without metadata: plan 10 per sub-HTM.
+        assert!(s.seed_plan(20));
+        assert_eq!((s.plan_group(), s.seed()), (10, 10));
+        // It seeds once.
+        assert!(!s.seed_plan(30));
+        assert_eq!(s.plan_group(), 10);
+        // Capped at MAX_GROUP.
+        let big = t.slot(22);
+        assert!(big.seed_plan(1000));
+        assert_eq!(big.plan_group(), MAX_GROUP);
+    }
+
+    #[test]
+    fn footprint_seed_never_overrides_learning() {
+        let t = SiteTable::default();
+        // After a merge.
+        let merged = t.slot(23);
+        for _ in 0..MERGE_AFTER {
+            merged.record_clean_commit(16);
+        }
+        assert_eq!(merged.plan_group(), 2);
+        assert!(!merged.seed_plan(20));
+        assert_eq!((merged.plan_group(), merged.seed()), (2, 0));
+        // After a split back to one segment.
+        let split = t.slot(24);
+        for _ in 0..MERGE_AFTER {
+            split.record_clean_commit(16);
+        }
+        split.record_capacity_split(2);
+        assert_eq!((split.plan_group(), split.plan_limit()), (1, 1));
+        assert!(!split.seed_plan(20));
+        assert_eq!((split.plan_group(), split.seed()), (1, 0));
+    }
+
+    #[test]
+    fn one_split_corrects_an_oversized_seed() {
+        let t = SiteTable::default();
+        let s = t.slot(25);
+        assert!(s.seed_plan(40));
+        assert_eq!(s.plan_group(), 16);
+        // The seeded group dies of capacity: halve and cap.
+        s.record_capacity_split(16);
+        assert_eq!((s.plan_group(), s.plan_limit()), (8, 8));
+        for _ in 0..4 * MERGE_AFTER {
+            s.record_clean_commit(32);
+        }
+        assert_eq!(s.plan_group(), 8, "the limit holds the corrected plan");
+    }
+
+    #[test]
+    fn routed_exits_feed_demotion() {
+        let t = SiteTable::default();
+        let s = t.slot(26);
+        assert_eq!(s.resource_ewma(), 0);
+        s.record_routed_exit();
+        assert!(s.resource_ewma() > 0);
+        assert_eq!(s.routed_exits(), 1);
+        while !s.wants_demotion(None) {
+            s.record_routed_exit();
+        }
+        assert!(s.routed_exits() > 1);
+    }
+
+    #[test]
     fn plan_never_exceeds_declared_run() {
         let t = SiteTable::default();
         let s = t.slot(9);
@@ -519,6 +667,9 @@ mod tests {
         let b = t.slot(1) as *const _;
         assert_ne!(a, b, "distinct sites get distinct slots");
         assert_eq!(a, t.slot(0) as *const _, "stable mapping");
+        let mut ids: Vec<u32> = t.claimed().map(|(site, _)| site).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1], "claimed slots carry their site ids");
     }
 
     #[test]

@@ -5,10 +5,13 @@ use crate::algo::{run_cell, run_cell_virtual, Algo};
 use crate::driver::run_threads_virtual_harvest;
 use crate::report::{StatsReport, Table, Unit};
 use htm_sim::registry::{AccessKind, DoomCause};
-use htm_sim::trace::Event;
+use htm_sim::trace::{Event, Trace};
 use htm_sim::vclock::SchedSpec;
 use htm_sim::{AbortCode, BackendKind, HtmConfig};
-use part_htm_core::{PartHtm, PartHtmO, Region, TmConfig, TmExecutor, TmRuntime, Workload};
+use part_htm_core::planner::EWMA_ONE;
+use part_htm_core::{
+    PartHtm, PartHtmO, Region, TmConfig, TmExecutor, TmRuntime, TmStats, Workload,
+};
 use std::collections::BTreeMap;
 use tm_baselines::HtmGl;
 use tm_workloads::stamp::{genome, intruder, kmeans, labyrinth, ssca2, vacation, yada};
@@ -611,10 +614,35 @@ pub fn capacity_shape() -> (micro::NrmwParams, HtmConfig) {
     (params, htm)
 }
 
+/// One aborted hardware attempt of a warm-up: its abort code, the work units
+/// it spent and, for a conflict abort, the access that doomed it.
+pub type WarmupAttempt = (AbortCode, u64, Option<DoomCause>);
+
+/// A core's warm-up, read from its hardware trace: the attempts that aborted
+/// before its first hardware commit (a sub-HTM commit included). `None` when
+/// the core never committed in hardware. The trace must not have overflowed
+/// before that commit.
+pub fn warm_up(trace: &Trace) -> Option<Vec<WarmupAttempt>> {
+    let committed = trace.events().any(|ev| matches!(ev, Event::Commit { .. }));
+    committed.then(|| {
+        trace
+            .events()
+            .take_while(|ev| !matches!(ev, Event::Commit { .. }))
+            .filter_map(|ev| match ev {
+                Event::Abort {
+                    code, work, cause, ..
+                } => Some((*code, *work, *cause)),
+                _ => None,
+            })
+            .collect()
+    })
+}
+
 /// One `explain` cell: run the capacity shape under `E` with the hardware
 /// trace on and append its conflict aborts, tallied by the doomer's region and
 /// access kind, to `out`, then each core's warm-up: the hardware attempts that
-/// died before its first commit, which set the cell's tail latency.
+/// died before its first commit, which set the cell's tail latency; then the
+/// planner's state per site.
 fn explain_cell<'r, E: TmExecutor<'r>>(
     rt: &'r TmRuntime,
     shared: micro::NrmwShared,
@@ -637,20 +665,11 @@ fn explain_cell<'r, E: TmExecutor<'r>>(
                     _ => None,
                 })
                 .collect();
-            let committed = trace.events().any(|ev| matches!(ev, Event::Commit { .. }));
-            let warmup: Option<Vec<(AbortCode, u64, Option<DoomCause>)>> = committed.then(|| {
-                trace
-                    .events()
-                    .take_while(|ev| !matches!(ev, Event::Commit { .. }))
-                    .filter_map(|ev| match ev {
-                        Event::Abort {
-                            code, work, cause, ..
-                        } => Some((*code, *work, *cause)),
-                        _ => None,
-                    })
-                    .collect()
-            });
-            (causes, warmup, trace.recorded() > trace.len() as u64)
+            (
+                causes,
+                warm_up(trace),
+                trace.recorded() > trace.len() as u64,
+            )
         },
     );
     let mut tally: BTreeMap<(Region, AccessKind), u64> = BTreeMap::new();
@@ -698,6 +717,39 @@ fn explain_cell<'r, E: TmExecutor<'r>>(
             .collect();
         let wu: u64 = warmup.iter().map(|a| a.1).sum();
         out.push_str(&format!("core {core}: {wu} wu: {}\n", attempts.join(", ")));
+    }
+    explain_planner(rt, &r.tm, out);
+}
+
+/// The planner's state after a cell: the run's routing counters, then per
+/// site its plan group (seeded from a failed quiet attempt's footprint or
+/// learned), its demotion state and its routed exits.
+fn explain_planner(rt: &TmRuntime, tm: &TmStats, out: &mut String) {
+    let sites: Vec<_> = rt.sites().claimed().collect();
+    if sites.is_empty() {
+        return;
+    }
+    out.push_str(&format!(
+        "planner: {} demoted tx, {} fast exits to the partitioned path, {} plan merges, {} plan splits\n",
+        tm.site_demotions, tm.fallbacks_partitioned, tm.plan_merges, tm.plan_splits,
+    ));
+    for (site, slot) in sites {
+        let group = match slot.seed() {
+            0 => format!("group {} (learned)", slot.plan_group()),
+            seed => format!("group {} (seeded {seed})", slot.plan_group()),
+        };
+        let state = if slot.wants_demotion(None) {
+            "demoting"
+        } else {
+            "admitting"
+        };
+        out.push_str(&format!(
+            "site {site}: {group}, limit {}; resource EWMA {}/{EWMA_ONE}, {state}; {} tx, {} routed exits\n",
+            slot.plan_limit(),
+            slot.resource_ewma(),
+            slot.ticks(),
+            slot.routed_exits(),
+        ));
     }
 }
 

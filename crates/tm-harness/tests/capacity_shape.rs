@@ -6,13 +6,19 @@
 //! Before signatures were keyed on the cache line, Bloom false positives of
 //! the 768-word read signature against peers' publishes cost 18 global aborts
 //! and 2 lock commits per 100 transactions, although nobody writes what the
-//! shape reads (ROADMAP item 1).
+//! shape reads (ROADMAP item 1). Before a partitionable transaction left the
+//! fast path on the quiet attempt's `XABORT_NOT_QUIET` abort, core 0 spent
+//! four instrumented attempts doomed on the gate word, 2 680 wu, before its
+//! first commit.
 
 use htm_sim::vclock::SchedSpec;
-use part_htm_core::{PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, Workload};
+use htm_sim::{AbortCode, HtmConfig};
+use part_htm_core::{
+    PartHtm, PartHtmO, TmConfig, TmExecutor, TmRuntime, Workload, XABORT_NOT_QUIET,
+};
 use tm_baselines::Sequential;
-use tm_harness::experiments::capacity_shape;
-use tm_harness::run_threads_virtual;
+use tm_harness::experiments::{capacity_shape, warm_up};
+use tm_harness::run_threads_virtual_harvest;
 use tm_workloads::micro::{self, Nrmw, NrmwParams};
 
 const CORES: usize = 4;
@@ -24,15 +30,35 @@ fn dst_array(rt: &TmRuntime, p: &NrmwParams) -> Vec<u64> {
     (words..2 * words).map(|i| rt.verify_read(i)).collect()
 }
 
-/// Run the shape under `E` on a fresh runtime: the result must equal the
-/// sequential replay, nothing may leak, and the partitioned path must commit
-/// every transaction with at most 0.05 global aborts per transaction.
+/// Run the shape under `E` on a fresh runtime with the hardware trace on: the
+/// result must equal the sequential replay, nothing may leak, the partitioned
+/// path must commit every transaction with at most 0.05 global aborts per
+/// transaction, and every core's warm-up (the hardware attempts that abort
+/// before its first commit) is at most one full hardware attempt plus the
+/// 1-wu quiet probe that finds partitioned peers counted.
 fn check<'r, E: TmExecutor<'r>>(rt: &'r TmRuntime, want: &[u64], name: &str) {
     let (p, _) = capacity_shape();
     let shared = micro::init(rt, &p);
-    let (r, _) = run_threads_virtual::<E, _, _>(rt, CORES, TXS, SchedSpec::default(), |t| {
-        Nrmw::new(shared, t, SLICES)
-    });
+    let (r, _, warmups) = run_threads_virtual_harvest::<E, _, _, _, _>(
+        rt,
+        CORES,
+        TXS,
+        SchedSpec::default(),
+        |t| Nrmw::new(shared, t, SLICES),
+        |e| warm_up(&e.thread().hw.trace),
+    );
+    for (core, warmup) in warmups.iter().enumerate() {
+        let warmup = warmup
+            .as_ref()
+            .unwrap_or_else(|| panic!("{name}: core {core} never committed in hardware"));
+        let probe = (AbortCode::Explicit(XABORT_NOT_QUIET), 1, None);
+        let full = warmup.iter().filter(|&&a| a != probe).count();
+        assert!(
+            full <= 1 && warmup.len() - full <= 1,
+            "{name}: core {core}'s warm-up is more than one full hardware attempt \
+             plus the quiet probe: {warmup:?}"
+        );
+    }
 
     assert_eq!(r.commits, (CORES * TXS) as u64, "{name}");
     assert_eq!(
@@ -82,7 +108,11 @@ fn capacity_shape_commits_on_the_partitioned_path_at_four_cores() {
         dst_array(&rt, &p)
     };
 
-    let rt = || TmRuntime::new(htm.clone(), TmConfig::default(), CORES, p.app_words());
+    let traced = HtmConfig {
+        trace_capacity: 1 << 16,
+        ..htm
+    };
+    let rt = || TmRuntime::new(traced.clone(), TmConfig::default(), CORES, p.app_words());
     check::<PartHtm>(&rt(), &want, "Part-HTM");
     check::<PartHtmO>(&rt(), &want, "Part-HTM-O");
 }

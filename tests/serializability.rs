@@ -32,6 +32,9 @@ struct Transfer {
     segs: usize,
     /// Work units spent between each account's read and its write.
     work: u64,
+    /// The planner site: transfers with different resource appetites keep
+    /// separate abort profiles.
+    site: u32,
 }
 
 impl Workload for Transfer {
@@ -45,6 +48,10 @@ impl Workload for Transfer {
 
     fn segments(&self) -> usize {
         self.segs
+    }
+
+    fn site(&self) -> u32 {
+        self.site
     }
 
     fn snapshot(&self) -> u64 {
@@ -91,6 +98,7 @@ fn transfer(bank: Bank, _thread: usize) -> Transfer {
         moved: 0,
         segs: 2,
         work: 0,
+        site: 0,
     }
 }
 
@@ -333,7 +341,9 @@ const MIXED_QUANTUM: u64 = 200;
 ///
 /// The work sits between each account's read and its write, so a lock holder
 /// that raced a live transaction would overwrite, or be overwritten by, a
-/// stale value.
+/// stale value. Each role is its own planner site: sharing one, the
+/// over-quantum roles' resource failures demote role 3's fitting transfers
+/// and send them to the partitioned path instead of the instrumented attempt.
 fn mixed(bank: Bank, thread: usize) -> Transfer {
     let (segs, work) = match thread % 4 {
         0 => (1, MIXED_QUANTUM),
@@ -343,6 +353,7 @@ fn mixed(bank: Bank, thread: usize) -> Transfer {
     Transfer {
         segs,
         work,
+        site: (thread % 4) as u32,
         ..transfer(bank, thread)
     }
 }
